@@ -37,7 +37,7 @@ from .errors import (
     RootNotConverged,
     SingularityError,
 )
-from .core_math import LowPoly
+from .core_math import LowPoly, complex_json
 from .potentials import (
     DomainKind,
     DomainSpec,
@@ -211,8 +211,7 @@ def cmd_verify(args) -> int:
     res = spectra.closed_form_spectrum(spec, args.n_max)
     n_half = max(args.N // 2, 50)
     study = oracle.convergence_study(spec, domain, [n_half, args.N])
-    H = oracle.discretize(spec, domain, args.N)
-    eigs = oracle.eigen_complex_dense(H)
+    eigs = study.eigs_finest
     thr = oracle.continuum_threshold(spec)
     match = oracle.match_levels(res.entries, eigs, thr)
     conj = oracle.conjugation_pair_check(eigs, tol=1e-8)
@@ -271,7 +270,7 @@ def cmd_profile(args) -> int:
     if args.format == "json":
         payload = {
             "spec": spec.to_dict(),
-            "samples": [{"x": float(x), "re": v.real, "im": v.imag} for x, v in zip(xs_kept, vals)],
+            "samples": [{"x": float(x), **complex_json(v)} for x, v in zip(xs_kept, vals)],
         }
         _write_out(_json_dump(payload), args.out)
     else:
@@ -286,6 +285,20 @@ def _poly_from_json(obj) -> LowPoly:
     return LowPoly(*(complex(c["re"], c["im"]) for c in obj))
 
 
+def _no_branch_payload(err: NoAdmissibleBranch, **extra) -> dict:
+    """The rejected (k, sign) candidates of a NoAdmissibleBranch, as JSON."""
+    branches = [
+        {
+            "k": complex_json(c.k),
+            "sign": c.sign,
+            "tau_slope": complex_json(c.tau_slope),
+            "rejection": c.rejection,
+        }
+        for c in err.candidates
+    ]
+    return {"error": "NoAdmissibleBranch", **extra, "branches": branches}
+
+
 def cmd_trace(args) -> int:
     if args.form_json:
         with open(args.form_json) as fh:
@@ -298,19 +311,7 @@ def cmd_trace(args) -> int:
         try:
             trace = nu_engine.select_branch(form)
         except NoAdmissibleBranch as err:
-            payload = {
-                "error": "NoAdmissibleBranch",
-                "branches": [
-                    {
-                        "k": {"re": c.k.real, "im": c.k.imag},
-                        "sign": c.sign,
-                        "tau_slope": {"re": c.tau_slope.real, "im": c.tau_slope.imag},
-                        "rejection": c.rejection,
-                    }
-                    for c in err.candidates
-                ],
-            }
-            _write_out(_json_dump(payload), args.out)
+            _write_out(_json_dump(_no_branch_payload(err)), args.out)
             return _EXIT_NONCONVERGED
         _write_out(nu_engine.trace_to_json(trace), args.out)
         return _EXIT_OK
@@ -318,25 +319,12 @@ def cmd_trace(args) -> int:
     seed = None
     try:
         seed = spectra.closed_form_spectrum(spec, args.n).entries[args.n][1]
-    except Exception:
+    except PtspecError:
         seed = None
     try:
         _, trace = nu_engine.solve_level(spec, args.n, seed_energy=seed)
     except NoAdmissibleBranch as err:
-        payload = {
-            "error": "NoAdmissibleBranch",
-            "spec": spec.to_dict(),
-            "branches": [
-                {
-                    "k": {"re": c.k.real, "im": c.k.imag},
-                    "sign": c.sign,
-                    "tau_slope": {"re": c.tau_slope.real, "im": c.tau_slope.imag},
-                    "rejection": c.rejection,
-                }
-                for c in err.candidates
-            ],
-        }
-        _write_out(_json_dump(payload), args.out)
+        _write_out(_json_dump(_no_branch_payload(err, spec=spec.to_dict())), args.out)
         return _EXIT_NONCONVERGED
     except (RootNotConverged, QRNotConverged) as err:
         sys.stderr.write(f"{err}\n")

@@ -22,12 +22,24 @@ def sqrt_principal(z: complex) -> complex:
 
     Negative reals with a -0.0 imaginary part would land on the lower sheet
     under IEEE rules; they are pulled back to the upper one so the branch is
-    a function of the value alone.
+    a function of the value alone.  So is a root whose real part underflows
+    to 0 for a tiny negative Im(z), such as z = -1 - 5e-324j.
     """
     z = complex(z)
     if z.imag == 0.0:
         z = complex(z.real, 0.0)
-    return cmath.sqrt(z)
+    w = cmath.sqrt(z)
+    if w.real == 0.0 and w.imag < 0.0:
+        return complex(0.0, -w.imag)
+    return w
+
+
+def complex_json(z) -> dict | None:
+    """The {"re", "im"} encoding of a complex value; None stays None."""
+    if z is None:
+        return None
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
 
 
 @dataclass(frozen=True)

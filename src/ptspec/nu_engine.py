@@ -6,14 +6,17 @@ family's coordinate map, to
     psi'' + (tau_tilde/sigma) psi' + (sigma_tilde/sigma^2) psi = 0
 
 with sigma, sigma_tilde of degree <= 2 and tau_tilde of degree <= 1, the
-energy entering through sigma_tilde.  The pipeline then
+energy entering through sigma_tilde.  Manning-Rosen uses the printed
+tau_tilde = 1 - q s, the form consistent with the s = e^{-2 alpha x}
+substitution.  The pipeline then
 
   1. forms the radicand Q(s; k) = ((sigma' - tau_tilde)/2)^2 - sigma_tilde
      + k*sigma and solves discriminant_s(Q) = 0 for the two k candidates;
   2. factors Q at each k as a perfect square (a s + b)^2 and enumerates the
      four branch candidates pi = (sigma' - tau_tilde)/2 +- (a s + b);
   3. keeps branches with Re(tau') < 0 where tau = tau_tilde + 2 pi, breaking
-     ties by weight-function integrability and then by |k|;
+     ties by weight-function integrability and then by |k| (integrability is
+     computed only where it is read: at a seed and in the trace);
   4. solves the polynomial-termination condition
      F_n(E) = lambda + n tau' + n(n-1) sigma''/2 = 0,  lambda = k + pi',
      for the level-n energy by a complex secant iteration with branch
@@ -25,14 +28,16 @@ Every derivation step is retained in an audit trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .core_math import LowPoly, quadratic_roots, sqrt_principal
+from .core_math import LowPoly, complex_json, quadratic_roots, sqrt_principal
 from .errors import (
     DegenerateDiscriminant,
     NoAdmissibleBranch,
+    PtspecError,
     RootNotConverged,
     UnsupportedFamily,
     UnsupportedVariant,
@@ -41,6 +46,7 @@ from .potentials import Family, PotentialSpec, Variant
 
 _F_TOL = 1e-12
 _SECANT_BUDGET = 200
+_SCAN_STARTS = 6  # local minima of the scan tried as secant starts
 
 
 @dataclass(frozen=True)
@@ -94,17 +100,11 @@ class HypergeometricForm:
     tau_tilde: LowPoly
     sigma_tilde: LowPoly
     reduced: ReducedParams
-    tau_variant: str = "printed"
 
 
-def build_form(spec: PotentialSpec, eps_trial: complex, tau_variant: str = "printed") -> HypergeometricForm:
+def build_form(spec: PotentialSpec, eps_trial: complex) -> HypergeometricForm:
     """Reduced-equation triple for the family, sigma_tilde evaluated at the
-    trial reduced energy.
-
-    For ManningRosen, tau_variant selects the first-derivative coefficient:
-    "printed" uses tau_tilde = 1 - q s (the form consistent with the
-    s = e^{-2 alpha x} substitution); "alternative" uses 1 - 2 q s.
-    """
+    trial reduced energy."""
     if spec.variant is not Variant.Base:
         raise UnsupportedVariant("the numeric pipeline reduces the Base forms only")
     fam = spec.family
@@ -140,12 +140,6 @@ def build_form(spec: PotentialSpec, eps_trial: complex, tau_variant: str = "prin
         q = spec.q
         rp = ReducedParams(fam, complex(eps_trial), complex(spec.A / ka2), complex(4.0 * spec.B / ka2))
         eps, beta, gamma = rp.eps, rp.beta, rp.gamma
-        if tau_variant == "printed":
-            tau_t = LowPoly(1.0, -q, 0.0)
-        elif tau_variant == "alternative":
-            tau_t = LowPoly(1.0, -2.0 * q, 0.0)
-        else:
-            raise ValueError(f"unknown tau_variant {tau_variant!r}")
         sigma_t = LowPoly(
             0.25 * (-eps - beta),
             0.25 * (2.0 * eps * q - gamma),
@@ -154,10 +148,9 @@ def build_form(spec: PotentialSpec, eps_trial: complex, tau_variant: str = "prin
         return HypergeometricForm(
             fam,
             sigma=LowPoly(0.0, 1.0, -q),
-            tau_tilde=tau_t,
+            tau_tilde=LowPoly(1.0, -q, 0.0),
             sigma_tilde=sigma_t,
             reduced=rp,
-            tau_variant=tau_variant,
         )
     raise UnsupportedFamily(str(fam))
 
@@ -165,7 +158,7 @@ def build_form(spec: PotentialSpec, eps_trial: complex, tau_variant: str = "prin
 def synthetic_form(sigma: LowPoly, tau_tilde: LowPoly, sigma_tilde: LowPoly) -> HypergeometricForm:
     """Wrap a raw polynomial triple (used for fixtures and the trace CLI)."""
     rp = ReducedParams(Family.TrigScarf, 0.0, 0.0)
-    return HypergeometricForm(Family.TrigScarf, sigma, tau_tilde, sigma_tilde, rp, "synthetic")
+    return HypergeometricForm(Family.TrigScarf, sigma, tau_tilde, sigma_tilde, rp)
 
 
 def _half_gap(form: HypergeometricForm) -> LowPoly:
@@ -220,7 +213,11 @@ def _square_factor(Q: LowPoly) -> tuple[complex, complex, float]:
 
 @dataclass(frozen=True)
 class BranchCandidate:
-    """One (k, sign) combination of the pi formula, with its tau slope."""
+    """One (k, sign) combination of the pi formula, with its tau slope.
+
+    weight_integrable stays None until the candidate is weighed (_weigh):
+    only the seed ranking and the trace read it.
+    """
 
     k: complex
     sign: int
@@ -230,7 +227,7 @@ class BranchCandidate:
     lam: complex
     square_residual: float
     admissible: bool
-    weight_integrable: bool
+    weight_integrable: bool | None = None
     rejection: str = ""
 
 
@@ -249,6 +246,16 @@ class NUTrace:
     aux: dict
     candidates: tuple[BranchCandidate, ...]
     notes: dict = field(default_factory=dict)
+
+
+class _Branch(NamedTuple):
+    """A followed candidate, with the form, k pair and all four candidates at
+    its energy."""
+
+    form: HypergeometricForm
+    ks: tuple[complex, complex]
+    candidates: list[BranchCandidate]
+    chosen: BranchCandidate
 
 
 def _s_interval(family: Family, spec: PotentialSpec | None):
@@ -291,7 +298,9 @@ def weight_exponents(form: HypergeometricForm, tau: LowPoly):
     return _rational_exponents(num, form.sigma)
 
 
-def _weight_integrable(form: HypergeometricForm, tau: LowPoly, spec: PotentialSpec | None) -> bool:
+def weight_failure(form: HypergeometricForm, tau: LowPoly, spec: PotentialSpec | None) -> str:
+    """Why the weight rho solving (sigma rho)' = tau rho is not integrable on
+    the family's s-interval, or "" when it is."""
     lo, hi, hi_unbounded = _s_interval(form.family, spec)
     roots, exps, _ = weight_exponents(form, tau)
     tol = 1e-9
@@ -299,15 +308,17 @@ def _weight_integrable(form: HypergeometricForm, tau: LowPoly, spec: PotentialSp
         at_lo = abs(r - lo) <= tol * (1.0 + abs(lo))
         at_hi = (hi is not None) and abs(r - hi) <= tol * (1.0 + abs(hi))
         if (at_lo or at_hi) and complex(e).real <= -1.0:
-            return False
+            return f"rho exponent {e} at s={r} is not integrable"
     if hi_unbounded and form.sigma.degree() == 2:
         power = (tau.c1 - 2.0 * form.sigma.c2) / form.sigma.c2
         if complex(power).real >= -1.0:
-            return False
-    return True
+            return f"rho ~ s^{power} at infinity is not integrable"
+    return ""
 
 
-def _enumerate_branches(form: HypergeometricForm, ks, spec: PotentialSpec | None) -> list[BranchCandidate]:
+def _enumerate_branches(form: HypergeometricForm) -> tuple[tuple[complex, complex], list[BranchCandidate]]:
+    """The k pair and the four unweighed (k, sign) candidates of a form."""
+    ks = k_candidates(form)
     p = _half_gap(form)
     out = []
     for k in ks:  # duplicate k kept so the audit always shows four slots
@@ -328,28 +339,34 @@ def _enumerate_branches(form: HypergeometricForm, ks, spec: PotentialSpec | None
                     lam=lam,
                     square_residual=resid,
                     admissible=admissible,
-                    weight_integrable=_weight_integrable(form, tau, spec),
                     rejection="" if admissible else f"Re(tau')={slope.real:.6g} >= 0",
                 )
             )
-    return out
+    return ks, out
 
 
-def select_branch(form: HypergeometricForm, ks=None, spec: PotentialSpec | None = None) -> NUTrace:
-    """Enumerate all four (k, sign) combinations and accept one.
+def branches(spec: PotentialSpec, energy: complex):
+    """(form, k pair, four unweighed candidates) at a trial energy."""
+    form = build_form(spec, reduced_params(spec, energy).eps)
+    return (form, *_enumerate_branches(form))
 
-    Acceptance requires Re(tau') < 0; ties break first on weight-function
-    integrability over the family's s-interval, then on smaller |k|.  All
-    four candidates are retained in the trace for audit.
-    """
-    if ks is None:
-        ks = k_candidates(form)
-    cands = _enumerate_branches(form, ks, spec)
+
+def _weigh(form: HypergeometricForm, cands, spec: PotentialSpec | None) -> list[BranchCandidate]:
+    """The candidates with weight integrability filled in."""
+    return [replace(c, weight_integrable=not weight_failure(form, c.tau, spec)) for c in cands]
+
+
+def _ranked(cands, where: str = "") -> list[BranchCandidate]:
+    """Admissible (Re(tau') < 0) weighed candidates, integrable weight first,
+    then smaller |k|."""
     admissible = [c for c in cands if c.admissible]
     if not admissible:
-        raise NoAdmissibleBranch("all four branch candidates have Re(tau') >= 0", candidates=cands)
-    admissible.sort(key=lambda c: (not c.weight_integrable, abs(c.k)))
-    best = admissible[0]
+        raise NoAdmissibleBranch("all four branch candidates have Re(tau') >= 0" + where, candidates=cands)
+    return sorted(admissible, key=lambda c: (not c.weight_integrable, abs(c.k)))
+
+
+def _trace(form, ks, cands, best: BranchCandidate, lambda_n=None, notes=None) -> NUTrace:
+    """Derivation record of the accepted candidate among weighed cands."""
     return NUTrace(
         form=form,
         k_candidates=(complex(ks[0]), complex(ks[1])),
@@ -358,10 +375,23 @@ def select_branch(form: HypergeometricForm, ks=None, spec: PotentialSpec | None 
         tau=best.tau,
         tau_slope=best.tau_slope,
         lam=best.lam,
-        lambda_n=None,
+        lambda_n=lambda_n,
         aux=_aux_record(form),
         candidates=tuple(cands),
+        notes=notes or {},
     )
+
+
+def select_branch(form: HypergeometricForm, spec: PotentialSpec | None = None) -> NUTrace:
+    """Enumerate all four (k, sign) combinations and accept one.
+
+    Acceptance requires Re(tau') < 0; ties break first on weight-function
+    integrability over the family's s-interval, then on smaller |k|.  All
+    four candidates are retained in the trace for audit.
+    """
+    ks, cands = _enumerate_branches(form)
+    cands = _weigh(form, cands, spec)
+    return _trace(form, ks, cands, _ranked(cands)[0])
 
 
 def _aux_record(form: HypergeometricForm) -> dict:
@@ -379,39 +409,39 @@ def _aux_record(form: HypergeometricForm) -> dict:
     return {"zeta1": z1, "zeta2": z2, "mu": mu}
 
 
+def _f_n(tau_slope: complex, sigma: LowPoly, n: int, lam: complex | None = None) -> complex:
+    """F_n = lambda + n tau' + n(n-1) sigma''/2, summed left to right.
+
+    Without lam it is the sum past lambda, -lambda_n: the lambda at which
+    level n terminates.
+    """
+    head = n * tau_slope if lam is None else lam + n * tau_slope
+    return head + 0.5 * n * (n - 1) * (2.0 * sigma.c2)
+
+
 def level_equation(trace: NUTrace, n: int) -> complex:
     """Residual F_n = lambda + n tau' + n(n-1) sigma''/2 of the termination
     condition; a root in the energy means level n terminates."""
-    sig_pp = 2.0 * trace.form.sigma.c2
-    return trace.lam + n * trace.tau_slope + 0.5 * n * (n - 1) * sig_pp
+    return _f_n(trace.tau_slope, trace.form.sigma, n, trace.lam)
 
 
-def _branch_at(spec, energy, prev_pi, tau_variant):
-    """Re-enumerate candidates at a new energy and continue the branch whose
-    pi is nearest the previous one."""
-    form = build_form(spec, reduced_params(spec, energy).eps, tau_variant)
-    ks = k_candidates(form)
-    cands = _enumerate_branches(form, ks, spec)
-    dist = [abs(c.pi.c0 - prev_pi.c0) + abs(c.pi.c1 - prev_pi.c1) for c in cands]
-    best = cands[int(np.argmin(dist))]
-    return form, ks, best
+def _secant_root(spec: PotentialSpec, n: int, e0: complex, start: _Branch):
+    """Damped complex secant on F_n along one branch, with pi-continuation.
 
-
-def _secant_root(spec, n, e0, cand0, form0, ks0, tau_variant):
-    """Damped complex secant on F_n along one branch, with pi-continuation."""
+    Returns (root, branch at the root, iterations)."""
 
     def f_of(energy, prev_pi):
-        form, ks, cand = _branch_at(spec, energy, prev_pi, tau_variant)
-        sig_pp = 2.0 * form.sigma.c2
-        fval = cand.lam + n * cand.tau_slope + 0.5 * n * (n - 1) * sig_pp
-        return fval, cand, form, ks
+        form, ks, cands = branches(spec, energy)
+        dist = [abs(c.pi.c0 - prev_pi.c0) + abs(c.pi.c1 - prev_pi.c1) for c in cands]
+        cand = cands[int(np.argmin(dist))]
+        return _f_n(cand.tau_slope, form.sigma, n, cand.lam), _Branch(form, ks, cands, cand)
 
     z0 = complex(e0)
     z1 = complex(e0) + 1e-4 * (1.0 + abs(e0))
-    f0, cand, _, _ = f_of(z0, cand0.pi)
+    f0, at = f_of(z0, start.chosen.pi)
     if abs(f0) <= _F_TOL:
-        return z0, cand0, form0, ks0, 0
-    f1, cand, form, ks = f_of(z1, cand.pi)
+        return z0, start, 0
+    f1, at = f_of(z1, at.chosen.pi)
     for it in range(_SECANT_BUDGET):
         if f1 == f0:
             break
@@ -422,16 +452,16 @@ def _secant_root(spec, n, e0, cand0, form0, ks0, tau_variant):
         z2 = z1 + step
         if not np.isfinite(z2.real) or not np.isfinite(z2.imag):
             break
-        f2, cand, form, ks = f_of(z2, cand.pi)
+        f2, at = f_of(z2, at.chosen.pi)
         z0, f0, z1, f1 = z1, f1, z2, f2
         if abs(f1) <= _F_TOL:
-            return z1, cand, form, ks, it + 1
+            return z1, at, it + 1
     raise RootNotConverged(f"|F_{n}| = {abs(f1):.3g} after secant budget")
 
 
-def _scan_starts(spec: PotentialSpec, n: int, tau_variant: str, n_keep: int = 6):
+def _scan_starts(spec: PotentialSpec, n: int) -> list[tuple[complex, _Branch]]:
     """Coarse scan: local minima of min-over-admissible-branches |F_n| on a
-    real energy grid spanning the potential's value range."""
+    real energy grid spanning the potential's value range, best first."""
     from .potentials import default_domain, evaluate
 
     dom = default_domain(spec)
@@ -440,7 +470,7 @@ def _scan_starts(spec: PotentialSpec, n: int, tau_variant: str, n_keep: int = 6)
     for x in xs:
         try:
             ok.append(evaluate(spec, float(x)).real)
-        except Exception:
+        except PtspecError:
             continue
     vmin, vmax = float(np.min(ok)), float(np.max(ok))
     span = max(vmax - vmin, 1.0)
@@ -452,19 +482,15 @@ def _scan_starts(spec: PotentialSpec, n: int, tau_variant: str, n_keep: int = 6)
     pts = []
     for e in grid:
         try:
-            form = build_form(spec, reduced_params(spec, complex(e)).eps, tau_variant)
-            ks = k_candidates(form)
-            cands = [c for c in _enumerate_branches(form, ks, spec) if c.admissible]
-        except Exception:
+            form, ks, cands = branches(spec, complex(e))
+        except PtspecError:
             continue
-        if not cands:
+        admissible = [c for c in cands if c.admissible]
+        if not admissible:
             continue
-        sig_pp = 2.0 * form.sigma.c2
-        fvals = [abs(c.lam + n * c.tau_slope + 0.5 * n * (n - 1) * sig_pp) for c in cands]
+        fvals = [abs(_f_n(c.tau_slope, form.sigma, n, c.lam)) for c in admissible]
         j = int(np.argmin(fvals))
-        pts.append((fvals[j], complex(e), cands[j], form, ks))
-    if not pts:
-        return []
+        pts.append((fvals[j], complex(e), _Branch(form, ks, cands, admissible[j])))
     # keep local minima of |F| along the grid, best first
     minima = []
     for i, rec in enumerate(pts):
@@ -473,15 +499,10 @@ def _scan_starts(spec: PotentialSpec, n: int, tau_variant: str, n_keep: int = 6)
         if rec[0] <= left and rec[0] <= right:
             minima.append(rec)
     minima.sort(key=lambda t: t[0])
-    return minima[:n_keep]
+    return [(e, at) for _, e, at in minima[:_SCAN_STARTS]]
 
 
-def solve_level(
-    spec: PotentialSpec,
-    n: int,
-    seed_energy: complex | None = None,
-    tau_variant: str = "printed",
-) -> tuple[complex, NUTrace]:
+def solve_level(spec: PotentialSpec, n: int, seed_energy: complex | None = None) -> tuple[complex, NUTrace]:
     """Root of the level-n termination condition, with its trace.
 
     Every admissible branch at the seed is secant-iterated; converged roots
@@ -492,16 +513,9 @@ def solve_level(
     starts = []
     if seed_energy is not None and np.isfinite(complex(seed_energy).real):
         e0 = complex(seed_energy)
-        form0 = build_form(spec, reduced_params(spec, e0).eps, tau_variant)
-        ks0 = k_candidates(form0)
-        cands = _enumerate_branches(form0, ks0, spec)
-        admissible = [c for c in cands if c.admissible]
-        if not admissible:
-            raise NoAdmissibleBranch(
-                "all four branch candidates have Re(tau') >= 0 at the seed", candidates=cands
-            )
-        admissible.sort(key=lambda c: (not c.weight_integrable, abs(c.k)))
-        starts = [(e0, c, form0, ks0) for c in admissible]
+        form0, ks0, cands0 = branches(spec, e0)
+        cands0 = _weigh(form0, cands0, spec)
+        starts = [(e0, _Branch(form0, ks0, cands0, c)) for c in _ranked(cands0, " at the seed")]
     else:
         seed_energy = None
 
@@ -510,18 +524,18 @@ def solve_level(
 
     def try_starts(start_list):
         nonlocal last_err
-        for e0, cand, form0, ks0 in start_list:
+        for e0, start in start_list:
             try:
-                e_root, cand_r, form_r, ks_r, _ = _secant_root(spec, n, e0, cand, form0, ks0, tau_variant)
+                e_root, at, _ = _secant_root(spec, n, e0, start)
             except RootNotConverged as err:
                 last_err = err
                 continue
-            if cand_r.tau_slope.real >= 0.0:
+            if at.chosen.tau_slope.real >= 0.0:
                 continue
             if abs(e_root.imag) > 1e-8 * (1.0 + abs(e_root.real)):
                 continue  # Base pipeline: spectra are real
             ref = seed_energy if seed_energy is not None else e0
-            roots.append((abs(e_root - ref), complex(e_root.real), cand_r, form_r, ks_r))
+            roots.append((abs(e_root - ref), complex(e_root.real), at))
 
     try_starts(starts)
     # exact (or near-exact) seed: accept without the scan fallback
@@ -529,37 +543,25 @@ def solve_level(
         d <= 1e-6 * (1.0 + abs(seed_energy)) for d, *_ in roots
     )
     if not near_seed:
-        scan = _scan_starts(spec, n, tau_variant)
+        scan = _scan_starts(spec, n)
         if not scan and not roots and seed_energy is None:
             raise NoAdmissibleBranch("no admissible branch anywhere on the scan grid")
-        try_starts([(e, c, form, ks) for _, e, c, form, ks in scan])
+        try_starts(scan)
     if not roots:
         raise last_err or RootNotConverged(f"no admissible branch converged for n={n}")
     roots.sort(key=lambda t: t[0])
-    _, e_n, cand, form, ks = roots[0]
-    lam_n = -(n * cand.tau_slope + 0.5 * n * (n - 1) * 2.0 * form.sigma.c2)
-    trace = NUTrace(
-        form=form,
-        k_candidates=(complex(ks[0]), complex(ks[1])),
-        chosen_k=cand.k,
-        pi=cand.pi,
-        tau=cand.tau,
-        tau_slope=cand.tau_slope,
-        lam=cand.lam,
-        lambda_n=lam_n,
-        aux=_aux_record(form),
-        candidates=tuple(_enumerate_branches(form, ks, spec)),
-        notes={
-            "n": n,
-            "energy": complex(e_n),
-            "seed": None if seed_energy is None else complex(seed_energy),
-            "tau_variant": tau_variant,
-        },
-    )
-    return e_n, trace
+    _, e_n, at = roots[0]
+    notes = {
+        "n": n,
+        "energy": complex(e_n),
+        "seed": None if seed_energy is None else complex(seed_energy),
+        "tau_variant": "printed",  # Manning-Rosen's tau_tilde = 1 - q s, the only one
+    }
+    lambda_n = -_f_n(at.chosen.tau_slope, at.form.sigma, n)
+    return e_n, _trace(at.form, at.ks, _weigh(at.form, at.candidates, spec), at.chosen, lambda_n, notes)
 
 
-def solve_spectrum_numeric(spec: PotentialSpec, n_max: int, tau_variant: str = "printed"):
+def solve_spectrum_numeric(spec: PotentialSpec, n_max: int):
     """Energies for n = 0..n_max from the numeric pipeline.
 
     Returns a SpectrumResult whose convention note records the branch data;
@@ -570,7 +572,7 @@ def solve_spectrum_numeric(spec: PotentialSpec, n_max: int, tau_variant: str = "
     seeds = None
     try:
         seeds = spectra.closed_form_spectrum(spec, n_max)
-    except Exception:
+    except PtspecError:
         seeds = None
     entries = []
     traces = []
@@ -578,10 +580,10 @@ def solve_spectrum_numeric(spec: PotentialSpec, n_max: int, tau_variant: str = "
         seed = seeds.entries[n][1] if seeds is not None else None
         if seed is not None and not np.isfinite(complex(seed).real):
             seed = None
-        e_n, trace = solve_level(spec, n, seed_energy=seed, tau_variant=tau_variant)
+        e_n, trace = solve_level(spec, n, seed_energy=seed)
         entries.append((n, complex(e_n)))
         traces.append(trace)
-    note = f"numeric pipeline roots, tau_variant={tau_variant}; branch k and tau' recorded per level"
+    note = "numeric pipeline roots, tau_variant=printed; branch k and tau' recorded per level"
     result = spectra.SpectrumResult(
         family=spec.family,
         variant=spec.variant,
@@ -598,14 +600,7 @@ def solve_spectrum_numeric(spec: PotentialSpec, n_max: int, tau_variant: str = "
 
 
 def _poly_json(p: LowPoly):
-    return [{"re": complex(c).real, "im": complex(c).imag} for c in p.coeffs()]
-
-
-def _c_json(z):
-    if z is None:
-        return None
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
+    return [complex_json(c) for c in p.coeffs()]
 
 
 def trace_to_dict(trace: NUTrace) -> dict:
@@ -614,20 +609,20 @@ def trace_to_dict(trace: NUTrace) -> dict:
         "sigma": _poly_json(trace.form.sigma),
         "tau_tilde": _poly_json(trace.form.tau_tilde),
         "sigma_tilde": _poly_json(trace.form.sigma_tilde),
-        "k_candidates": [_c_json(k) for k in trace.k_candidates],
-        "chosen_k": _c_json(trace.chosen_k),
+        "k_candidates": [complex_json(k) for k in trace.k_candidates],
+        "chosen_k": complex_json(trace.chosen_k),
         "pi": _poly_json(trace.pi),
         "tau": _poly_json(trace.tau),
-        "tau_slope": _c_json(trace.tau_slope),
-        "lambda": _c_json(trace.lam),
-        "lambda_n": _c_json(trace.lambda_n),
-        "aux": {k: _c_json(v) for k, v in trace.aux.items()},
+        "tau_slope": complex_json(trace.tau_slope),
+        "lambda": complex_json(trace.lam),
+        "lambda_n": complex_json(trace.lambda_n),
+        "aux": {k: complex_json(v) for k, v in trace.aux.items()},
         "branches": [
             {
-                "k": _c_json(c.k),
+                "k": complex_json(c.k),
                 "sign": c.sign,
                 "pi": _poly_json(c.pi),
-                "tau_slope": _c_json(c.tau_slope),
+                "tau_slope": complex_json(c.tau_slope),
                 "square_residual": c.square_residual,
                 "admissible": c.admissible,
                 "weight_integrable": c.weight_integrable,
@@ -635,7 +630,7 @@ def trace_to_dict(trace: NUTrace) -> dict:
             }
             for c in trace.candidates
         ],
-        "notes": {k: (_c_json(v) if isinstance(v, complex) else v) for k, v in trace.notes.items()},
+        "notes": {k: (complex_json(v) if isinstance(v, complex) else v) for k, v in trace.notes.items()},
     }
 
 

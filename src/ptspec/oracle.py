@@ -11,11 +11,12 @@ dense solve plus residual certification is simple to trust at N <= 6000.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .core_math import complex_json
 from .errors import QRNotConverged, SingularityError
 from .potentials import (
     DomainKind,
@@ -223,17 +224,14 @@ class LevelMatch:
         return max((p[3] for p in self.pairs), default=0.0)
 
     def to_dict(self) -> dict:
-        def c(z):
-            z = complex(z)
-            return {"re": z.real, "im": z.imag}
-
         return {
             "threshold": self.threshold if math.isfinite(self.threshold) else None,
             "pairs": [
-                {"n": n, "formula": c(e), "oracle": c(lam), "rel_err": r} for n, e, lam, r in self.pairs
+                {"n": n, "formula": complex_json(e), "oracle": complex_json(lam), "rel_err": r}
+                for n, e, lam, r in self.pairs
             ],
-            "unmatched_formula": [{"n": n, "formula": c(e)} for n, e in self.unmatched_formula],
-            "unmatched_oracle": [c(lam) for lam in self.unmatched_oracle],
+            "unmatched_formula": [{"n": n, "formula": complex_json(e)} for n, e in self.unmatched_formula],
+            "unmatched_oracle": [complex_json(lam) for lam in self.unmatched_oracle],
         }
 
 
@@ -284,6 +282,7 @@ class ConvergenceReport:
     N_list: tuple
     h_list: tuple
     levels: tuple  # ConvergenceLevel per tracked level
+    eigs_finest: np.ndarray = field(compare=False, repr=False)  # certified, sorted by real part
 
     def to_dict(self) -> dict:
         return {
@@ -291,8 +290,8 @@ class ConvergenceReport:
             "h_list": list(self.h_list),
             "levels": [
                 {
-                    "finest": {"re": l.value_finest.real, "im": l.value_finest.imag},
-                    "extrapolated": {"re": l.extrapolated.real, "im": l.extrapolated.imag},
+                    "finest": complex_json(l.value_finest),
+                    "extrapolated": complex_json(l.extrapolated),
                     "observed_order": l.observed_order if math.isfinite(l.observed_order) else None,
                     "err_estimate": l.err_estimate,
                     "flagged": l.flagged,
@@ -302,15 +301,15 @@ class ConvergenceReport:
         }
 
 
-def convergence_study(
-    spec: PotentialSpec, domain: DomainSpec, N_list, n_levels: int = 6, certify: bool = False
-) -> ConvergenceReport:
+def convergence_study(spec: PotentialSpec, domain: DomainSpec, N_list, n_levels: int = 6) -> ConvergenceReport:
     """Richardson study over ascending N_list (>= 2 entries).
 
     Per tracked level: two-grid extrapolation from the finest pair, observed
     order from the finest triple when available (expected ~2 for the central
     difference), and a flag when the extrapolation and the finest grid
-    disagree by more than 10x the finest-pair step estimate.
+    disagree by more than 10x the finest-pair step estimate.  The finest
+    grid's eigenvalues are residual-certified and returned with the report,
+    so a caller needs no second solve of that grid.
     """
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 2:
@@ -319,8 +318,9 @@ def convergence_study(
     hs = []
     for N in N_list:
         H = discretize(spec, domain, N)
-        all_eigs.append(eigen_complex_dense(H, certify=certify))
+        all_eigs.append(eigen_complex_dense(H, certify=False))
         hs.append(H.h)
+    _certify(H, all_eigs[-1])
     thr = continuum_threshold(spec)
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]
     track = min(n_levels, *counts) if min(counts) > 0 else min(n_levels, len(all_eigs[0]))
@@ -348,4 +348,6 @@ def convergence_study(
                 flagged=bool(flagged),
             )
         )
-    return ConvergenceReport(N_list=tuple(N_list), h_list=tuple(hs), levels=tuple(levels))
+    return ConvergenceReport(
+        N_list=tuple(N_list), h_list=tuple(hs), levels=tuple(levels), eigs_finest=all_eigs[-1]
+    )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core_math import cosh_q, sinh_q
+from .core_math import complex_json, cosh_q, sinh_q
 from .errors import SingularityError, UnsupportedTransform, UnsupportedVariant
 
 _POLE_TOL = 1e-12
@@ -109,21 +109,15 @@ class PotentialSpec:
         return self.hbar**2 / (2.0 * self.mass)
 
     def to_dict(self) -> dict:
-        def enc(v):
-            if v is None:
-                return None
-            v = complex(v)
-            return {"re": v.real, "im": v.imag}
-
         return {
             "family": self.family.value,
             "variant": self.variant.value,
             "params": {
-                "A": enc(self.A),
-                "B": enc(self.B),
-                "V0": enc(self.V0),
-                "V1": enc(self.V1),
-                "V2": enc(self.V2),
+                "A": complex_json(self.A),
+                "B": complex_json(self.B),
+                "V0": complex_json(self.V0),
+                "V1": complex_json(self.V1),
+                "V2": complex_json(self.V2),
                 "alpha": self.alpha,
                 "q": self.q,
                 "period": self.period,

@@ -14,7 +14,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 
-from .core_math import sqrt_principal
+from .core_math import complex_json, sqrt_principal
 from .errors import UnsupportedVariant
 from .potentials import Family, PotentialSpec, Variant
 
@@ -70,7 +70,7 @@ class SpectrumResult:
             "variant": self.variant.value,
             "params": self.params,
             "convention_note": self.convention_note,
-            "entries": [{"n": n, "re": e.real, "im": e.imag} for n, e in self.entries],
+            "entries": [{"n": n, **complex_json(e)} for n, e in self.entries],
             "reality_flag": self.reality_flag.value,
             "conditions": None,
             "warnings": list(self.warnings),
@@ -79,13 +79,13 @@ class SpectrumResult:
             d["conditions"] = {
                 "verdict": self.conditions.verdict,
                 "predicates": [
-                    {"name": p.name, "re": complex(p.measured).real, "im": complex(p.measured).imag, "ok": p.ok}
+                    {"name": p.name, **complex_json(p.measured), "ok": p.ok}
                     for p in self.conditions.predicates
                 ],
                 "note": self.conditions.note,
             }
         if self.alt_entries is not None:
-            d["alt_entries"] = [{"n": n, "re": e.real, "im": e.imag} for n, e in self.alt_entries]
+            d["alt_entries"] = [{"n": n, **complex_json(e)} for n, e in self.alt_entries]
         return d
 
     def to_json(self) -> str:

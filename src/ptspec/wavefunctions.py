@@ -17,7 +17,7 @@ from scipy.integrate import simpson
 
 from .core_math import JacobiIndex, cosh_q, jacobi_eval, quadratic_roots
 from .errors import NonIntegrableWeight, NotNormalizable, UnsupportedFamily
-from .nu_engine import NUTrace, _rational_exponents, _s_interval, weight_exponents
+from .nu_engine import NUTrace, _rational_exponents, _s_interval, weight_exponents, weight_failure
 from .potentials import DomainSpec, Family, PotentialSpec
 
 _NODE_FLOOR = 1e-9
@@ -82,23 +82,15 @@ def assemble(spec: PotentialSpec, trace: NUTrace, n: int) -> WavefunctionSpec:
     """
     form = trace.form
     sigma = form.sigma
-    lo, hi, hi_unbounded = _s_interval(spec.family, spec)
+    failure = weight_failure(form, trace.tau, spec)
+    if failure:
+        raise NonIntegrableWeight(failure)
+    lo, hi, _ = _s_interval(spec.family, spec)
 
     # phi from pi/sigma
     phi_roots, phi_exps, phi_lin = _rational_exponents(trace.pi, sigma)
     # rho from (tau - sigma')/sigma
     rho_roots, rho_exps, _ = weight_exponents(form, trace.tau)
-
-    for r, e in zip(rho_roots, rho_exps):
-        at_edge = abs(r - lo) <= 1e-9 * (1 + abs(lo)) or (
-            hi is not None and abs(r - hi) <= 1e-9 * (1 + abs(hi))
-        )
-        if at_edge and complex(e).real <= -1.0:
-            raise NonIntegrableWeight(f"rho exponent {e} at s={r} is not integrable")
-    if hi_unbounded and sigma.degree() == 2:
-        power = (trace.tau.c1 - 2.0 * sigma.c2) / sigma.c2
-        if complex(power).real >= -1.0:
-            raise NonIntegrableWeight(f"rho ~ s^{power} at infinity is not integrable")
 
     if sigma.degree() == 2:
         r1, r2 = quadratic_roots(sigma)

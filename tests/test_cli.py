@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from ptspec import oracle, spectra
 from ptspec.cli import main
+from ptspec.potentials import PotentialSpec, default_domain
 
 
 def run(capsys, *argv):
@@ -187,6 +189,30 @@ class TestVerifyCommand:
         d = json.loads(out)
         assert d["conjugation"]["closed"] is True
         assert code in (0, 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "trig-scarf", "--A", "-2", "--N", "300", "--n-max", "3"),
+            (
+                "--family", "hyperbolic-scarf", "--variant", "pt",
+                "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1", "--N", "300", "--L", "6", "--n-max", "2",
+            ),
+        ],
+        ids=["trig-base", "hyperbolic-pt"],
+    )
+    def test_matched_oracle_is_a_fresh_dense_solve(self, capsys, argv):
+        # verify matches against the convergence study's finest grid; its
+        # levels must be bit for bit those of a fresh dense solve of that grid
+        _, out, _ = run(capsys, "verify", *argv)
+        d = json.loads(out)
+        spec = PotentialSpec.from_dict(d["spec"])
+        L = float(argv[argv.index("--L") + 1]) if "--L" in argv else 12.0
+        eigs = oracle.eigen_complex_dense(oracle.discretize(spec, default_domain(spec, L=L), d["N"]))
+        entries = spectra.closed_form_spectrum(spec, int(argv[argv.index("--n-max") + 1])).entries
+        fresh = oracle.match_levels(entries, eigs, oracle.continuum_threshold(spec)).to_dict()
+        assert d["match"]["pairs"]
+        assert json.dumps(d["match"], sort_keys=True) == json.dumps(fresh, sort_keys=True)
 
 
 class TestDeterminismAndRoundTrip:

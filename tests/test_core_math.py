@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi, gammaln
 
@@ -46,6 +46,7 @@ class TestSqrtPrincipal:
         assert abs(w * w - z) <= 1e-14 * (1 + abs(z))
 
     @given(cplx)
+    @example(complex(-1, -5e-324))  # the root's real part underflows to 0
     def test_branch_convention(self, z):
         w = sqrt_principal(z)
         assert w.real >= 0

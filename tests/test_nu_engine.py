@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ptspec import nu_engine
 from ptspec.core_math import LowPoly, sqrt_principal
 from ptspec.errors import DegenerateDiscriminant, NoAdmissibleBranch, UnsupportedVariant
 from ptspec.nu_engine import (
@@ -46,11 +47,6 @@ class TestBuildForm:
         # -1/4 (1 - s)^2
         assert form.sigma_tilde.coeffs() == (-0.25, 0.5, -0.25)
         assert form.tau_tilde.coeffs() == (1.0, -1.0, 0.0)
-
-    def test_manning_rosen_alternative_tau(self):
-        spec = PotentialSpec(family=Family.ManningRosen, A=0.0, B=0.0, q=1.0)
-        form = build_form(spec, 1.0, tau_variant="alternative")
-        assert form.tau_tilde.coeffs() == (1.0, -2.0, 0.0)
 
     def test_variants_rejected(self):
         with pytest.raises(UnsupportedVariant):
@@ -222,12 +218,34 @@ class TestSolveSpectrum:
         assert abs(e0) < 1e-12
         assert trace.tau_slope.real < 0
 
-    def test_alternative_tau_gives_different_spectrum(self):
+    def test_scan_lets_unexpected_errors_through(self, monkeypatch):
+        # only package errors mean "no branch at this energy"; a bug must not
+        # turn into NoAdmissibleBranch
+        def broken(spec, eps):
+            raise ZeroDivisionError("bug in build_form")
+
+        monkeypatch.setattr(nu_engine, "build_form", broken)
+        with pytest.raises(ZeroDivisionError):
+            solve_level(PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0), 0)
+
+    def test_weight_checked_only_at_seed_and_trace(self, monkeypatch):
+        # the Manning-Rosen deep well needs the scan and many secant steps,
+        # yet integrability is read only for the seed's four candidates and
+        # the trace's four
+        calls = []
+        real = nu_engine.weight_failure
+
+        def counted(form, tau, spec):
+            calls.append(tau)
+            return real(form, tau, spec)
+
+        monkeypatch.setattr(nu_engine, "weight_failure", counted)
         spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
-        e_printed, tr_p = solve_level(spec, 0, seed_energy=-104.0)
-        e_alt, tr_a = solve_level(spec, 0, tau_variant="alternative")
-        assert tr_a.notes["tau_variant"] == "alternative"
-        assert abs(e_printed - e_alt) > 1.0  # the oracle arbitrates: printed wins
+        solve_level(spec, 0)
+        assert len(calls) == 4
+        calls.clear()
+        solve_level(spec, 1, seed_energy=100.0)
+        assert len(calls) == 8
 
     def test_trace_records_seed_and_branch(self):
         _, trace = solve_level(trig(), 1, seed_energy=9.0)
