@@ -1,10 +1,13 @@
 """Byte-exact CLI outputs, kept as golden files under tests/golden/.
 
 The cases are every figure preset and README `spectrum` example, a deep
-Manning-Rosen well, and `trace` runs that cover the seeded path, the scan
-path (Manning-Rosen, whose closed-form seed has the wrong sign), a
+Manning-Rosen well, the PT and q-deformed PT closed forms, a `profile` of
+every family/variant pair, and `trace` runs that cover the seeded path, the
+scan path (Manning-Rosen, whose closed-form seed has the wrong sign), a
 NoAdmissibleBranch exit and the `--form-json` fixture.  Each case stores its
 stdout bytes (`<name>.out`) and its exit code (`exit_codes.json`).
+`test_family_facts` pins the quantization domain, the wall and the continuum
+threshold of each family/variant pair as literal values.
 
 Regenerate only for an intended output change, and say so where the change
 is recorded:
@@ -17,12 +20,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 from ptspec.cli import main
+from ptspec.oracle import continuum_threshold
+from ptspec.potentials import DomainKind, Family, PotentialSpec, Variant, default_domain, left_singularity
 
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
@@ -32,6 +38,26 @@ NO_BRANCH_FORM = GOLDEN / "no_admissible_form.json"
 _TRIG = ["--family", "trig-scarf", "--A", "-2"]
 _HYP_BLIND_SPOT = ["--family", "hyperbolic-scarf", "--V0", "0", "--V1", "4", "--V2", "-3", "--q", "1"]
 _MR_DEEP = ["--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1"]
+_TRIG_PT = ["--family", "trig-scarf", "--variant", "pt", "--A", "-2"]
+_TRIG_QPT = ["--family", "trig-scarf", "--variant", "qpt", "--A", "-2", "--q", "2"]
+_HYP_PT = ["--family", "hyperbolic-scarf", "--variant", "pt", "--V0", "1", "--V1", "1", "--V2", "1"]
+# one profile per family/variant pair; hyperbolic PT in its cosine (q = 1)
+# and its ratio (q = 2) form
+_PROFILES = {
+    "trig_base": _TRIG,
+    "trig_pt": _TRIG_PT,
+    "trig_qpt_q2": _TRIG_QPT,
+    "trig_nonpt": ["--family", "trig-scarf", "--variant", "nonpt", "--A1", "0", "--A2", "3", "--q", "2"],
+    "hyp_base": ["--family", "hyperbolic-scarf", "--V0", "10", "--V1", "15", "--V2", "10", "--q", "10"],
+    "hyp_pt_q1": [*_HYP_PT, "--q", "1"],
+    "hyp_pt_q2": [*_HYP_PT, "--q", "2"],
+    "hyp_nonpt": [
+        "--family", "hyperbolic-scarf", "--variant", "nonpt", "--V0", "10", "--V1", "15", "--V2", "10", "--q", "10",
+    ],
+    "mr_base": _MR_DEEP,
+    "mr_pt": ["--family", "manning-rosen", "--variant", "pt", "--A", "1", "--B", "1", "--q", "1"],
+    "mr_nonpt": ["--family", "manning-rosen", "--variant", "nonpt", "--A", "1", "--B", "1", "--q", "1"],
+}
 
 CASES = {
     **{f"spectrum_fig{i}": ["spectrum", "--preset", f"fig{i}"] for i in range(1, 9)},
@@ -43,6 +69,10 @@ CASES = {
         "spectrum", "--family", "trig-scarf", "--variant", "nonpt", "--A1", "0", "--A2", "3", "--q", "2",
     ],
     "spectrum_mr_deep": ["spectrum", *_MR_DEEP],
+    "spectrum_trig_pt": ["spectrum", *_TRIG_PT],
+    "spectrum_trig_qpt_q2": ["spectrum", *_TRIG_QPT],
+    "spectrum_hyp_pt_q2": ["spectrum", *_HYP_PT, "--q", "2"],
+    **{f"profile_{name}": ["profile", *argv, "--N", "50"] for name, argv in _PROFILES.items()},
     "trace_readme_hyp": ["trace", "--family", "hyperbolic-scarf", "--V0", "0", "--V1", "5", "--V2", "0", "--q", "1"],
     **{f"trace_trig_n{n}": ["trace", *_TRIG, "--n", str(n)] for n in range(4)},
     **{f"trace_hyp_blind_spot_n{n}": ["trace", *_HYP_BLIND_SPOT, "--n", str(n)] for n in range(3)},
@@ -70,6 +100,82 @@ def test_every_golden_file_has_a_case():
     stored = {p.stem for p in GOLDEN.glob("*.out")}
     assert stored == set(CASES)
     assert set(json.loads(EXIT_CODES.read_text())) == set(CASES)
+
+
+_HALF, _FULL, _CELL = DomainKind.HalfLine, DomainKind.FullLine, DomainKind.FiniteInterval
+_LN2_2 = 0.34657359027997264  # ln(2)/2, the wall of sinh_q at q = 2
+_LN10_2 = 1.151292546497023  # ln(10)/2
+
+# spec, then (kind, left, right, L) of default_domain, left_singularity and
+# continuum_threshold
+FAMILY_FACTS = {
+    "trig-base": (dict(family=Family.TrigScarf, A=-2.0), (_CELL, 0.0, math.pi, None), 0.0, math.inf),
+    "trig-pt": (dict(family=Family.TrigScarf, variant=Variant.PT, A=-2.0), (_HALF, 0.0, 12.0, 12.0), 0.0, 0.0),
+    "trig-qpt": (
+        dict(family=Family.TrigScarf, variant=Variant.QDeformedPT, A=-2.0, q=2.0),
+        (_HALF, _LN2_2, 12.346573590279972, 12.0),
+        _LN2_2,
+        0.0,
+    ),
+    "trig-nonpt": (
+        dict(family=Family.TrigScarf, variant=Variant.NonPT, A=3j, q=2.0), (_FULL, -12.0, 12.0, 12.0), None, 0.0
+    ),
+    "hyp-base": (
+        dict(family=Family.HyperbolicScarf, V0=10.0, V1=15.0, V2=10.0, q=10.0),
+        (_HALF, _LN10_2, 13.151292546497023, 12.0),
+        _LN10_2,
+        25.0,
+    ),
+    "hyp-pt": (
+        dict(family=Family.HyperbolicScarf, variant=Variant.PT, V0=1.0, V1=1.0, V2=1.0, q=2.0),
+        (_FULL, -12.0, 12.0, 12.0),
+        None,
+        math.inf,
+    ),
+    "hyp-nonpt": (
+        dict(family=Family.HyperbolicScarf, variant=Variant.NonPT, V0=10.0, V1=15 + 15j, V2=10 + 10j, q=10.0),
+        (_FULL, -12.0, 12.0, 12.0),
+        None,
+        25.0,
+    ),
+    "mr-base": (
+        dict(family=Family.ManningRosen, A=-40.0, B=2.0, q=2.0),
+        (_HALF, _LN2_2, 12.346573590279972, 12.0),
+        _LN2_2,
+        -40.0,
+    ),
+    "mr-base-negative-q": (
+        dict(family=Family.ManningRosen, A=10.0, B=1.0, q=-4.0), (_FULL, -12.0, 12.0, 12.0), None, 10.0
+    ),
+    "mr-pt": (
+        dict(family=Family.ManningRosen, variant=Variant.PT, A=1.0, B=1.0, q=1.0),
+        (_HALF, 0.0, 12.0, 12.0),
+        0.0,
+        math.inf,
+    ),
+    "mr-pt-q2": (
+        dict(family=Family.ManningRosen, variant=Variant.PT, A=1.0, B=1.0, q=2.0),
+        (_FULL, -12.0, 12.0, 12.0),
+        None,
+        math.inf,
+    ),
+    "mr-nonpt": (
+        dict(family=Family.ManningRosen, variant=Variant.NonPT, A=1 + 1j, B=1 + 1j, q=1.0),
+        (_FULL, -12.0, 12.0, 12.0),
+        None,
+        -1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_FACTS))
+def test_family_facts(name):
+    kw, domain, wall, threshold = FAMILY_FACTS[name]
+    spec = PotentialSpec(**kw)
+    d = default_domain(spec)
+    assert (d.kind, d.left, d.right, d.L) == domain
+    assert left_singularity(spec) == wall
+    assert continuum_threshold(spec) == threshold
 
 
 if __name__ == "__main__":
