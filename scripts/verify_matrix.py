@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from ptspec import nu_engine, oracle, spectra
+from ptspec.errors import PtspecError
 from ptspec.potentials import Family, PotentialSpec, default_domain
 
 MATRIX = [
@@ -61,7 +62,7 @@ def run_row(label, spec, n_max, L, N):
         pmatch = oracle.match_levels(num.entries, eigs, thr)
         row["pipeline_matched"] = len(pmatch.pairs)
         row["pipeline_max_rel_err"] = pmatch.max_rel_err
-    except Exception as err:
+    except PtspecError as err:
         row["pipeline_error"] = str(err)
     return row
 

@@ -5,15 +5,7 @@ variants of three potential families.
 """
 
 from .core_math import LowPoly, JacobiIndex, jacobi_eval, quadratic_roots, sqrt_principal
-from .potentials import (
-    DomainSpec,
-    Family,
-    PotentialSpec,
-    Variant,
-    apply_variant,
-    default_domain,
-    evaluate,
-    pt_symmetry_check,
-)
+from .families import Family, Variant
+from .potentials import DomainSpec, PotentialSpec, apply_variant, default_domain, evaluate, pt_symmetry_check
 
 __version__ = "0.1.0"

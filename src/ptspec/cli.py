@@ -29,7 +29,7 @@ import tempfile
 
 import numpy as np
 
-from . import nu_engine, oracle, spectra
+from . import nu_engine, spectra
 from .errors import (
     NoAdmissibleBranch,
     PtspecError,
@@ -38,16 +38,7 @@ from .errors import (
     SingularityError,
 )
 from .core_math import LowPoly, complex_json
-from .potentials import (
-    DomainKind,
-    DomainSpec,
-    Family,
-    PotentialSpec,
-    Variant,
-    apply_variant,
-    default_domain,
-    evaluate_grid,
-)
+from .potentials import Family, PotentialSpec, Variant, apply_variant, default_domain, evaluate_grid
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -206,6 +197,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle  # scipy.linalg: only verify needs it
+
     spec = _build_spec(args)
     domain = default_domain(spec, L=args.L)
     res = spectra.closed_form_spectrum(spec, args.n_max)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeError, SingularityError
+from .errors import DegreeError
 
 _ZERO_TOL = 0.0  # degree counts strictly non-zero coefficients
 
@@ -105,17 +105,6 @@ def sinh_q(x: float, q: complex) -> complex:
 def cosh_q(x: float, q: complex) -> complex:
     """Deformed cosh: (e^x + q e^-x)/2; cosh_q^2 - sinh_q^2 = q."""
     return 0.5 * (np.exp(x) + q * np.exp(-x))
-
-
-def coth_q(x: float, q: complex) -> complex:
-    """cosh_q/sinh_q; raises SingularityError at zeros of sinh_q."""
-    s = sinh_q(x, q)
-    scale = 0.5 * (np.exp(np.asarray(x)) + abs(q) * np.exp(-np.asarray(x)))
-    bad = np.abs(s) < 1e-12 * scale
-    if np.any(bad):
-        where = x if np.isscalar(x) else np.asarray(x)[bad]
-        raise SingularityError(f"sinh_q vanishes at x={where}", where=where)
-    return cosh_q(x, q) / s
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,6 @@ class SingularityError(PtspecError):
         self.where = where
 
 
-class UnsupportedFamily(PtspecError):
-    """Potential family not handled by this operation."""
-
-
 class UnsupportedVariant(PtspecError):
     """Variant not handled by this operation."""
 
@@ -55,11 +51,3 @@ class NonIntegrableWeight(PtspecError):
 
 class NotNormalizable(PtspecError):
     """Tail estimate indicates |psi|^2 does not have a finite integral."""
-
-
-class ParameterDomainError(PtspecError):
-    """A closed-form formula's own validity condition fails.
-
-    Attached to results as a warning rather than raised, unless the caller
-    asks for strict behaviour.
-    """

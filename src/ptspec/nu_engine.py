@@ -1,7 +1,7 @@
 """Numeric pipeline for second-order equations of hypergeometric type.
 
 For each potential family the Schroedinger equation reduces, under the
-family's coordinate map, to
+family's coordinate map (its record in `families.py`), to
 
     psi'' + (tau_tilde/sigma) psi' + (sigma_tilde/sigma^2) psi = 0
 
@@ -34,15 +34,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core_math import LowPoly, complex_json, quadratic_roots, sqrt_principal
-from .errors import (
-    DegenerateDiscriminant,
-    NoAdmissibleBranch,
-    PtspecError,
-    RootNotConverged,
-    UnsupportedFamily,
-    UnsupportedVariant,
-)
-from .potentials import Family, PotentialSpec, Variant
+from .errors import DegenerateDiscriminant, NoAdmissibleBranch, PtspecError, RootNotConverged, UnsupportedVariant
+from .families import FAMILIES, Family, ReducedParams, Variant
+from .potentials import PotentialSpec
 
 _F_TOL = 1e-12
 _SECANT_BUDGET = 200
@@ -50,115 +44,32 @@ _SCAN_STARTS = 6  # local minima of the scan tried as secant starts
 
 
 @dataclass(frozen=True)
-class ReducedParams:
-    """Dimensionless couplings of the reduced equation.
-
-    trig:       eps = E/(k a^2),        beta = A/(k a^2)
-    hyperbolic: eps^2 = (E-V0)/(k a^2), beta^2 = V1/(k a^2 q), gamma^2 = V2/(k a^2 sqrt(q))
-    manning:    eps = -E/(k a^2),       beta = A/(k a^2),      gamma = 4B/(k a^2)
-
-    with k = hbar^2/2m and a = alpha.
-    """
-
-    family: Family
-    eps: complex
-    beta: complex
-    gamma: complex | None = None
-
-
-def reduced_params(spec: PotentialSpec, energy: complex) -> ReducedParams:
-    ka2 = spec.kappa * spec.alpha**2
-    if spec.family is Family.TrigScarf:
-        return ReducedParams(spec.family, energy / ka2, spec.A / ka2)
-    if spec.family is Family.HyperbolicScarf:
-        eps = sqrt_principal((energy - spec.V0) / ka2)
-        beta = sqrt_principal(spec.V1 / (ka2 * spec.q))
-        gamma = sqrt_principal(spec.V2 / (ka2 * np.sqrt(spec.q + 0j)))
-        return ReducedParams(spec.family, eps, beta, gamma)
-    if spec.family is Family.ManningRosen:
-        return ReducedParams(spec.family, -energy / ka2, spec.A / ka2, 4.0 * spec.B / ka2)
-    raise UnsupportedFamily(str(spec.family))
-
-
-def energy_from_reduced(spec: PotentialSpec, eps: complex) -> complex:
-    ka2 = spec.kappa * spec.alpha**2
-    if spec.family is Family.TrigScarf:
-        return ka2 * eps
-    if spec.family is Family.HyperbolicScarf:
-        return spec.V0 + ka2 * eps * eps
-    if spec.family is Family.ManningRosen:
-        return -ka2 * eps
-    raise UnsupportedFamily(str(spec.family))
-
-
-@dataclass(frozen=True)
 class HypergeometricForm:
-    """(sigma, tau_tilde, sigma_tilde) triple at a fixed trial energy."""
+    """(sigma, tau_tilde, sigma_tilde) triple at a fixed trial energy, with
+    the s-image (lo, hi, hi_unbounded) of the quantization domain on which
+    the weight must be integrable.  family is None for a raw triple."""
 
-    family: Family
+    family: Family | None
     sigma: LowPoly
     tau_tilde: LowPoly
     sigma_tilde: LowPoly
     reduced: ReducedParams
+    s_interval: tuple
 
 
-def build_form(spec: PotentialSpec, eps_trial: complex) -> HypergeometricForm:
-    """Reduced-equation triple for the family, sigma_tilde evaluated at the
-    trial reduced energy."""
+def build_form(spec: PotentialSpec, energy: complex) -> HypergeometricForm:
+    """Reduced-equation triple of the family's Base form, sigma_tilde
+    evaluated at the trial energy."""
     if spec.variant is not Variant.Base:
         raise UnsupportedVariant("the numeric pipeline reduces the Base forms only")
-    fam = spec.family
-    if fam is Family.TrigScarf:
-        rp = ReducedParams(fam, complex(eps_trial), complex(spec.A / (spec.kappa * spec.alpha**2)))
-        eps, beta = rp.eps, rp.beta
-        return HypergeometricForm(
-            fam,
-            sigma=LowPoly(1.0, 0.0, -1.0),
-            tau_tilde=LowPoly(0.0, -1.0, 0.0),
-            sigma_tilde=LowPoly(eps + beta, 0.0, -eps),
-            reduced=rp,
-        )
-    if fam is Family.HyperbolicScarf:
-        ka2 = spec.kappa * spec.alpha**2
-        q = spec.q
-        rp = ReducedParams(
-            fam,
-            complex(eps_trial),
-            sqrt_principal(spec.V1 / (ka2 * q)),
-            sqrt_principal(spec.V2 / (ka2 * np.sqrt(q + 0j))),
-        )
-        e2, b2, g2 = rp.eps**2, rp.beta**2, rp.gamma**2
-        return HypergeometricForm(
-            fam,
-            sigma=LowPoly(-q, 0.0, 1.0),
-            tau_tilde=LowPoly(0.0, 1.0, 0.0),
-            sigma_tilde=LowPoly(-q * e2, -g2, e2 - b2),
-            reduced=rp,
-        )
-    if fam is Family.ManningRosen:
-        ka2 = spec.kappa * spec.alpha**2
-        q = spec.q
-        rp = ReducedParams(fam, complex(eps_trial), complex(spec.A / ka2), complex(4.0 * spec.B / ka2))
-        eps, beta, gamma = rp.eps, rp.beta, rp.gamma
-        sigma_t = LowPoly(
-            0.25 * (-eps - beta),
-            0.25 * (2.0 * eps * q - gamma),
-            0.25 * (q * q * (beta - eps)),
-        )
-        return HypergeometricForm(
-            fam,
-            sigma=LowPoly(0.0, 1.0, -q),
-            tau_tilde=LowPoly(1.0, -q, 0.0),
-            sigma_tilde=sigma_t,
-            reduced=rp,
-        )
-    raise UnsupportedFamily(str(fam))
+    record = FAMILIES[spec.family]
+    return HypergeometricForm(spec.family, *record.reduce(spec, energy), s_interval=record.s_interval(spec.q))
 
 
 def synthetic_form(sigma: LowPoly, tau_tilde: LowPoly, sigma_tilde: LowPoly) -> HypergeometricForm:
-    """Wrap a raw polynomial triple (used for fixtures and the trace CLI)."""
-    rp = ReducedParams(Family.TrigScarf, 0.0, 0.0)
-    return HypergeometricForm(Family.TrigScarf, sigma, tau_tilde, sigma_tilde, rp)
+    """Wrap a raw polynomial triple (used for fixtures and the trace CLI);
+    its weight is screened on s in (-1, 1)."""
+    return HypergeometricForm(None, sigma, tau_tilde, sigma_tilde, ReducedParams(0.0, 0.0), (-1.0, 1.0, False))
 
 
 def _half_gap(form: HypergeometricForm) -> LowPoly:
@@ -258,21 +169,6 @@ class _Branch(NamedTuple):
     chosen: BranchCandidate
 
 
-def _s_interval(family: Family, spec: PotentialSpec | None):
-    """(lo, hi, hi_unbounded) image of the quantization domain under the map."""
-    if family is Family.TrigScarf:
-        return (-1.0, 1.0, False)
-    if family is Family.HyperbolicScarf:
-        q = spec.q if spec is not None else 1.0
-        return (np.sqrt(abs(q)), None, True)
-    if family is Family.ManningRosen:
-        q = spec.q if spec is not None else 1.0
-        if q > 0:
-            return (0.0, min(1.0, 1.0 / q), False)
-        return (0.0, None, True)
-    raise UnsupportedFamily(str(family))
-
-
 def _rational_exponents(num: LowPoly, den: LowPoly):
     """Exponents of exp(int num/den ds) at the simple roots of den.
 
@@ -298,10 +194,10 @@ def weight_exponents(form: HypergeometricForm, tau: LowPoly):
     return _rational_exponents(num, form.sigma)
 
 
-def weight_failure(form: HypergeometricForm, tau: LowPoly, spec: PotentialSpec | None) -> str:
+def weight_failure(form: HypergeometricForm, tau: LowPoly) -> str:
     """Why the weight rho solving (sigma rho)' = tau rho is not integrable on
-    the family's s-interval, or "" when it is."""
-    lo, hi, hi_unbounded = _s_interval(form.family, spec)
+    the form's s-interval, or "" when it is."""
+    lo, hi, hi_unbounded = form.s_interval
     roots, exps, _ = weight_exponents(form, tau)
     tol = 1e-9
     for r, e in zip(roots, exps):
@@ -347,13 +243,13 @@ def _enumerate_branches(form: HypergeometricForm) -> tuple[tuple[complex, comple
 
 def branches(spec: PotentialSpec, energy: complex):
     """(form, k pair, four unweighed candidates) at a trial energy."""
-    form = build_form(spec, reduced_params(spec, energy).eps)
+    form = build_form(spec, energy)
     return (form, *_enumerate_branches(form))
 
 
-def _weigh(form: HypergeometricForm, cands, spec: PotentialSpec | None) -> list[BranchCandidate]:
+def _weigh(form: HypergeometricForm, cands) -> list[BranchCandidate]:
     """The candidates with weight integrability filled in."""
-    return [replace(c, weight_integrable=not weight_failure(form, c.tau, spec)) for c in cands]
+    return [replace(c, weight_integrable=not weight_failure(form, c.tau)) for c in cands]
 
 
 def _ranked(cands, where: str = "") -> list[BranchCandidate]:
@@ -376,37 +272,22 @@ def _trace(form, ks, cands, best: BranchCandidate, lambda_n=None, notes=None) ->
         tau_slope=best.tau_slope,
         lam=best.lam,
         lambda_n=lambda_n,
-        aux=_aux_record(form),
+        aux=FAMILIES[form.family].aux(form) if form.family is not None else {},
         candidates=tuple(cands),
         notes=notes or {},
     )
 
 
-def select_branch(form: HypergeometricForm, spec: PotentialSpec | None = None) -> NUTrace:
+def select_branch(form: HypergeometricForm) -> NUTrace:
     """Enumerate all four (k, sign) combinations and accept one.
 
     Acceptance requires Re(tau') < 0; ties break first on weight-function
-    integrability over the family's s-interval, then on smaller |k|.  All
+    integrability over the form's s-interval, then on smaller |k|.  All
     four candidates are retained in the trace for audit.
     """
     ks, cands = _enumerate_branches(form)
-    cands = _weigh(form, cands, spec)
+    cands = _weigh(form, cands)
     return _trace(form, ks, cands, _ranked(cands)[0])
-
-
-def _aux_record(form: HypergeometricForm) -> dict:
-    """zeta1, zeta2, mu auxiliaries (hyperbolic Scarf family only)."""
-    if form.family is not Family.HyperbolicScarf:
-        return {}
-    rp = form.reduced
-    b2 = rp.beta**2
-    g4 = rp.gamma**4
-    # q is -sigma.c0 for sigma = s^2 - q
-    q = -form.sigma.c0
-    mu = 4.0 * q * sqrt_principal((4.0 * b2 + 1.0) ** 2 - 16.0 * g4 / q)
-    z1 = sqrt_principal(0.5 + 2.0 * b2 + mu / (8.0 * q))
-    z2 = sqrt_principal(0.5 + 2.0 * b2 - mu / (8.0 * q))
-    return {"zeta1": z1, "zeta2": z2, "mu": mu}
 
 
 def _f_n(tau_slope: complex, sigma: LowPoly, n: int, lam: complex | None = None) -> complex:
@@ -514,7 +395,7 @@ def solve_level(spec: PotentialSpec, n: int, seed_energy: complex | None = None)
     if seed_energy is not None and np.isfinite(complex(seed_energy).real):
         e0 = complex(seed_energy)
         form0, ks0, cands0 = branches(spec, e0)
-        cands0 = _weigh(form0, cands0, spec)
+        cands0 = _weigh(form0, cands0)
         starts = [(e0, _Branch(form0, ks0, cands0, c)) for c in _ranked(cands0, " at the seed")]
     else:
         seed_energy = None
@@ -558,7 +439,7 @@ def solve_level(spec: PotentialSpec, n: int, seed_energy: complex | None = None)
         "tau_variant": "printed",  # Manning-Rosen's tau_tilde = 1 - q s, the only one
     }
     lambda_n = -_f_n(at.chosen.tau_slope, at.form.sigma, n)
-    return e_n, _trace(at.form, at.ks, _weigh(at.form, at.candidates, spec), at.chosen, lambda_n, notes)
+    return e_n, _trace(at.form, at.ks, _weigh(at.form, at.candidates), at.chosen, lambda_n, notes)
 
 
 def solve_spectrum_numeric(spec: PotentialSpec, n_max: int):

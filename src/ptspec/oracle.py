@@ -18,14 +18,8 @@ from scipy.linalg import solve_banded
 
 from .core_math import complex_json
 from .errors import QRNotConverged, SingularityError
-from .potentials import (
-    DomainKind,
-    DomainSpec,
-    Family,
-    PotentialSpec,
-    Variant,
-    evaluate,
-)
+from .families import variant_form
+from .potentials import DomainSpec, PotentialSpec, evaluate
 
 _DENSE_BUDGET = 6000
 _RESIDUAL_BOUND = 1e-8
@@ -193,21 +187,7 @@ def conjugation_pair_check(eigs, tol: float) -> ConjugationReport:
 def continuum_threshold(spec: PotentialSpec) -> float:
     """Energy separating oracle-matchable levels from truncation artifacts:
     the x -> +inf potential limit for decaying forms, +inf otherwise."""
-    if spec.family is Family.TrigScarf:
-        return math.inf if spec.variant is Variant.Base else 0.0
-    if spec.family is Family.HyperbolicScarf:
-        if spec.variant is Variant.Base:
-            return float(spec.V0 + spec.V1)
-        if spec.variant is Variant.NonPT:
-            return float((complex(spec.V0) + complex(spec.V1)).real)
-        return math.inf  # PT forms are oscillatory
-    if spec.family is Family.ManningRosen:
-        if spec.variant is Variant.Base:
-            return float(spec.A)
-        if spec.variant is Variant.NonPT:
-            return float((1j * complex(spec.A)).real)
-        return math.inf
-    return math.inf
+    return variant_form(spec).threshold(spec)
 
 
 @dataclass(frozen=True)

@@ -15,24 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import simpson
 
-from .core_math import JacobiIndex, cosh_q, jacobi_eval, quadratic_roots
-from .errors import NonIntegrableWeight, NotNormalizable, UnsupportedFamily
-from .nu_engine import NUTrace, _rational_exponents, _s_interval, weight_exponents, weight_failure
-from .potentials import DomainSpec, Family, PotentialSpec
+from .core_math import JacobiIndex, jacobi_eval, quadratic_roots
+from .errors import NonIntegrableWeight, NotNormalizable
+from .families import FAMILIES
+from .nu_engine import NUTrace, _rational_exponents, weight_exponents, weight_failure
+from .potentials import DomainKind, DomainSpec, PotentialSpec
 
 _NODE_FLOOR = 1e-9
-
-
-def coordinate_map(spec: PotentialSpec):
-    """x -> s map of the family's reduction."""
-    a = spec.alpha
-    if spec.family is Family.TrigScarf:
-        return lambda x: np.cos(a * np.asarray(x, dtype=float))
-    if spec.family is Family.HyperbolicScarf:
-        return lambda x: cosh_q(a * np.asarray(x, dtype=float), spec.q)
-    if spec.family is Family.ManningRosen:
-        return lambda x: np.exp(-2.0 * a * np.asarray(x, dtype=float))
-    raise UnsupportedFamily(str(spec.family))
 
 
 @dataclass(frozen=True)
@@ -82,10 +71,10 @@ def assemble(spec: PotentialSpec, trace: NUTrace, n: int) -> WavefunctionSpec:
     """
     form = trace.form
     sigma = form.sigma
-    failure = weight_failure(form, trace.tau, spec)
+    failure = weight_failure(form, trace.tau)
     if failure:
         raise NonIntegrableWeight(failure)
-    lo, hi, _ = _s_interval(spec.family, spec)
+    lo, hi, _ = form.s_interval
 
     # phi from pi/sigma
     phi_roots, phi_exps, phi_lin = _rational_exponents(trace.pi, sigma)
@@ -129,8 +118,7 @@ def assemble(spec: PotentialSpec, trace: NUTrace, n: int) -> WavefunctionSpec:
 
 def eval_psi(wf: WavefunctionSpec, x):
     """psi_n(x) (unnormalized unless normalize() has been applied)."""
-    smap = coordinate_map(wf.potential)
-    s = np.asarray(smap(x), dtype=complex)
+    s = np.asarray(FAMILIES[wf.potential.family].s_map(wf.potential, x), dtype=complex)
     z = wf.z_scale * s + wf.z_shift
     val = wf.norm_constant * wf.prefactor(s) * jacobi_eval(wf.jacobi, z)
     return complex(val) if np.isscalar(x) else val
@@ -151,8 +139,6 @@ def normalize(wf: WavefunctionSpec, domain: DomainSpec, n_points: int = 2001) ->
     peak = float(np.max(dens))
     if peak == 0.0:
         raise NotNormalizable("psi vanishes identically on the sample")
-    from .potentials import DomainKind
-
     if domain.kind is not DomainKind.FiniteInterval:
         tail = float(np.mean(dens[-5:]))
         if tail > 1e-6 * peak:
@@ -163,17 +149,6 @@ def normalize(wf: WavefunctionSpec, domain: DomainSpec, n_points: int = 2001) ->
     return replace(wf, norm_constant=wf.norm_constant / math.sqrt(total))
 
 
-def pseudo_norm(wf: WavefunctionSpec, domain: DomainSpec, n_points: int = 2001) -> complex:
-    """Reported-only secondary quantity int psi^2 dx (no conjugation), for
-    the complex variants where no inner product is adopted."""
-    n_points = max(int(n_points), 1001)
-    if n_points % 2 == 0:
-        n_points += 1
-    xs = np.linspace(domain.left, domain.right, n_points + 2)[1:-1]
-    psi = eval_psi(wf, xs)
-    return complex(simpson(psi * psi, x=xs))
-
-
 def node_count(wf: WavefunctionSpec, domain: DomainSpec, n_points: int = 2001) -> int:
     """Interior sign changes of Re psi on a uniform sample."""
     xs = np.linspace(domain.left, domain.right, n_points + 2)[1:-1]
@@ -181,13 +156,3 @@ def node_count(wf: WavefunctionSpec, domain: DomainSpec, n_points: int = 2001) -
     floor = _NODE_FLOOR * float(np.max(np.abs(vals)))
     signs = np.sign(vals[np.abs(vals) > floor])
     return int(np.sum(signs[1:] != signs[:-1]))
-
-
-def sample_csv(wf: WavefunctionSpec, domain: DomainSpec, n_points: int = 501) -> str:
-    """CSV columns x, re_psi, im_psi."""
-    xs = np.linspace(domain.left, domain.right, n_points + 2)[1:-1]
-    psi = eval_psi(wf, xs)
-    lines = ["x,re_psi,im_psi"]
-    for x, p in zip(xs, psi):
-        lines.append(f"{x:.12g},{p.real:.12g},{p.imag:.12g}")
-    return "\n".join(lines) + "\n"

@@ -242,3 +242,25 @@ class TestDeterminismAndRoundTrip:
         assert json.loads(dest.read_text())["entries"][0]["re"] == 4.0
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".ptspec-")]
         assert not leftovers
+
+
+def test_spectrum_trace_and_profile_do_not_load_scipy():
+    # only verify needs the oracle, and with it scipy.linalg
+    import subprocess
+    import sys
+
+    script = """
+import contextlib, io, sys
+import ptspec.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["spectrum", "--family", "trig-scarf", "--A", "-2"],
+        ["trace", "--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1"],
+        ["profile", "--preset", "fig1", "--format", "csv"],
+    ):
+        assert ptspec.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

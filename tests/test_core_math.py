@@ -11,13 +11,12 @@ from ptspec.core_math import (
     JacobiIndex,
     LowPoly,
     cosh_q,
-    coth_q,
     jacobi_eval,
     quadratic_roots,
     sinh_q,
     sqrt_principal,
 )
-from ptspec.errors import DegreeError, SingularityError
+from ptspec.errors import DegreeError
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 cplx = st.builds(complex, finite, finite)
@@ -102,17 +101,6 @@ class TestDeformedHyperbolics:
         c, s = cosh_q(x, q), sinh_q(x, q)
         # relative to the squared operands: the identity is a cancellation
         assert abs(c * c - s * s - q) <= 1e-13 * (1 + abs(c) ** 2 + abs(s) ** 2)
-
-    def test_coth_singularity(self):
-        with pytest.raises(SingularityError):
-            coth_q(0.0, 1.0)
-        # q=2: sinh_q vanishes at x = ln(2)/2
-        with pytest.raises(SingularityError) as err:
-            coth_q(math.log(2.0) / 2.0, 2.0)
-        assert err.value.where is not None
-
-    def test_coth_regular(self):
-        assert abs(coth_q(1.0, 1.0) - 1 / math.tanh(1.0)) < 1e-14
 
 
 def jacobi_sum(n, a, b, x):

@@ -9,10 +9,8 @@ from ptspec.core_math import LowPoly, sqrt_principal
 from ptspec.errors import DegenerateDiscriminant, NoAdmissibleBranch, UnsupportedVariant
 from ptspec.nu_engine import (
     build_form,
-    energy_from_reduced,
     k_candidates,
     level_equation,
-    reduced_params,
     select_branch,
     solve_level,
     solve_spectrum_numeric,
@@ -43,23 +41,39 @@ class TestBuildForm:
     def test_manning_rosen_degenerate(self):
         spec = PotentialSpec(family=Family.ManningRosen, A=0.0, B=0.0, q=1.0)
         # eps = -E/(k a^2) = 1 at E = -1
-        form = build_form(spec, 1.0)
+        form = build_form(spec, -1.0)
         # -1/4 (1 - s)^2
         assert form.sigma_tilde.coeffs() == (-0.25, 0.5, -0.25)
         assert form.tau_tilde.coeffs() == (1.0, -1.0, 0.0)
+
+    def test_s_interval_fixed_at_build(self):
+        # the weight's s-interval follows the spec's q; a raw triple gets (-1, 1)
+        hyp = PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=4.0)
+        assert build_form(hyp, 1.0).s_interval == (2.0, None, True)
+        mr = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=2.0)
+        assert build_form(mr, -1.0).s_interval == (0.0, 0.5, False)
+        assert build_form(trig(), 4.0).s_interval == (-1.0, 1.0, False)
+        raw = synthetic_form(LowPoly(1, 0, 0), LowPoly(0, 1, 0), LowPoly(0, 0, 0))
+        assert raw.s_interval == (-1.0, 1.0, False)
 
     def test_variants_rejected(self):
         with pytest.raises(UnsupportedVariant):
             build_form(PotentialSpec(family=Family.TrigScarf, variant=Variant.PT, A=1.0), 1.0)
 
     def test_reduced_roundtrip(self):
-        for spec, e in (
-            (trig(), 7.3),
-            (PotentialSpec(family=Family.HyperbolicScarf, V0=1.0, V1=5.0, V2=0.5, q=2.0), 3.7),
-            (PotentialSpec(family=Family.ManningRosen, A=-4.0, B=2.0, q=1.0), -5.1),
+        # the reduced energy of the form maps back to the trial energy:
+        # trig E = k a^2 eps, hyperbolic E = V0 + k a^2 eps^2, Manning-Rosen E = -k a^2 eps
+        for spec, e, energy_of in (
+            (trig(alpha=2.0), 7.3, lambda eps: 4.0 * eps),
+            (
+                PotentialSpec(family=Family.HyperbolicScarf, V0=1.0, V1=5.0, V2=0.5, q=2.0),
+                3.7,
+                lambda eps: 1.0 + eps * eps,
+            ),
+            (PotentialSpec(family=Family.ManningRosen, A=-4.0, B=2.0, q=1.0), -5.1, lambda eps: -eps),
         ):
-            rp = reduced_params(spec, e)
-            assert abs(energy_from_reduced(spec, rp.eps) - e) < 1e-12 * (1 + abs(e))
+            eps = build_form(spec, e).reduced.eps
+            assert abs(energy_of(eps) - e) < 1e-12 * (1 + abs(e))
 
 
 class TestKCandidates:
@@ -83,7 +97,7 @@ class TestKCandidates:
         # reproduce a perfect square).
         spec = PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=1.0)
         eps = 1.3
-        form = build_form(spec, eps)
+        form = build_form(spec, eps**2)  # E = V0 + eps^2 with V0 = 0
         rp = form.reduced
         b2, g4, q = rp.beta**2, rp.gamma**4, 1.0
         mu = 4 * q * sqrt_principal((4 * b2 + 1) ** 2 - 16 * g4 / q)
@@ -97,8 +111,7 @@ class TestKCandidates:
             (PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=5.0, V2=0.0, q=1.0), 1.0),
             (PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0), -104.0),
         ):
-            form = build_form(spec, reduced_params(spec, e).eps)
-            trace = select_branch(form, spec=spec)
+            trace = select_branch(build_form(spec, e))
             for c in trace.candidates:
                 assert c.square_residual <= 1e-10
 
@@ -112,7 +125,7 @@ class TestSelectBranch:
     def test_trig_accepted_slope(self):
         # beta = -2: accepted tau = -2s(1 + sqrt(9/4)) = -5s
         form = build_form(trig(), 4.0)
-        trace = select_branch(form, spec=trig())
+        trace = select_branch(form)
         assert abs(trace.tau.c1 + 5.0) < 1e-13
         assert abs(trace.tau.c0) < 1e-13
         assert trace.tau_slope.real < 0
@@ -122,7 +135,7 @@ class TestSelectBranch:
         # accepted tau = -(zeta1 - 2) s - sqrt(q) zeta2 with Re zeta1 > 2
         spec = PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=5.0, V2=1.0, q=1.0)
         form = build_form(spec, 1.0)
-        trace = select_branch(form, spec=spec)
+        trace = select_branch(form)
         z1, z2 = trace.aux["zeta1"], trace.aux["zeta2"]
         assert z1.real > 2
         assert abs(trace.tau.c1 + (z1 - 2.0)) < 1e-12
@@ -152,8 +165,8 @@ class TestSelectBranch:
             (PotentialSpec(family=Family.HyperbolicScarf, V0=1.0, V1=5.0, V2=0.5, q=2.0), 2.0),
             (PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0), -53.0),
         ):
-            form = build_form(spec, reduced_params(spec, e).eps)
-            trace = select_branch(form, spec=spec)
+            form = build_form(spec, e)
+            trace = select_branch(form)
             for c in trace.candidates:
                 # tau = tau_tilde + 2 pi, exact coefficientwise
                 assert c.tau.c0 == form.tau_tilde.c0 + 2 * c.pi.c0
@@ -165,12 +178,12 @@ class TestSelectBranch:
 class TestLevelEquation:
     def test_n0_is_lambda(self):
         form = build_form(trig(), 4.0)
-        trace = select_branch(form, spec=trig())
+        trace = select_branch(form)
         assert level_equation(trace, 0) == trace.lam
 
     def test_n2_trig_coefficients(self):
         form = build_form(trig(), 4.0)
-        trace = select_branch(form, spec=trig())
+        trace = select_branch(form)
         # sigma'' = -2: F_2 = lambda + 2 tau' - 2
         assert abs(level_equation(trace, 2) - (trace.lam + 2 * trace.tau_slope - 2.0)) < 1e-14
 
@@ -180,7 +193,7 @@ class TestLevelEquation:
         for n in range(4):
             e = (n + 2.0) ** 2
             form = build_form(spec, e)
-            trace = select_branch(form, spec=spec)
+            trace = select_branch(form)
             assert abs(level_equation(trace, n)) < 1e-12
 
 
@@ -221,7 +234,7 @@ class TestSolveSpectrum:
     def test_scan_lets_unexpected_errors_through(self, monkeypatch):
         # only package errors mean "no branch at this energy"; a bug must not
         # turn into NoAdmissibleBranch
-        def broken(spec, eps):
+        def broken(spec, energy):
             raise ZeroDivisionError("bug in build_form")
 
         monkeypatch.setattr(nu_engine, "build_form", broken)
@@ -235,9 +248,9 @@ class TestSolveSpectrum:
         calls = []
         real = nu_engine.weight_failure
 
-        def counted(form, tau, spec):
+        def counted(form, tau):
             calls.append(tau)
-            return real(form, tau, spec)
+            return real(form, tau)
 
         monkeypatch.setattr(nu_engine, "weight_failure", counted)
         spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)

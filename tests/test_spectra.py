@@ -10,7 +10,6 @@ from ptspec.spectra import (
     closed_form_spectrum,
     measure_reality_flag,
     reality_conditions,
-    spectral_reality_scan,
 )
 
 
@@ -172,12 +171,8 @@ class TestManningRosen:
 
 
 class TestRealityMachinery:
-    def test_scan_measures_only(self):
-        assert spectral_reality_scan(trig(variant=Variant.NonPT, A=3j, q=2.0), 5, 1e-10) is RealityFlag.AllReal
-        assert spectral_reality_scan(trig(variant=Variant.NonPT, A=1 + 0j, q=2.0), 5, 1e-10) is RealityFlag.Complex
-
     def test_pt_manning_rosen_all_real(self):
-        flag = spectral_reality_scan(mr(variant=Variant.PT, A=1.0, B=1.0, q=1.0), 5, 1e-10)
+        flag = closed_form_spectrum(mr(variant=Variant.PT, A=1.0, B=1.0, q=1.0), 5).reality_flag
         assert flag is RealityFlag.AllReal
 
     def test_pt_conditions_unconditional(self):

@@ -6,17 +6,10 @@ from scipy.integrate import simpson
 
 from ptspec.errors import NonIntegrableWeight
 from ptspec.core_math import LowPoly
+from ptspec.families import FAMILIES
 from ptspec.nu_engine import NUTrace, build_form, select_branch, solve_level
 from ptspec.potentials import Family, PotentialSpec, default_domain
-from ptspec.wavefunctions import (
-    assemble,
-    coordinate_map,
-    eval_psi,
-    node_count,
-    normalize,
-    pseudo_norm,
-    sample_csv,
-)
+from ptspec.wavefunctions import assemble, eval_psi, node_count, normalize
 
 
 def trig(A=-2.0):
@@ -100,14 +93,6 @@ class TestNormalization:
         wfn = normalize(wf, dom, 4001)
         assert node_count(wfn, dom) == 0
 
-    def test_pseudo_norm_reported(self):
-        spec = trig()
-        _, wf = solved(spec, 0, 4.0)
-        dom = default_domain(spec)
-        val = pseudo_norm(wf, dom)
-        # real state: pseudo-norm equals the usual norm integral
-        assert abs(val.imag) < 1e-12 * (1 + abs(val))
-
 
 class TestNodes:
     @pytest.mark.parametrize("n,seed", [(0, 4.0), (1, 9.0), (2, 16.0), (3, 25.0), (4, 36.0)])
@@ -145,19 +130,14 @@ class TestErrorPaths:
 
 
 class TestExport:
-    def test_csv_columns(self):
-        spec = trig()
-        _, wf = solved(spec, 0, 4.0)
-        text = sample_csv(wf, default_domain(spec), n_points=11)
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,re_psi,im_psi"
-        assert len(lines) == 12
-
     def test_coordinate_maps(self):
-        assert abs(coordinate_map(trig())(0.0) - 1.0) < 1e-15
+        def s_of(spec, x):
+            return FAMILIES[spec.family].s_map(spec, x)
+
+        assert abs(s_of(trig(), 0.0) - 1.0) < 1e-15
         mrspec = PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0)
-        assert abs(coordinate_map(mrspec)(0.0) - 1.0) < 1e-15
+        assert abs(s_of(mrspec, 0.0) - 1.0) < 1e-15
         hspec = PotentialSpec(family=Family.HyperbolicScarf, V0=1, V1=1, V2=1, q=4.0)
         # at the wall, cosh_q = sqrt(q)
         wall = math.log(4.0) / 2.0
-        assert abs(coordinate_map(hspec)(wall) - 2.0) < 1e-12
+        assert abs(s_of(hspec, wall) - 2.0) < 1e-12
