@@ -49,20 +49,20 @@ class PotentialSpec:
             raise ValueError("alpha must be nonzero")
         if self.q is not None and self.q == 0:
             raise ValueError("q must be nonzero")
-        params = FAMILIES[self.family].params
-        for name in params:
+        record = FAMILIES[self.family]
+        for name in record.params:
             if getattr(self, name) is None:
                 raise ValueError(f"{self.family.name} requires parameter {name}")
-        for record in FAMILIES.values():
-            for name in record.params:
-                if name not in params and getattr(self, name) is not None:
+        for other in FAMILIES.values():
+            for name in other.params:
+                if name not in record.params and getattr(self, name) is not None:
                     raise ValueError(f"{name} is not a {self.family.name} parameter")
-        if FAMILIES[self.family].needs_q and self.q is None:
+        if record.needs_q and self.q is None:
             raise ValueError(f"{self.family.name} requires the deformation q")
         if self.variant in (Variant.QDeformedPT, Variant.NonPT) and self.q is None:
             raise ValueError(f"variant {self.variant.name} requires the deformation q")
         if self.variant in (Variant.Base, Variant.PT, Variant.QDeformedPT):
-            for name in params:
+            for name in record.params:
                 v = getattr(self, name)
                 if v is not None and complex(v).imag != 0.0:
                     raise ValueError(f"{self.variant.name} variant requires real {name}")
@@ -212,17 +212,12 @@ def apply_variant(spec: PotentialSpec, target: Variant) -> PotentialSpec:
     record = FAMILIES[spec.family]
     if target not in record.variants:
         raise UnsupportedTransform(f"{spec.family.name} has no {target.name} variant")
-    if target is Variant.QDeformedPT:
-        if spec.q is None:
-            raise UnsupportedTransform("QDeformedPT needs q on the Base spec")
-        return replace(spec, variant=Variant.QDeformedPT)
-    if target is Variant.PT:
-        return replace(spec, variant=Variant.PT)
+    if target is not Variant.PT and spec.q is None:
+        raise UnsupportedTransform(f"{target.name} needs q on the Base spec")
     if target is Variant.NonPT:
-        if spec.q is None:
-            raise UnsupportedTransform("NonPT needs q on the Base spec")
         changes = {name: complex(getattr(spec, name)) * (1 + 1j) for name in record.nonpt_complexified}
         return replace(spec, variant=Variant.NonPT, **changes)
+    return replace(spec, variant=target)
 
 
 @dataclass(frozen=True)

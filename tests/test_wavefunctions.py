@@ -7,7 +7,7 @@ from scipy.integrate import simpson
 from ptspec.errors import NonIntegrableWeight
 from ptspec.core_math import LowPoly
 from ptspec.families import FAMILIES
-from ptspec.nu_engine import NUTrace, build_form, select_branch, solve_level
+from ptspec.nu_engine import NUTrace, build_form, solve_level
 from ptspec.potentials import Family, PotentialSpec, default_domain
 from ptspec.wavefunctions import assemble, eval_psi, node_count, normalize
 
