@@ -4,8 +4,11 @@ The cases are every figure preset and README `spectrum` example, a deep
 Manning-Rosen well, the PT and q-deformed PT closed forms, a `profile` of
 every family/variant pair, and `trace` runs that cover the seeded path, the
 scan path (Manning-Rosen, whose closed-form seed has the wrong sign), a
-NoAdmissibleBranch exit and the `--form-json` fixture.  Each case stores its
-stdout bytes (`<name>.out`) and its exit code (`exit_codes.json`).
+NoAdmissibleBranch exit and the `--form-json` fixture, and `verify` runs
+over real-symmetric grids (trig Scarf, hyperbolic PT at q = 1, the deep
+Manning-Rosen well) and a complex one (the fig7 non-PT Manning-Rosen).
+Each case stores its stdout bytes (`<name>.out`) and its exit code
+(`exit_codes.json`).
 `test_family_facts` pins the quantization domain, the wall and the continuum
 threshold of each family/variant pair as literal values.
 
@@ -79,6 +82,10 @@ CASES = {
     **{f"trace_mr_deep_n{n}": ["trace", *_MR_DEEP, "--n", str(n)] for n in range(6)},
     "trace_fig4_n0": ["trace", "--preset", "fig4", "--n", "0"],
     "trace_no_admissible_form": ["trace", "--form-json", str(NO_BRANCH_FORM)],
+    "verify_trig": ["verify", *_TRIG, "--N", "600"],
+    "verify_hyp_pt_q1": ["verify", *_HYP_PT, "--q", "1", "--L", "6", "--N", "300"],
+    "verify_mr_deep": ["verify", *_MR_DEEP, "--L", "16", "--N", "400"],
+    "verify_fig7": ["verify", "--preset", "fig7", "--N", "400"],
 }
 
 
