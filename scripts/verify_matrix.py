@@ -43,10 +43,10 @@ MATRIX = [
 def run_row(label, spec, n_max, L, N):
     dom = default_domain(spec, L=L)
     res = spectra.closed_form_spectrum(spec, n_max)
-    eigs = oracle.eigen_complex_dense(oracle.discretize(spec, dom, N))
+    study = oracle.convergence_study(spec, dom, [N // 2, N], n_levels=min(4, n_max + 1))
+    eigs = study.eigs_finest
     thr = oracle.continuum_threshold(spec)
     match = oracle.match_levels(res.entries, eigs, thr)
-    study = oracle.convergence_study(spec, dom, [N // 2, N], n_levels=min(4, n_max + 1))
     row = {
         "label": label,
         "spec": spec.to_dict(),

@@ -1,18 +1,12 @@
-import time
-
-import numpy as np
 import pytest
 
 from ptspec import oracle
 from ptspec.potentials import Family, PotentialSpec, default_domain
 
 
-def _timed_solve(spec, N):
-    dom = default_domain(spec)
-    t0 = time.perf_counter()
-    H = oracle.discretize(spec, dom, N)
-    eigs = oracle.eigen_complex_dense(H)
-    return H, eigs, time.perf_counter() - t0
+def _solve(spec, N):
+    H = oracle.discretize(spec, default_domain(spec), N)
+    return H, oracle.eigen_complex_dense(H)
 
 
 @pytest.fixture(scope="session")
@@ -22,16 +16,10 @@ def trig_a2_spec():
 
 @pytest.fixture(scope="session")
 def trig_a2_eigs_3000(trig_a2_spec):
-    return _timed_solve(trig_a2_spec, 3000)
-
-
-@pytest.fixture(scope="session")
-def trig_a2_eigs_1500(trig_a2_spec):
-    return _timed_solve(trig_a2_spec, 1500)
+    return _solve(trig_a2_spec, 3000)
 
 
 @pytest.fixture(scope="session")
 def box_eigs_3000():
     spec = PotentialSpec(family=Family.TrigScarf, A=0.0)
-    H, eigs, elapsed = _timed_solve(spec, 3000)
-    return spec, H, eigs, elapsed
+    return (spec, *_solve(spec, 3000))

@@ -169,6 +169,14 @@ class TestVerifyCommand:
         assert max(p["rel_err"] for p in d["match"]["pairs"]) < 1e-3
         assert d["conjugation"]["closed"] is True
 
+    def test_repeated_grid_size_is_an_error(self, capsys):
+        # --N 50 makes the study's grids [50, 50]; that once printed NaN
+        # (not JSON) and exited 0
+        code, out, err = run(capsys, "verify", "--family", "trig-scarf", "--A", "-2", "--N", "50")
+        assert code == 1
+        assert out == ""
+        assert "repeats a grid size" in err
+
     def test_pt_repulsive_reports_unmatched(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--family", "trig-scarf", "--variant", "pt", "--A", "1", "--N", "400", "--n-max", "2"
@@ -201,9 +209,10 @@ class TestVerifyCommand:
         ],
         ids=["trig-base", "hyperbolic-pt"],
     )
-    def test_matched_oracle_is_a_fresh_dense_solve(self, capsys, argv):
+    def test_matched_oracle_is_a_fresh_solve(self, capsys, argv):
         # verify matches against the convergence study's finest grid; its
-        # levels must be bit for bit those of a fresh dense solve of that grid
+        # levels must be bit for bit those of a fresh eigen_complex_dense
+        # solve of that grid
         _, out, _ = run(capsys, "verify", *argv)
         d = json.loads(out)
         spec = PotentialSpec.from_dict(d["spec"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,23 @@ class TestDiscretize:
         assert not H2.is_real
 
 
+def _dense_eigvalsh(H):
+    """Test-local reference: the real grid as a dense matrix, through eigvalsh."""
+    off = np.full(H.N - 1, H.offdiagonal)
+    m = np.diag(H.diagonal.real) + np.diag(off, 1) + np.diag(off, -1)
+    eigs = np.linalg.eigvalsh(m).astype(complex)
+    return eigs[np.argsort(eigs.real)]
+
+
+# spec, L of default_domain, N
+_REAL_GRIDS = {
+    "box": (PotentialSpec(family=Family.TrigScarf, A=0.0), 12.0, 1000),
+    "trig": (PotentialSpec(family=Family.TrigScarf, A=-2.0), 12.0, 1200),
+    "hyp-blind-spot": (PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=1.0), 14.0, 800),
+    "mr-deep": (PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0), 16.0, 600),
+}
+
+
 class TestEigenSolver:
     def _manual(self, diag, off):
         n = len(diag)
@@ -118,6 +136,38 @@ class TestEigenSolver:
         H = discretize(spec, box_domain(), 200)
         eigen_complex_dense(H, certify=True)
 
+    @pytest.mark.parametrize("name", sorted(_REAL_GRIDS))
+    def test_real_grid_matches_dense_eigvalsh_bitwise(self, name):
+        # dsterf on the tridiagonal is what dense eigvalsh (dsyevd) runs
+        # after its reduction, which leaves a tridiagonal matrix as it is
+        spec, L, N = _REAL_GRIDS[name]
+        H = discretize(spec, default_domain(spec, L=L), N)
+        assert H.is_real
+        assert np.array_equal(eigen_complex_dense(H), _dense_eigvalsh(H))
+
+    def test_real_grid_has_no_size_cap(self):
+        # 6001 is the first size the dense budget refuses for a complex grid
+        spec = PotentialSpec(family=Family.TrigScarf, A=0.0)
+        eigs = eigen_complex_dense(discretize(spec, box_domain(), 6001))
+        assert len(eigs) == 6001
+        assert np.max(np.abs(eigs[:3].real - [1.0, 4.0, 9.0])) < 1e-5
+
+    def test_complex_grid_keeps_the_dense_budget(self):
+        H = self._manual(np.full(6001, 2.0 + 0.5j), -1.0)
+        with pytest.raises(ValueError, match="dense budget"):
+            eigen_complex_dense(H)
+
+    def test_real_solve_allocates_no_dense_matrix(self):
+        # a dense N=6000 float matrix alone is 288 MB
+        H = discretize(PotentialSpec(family=Family.TrigScarf, A=-2.0), box_domain(), 6000)
+        tracemalloc.start()
+        try:
+            eigen_complex_dense(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
 
 class TestConjugationCheck:
     def test_all_real(self):
@@ -135,14 +185,14 @@ class TestConjugationCheck:
 
 class TestMatchLevels:
     def test_trig_reference(self, trig_a2_spec, trig_a2_eigs_3000):
-        _, eigs, _ = trig_a2_eigs_3000
+        _, eigs = trig_a2_eigs_3000
         res = closed_form_spectrum(trig_a2_spec, 3)
         match = match_levels(res.entries, eigs, continuum_threshold(trig_a2_spec))
         assert len(match.pairs) == 4
         assert match.max_rel_err < 1e-3
 
     def test_box_match(self, box_eigs_3000):
-        spec, _, eigs, _ = box_eigs_3000
+        spec, _, eigs = box_eigs_3000
         res = closed_form_spectrum(spec, 3)
         match = match_levels(res.entries, eigs, continuum_threshold(spec))
         assert match.max_rel_err < 1e-4
@@ -176,6 +226,13 @@ class TestConvergenceStudy:
         spec = PotentialSpec(family=Family.TrigScarf, A=-2.0)
         rep = convergence_study(spec, box_domain(), [1000, 2000], n_levels=1)
         assert abs(rep.levels[0].extrapolated - 4.0) < 1e-5
+
+    @pytest.mark.parametrize("N_list", [[500, 500], [1000, 500, 1000]])
+    def test_repeated_grid_size_raises(self, N_list):
+        # equal grids would divide the Richardson step by h1^2 - h2^2 = 0
+        spec = PotentialSpec(family=Family.TrigScarf, A=-2.0)
+        with pytest.raises(ValueError, match="repeats a grid size"):
+            convergence_study(spec, box_domain(), N_list)
 
     def test_manning_rosen_deep_well_truncation_stable(self):
         # bound levels below threshold -40 are stable across L in {12, 16}
