@@ -30,13 +30,7 @@ import tempfile
 import numpy as np
 
 from . import nu_engine, spectra
-from .errors import (
-    NoAdmissibleBranch,
-    PtspecError,
-    QRNotConverged,
-    RootNotConverged,
-    SingularityError,
-)
+from .errors import NoAdmissibleBranch, PtspecError, QRNotConverged, SingularityError
 from .core_math import LowPoly, complex_json
 from .potentials import Family, PotentialSpec, Variant, apply_variant, default_domain, evaluate_grid
 
@@ -289,7 +283,7 @@ def _no_branch_payload(err: NoAdmissibleBranch, **extra) -> dict:
         }
         for c in err.candidates
     ]
-    return {"error": "NoAdmissibleBranch", **extra, "branches": branches}
+    return {"error": "NoAdmissibleBranch", "reason": str(err), **extra, "branches": branches}
 
 
 def cmd_trace(args) -> int:
@@ -309,18 +303,10 @@ def cmd_trace(args) -> int:
         _write_out(nu_engine.trace_to_json(trace), args.out)
         return _EXIT_OK
     spec = _build_spec(args)
-    seed = None
     try:
-        seed = spectra.closed_form_spectrum(spec, args.n).entries[args.n][1]
-    except PtspecError:
-        seed = None
-    try:
-        _, trace = nu_engine.solve_level(spec, args.n, seed_energy=seed)
+        _, trace = nu_engine.solve_level(spec, args.n)
     except NoAdmissibleBranch as err:
         _write_out(_json_dump(_no_branch_payload(err, spec=spec.to_dict())), args.out)
-        return _EXIT_NONCONVERGED
-    except (RootNotConverged, QRNotConverged) as err:
-        sys.stderr.write(f"{err}\n")
         return _EXIT_NONCONVERGED
     out = json.loads(nu_engine.trace_to_json(trace))
     out["spec"] = spec.to_dict()
@@ -361,7 +347,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
         return _EXIT_USAGE
-    except (RootNotConverged, QRNotConverged, NoAdmissibleBranch) as err:
+    except (QRNotConverged, NoAdmissibleBranch) as err:
         sys.stderr.write(f"non-convergence: {err}\n")
         return _EXIT_NONCONVERGED
     except SingularityError as err:

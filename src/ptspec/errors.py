@@ -29,16 +29,24 @@ class DegenerateDiscriminant(PtspecError):
     """Discriminant of the radicand is constant in k; no k can be solved for."""
 
 
+class DegenerateTermination(PtspecError):
+    """The termination polynomial P_n(E) vanishes identically: level n
+    terminates at every energy, so the condition fixes no level."""
+
+
+class UnsupportedReduction(PtspecError):
+    """The family's reduction to hypergeometric type does not hold for these
+    parameters."""
+
+
 class NoAdmissibleBranch(PtspecError):
-    """All four (k, sign) branch candidates have Re(tau') >= 0."""
+    """No branch is admissible: all four (k, sign) candidates of a form have
+    Re(tau') >= 0, or no real root of the termination polynomial lies on a
+    branch with Re(tau') < 0.  candidates holds the rejected ones."""
 
     def __init__(self, message, candidates=None):
         super().__init__(message)
         self.candidates = candidates or []
-
-
-class RootNotConverged(PtspecError):
-    """Secant iteration failed to reach tolerance within the budget."""
 
 
 class QRNotConverged(PtspecError):

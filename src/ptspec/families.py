@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .core_math import LowPoly, cosh_q, sinh_q, sqrt_principal
-from .errors import SingularityError, UnsupportedVariant
+from .errors import SingularityError, UnsupportedReduction, UnsupportedVariant
 
 if TYPE_CHECKING:
     from .potentials import PotentialSpec
@@ -263,6 +263,11 @@ def _hyp_nonpt_levels(spec: PotentialSpec, n_max: int):
 def _hyp_reduce(spec: PotentialSpec, energy: complex):
     ka2 = spec.kappa * spec.alpha**2
     q = spec.q
+    if not q > 0:
+        # at q < 0, s = cosh_q(alpha x) covers the whole real line and s^2 - q has no real root
+        raise UnsupportedReduction(
+            f"the hyperbolic Scarf reduction (sigma = s^2 - q on s > sqrt(q)) assumes q > 0, got q = {q:g}"
+        )
     rp = ReducedParams(
         sqrt_principal((energy - spec.V0) / ka2),
         sqrt_principal(spec.V1 / (ka2 * q)),

@@ -14,33 +14,38 @@ substitution.  The pipeline then
      + k*sigma and solves discriminant_s(Q) = 0 for the two k candidates;
   2. factors Q at each k as a perfect square (a s + b)^2 and enumerates the
      four branch candidates pi = (sigma' - tau_tilde)/2 +- (a s + b);
-  3. keeps branches with Re(tau') < 0 where tau = tau_tilde + 2 pi, breaking
-     ties by weight-function integrability and then by |k| (integrability is
-     computed only where it is read: at a seed and in the trace);
+  3. keeps branches with Re(tau') < 0 where tau = tau_tilde + 2 pi, ranked
+     by weight-function integrability and then by Re(tau'), most negative
+     first (integrability is computed only where it is read: at the real
+     roots of step 4 and in select_branch);
   4. solves the polynomial-termination condition
      F_n(E) = lambda + n tau' + n(n-1) sigma''/2 = 0,  lambda = k + pi',
-     for the level-n energy by a complex secant iteration with branch
-     continuation, seeded from the closed-form value when one exists.
+     on all four branches at once.  sigma_tilde is affine in E, so the
+     product of F_n over the branches is a polynomial P_n(E) of degree at
+     most 4 (termination_poly).  Each real root of P_n is polished by Newton's
+     method on the branch where F_n vanishes, and the first-ranked admissible
+     (root, branch) pair is the level.
 
-Every derivation step is retained in an audit trace.
+No published closed form is read: the pipeline is an independent check of
+them.  Every derivation step is retained in an audit trace.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .core_math import LowPoly, complex_json, quadratic_roots, sqrt_principal
-from .errors import DegenerateDiscriminant, NoAdmissibleBranch, PtspecError, RootNotConverged, UnsupportedVariant
+from .errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleBranch, UnsupportedVariant
 from .families import FAMILIES, Family, ReducedParams, Variant
 from .potentials import PotentialSpec
 
 _F_TOL = 1e-12
-_SECANT_BUDGET = 200
-_SCAN_STARTS = 6  # local minima of the scan tried as secant starts
+_COEFF_TOL = 1e-10  # a coefficient of P_n this small against its terms is rounding
+_POLISH_STEPS = 4  # forms built per root of P_n while polishing, at most
+_POLISH_REACH = 1e-6  # a polishing step longer than this, relative to 1 + |E|, leaves the root
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ class BranchCandidate:
     """One (k, sign) combination of the pi formula, with its tau slope.
 
     weight_integrable stays None until the candidate is weighed (_weigh):
-    only the seed ranking and the trace read it.
+    only the ranking and the trace read it.
     """
 
     k: complex
@@ -157,16 +162,6 @@ class NUTrace:
     aux: dict
     candidates: tuple[BranchCandidate, ...]
     notes: dict = field(default_factory=dict)
-
-
-class _Branch(NamedTuple):
-    """A followed candidate, with the form, k pair and all four candidates at
-    its energy."""
-
-    form: HypergeometricForm
-    ks: tuple[complex, complex]
-    candidates: list[BranchCandidate]
-    chosen: BranchCandidate
 
 
 def _rational_exponents(num: LowPoly, den: LowPoly):
@@ -252,13 +247,10 @@ def _weigh(form: HypergeometricForm, cands) -> list[BranchCandidate]:
     return [replace(c, weight_integrable=not weight_failure(form, c.tau)) for c in cands]
 
 
-def _ranked(cands, where: str = "") -> list[BranchCandidate]:
-    """Admissible (Re(tau') < 0) weighed candidates, integrable weight first,
-    then smaller |k|."""
-    admissible = [c for c in cands if c.admissible]
-    if not admissible:
-        raise NoAdmissibleBranch("all four branch candidates have Re(tau') >= 0" + where, candidates=cands)
-    return sorted(admissible, key=lambda c: (not c.weight_integrable, abs(c.k)))
+def _rank(c: BranchCandidate):
+    """Order of weighed candidates: integrable weight first, then the most
+    negative Re(tau')."""
+    return (not c.weight_integrable, c.tau_slope.real)
 
 
 def _trace(form, ks, cands, best: BranchCandidate, lambda_n=None, notes=None) -> NUTrace:
@@ -282,12 +274,15 @@ def select_branch(form: HypergeometricForm) -> NUTrace:
     """Enumerate all four (k, sign) combinations and accept one.
 
     Acceptance requires Re(tau') < 0; ties break first on weight-function
-    integrability over the form's s-interval, then on smaller |k|.  All
-    four candidates are retained in the trace for audit.
+    integrability over the form's s-interval, then on the most negative
+    Re(tau').  All four candidates are retained in the trace for audit.
     """
     ks, cands = _enumerate_branches(form)
     cands = _weigh(form, cands)
-    return _trace(form, ks, cands, _ranked(cands)[0])
+    admissible = [c for c in cands if c.admissible]
+    if not admissible:
+        raise NoAdmissibleBranch("all four branch candidates have Re(tau') >= 0", candidates=cands)
+    return _trace(form, ks, cands, min(admissible, key=_rank))
 
 
 def _f_n(tau_slope: complex, sigma: LowPoly, n: int, lam: complex | None = None) -> complex:
@@ -300,171 +295,133 @@ def _f_n(tau_slope: complex, sigma: LowPoly, n: int, lam: complex | None = None)
     return head + 0.5 * n * (n - 1) * (2.0 * sigma.c2)
 
 
-def level_equation(trace: NUTrace, n: int) -> complex:
-    """Residual F_n = lambda + n tau' + n(n-1) sigma''/2 of the termination
-    condition; a root in the energy means level n terminates."""
-    return _f_n(trace.tau_slope, trace.form.sigma, n, trace.lam)
+def _add(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum of two coefficient arrays (or scalars), highest power first;
+    np.polyadd would drop leading zeros, and with them the alignment of the
+    two passes of _resultant."""
+    u, v = np.atleast_1d(u), np.atleast_1d(v)
+    size = max(len(u), len(v))
+    return np.pad(u, (size - len(u), 0)) + np.pad(v, (size - len(v), 0))
 
 
-def _secant_root(spec: PotentialSpec, n: int, e0: complex, start: _Branch):
-    """Damped complex secant on F_n along one branch, with pi-continuation.
+def _resultant(s, b, c, m, sign):
+    """Coefficients in E, highest first, of the resultant in k of the
+    radicand's discriminant D(k) = a_k k^2 + b_k k + c_k (as in k_candidates)
+    and g(k) = F_n^+ F_n^- = (k + c)^2 - m^2 (b2 + k s2).
 
-    Returns (root, branch at the root, iterations)."""
-
-    def f_of(energy, prev_pi):
-        form, ks, cands = branches(spec, energy)
-        dist = [abs(c.pi.c0 - prev_pi.c0) + abs(c.pi.c1 - prev_pi.c1) for c in cands]
-        cand = cands[int(np.argmin(dist))]
-        return _f_n(cand.tau_slope, form.sigma, n, cand.lam), _Branch(form, ks, cands, cand)
-
-    z0 = complex(e0)
-    z1 = complex(e0) + 1e-4 * (1.0 + abs(e0))
-    f0, at = f_of(z0, start.chosen.pi)
-    if abs(f0) <= _F_TOL:
-        return z0, start, 0
-    f1, at = f_of(z1, at.chosen.pi)
-    for it in range(_SECANT_BUDGET):
-        if f1 == f0:
-            break
-        step = -f1 * (z1 - z0) / (f1 - f0)
-        cap = 5.0 * (1.0 + abs(z1))
-        if abs(step) > cap:
-            step *= cap / abs(step)
-        z2 = z1 + step
-        if not np.isfinite(z2.real) or not np.isfinite(z2.imag):
-            break
-        f2, at = f_of(z2, at.chosen.pi)
-        z0, f0, z1, f1 = z1, f1, z2, f2
-        if abs(f1) <= _F_TOL:
-            return z1, at, it + 1
-    raise RootNotConverged(f"|F_{n}| = {abs(f1):.3g} after secant budget")
-
-
-def _scan_starts(spec: PotentialSpec, n: int) -> list[tuple[complex, _Branch]]:
-    """Coarse scan: local minima of min-over-admissible-branches |F_n| on a
-    real energy grid spanning the potential's value range, best first."""
-    from .potentials import default_domain, evaluate
-
-    dom = default_domain(spec)
-    xs = np.linspace(dom.left, dom.right, 257)[1:-1]
-    ok = []
-    for x in xs:
-        try:
-            ok.append(evaluate(spec, float(x)).real)
-        except PtspecError:
-            continue
-    vmin, vmax = float(np.min(ok)), float(np.max(ok))
-    span = max(vmax - vmin, 1.0)
-    ka2 = spec.kappa * spec.alpha**2
-    hi = vmax + span + ka2 * (n + 3) ** 2
-    lo = vmin - span - ka2 * (n + 3) ** 2
-    grid = np.concatenate([np.linspace(lo, hi, 321), vmin + span * np.logspace(-3, 1.0, 64)])
-    grid = np.unique(np.sort(grid))
-    pts = []
-    for e in grid:
-        try:
-            form, ks, cands = branches(spec, complex(e))
-        except PtspecError:
-            continue
-        admissible = [c for c in cands if c.admissible]
-        if not admissible:
-            continue
-        fvals = [abs(_f_n(c.tau_slope, form.sigma, n, c.lam)) for c in admissible]
-        j = int(np.argmin(fvals))
-        pts.append((fvals[j], complex(e), _Branch(form, ks, cands, admissible[j])))
-    # keep local minima of |F| along the grid, best first
-    minima = []
-    for i, rec in enumerate(pts):
-        left = pts[i - 1][0] if i > 0 else np.inf
-        right = pts[i + 1][0] if i + 1 < len(pts) else np.inf
-        if rec[0] <= left and rec[0] <= right:
-            minima.append(rec)
-    minima.sort(key=lambda t: t[0])
-    return [(e, at) for _, e, at in minima[:_SCAN_STARTS]]
-
-
-def solve_level(spec: PotentialSpec, n: int, seed_energy: complex | None = None) -> tuple[complex, NUTrace]:
-    """Root of the level-n termination condition, with its trace.
-
-    Every admissible branch at the seed is secant-iterated; converged roots
-    must keep Re(tau') < 0 and (Base pipeline) come out real, and the root
-    nearest the seed wins.  Without a usable closed-form seed the starts
-    come from a coarse scan of the potential's value range.
+    s = (s0, s1, s2) are sigma's coefficients and b = (b0, b1, b2) those of
+    the radicand at k = 0, each a [slope, intercept] array in E.  sign = -1
+    gives the resultant; sign = +1 on absolute values gives, per
+    coefficient, the sum of the magnitudes of its terms (its rounding scale).
     """
-    starts = []
-    if seed_energy is not None and np.isfinite(complex(seed_energy).real):
-        e0 = complex(seed_energy)
-        form0, ks0, cands0 = branches(spec, e0)
-        cands0 = _weigh(form0, cands0)
-        starts = [(e0, _Branch(form0, ks0, cands0, c)) for c in _ranked(cands0, " at the seed")]
-    else:
-        seed_energy = None
+    mul = np.convolve
+    s0, s1, s2 = s
+    b0, b1, b2 = b
+    ak = s1 * s1 + sign * 4.0 * s2 * s0
+    bk = _add(2.0 * s1 * b1, sign * 4.0 * (s0 * b2 + s2 * b0))
+    ck = _add(mul(b1, b1), sign * 4.0 * mul(b2, b0))
+    g1 = 2.0 * c + sign * m * m * s2
+    g0 = _add(c * c, sign * m * m * b2)
+    # two quadratics, g monic: (a_k g0 - c_k)^2 - (a_k g1 - b_k)(b_k g0 - c_k g1)
+    x = _add(ak * g0, sign * ck)
+    return _add(mul(x, x), sign * mul(_add(ak * g1, sign * bk), _add(mul(bk, g0), sign * g1 * ck)))
 
-    roots = []
-    last_err = None
 
-    def try_starts(start_list):
-        nonlocal last_err
-        for e0, start in start_list:
-            try:
-                e_root, at, _ = _secant_root(spec, n, e0, start)
-            except RootNotConverged as err:
-                last_err = err
-                continue
-            if at.chosen.tau_slope.real >= 0.0:
-                continue
-            if abs(e_root.imag) > 1e-8 * (1.0 + abs(e_root.real)):
-                continue  # Base pipeline: spectra are real
-            ref = seed_energy if seed_energy is not None else e0
-            roots.append((abs(e_root - ref), complex(e_root.real), at))
+def termination_poly(spec: PotentialSpec, n: int) -> np.ndarray:
+    """Coefficients in E, highest first, of P_n(E) = a_k^2 times the product
+    of F_n over the four (k, sign) branches: its roots are every energy at
+    which level n terminates on some branch.
 
-    try_starts(starts)
-    # exact (or near-exact) seed: accept without the scan fallback
-    near_seed = seed_energy is not None and any(
-        d <= 1e-6 * (1.0 + abs(seed_energy)) for d, *_ in roots
-    )
-    if not near_seed:
-        scan = _scan_starts(spec, n)
-        if not scan and not roots and seed_energy is None:
-            raise NoAdmissibleBranch("no admissible branch anywhere on the scan grid")
-        try_starts(scan)
-    if not roots:
-        raise last_err or RootNotConverged(f"no admissible branch converged for n={n}")
-    roots.sort(key=lambda t: t[0])
-    _, e_n, at = roots[0]
-    notes = {
-        "n": n,
-        "energy": complex(e_n),
-        "seed": None if seed_energy is None else complex(seed_energy),
-        "tau_variant": "printed",  # Manning-Rosen's tau_tilde = 1 - q s, the only one
-    }
-    lambda_n = -_f_n(at.chosen.tau_slope, at.form.sigma, n)
-    return e_n, _trace(at.form, at.ks, _weigh(at.form, at.candidates), at.chosen, lambda_n, notes)
+    sigma_tilde is affine in E, so two forms (E = 0 and E = 1) fix the
+    radicand, and P_n, the resultant of two quadratics in k, has degree at
+    most 4.  Coefficients at the rounding level of their own terms are set
+    to 0, so P_n keeps its exact degree (2 for Manning-Rosen).  Raises
+    DegenerateTermination when every coefficient is at that level.
+    """
+    f0, f1 = build_form(spec, 0.0), build_form(spec, 1.0)
+    r0, r1 = _radicand(f0, 0.0), _radicand(f1, 0.0)
+    b = [np.array([y - x, x]) for x, y in zip(r0.coeffs(), r1.coeffs())]
+    s = f0.sigma.coeffs()
+    m = 2 * n + 1
+    c = m * _half_gap(f0).c1 + n * f0.tau_tilde.c1 + n * (n - 1) * s[2]
+    value = _resultant(s, b, c, m, -1.0)
+    scale = _resultant([abs(v) for v in s], [np.abs(v) for v in b], abs(c), m, 1.0)
+    value = np.where(np.abs(value) > _COEFF_TOL * scale, value, 0.0)
+    if not value.any():
+        raise DegenerateTermination(f"P_{n}(E) vanishes identically: level {n} terminates at every energy")
+    return np.trim_zeros(value, "f")
+
+
+def _polished(spec: PotentialSpec, n: int, dpoly: np.ndarray, e: float):
+    """Newton's method on P_n from e, a real root of its coefficients.
+
+    P_n is evaluated as a_k^2 times the product of the four F_n, which is
+    exact to rounding where one of them vanishes, so each step is Newton's
+    on that factor.  Steps go on while they shrink min |F_n|.  Returns
+    (e, form, k pair, candidates, F_n values) at the best point, or None
+    when min |F_n| stays above _F_TOL: a split double root, where F_n is as
+    large as the square root of a rounding error.
+    """
+    best, best_f = None, np.inf
+    for _ in range(_POLISH_STEPS):
+        form, ks, cands = branches(spec, e)
+        fs = [_f_n(c.tau_slope, form.sigma, n, c.lam) for c in cands]
+        f = min(map(abs, fs))
+        if f >= best_f:
+            break
+        best, best_f = (e, form, ks, cands, fs), f
+        s0, s1, s2 = form.sigma.coeffs()
+        slope = np.polyval(dpoly, e)
+        step = ((s1 * s1 - 4.0 * s2 * s0) ** 2 * np.prod(fs) / slope).real if slope != 0 else np.inf
+        if not abs(step) <= _POLISH_REACH * (1.0 + abs(e)):
+            break
+        e -= step
+    return best if best_f <= _F_TOL else None
+
+
+def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
+    """Energy of level n with its trace, from the real roots of P_n
+    (termination_poly).
+
+    Each real root is polished on the branch where F_n vanishes; every
+    branch with |F_n| <= _F_TOL there is a candidate, and the admissible one
+    that ranks first (_rank) is the level.  Raises NoAdmissibleBranch when
+    no real root lies on an admissible branch.
+    """
+    poly = termination_poly(spec, n)
+    dpoly = np.polyder(poly)
+    found = []
+    for root in np.roots(poly):
+        if abs(root.imag) > 1e-8 * (1.0 + abs(root)):
+            continue  # Base pipeline: spectra are real
+        at = _polished(spec, n, dpoly, float(root.real))
+        if at is None:
+            continue
+        e, form, ks, cands, fs = at
+        cands = _weigh(form, cands)
+        found += [(e, form, ks, cands, c) for c, f in zip(cands, fs) if abs(f) <= _F_TOL]
+    admissible = [t for t in found if t[-1].admissible]
+    if not admissible:
+        why = f"no real root of P_{n} lies on a branch with Re(tau') < 0"
+        raise NoAdmissibleBranch(why, candidates=[t[-1] for t in found])
+    e_n, form, ks, cands, best = min(admissible, key=lambda t: _rank(t[-1]))
+    lambda_n = -_f_n(best.tau_slope, form.sigma, n)
+    return complex(e_n), _trace(form, ks, cands, best, lambda_n, {"n": n, "energy": complex(e_n)})
 
 
 def solve_spectrum_numeric(spec: PotentialSpec, n_max: int):
     """Energies for n = 0..n_max from the numeric pipeline.
 
-    Returns a SpectrumResult whose convention note records the branch data;
-    closed-form seeds are used when the spectra module provides them.
+    Returns a SpectrumResult whose convention note records the branch data.
     """
     from . import spectra
 
-    seeds = None
-    try:
-        seeds = spectra.closed_form_spectrum(spec, n_max)
-    except PtspecError:
-        seeds = None
     entries = []
     traces = []
     for n in range(n_max + 1):
-        seed = seeds.entries[n][1] if seeds is not None else None
-        if seed is not None and not np.isfinite(complex(seed).real):
-            seed = None
-        e_n, trace = solve_level(spec, n, seed_energy=seed)
-        entries.append((n, complex(e_n)))
+        e_n, trace = solve_level(spec, n)
+        entries.append((n, e_n))
         traces.append(trace)
-    note = "numeric pipeline roots, tau_variant=printed; branch k and tau' recorded per level"
     result = spectra.SpectrumResult(
         family=spec.family,
         variant=spec.variant,
@@ -473,7 +430,7 @@ def solve_spectrum_numeric(spec: PotentialSpec, n_max: int):
         reality_flag=spectra.measure_reality_flag(entries),
         conditions=None,
         condition_report="",
-        convention_note=note,
+        convention_note="numeric pipeline roots; branch k and tau' recorded per level",
         warnings=[],
     )
     result.traces = traces

@@ -146,11 +146,6 @@ class DomainSpec:
             raise ValueError("unbounded domains need a truncation L > 0")
 
 
-def left_singularity(spec: PotentialSpec) -> float | None:
-    """Location of the singular inner wall, when the form has one."""
-    return variant_form(spec).wall(spec)
-
-
 def default_domain(spec: PotentialSpec, L: float = 12.0) -> DomainSpec:
     """Quantization domain matching each form's singularity structure.
 

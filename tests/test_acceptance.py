@@ -65,7 +65,8 @@ class TestCriterion1:
         assert np.max(np.abs(ext - target)) <= 1e-5
 
         for n in range(4):
-            _, trace = nu_engine.solve_level(trig_a2_spec, n, seed_energy=target[n])
+            e_n, trace = nu_engine.solve_level(trig_a2_spec, n)
+            assert abs(e_n - target[n]) <= 1e-10 * target[n]
             _ACCEPTANCE_TRACES.append(trace)
 
         runtime = time.perf_counter() - t0
@@ -345,7 +346,8 @@ class TestCriterion7:
         wfs = []
         worst_resid = 0.0
         for n in range(5):
-            e_n, trace = nu_engine.solve_level(trig_a2_spec, n, seed_energy=(n + 2.0) ** 2)
+            e_n, trace = nu_engine.solve_level(trig_a2_spec, n)
+            assert abs(e_n - (n + 2.0) ** 2) < 1e-10 * (n + 2.0) ** 2
             wf = wavefunctions.normalize(wavefunctions.assemble(trig_a2_spec, trace, n), dom, 3001)
             wfs.append(wf)
             assert wavefunctions.node_count(wf, dom) == n

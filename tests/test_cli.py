@@ -157,6 +157,28 @@ class TestTraceCommand:
         assert len(d["branches"]) == 4
         assert all(b["rejection"] for b in d["branches"])
 
+    def test_hyperbolic_negative_q_is_refused(self, capsys):
+        # sigma = s^2 - q and the weight's interval s > sqrt(q) assume q > 0;
+        # the refusal names that instead of reporting no admissible branch
+        code, out, err = run(
+            capsys, "trace", "--family", "hyperbolic-scarf", "--V0", "0", "--V1", "4", "--V2", "1", "--q", "-4"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: the hyperbolic Scarf reduction (sigma = s^2 - q on s > sqrt(q)) assumes q > 0, got q = -4\n"
+        )
+
+    def test_trace_reads_no_closed_form(self, capsys, monkeypatch):
+        argv = ("trace", "--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1", "--n", "2")
+        before = run(capsys, *argv)
+
+        def forbidden(spec, n_max):
+            raise AssertionError("trace read the closed form")
+
+        monkeypatch.setattr(spectra, "closed_form_spectrum", forbidden)
+        assert run(capsys, *argv) == before
+
 
 class TestVerifyCommand:
     def test_trig_reference(self, capsys):

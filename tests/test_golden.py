@@ -2,9 +2,9 @@
 
 The cases are every figure preset and README `spectrum` example, a deep
 Manning-Rosen well, the PT and q-deformed PT closed forms, a `profile` of
-every family/variant pair, and `trace` runs that cover the seeded path, the
-scan path (Manning-Rosen, whose closed-form seed has the wrong sign), a
-NoAdmissibleBranch exit and the `--form-json` fixture, and `verify` runs
+every family/variant pair, `trace` runs of each family (for Manning-Rosen,
+levels past the deep well's last bound state too), a NoAdmissibleBranch
+exit and the `--form-json` fixture, and `verify` runs
 over real-symmetric grids (trig Scarf, hyperbolic PT at q = 1, the deep
 Manning-Rosen well) and a complex one (the fig7 non-PT Manning-Rosen).
 Each case stores its stdout bytes (`<name>.out`) and its exit code
@@ -31,7 +31,8 @@ import pytest
 
 from ptspec.cli import main
 from ptspec.oracle import continuum_threshold
-from ptspec.potentials import DomainKind, Family, PotentialSpec, Variant, default_domain, left_singularity
+from ptspec.families import variant_form
+from ptspec.potentials import DomainKind, Family, PotentialSpec, Variant, default_domain
 
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
@@ -113,7 +114,7 @@ _HALF, _FULL, _CELL = DomainKind.HalfLine, DomainKind.FullLine, DomainKind.Finit
 _LN2_2 = 0.34657359027997264  # ln(2)/2, the wall of sinh_q at q = 2
 _LN10_2 = 1.151292546497023  # ln(10)/2
 
-# spec, then (kind, left, right, L) of default_domain, left_singularity and
+# spec, then (kind, left, right, L) of default_domain, the wall and
 # continuum_threshold
 FAMILY_FACTS = {
     "trig-base": (dict(family=Family.TrigScarf, A=-2.0), (_CELL, 0.0, math.pi, None), 0.0, math.inf),
@@ -181,7 +182,7 @@ def test_family_facts(name):
     spec = PotentialSpec(**kw)
     d = default_domain(spec)
     assert (d.kind, d.left, d.right, d.L) == domain
-    assert left_singularity(spec) == wall
+    assert variant_form(spec).wall(spec) == wall
     assert continuum_threshold(spec) == threshold
 
 

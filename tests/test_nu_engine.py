@@ -6,15 +6,15 @@ import pytest
 
 from ptspec import nu_engine
 from ptspec.core_math import LowPoly, sqrt_principal
-from ptspec.errors import DegenerateDiscriminant, NoAdmissibleBranch, UnsupportedVariant
+from ptspec.errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleBranch, UnsupportedVariant
 from ptspec.nu_engine import (
     build_form,
     k_candidates,
-    level_equation,
     select_branch,
     solve_level,
     solve_spectrum_numeric,
     synthetic_form,
+    termination_poly,
     trace_to_dict,
     trace_to_json,
 )
@@ -175,6 +175,11 @@ class TestSelectBranch:
                 assert c.lam == c.k + c.pi.c1
 
 
+def level_equation(trace, n):
+    """F_n of the trace's accepted branch."""
+    return nu_engine._f_n(trace.tau_slope, trace.form.sigma, n, trace.lam)
+
+
 class TestLevelEquation:
     def test_n0_is_lambda(self):
         form = build_form(trig(), 4.0)
@@ -195,6 +200,78 @@ class TestLevelEquation:
             form = build_form(spec, e)
             trace = select_branch(form)
             assert abs(level_equation(trace, n)) < 1e-12
+            assert abs(np.polyval(termination_poly(spec, n), e)) < 1e-9
+
+
+# One spec per family, each given by its reduced triple in exact arithmetic:
+# (spec, sigma, tau_tilde, sigma_tilde as functions of the symbols s, E and
+# the sympy module).  Manning-Rosen at alpha = 1.3, where sigma_tilde's slope
+# in E is inexact in binary, so rounding must not raise P_n's degree above 2.
+def _exact_triples():
+    def trig_triple(s, E, sp):
+        eps, beta = E, sp.Integer(-2)
+        return 1 - s**2, -s, (eps + beta) - eps * s**2
+
+    def hyp_triple(s, E, sp):
+        q = sp.Integer(2)
+        e2, b2, g2 = E - 1, sp.Rational(5) / q, sp.Rational(1, 2) / sp.sqrt(q)
+        return s**2 - q, s, -q * e2 - g2 * s + (e2 - b2) * s**2
+
+    def mr_triple(s, E, sp):
+        q, ka2 = sp.Integer(2), sp.Rational(169, 100)
+        eps, beta, gamma = -E / ka2, -40 / ka2, 8 / ka2
+        return s - q * s**2, 1 - q * s, ((-eps - beta) + (2 * eps * q - gamma) * s + q**2 * (beta - eps) * s**2) / 4
+
+    return {
+        "trig": (trig(), trig_triple),
+        "hyperbolic": (
+            PotentialSpec(family=Family.HyperbolicScarf, V0=1.0, V1=5.0, V2=0.5, q=2.0),
+            hyp_triple,
+        ),
+        "manning-rosen": (
+            PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=2.0, alpha=1.3),
+            mr_triple,
+        ),
+    }
+
+
+class TestTerminationPoly:
+    @pytest.mark.parametrize("family", ["trig", "hyperbolic", "manning-rosen"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_matches_exact_resultant(self, family, n):
+        # P_n is the resultant in k of the radicand's s-discriminant D(k) and
+        # F_n^+ F_n^-, the product of F_n over the two signs of sqrt(Q_2)
+        sp = pytest.importorskip("sympy")
+        s, E, k = sp.symbols("s E k")
+        spec, triple = _exact_triples()[family]
+        sigma, tau_t, sigma_t = triple(s, E, sp)
+        p = (sp.diff(sigma, s) - tau_t) / 2
+        Q = sp.Poly(sp.expand(p**2 - sigma_t + k * sigma), s)
+        q0, q1, q2 = (Q.coeff_monomial(s**j) for j in range(3))
+        D = sp.expand(q1**2 - 4 * q2 * q0)
+        a = sp.sqrt(q2)
+        lam = lambda sgn: k + sp.diff(p, s) + sgn * a  # noqa: E731
+        tau1 = lambda sgn: sp.diff(tau_t + 2 * (p + sgn * a * s), s)  # noqa: E731
+        sig2 = sp.diff(sigma, s, 2) / 2
+        F = [lam(sgn) + n * tau1(sgn) + n * (n - 1) * sig2 for sgn in (1, -1)]
+        exact = sp.Poly(sp.resultant(D, sp.expand(F[0] * F[1]), k), E).all_coeffs()
+        exact = np.array([complex(sp.N(c, 30)) for c in exact])
+        got = termination_poly(spec, n)
+        assert len(got) == len(exact)
+        assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+    def test_degrees(self):
+        for family, degree in (("trig", 4), ("hyperbolic", 4), ("manning-rosen", 2)):
+            spec, _ = _exact_triples()[family]
+            assert len(termination_poly(spec, 2)) == degree + 1
+
+    def test_free_manning_rosen_is_degenerate(self):
+        # A = B = 0 (V = 0): F_0 vanishes at every energy on one branch
+        spec = PotentialSpec(family=Family.ManningRosen, A=0.0, B=0.0, q=1.0)
+        with pytest.raises(DegenerateTermination):
+            termination_poly(spec, 0)
+        with pytest.raises(DegenerateTermination):
+            solve_level(spec, 0)
 
 
 class TestSolveSpectrum:
@@ -224,16 +301,36 @@ class TestSolveSpectrum:
         for t in res.traces:
             assert t.tau_slope.real < 0
 
-    def test_manning_rosen_degenerate_ground_level(self):
-        # A = B = 0 reduces the published bracket to 0 at n = 0
-        spec = PotentialSpec(family=Family.ManningRosen, A=0.0, B=0.0, q=1.0)
-        e0, trace = solve_level(spec, 0, seed_energy=0.0)
-        assert abs(e0) < 1e-12
-        assert trace.tau_slope.real < 0
+    @pytest.mark.parametrize("A", [0.0, 0.1, -0.5])
+    def test_most_negative_tau_slope_wins(self, A):
+        # for -3/4 < A < 1/4 both roots (n + 1/2 +- sqrt(1/4 - A))^2 lie on
+        # branches with Re(tau') < 0 and integrable weights; the Dirichlet
+        # level is the one with the more negative tau' = -2 - 2 sqrt(1/4 - A)
+        res = solve_spectrum_numeric(trig(A=A), 3)
+        root = math.sqrt(0.25 - A)
+        for (n, e), t in zip(res.entries, res.traces):
+            assert abs(e - (n + 0.5 + root) ** 2) < 1e-10 * (n + 1) ** 2
+            assert abs(t.tau_slope - (-2.0 - 2.0 * root)) < 1e-10
 
-    def test_scan_lets_unexpected_errors_through(self, monkeypatch):
-        # only package errors mean "no branch at this energy"; a bug must not
-        # turn into NoAdmissibleBranch
+    def test_pipeline_reads_no_closed_form(self, monkeypatch):
+        from ptspec import spectra
+
+        specs = (
+            trig(),
+            PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=1.0),
+            PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0),
+        )
+        before = [solve_spectrum_numeric(spec, 5).entries for spec in specs]
+
+        def forbidden(spec, n_max):
+            raise AssertionError("the pipeline read the closed form")
+
+        monkeypatch.setattr(spectra, "closed_form_spectrum", forbidden)
+        assert [solve_spectrum_numeric(spec, 5).entries for spec in specs] == before
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        # only package errors mean "no branch"; a bug must not turn into
+        # NoAdmissibleBranch
         def broken(spec, energy):
             raise ZeroDivisionError("bug in build_form")
 
@@ -241,10 +338,10 @@ class TestSolveSpectrum:
         with pytest.raises(ZeroDivisionError):
             solve_level(PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0), 0)
 
-    def test_weight_checked_only_at_seed_and_trace(self, monkeypatch):
-        # the Manning-Rosen deep well needs the scan and many secant steps,
-        # yet integrability is read only for the seed's four candidates and
-        # the trace's four
+    def test_weight_checked_only_at_real_roots(self, monkeypatch):
+        # integrability is read for the four candidates at each real root of
+        # P_n (two for the Manning-Rosen deep well at n = 0), never while
+        # polishing
         calls = []
         real = nu_engine.weight_failure
 
@@ -254,22 +351,29 @@ class TestSolveSpectrum:
 
         monkeypatch.setattr(nu_engine, "weight_failure", counted)
         spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
+        assert len(np.roots(termination_poly(spec, 0))) == 2
         solve_level(spec, 0)
-        assert len(calls) == 4
-        calls.clear()
-        solve_level(spec, 1, seed_energy=100.0)
         assert len(calls) == 8
 
-    def test_trace_records_seed_and_branch(self):
-        _, trace = solve_level(trig(), 1, seed_energy=9.0)
-        assert trace.notes["n"] == 1
-        assert trace.notes["seed"] == 9.0
+    def test_trace_records_level_and_branch(self):
+        _, trace = solve_level(trig(), 1)
+        assert set(trace.notes) == {"n", "energy"}
+        assert trace.notes["n"] == 1 and abs(trace.notes["energy"] - 9.0) < 1e-12
         assert len(trace.candidates) == 4
+        assert all(c.weight_integrable is not None for c in trace.candidates)
+
+    def test_no_admissible_root_lists_rejected_branches(self):
+        # fig4 (Manning-Rosen, q = -4) at n = 0: no real root of P_0 lies on
+        # a branch with Re(tau') < 0
+        spec = PotentialSpec(family=Family.ManningRosen, A=10.0, B=1.0, q=-4.0)
+        with pytest.raises(NoAdmissibleBranch) as err:
+            solve_level(spec, 0)
+        assert all(not c.admissible for c in err.value.candidates)
 
 
 class TestTraceSerialization:
     def test_fixed_field_names(self):
-        _, trace = solve_level(trig(), 0, seed_energy=4.0)
+        _, trace = solve_level(trig(), 0)
         d = trace_to_dict(trace)
         for key in (
             "sigma",
@@ -289,10 +393,10 @@ class TestTraceSerialization:
         json.loads(trace_to_json(trace))
 
     def test_lambda_n_equals_lambda_at_root(self):
-        _, trace = solve_level(trig(), 2, seed_energy=16.0)
+        _, trace = solve_level(trig(), 2)
         assert abs(trace.lam - trace.lambda_n) < 1e-10
 
     def test_hyperbolic_aux_present(self):
         spec = PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=5.0, V2=0.0, q=1.0)
-        _, trace = solve_level(spec, 0, seed_energy=1.7912878474779195)
+        _, trace = solve_level(spec, 0)
         assert set(trace.aux) == {"zeta1", "zeta2", "mu"}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ptspec.core_math import cosh_q, sinh_q
 from ptspec.errors import SingularityError, UnsupportedTransform
+from ptspec.families import variant_form
 from ptspec.potentials import (
     DomainKind,
     Family,
@@ -16,7 +17,6 @@ from ptspec.potentials import (
     default_domain,
     evaluate,
     evaluate_grid,
-    left_singularity,
     pt_symmetry_check,
 )
 
@@ -56,7 +56,7 @@ class TestEvaluateBase:
         xs = np.linspace(-3, 3, 101)
         vals = evaluate(spec, xs)
         assert np.all(np.isfinite(vals.real))
-        assert left_singularity(spec) is None
+        assert variant_form(spec).wall(spec) is None
 
     def test_trig_pole(self):
         spec = mk(Family.TrigScarf, A=-2.0)
@@ -68,7 +68,7 @@ class TestEvaluateBase:
         x_pole = math.log(2.0) / 2.0
         with pytest.raises(SingularityError):
             evaluate(spec, x_pole)
-        assert abs(left_singularity(spec) - x_pole) < 1e-15
+        assert abs(variant_form(spec).wall(spec) - x_pole) < 1e-15
 
 
 class TestVariantForms:

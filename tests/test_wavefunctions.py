@@ -16,8 +16,11 @@ def trig(A=-2.0):
     return PotentialSpec(family=Family.TrigScarf, A=A)
 
 
-def solved(spec, n, seed):
-    e, trace = solve_level(spec, n, seed_energy=seed)
+def solved(spec, n, energy):
+    """The pipeline's level n, which must be the expected energy, and its
+    eigenfunction."""
+    e, trace = solve_level(spec, n)
+    assert abs(e - energy) < 1e-10 * (1 + abs(energy))
     return e, assemble(spec, trace, n)
 
 
@@ -48,7 +51,7 @@ class TestAssembleTrig:
     def test_phi_consistency_with_pi_over_sigma(self):
         # d(ln phi)/ds - pi/sigma = 0 pointwise on the sampled s-range
         spec = trig()
-        _, trace = solve_level(spec, 0, seed_energy=4.0)
+        _, trace = solve_level(spec, 0)
         wf = assemble(spec, trace, 0)
         ss = np.linspace(-0.9, 0.9, 41)
         h = 1e-6
@@ -95,10 +98,10 @@ class TestNormalization:
 
 
 class TestNodes:
-    @pytest.mark.parametrize("n,seed", [(0, 4.0), (1, 9.0), (2, 16.0), (3, 25.0), (4, 36.0)])
-    def test_node_theorem(self, n, seed):
+    @pytest.mark.parametrize("n,energy", [(0, 4.0), (1, 9.0), (2, 16.0), (3, 25.0), (4, 36.0)])
+    def test_node_theorem(self, n, energy):
         spec = trig()
-        _, wf = solved(spec, n, seed)
+        _, wf = solved(spec, n, energy)
         assert node_count(wf, default_domain(spec)) == n
 
     def test_center_node_for_n1(self):
