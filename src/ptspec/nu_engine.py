@@ -300,8 +300,10 @@ def _add(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     np.polyadd would drop leading zeros, and with them the alignment of the
     two passes of _resultant."""
     u, v = np.atleast_1d(u), np.atleast_1d(v)
-    size = max(len(u), len(v))
-    return np.pad(u, (size - len(u), 0)) + np.pad(v, (size - len(v), 0))
+    if len(u) < len(v):
+        u, v = v, u
+    cut = len(u) - len(v)
+    return np.concatenate((u[:cut], u[cut:] + v))
 
 
 def _resultant(s, b, c, m, sign):

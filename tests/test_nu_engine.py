@@ -363,12 +363,13 @@ class TestSolveSpectrum:
         assert all(c.weight_integrable is not None for c in trace.candidates)
 
     def test_no_admissible_root_lists_rejected_branches(self):
-        # fig4 (Manning-Rosen, q = -4) at n = 0: no real root of P_0 lies on
-        # a branch with Re(tau') < 0
-        spec = PotentialSpec(family=Family.ManningRosen, A=10.0, B=1.0, q=-4.0)
+        # Manning-Rosen A=-40, B=2 at n = 6: both real roots of P_6 lie on
+        # branches with Re(tau') > 0
+        spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
         with pytest.raises(NoAdmissibleBranch) as err:
-            solve_level(spec, 0)
-        assert all(not c.admissible for c in err.value.candidates)
+            solve_level(spec, 6)
+        assert len(err.value.candidates) == 2
+        assert all(not c.admissible and c.rejection for c in err.value.candidates)
 
 
 class TestTraceSerialization:
