@@ -381,8 +381,8 @@ def _mr_nonpt_levels(spec: PotentialSpec, n_max: int):
 
 
 def _mr_s_interval(q: float):
-    if q > 0:
-        return (0.0, min(1.0, 1.0 / q), False)
+    if q > 0:  # s = e^{-2 alpha x} runs from 1/q at the wall sinh_q = 0 to 0
+        return (0.0, 1.0 / q, False)
     return (0.0, None, True)
 
 

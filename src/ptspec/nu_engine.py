@@ -42,7 +42,7 @@ from .errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleB
 from .families import FAMILIES, Family, ReducedParams, Variant
 from .potentials import PotentialSpec
 
-_F_TOL = 1e-12
+_F_TOL = 1e-12  # a root's F_n residual (_f_residual) at most this
 _COEFF_TOL = 1e-10  # a coefficient of P_n this small against its terms is rounding
 _POLISH_STEPS = 4  # forms built per root of P_n while polishing, at most
 _POLISH_REACH = 1e-6  # a polishing step longer than this, relative to 1 + |E|, leaves the root
@@ -295,6 +295,13 @@ def _f_n(tau_slope: complex, sigma: LowPoly, n: int, lam: complex | None = None)
     return head + 0.5 * n * (n - 1) * (2.0 * sigma.c2)
 
 
+def _f_residual(c: BranchCandidate, sigma: LowPoly, n: int) -> float:
+    """|F_n| of a candidate relative to 1 + the magnitudes of its terms
+    (k, pi', n tau' and n(n-1) sigma''/2), whose rounding it carries."""
+    size = abs(c.k) + abs(c.pi.c1) + n * abs(c.tau_slope) + n * (n - 1) * abs(sigma.c2)
+    return abs(_f_n(c.tau_slope, sigma, n, c.lam)) / (1.0 + size)
+
+
 def _add(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sum of two coefficient arrays (or scalars), highest power first;
     np.polyadd would drop leading zeros, and with them the alignment of the
@@ -359,26 +366,26 @@ def _polished(spec: PotentialSpec, n: int, dpoly: np.ndarray, e: float):
 
     P_n is evaluated as a_k^2 times the product of the four F_n, which is
     exact to rounding where one of them vanishes, so each step is Newton's
-    on that factor.  Steps go on while they shrink min |F_n|.  Returns
-    (e, form, k pair, candidates, F_n values) at the best point, or None
-    when min |F_n| stays above _F_TOL: a split double root, where F_n is as
-    large as the square root of a rounding error.
+    on that factor.  Steps go on while they shrink the least F_n residual
+    (_f_residual).  Returns (e, form, k pair, candidates, residuals) at the
+    best point, or None when no residual reaches _F_TOL: a split double
+    root, where F_n is as large as the square root of a rounding error.
     """
-    best, best_f = None, np.inf
+    best, best_r = None, np.inf
     for _ in range(_POLISH_STEPS):
         form, ks, cands = branches(spec, e)
-        fs = [_f_n(c.tau_slope, form.sigma, n, c.lam) for c in cands]
-        f = min(map(abs, fs))
-        if f >= best_f:
+        rs = [_f_residual(c, form.sigma, n) for c in cands]
+        if min(rs) >= best_r:
             break
-        best, best_f = (e, form, ks, cands, fs), f
+        best, best_r = (e, form, ks, cands, rs), min(rs)
+        fs = [_f_n(c.tau_slope, form.sigma, n, c.lam) for c in cands]
         s0, s1, s2 = form.sigma.coeffs()
         slope = np.polyval(dpoly, e)
         step = ((s1 * s1 - 4.0 * s2 * s0) ** 2 * np.prod(fs) / slope).real if slope != 0 else np.inf
         if not abs(step) <= _POLISH_REACH * (1.0 + abs(e)):
             break
         e -= step
-    return best if best_f <= _F_TOL else None
+    return best if best_r <= _F_TOL else None
 
 
 def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
@@ -386,8 +393,8 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
     (termination_poly).
 
     Each real root is polished on the branch where F_n vanishes; every
-    branch with |F_n| <= _F_TOL there is a candidate, and the admissible one
-    that ranks first (_rank) is the level.  Raises NoAdmissibleBranch when
+    branch whose F_n residual is at most _F_TOL there is a candidate, and
+    the admissible one that ranks first (_rank) is the level.  Raises NoAdmissibleBranch when
     no real root lies on an admissible branch.
     """
     poly = termination_poly(spec, n)
@@ -399,9 +406,9 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
         at = _polished(spec, n, dpoly, float(root.real))
         if at is None:
             continue
-        e, form, ks, cands, fs = at
+        e, form, ks, cands, rs = at
         cands = _weigh(form, cands)
-        found += [(e, form, ks, cands, c) for c, f in zip(cands, fs) if abs(f) <= _F_TOL]
+        found += [(e, form, ks, cands, c) for c, r in zip(cands, rs) if r <= _F_TOL]
     admissible = [t for t in found if t[-1].admissible]
     if not admissible:
         why = f"no real root of P_{n} lies on a branch with Re(tau') < 0"

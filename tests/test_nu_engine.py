@@ -52,6 +52,9 @@ class TestBuildForm:
         assert build_form(hyp, 1.0).s_interval == (2.0, None, True)
         mr = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=2.0)
         assert build_form(mr, -1.0).s_interval == (0.0, 0.5, False)
+        # below q = 1 the wall sinh_q = 0 maps to s = 1/q > 1
+        mr = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=0.5)
+        assert build_form(mr, -1.0).s_interval == (0.0, 2.0, False)
         assert build_form(trig(), 4.0).s_interval == (-1.0, 1.0, False)
         raw = synthetic_form(LowPoly(1, 0, 0), LowPoly(0, 1, 0), LowPoly(0, 0, 0))
         assert raw.s_interval == (-1.0, 1.0, False)
@@ -306,11 +309,36 @@ class TestSolveSpectrum:
         # for -3/4 < A < 1/4 both roots (n + 1/2 +- sqrt(1/4 - A))^2 lie on
         # branches with Re(tau') < 0 and integrable weights; the Dirichlet
         # level is the one with the more negative tau' = -2 - 2 sqrt(1/4 - A)
-        res = solve_spectrum_numeric(trig(A=A), 3)
+        # (at A = 0.1, n = 5 its |F_5| cannot go below 2e-11: rounding of
+        # terms near 35, which the residual of _f_residual allows for)
+        res = solve_spectrum_numeric(trig(A=A), 5)
         root = math.sqrt(0.25 - A)
         for (n, e), t in zip(res.entries, res.traces):
             assert abs(e - (n + 0.5 + root) ** 2) < 1e-10 * (n + 1) ** 2
             assert abs(t.tau_slope - (-2.0 - 2.0 * root)) < 1e-10
+
+    def test_manning_rosen_below_q_one_screens_weight_up_to_the_wall(self):
+        # q = 1/2: s = e^{-2 alpha x} runs from 1/q = 2 at the wall to 0.  The
+        # levels are -(L^2/4 + beta^2/L^2) with L = sqrt(1 + gamma/q) + 2n + 1
+        # = 2n + 4 (the grid oracle agrees to 2e-5); with the weight screened
+        # on s in (0, 1) only, a root at -17135 won n = 1
+        spec = PotentialSpec(family=Family.ManningRosen, A=-100.0, B=1.0, q=0.5)
+        for n, e in solve_spectrum_numeric(spec, 4).entries:
+            L = 2.0 * n + 4.0
+            ref = -(L * L / 4.0 + 1e4 / (L * L))
+            assert abs(e - ref) < 1e-10 * abs(ref)
+
+    def test_deep_well_root_passes_at_its_rounding_level(self):
+        # E_0 = -947.5 with tau' = -108: the terms of F_0 round to |F_0| of
+        # 1e-12 to 3e-12 at every polished energy, so an absolute 1e-12 test
+        # refused the ground level
+        spec = PotentialSpec(family=Family.ManningRosen, A=-145.5, B=9.16, q=2.37, alpha=0.74)
+        ka2 = 0.74**2
+        beta, gamma = -145.5 / ka2, 4 * 9.16 / ka2
+        for n, e in solve_spectrum_numeric(spec, 3).entries:
+            L = math.sqrt(1 + gamma / 2.37) + 2 * n + 1
+            ref = -ka2 * (L * L / 4 + beta * beta / (L * L))
+            assert abs(e - ref) < 1e-10 * abs(ref)
 
     def test_pipeline_reads_no_closed_form(self, monkeypatch):
         from ptspec import spectra
