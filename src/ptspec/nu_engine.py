@@ -394,8 +394,8 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
 
     Each real root is polished on the branch where F_n vanishes; every
     branch whose F_n residual is at most _F_TOL there is a candidate, and
-    the admissible one that ranks first (_rank) is the level.  Raises NoAdmissibleBranch when
-    no real root lies on an admissible branch.
+    the admissible one that ranks first (_rank) is the level.  Raises
+    NoAdmissibleBranch when no real root lies on an admissible branch.
     """
     poly = termination_poly(spec, n)
     dpoly = np.polyder(poly)
