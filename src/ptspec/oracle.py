@@ -3,11 +3,14 @@ discretization of -kappa d^2/dx^2 + V(x) with Dirichlet walls, eigensolve
 of the resulting (possibly complex symmetric) tridiagonal matrix, and level
 matching against closed-form spectra.
 
-A real symmetric grid is solved on its tridiagonal as it is, by LAPACK
-`dsterf` (all N eigenvalues, O(N^2) time, O(N) memory).  A complex symmetric
-grid goes through the dense general solver: complex symmetric tridiagonal
-eigenproblems lack the guarantees of the Hermitian case, and the dense
-solve plus residual certification is simple to trust at N <= 6000.
+Every grid is solved on its tridiagonal, with no N x N matrix and no size
+cap: all N eigenvalues in O(N^2) time and O(N) memory.  A real symmetric
+grid goes to LAPACK `dsterf`.  A complex symmetric grid goes to the
+Ehrlich-Aberth iteration of Bini, Gemignani & Tisseur (SIAM J. Matrix Anal.
+Appl. 27 (2005) 153-175), which takes its Newton ratios from the three-term
+recurrence.  Complex symmetric tridiagonal eigenproblems lack the guarantees
+of the Hermitian case, so every eigenvalue of a complex grid is certified by
+an inverse-iteration residual; a real grid certifies a random sample.
 """
 
 from __future__ import annotations
@@ -23,8 +26,13 @@ from .errors import QRNotConverged, SingularityError
 from .families import variant_form
 from .potentials import DomainSpec, PotentialSpec, evaluate
 
-_DENSE_BUDGET = 6000  # complex grids only
 _RESIDUAL_BOUND = 1e-8
+# Ehrlich-Aberth sweeps before a complex grid is refused; the oracle's grids
+# converge in under 60.
+_ABERTH_SWEEPS = 200
+# Complex numbers per block of the Aberth sum and of certification, so that
+# memory stays O(N) however many eigenvalues a sweep or a check takes.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,18 +55,11 @@ class GridHamiltonian:
         return self.domain.left + self.h * np.arange(1, self.N + 1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """H v, for one vector or for each row of a stack of them."""
         out = self.diagonal * v
-        out[:-1] += self.offdiagonal * v[1:]
-        out[1:] += self.offdiagonal * v[:-1]
+        out[..., :-1] += self.offdiagonal * v[..., 1:]
+        out[..., 1:] += self.offdiagonal * v[..., :-1]
         return out
-
-    def dense(self) -> np.ndarray:
-        """The complex N x N matrix, for the dense general eigensolver."""
-        m = np.zeros((self.N, self.N), dtype=complex)
-        np.fill_diagonal(m, self.diagonal)
-        np.fill_diagonal(m[1:], self.offdiagonal)
-        np.fill_diagonal(m[:, 1:], self.offdiagonal)
-        return m
 
 
 def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltonian:
@@ -80,60 +81,115 @@ def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltoni
     return GridHamiltonian(domain=domain, N=N, h=h, diagonal=diag, offdiagonal=-kappa / h**2, kappa=kappa)
 
 
-def _certify(H: GridHamiltonian, eigs: np.ndarray, count: int = 5, seed: int = 7) -> float:
-    """Inverse-iteration residual check on randomly selected eigenvalues.
+def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:
+    """Inverse-iteration residual check: every eigenvalue of a complex grid,
+    five random ones of a real grid.
 
-    Returns the worst ||Hv - lambda v||/||v|| over the sample; raises
-    QRNotConverged if it exceeds the contract bound relative to ||H||_max.
+    A block of shifts takes one banded solve per step: the shifted copies of
+    H sit uncoupled down the diagonal of one band.  Returns the worst
+    ||Hv - lambda v||/||v||; raises QRNotConverged if a residual exceeds the
+    contract bound relative to ||H||_max, or is not a number.
     """
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(eigs), size=min(count, len(eigs)), replace=False)
-    hmax = float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal)
-    worst = 0.0
     n = H.N
-    band = np.zeros((3, n), dtype=complex)
-    for i in idx:
-        lam = eigs[i]
-        shift = lam + 1e-10 * (1.0 + abs(lam)) * (1 + 1j)
-        band[0, 1:] = H.offdiagonal
-        band[1, :] = H.diagonal - shift
-        band[2, :-1] = H.offdiagonal
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
+    if H.is_real:
+        idx = rng.choice(len(eigs), size=min(5, len(eigs)), replace=False)
+    else:
+        idx = np.arange(len(eigs))
+    bound = _RESIDUAL_BOUND * (float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal))
+    worst = 0.0
+    per = max(1, _BLOCK // n)
+    for start in range(0, len(idx), per):
+        lam = eigs[idx[start : start + per], None]
+        m = len(lam)
+        shift = lam + 1e-10 * (1.0 + np.abs(lam)) * (1 + 1j)
+        band = np.empty((3, m * n), dtype=complex)
+        band[0] = band[2] = H.offdiagonal
+        band[0, ::n] = band[2, n - 1 :: n] = 0.0
+        band[1] = (H.diagonal - shift).ravel()
+        v = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
         for _ in range(3):
             try:
-                v = solve_banded((1, 1), band, v)
+                v = solve_banded((1, 1), band, v.ravel()).reshape(m, n)
             except np.linalg.LinAlgError:
                 break
-            v /= np.linalg.norm(v)
-        resid = float(np.linalg.norm(H.matvec(v) - lam * v))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+        resid = float(np.max(np.linalg.norm(H.matvec(v) - lam * v, axis=1)))
+        if not resid <= bound:
+            raise QRNotConverged(f"residual certification failed: {resid:.3g} > {bound:.3g}")
         worst = max(worst, resid)
-    if worst > _RESIDUAL_BOUND * hmax:
-        raise QRNotConverged(f"residual certification failed: {worst:.3g} > {_RESIDUAL_BOUND * hmax:.3g}")
     return worst
 
 
-def eigen_complex_dense(H: GridHamiltonian, certify: bool = True) -> np.ndarray:
-    """All N eigenvalues, sorted by real part.
+def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.ndarray:
+    """p(z)/p'(z) at each z, for p(z) = det(T - z) and T the tridiagonal
+    with diagonal d and squared off-diagonal b2.
 
-    Real symmetric samples go to LAPACK `dsterf` on the diagonal and the
-    off-diagonal, with no N x N matrix and no size cap.  These are the bits
-    the dense symmetric solver gives: `dsyevd` runs the `dsytrd` reduction,
-    which leaves a tridiagonal matrix as it is, then the same `dsterf`.
-    Complex ones go through the dense general (Hessenberg + shifted QR)
-    solver, for N <= _DENSE_BUDGET.  Both satisfy the inverse-iteration
-    residual contract, which is verified on a random sample of eigenvalues
-    when certify=True.
+    The LU pivots of T - z are r_k = (d_k - z) - b2/r_{k-1}, so p'/p is the
+    sum of u_k = r_k'/r_k, with r_k' = -1 + (b2/r_{k-1}) u_{k-1}.  An exactly
+    zero pivot becomes `tiny`, so that b2 = 0 gives no 0/0.
     """
-    real = H.is_real
-    if not real and H.N > _DENSE_BUDGET:
-        raise ValueError(f"N={H.N} exceeds the dense budget {_DENSE_BUDGET}")
+    r = d[0] - z
+    r[r == 0] = tiny
+    u = -1.0 / r
+    total = u.copy()
+    for dk in d[1:]:
+        t = b2 / r
+        r = (dk - t) - z
+        r[r == 0] = tiny
+        u = (t * u - 1.0) / r
+        total += u
+    return 1.0 / total
+
+
+def _aberth(d: np.ndarray, b: float) -> np.ndarray:
+    """All eigenvalues of the tridiagonal with diagonal d and constant
+    off-diagonal b, by Ehrlich-Aberth iteration.
+
+    Starts from `dsterf` on Re d, moved by i mean(Im d).  A sweep updates
+    every unconverged approximation at once; one stops when its step is at
+    most a few ulps of ||H||.  Raises QRNotConverged if any is left after
+    _ABERTH_SWEEPS sweeps.
+    """
+    n = len(d)
+    ulp = np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * abs(b))
+    lam = eigvalsh_tridiagonal(d.real, np.full(n - 1, b), lapack_driver="sterf") + 1j * np.mean(d.imag)
+    active = np.arange(n)
+    rows = max(1, _BLOCK // n)
+    for _ in range(_ABERTH_SWEEPS):
+        z = lam[active]
+        step = _newton_ratios(d, b * b, z, ulp)
+        for i in range(0, len(z), rows):
+            diff = z[i : i + rows, None] - lam
+            diff[np.arange(len(diff)), active[i : i + rows]] = np.inf  # drops the j = i term
+            w = step[i : i + rows]
+            step[i : i + rows] = w / (1.0 - w * np.sum(1.0 / diff, axis=1))
+        lam[active] = z - step
+        active = active[~(np.abs(step) <= 4.0 * ulp)]
+        if not len(active):
+            return lam
+    raise QRNotConverged(f"Ehrlich-Aberth: {len(active)} of {n} eigenvalues unconverged after {_ABERTH_SWEEPS} sweeps")
+
+
+def eigen_complex_dense(H: GridHamiltonian, certify: bool = True) -> np.ndarray:
+    """All N eigenvalues, sorted by real part, from the tridiagonal alone.
+
+    No dense matrix is built; the name is kept because the benchmark's
+    tracer wraps the oracle's eigensolve by it.  Real symmetric samples go
+    to LAPACK `dsterf`.  These are the bits the dense symmetric solver
+    gives: `dsyevd` runs the `dsytrd` reduction, which leaves a tridiagonal
+    matrix as it is, then the same `dsterf`.  Complex ones go to
+    Ehrlich-Aberth iteration, which makes no BLAS call, so its bits do not
+    depend on the BLAS thread count.  certify=True checks the
+    inverse-iteration residual contract (`_certify`).
+    """
     try:
-        if real:
+        if H.is_real:
             off = np.full(H.N - 1, H.offdiagonal)
             eigs = eigvalsh_tridiagonal(H.diagonal.real, off, lapack_driver="sterf").astype(complex)
         else:
-            eigs = np.linalg.eigvals(H.dense())
+            eigs = _aberth(H.diagonal, H.offdiagonal)
     except np.linalg.LinAlgError as err:
         raise QRNotConverged(str(err)) from err
     eigs = eigs[np.argsort(eigs.real)]

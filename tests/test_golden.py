@@ -24,6 +24,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -102,6 +104,19 @@ def test_cli_output_is_golden(name):
     code, out = run_case(name)
     assert code == json.loads(EXIT_CODES.read_text())[name]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_verify_bytes_do_not_depend_on_blas_threads():
+    # the complex oracle makes no BLAS call, so a second BLAS thread must not
+    # move the last bits of a level
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptspec.cli", *CASES["verify_fig7"]], env=env, capture_output=True, timeout=300
+        )
+        assert proc.stdout == (GOLDEN / "verify_fig7.out").read_bytes(), f"OPENBLAS_NUM_THREADS={threads}"
 
 
 def test_every_golden_file_has_a_case():

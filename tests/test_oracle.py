@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from ptspec.errors import SingularityError
+from ptspec import oracle
+from ptspec.errors import QRNotConverged, SingularityError
 from ptspec.oracle import (
     ConjugationReport,
     GridHamiltonian,
@@ -15,7 +17,7 @@ from ptspec.oracle import (
     eigen_complex_dense,
     match_levels,
 )
-from ptspec.potentials import DomainKind, DomainSpec, Family, PotentialSpec, Variant, default_domain
+from ptspec.potentials import DomainKind, DomainSpec, Family, PotentialSpec, Variant, apply_variant, default_domain
 from ptspec.spectra import closed_form_spectrum
 
 
@@ -77,6 +79,13 @@ def _dense_eigvalsh(H):
     return eigs[np.argsort(eigs.real)]
 
 
+def _dense_eigvals(H):
+    """Test-local reference: the complex grid as a dense matrix, through the
+    dense general eigensolver."""
+    off = np.full(H.N - 1, H.offdiagonal)
+    return np.linalg.eigvals(np.diag(H.diagonal) + np.diag(off, 1) + np.diag(off, -1))
+
+
 # spec, L of default_domain, N
 _REAL_GRIDS = {
     "box": (PotentialSpec(family=Family.TrigScarf, A=0.0), 12.0, 1000),
@@ -84,6 +93,24 @@ _REAL_GRIDS = {
     "hyp-blind-spot": (PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=1.0), 14.0, 800),
     "mr-deep": (PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0), 16.0, 600),
 }
+
+# the verify-complex benchmark specs (fig5-type PT and fig7-type non-PT
+# Manning-Rosen, non-PT trig Scarf), criterion 5's hyperbolic PT spec, whose
+# samples are real at q = 1, and its complex q = 2 form: spec, L of
+# default_domain
+_HYP_PT = dict(family=Family.HyperbolicScarf, variant=Variant.PT, V0=1.0, V1=1.0, V2=1.0)
+_PT_GRIDS = {
+    "mr-pt": (apply_variant(PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0), Variant.PT), 12.0),
+    "mr-nonpt": (PotentialSpec(family=Family.ManningRosen, variant=Variant.NonPT, A=1 + 1j, B=1 + 1j, q=1.0), 12.0),
+    "trig-nonpt": (PotentialSpec(family=Family.TrigScarf, variant=Variant.NonPT, A=3j, q=2.0), 12.0),
+    "hyp-pt-q1": (PotentialSpec(**_HYP_PT, q=1.0), 8.0),
+    "hyp-pt-q2": (PotentialSpec(**_HYP_PT, q=2.0), 8.0),
+}
+
+
+def _pt_grid(name, N):
+    spec, L = _PT_GRIDS[name]
+    return discretize(spec, default_domain(spec, L=L), N)
 
 
 class TestEigenSolver:
@@ -152,10 +179,41 @@ class TestEigenSolver:
         assert len(eigs) == 6001
         assert np.max(np.abs(eigs[:3].real - [1.0, 4.0, 9.0])) < 1e-5
 
-    def test_complex_grid_keeps_the_dense_budget(self):
-        H = self._manual(np.full(6001, 2.0 + 0.5j), -1.0)
-        with pytest.raises(ValueError, match="dense budget"):
-            eigen_complex_dense(H)
+    def test_complex_grid_has_no_size_cap(self):
+        # a constant diagonal c has the shifted discrete-Laplacian spectrum
+        # c - 2 cos(j pi/(N+1)); 6001 is past the old dense budget
+        n = 6001
+        eigs = eigen_complex_dense(self._manual(np.full(n, 2.0 + 0.5j), -1.0), certify=False)
+        ref = 2.0 + 0.5j - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
+        assert np.max(np.abs(eigs - ref)) < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(_PT_GRIDS))
+    def test_grid_matches_dense_eigvals(self, name):
+        H = _pt_grid(name, 400)
+        assert H.is_real == (name == "hyp-pt-q1")
+        eigs, ref = eigen_complex_dense(H), _dense_eigvals(H)
+        rows, cols = linear_sum_assignment(np.abs(eigs[:, None] - ref[None, :]))
+        err = np.abs(eigs[rows] - ref[cols]) / np.maximum(1.0, np.abs(ref[cols]))
+        assert np.max(err) < 1e-10
+
+    def test_certification_covers_every_complex_eigenvalue(self):
+        H = _pt_grid("mr-nonpt", 200)
+        eigs = eigen_complex_dense(H, certify=False)
+        oracle._certify(H, eigs)
+        # an eigenvalue a five-element sample with the certification seed
+        # would not draw, moved 100 times the residual bound off
+        sampled = np.random.default_rng(7).choice(H.N, size=5, replace=False)
+        i = min(set(range(H.N)) - set(sampled.tolist()))
+        bound = 1e-8 * (np.max(np.abs(H.diagonal)) + 2.0 * abs(H.offdiagonal))
+        eigs[i] += 100.0 * bound
+        with pytest.raises(QRNotConverged, match="residual certification"):
+            oracle._certify(H, eigs)
+
+    def test_exhausted_sweep_budget_raises(self, monkeypatch):
+        # this grid takes 7 sweeps
+        monkeypatch.setattr(oracle, "_ABERTH_SWEEPS", 2)
+        with pytest.raises(QRNotConverged, match="unconverged after 2 sweeps"):
+            eigen_complex_dense(_pt_grid("mr-nonpt", 200), certify=False)
 
     def test_real_solve_allocates_no_dense_matrix(self):
         # a dense N=6000 float matrix alone is 288 MB
