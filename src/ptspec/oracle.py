@@ -27,8 +27,8 @@ from .families import variant_form
 from .potentials import DomainSpec, PotentialSpec, evaluate
 
 _RESIDUAL_BOUND = 1e-8
-# Ehrlich-Aberth sweeps before a complex grid is refused; the oracle's grids
-# converge in under 60.
+# Ehrlich-Aberth sweeps before a complex grid is refused; the grids of the
+# tests and the benchmark take 1 to 54.
 _ABERTH_SWEEPS = 200
 # Complex numbers per block of the Aberth sum and of certification, so that
 # memory stays O(N) however many eigenvalues a sweep or a check takes.
@@ -176,7 +176,7 @@ def eigen_complex_dense(H: GridHamiltonian, certify: bool = True) -> np.ndarray:
     """All N eigenvalues, sorted by real part, from the tridiagonal alone.
 
     No dense matrix is built; the name is kept because the benchmark's
-    tracer wraps the oracle's eigensolve by it.  Real symmetric samples go
+    tracer wraps the oracle's eigensolve by it.  Real symmetric grids go
     to LAPACK `dsterf`.  These are the bits the dense symmetric solver
     gives: `dsyevd` runs the `dsytrd` reduction, which leaves a tridiagonal
     matrix as it is, then the same `dsterf`.  Complex ones go to

@@ -99,7 +99,7 @@ _REAL_GRIDS = {
 # samples are real at q = 1, and its complex q = 2 form: spec, L of
 # default_domain
 _HYP_PT = dict(family=Family.HyperbolicScarf, variant=Variant.PT, V0=1.0, V1=1.0, V2=1.0)
-_PT_GRIDS = {
+_VARIANT_GRIDS = {
     "mr-pt": (apply_variant(PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0), Variant.PT), 12.0),
     "mr-nonpt": (PotentialSpec(family=Family.ManningRosen, variant=Variant.NonPT, A=1 + 1j, B=1 + 1j, q=1.0), 12.0),
     "trig-nonpt": (PotentialSpec(family=Family.TrigScarf, variant=Variant.NonPT, A=3j, q=2.0), 12.0),
@@ -108,8 +108,8 @@ _PT_GRIDS = {
 }
 
 
-def _pt_grid(name, N):
-    spec, L = _PT_GRIDS[name]
+def _variant_grid(name, N):
+    spec, L = _VARIANT_GRIDS[name]
     return discretize(spec, default_domain(spec, L=L), N)
 
 
@@ -173,7 +173,6 @@ class TestEigenSolver:
         assert np.array_equal(eigen_complex_dense(H), _dense_eigvalsh(H))
 
     def test_real_grid_has_no_size_cap(self):
-        # 6001 is the first size the dense budget refuses for a complex grid
         spec = PotentialSpec(family=Family.TrigScarf, A=0.0)
         eigs = eigen_complex_dense(discretize(spec, box_domain(), 6001))
         assert len(eigs) == 6001
@@ -181,15 +180,15 @@ class TestEigenSolver:
 
     def test_complex_grid_has_no_size_cap(self):
         # a constant diagonal c has the shifted discrete-Laplacian spectrum
-        # c - 2 cos(j pi/(N+1)); 6001 is past the old dense budget
+        # c - 2 cos(j pi/(N+1))
         n = 6001
         eigs = eigen_complex_dense(self._manual(np.full(n, 2.0 + 0.5j), -1.0), certify=False)
         ref = 2.0 + 0.5j - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
         assert np.max(np.abs(eigs - ref)) < 1e-13
 
-    @pytest.mark.parametrize("name", sorted(_PT_GRIDS))
+    @pytest.mark.parametrize("name", sorted(_VARIANT_GRIDS))
     def test_grid_matches_dense_eigvals(self, name):
-        H = _pt_grid(name, 400)
+        H = _variant_grid(name, 400)
         assert H.is_real == (name == "hyp-pt-q1")
         eigs, ref = eigen_complex_dense(H), _dense_eigvals(H)
         rows, cols = linear_sum_assignment(np.abs(eigs[:, None] - ref[None, :]))
@@ -197,14 +196,14 @@ class TestEigenSolver:
         assert np.max(err) < 1e-10
 
     def test_certification_covers_every_complex_eigenvalue(self):
-        H = _pt_grid("mr-nonpt", 200)
+        H = _variant_grid("mr-nonpt", 200)
         eigs = eigen_complex_dense(H, certify=False)
         oracle._certify(H, eigs)
         # an eigenvalue a five-element sample with the certification seed
         # would not draw, moved 100 times the residual bound off
         sampled = np.random.default_rng(7).choice(H.N, size=5, replace=False)
         i = min(set(range(H.N)) - set(sampled.tolist()))
-        bound = 1e-8 * (np.max(np.abs(H.diagonal)) + 2.0 * abs(H.offdiagonal))
+        bound = oracle._RESIDUAL_BOUND * (np.max(np.abs(H.diagonal)) + 2.0 * abs(H.offdiagonal))
         eigs[i] += 100.0 * bound
         with pytest.raises(QRNotConverged, match="residual certification"):
             oracle._certify(H, eigs)
@@ -213,7 +212,7 @@ class TestEigenSolver:
         # this grid takes 7 sweeps
         monkeypatch.setattr(oracle, "_ABERTH_SWEEPS", 2)
         with pytest.raises(QRNotConverged, match="unconverged after 2 sweeps"):
-            eigen_complex_dense(_pt_grid("mr-nonpt", 200), certify=False)
+            eigen_complex_dense(_variant_grid("mr-nonpt", 200), certify=False)
 
     def test_real_solve_allocates_no_dense_matrix(self):
         # a dense N=6000 float matrix alone is 288 MB
