@@ -28,11 +28,14 @@ from .potentials import DomainSpec, PotentialSpec, evaluate
 
 _RESIDUAL_BOUND = 1e-8
 # Ehrlich-Aberth sweeps before a complex grid is refused; the grids of the
-# tests and the benchmark take 1 to 54.
+# tests and the benchmark take 2 to 56.
 _ABERTH_SWEEPS = 200
-# Complex numbers per block of the Aberth sum and of certification, so that
-# memory stays O(N) however many eigenvalues a sweep or a check takes.
+# Complex numbers per block of the Aberth sweeps and of certification, so
+# that memory stays O(N) however many eigenvalues a sweep or a check takes.
+# Certification carries several such arrays per block, so its blocks are a
+# quarter of the size, which keeps them in cache.
 _BLOCK = 1 << 16
+_CERTIFY_BLOCK = _BLOCK >> 2
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,11 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:
     five random ones of a real grid.
 
     A block of shifts takes one banded solve per step: the shifted copies of
-    H sit uncoupled down the diagonal of one band.  Returns the worst
-    ||Hv - lambda v||/||v||; raises QRNotConverged if a residual exceeds the
-    contract bound relative to ||H||_max, or is not a number.
+    H sit uncoupled down the diagonal of one band.  Three steps run from a
+    seeded random start without renormalizing, and ||Hv - lambda v||/||v||
+    is taken once, on the last v.  Returns the worst such residual; raises
+    QRNotConverged if one exceeds the contract bound relative to ||H||_max,
+    or is not a number.
     """
     rng = np.random.default_rng(seed)
     n = H.N
@@ -98,37 +103,37 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:
         idx = np.arange(len(eigs))
     bound = _RESIDUAL_BOUND * (float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal))
     worst = 0.0
-    per = max(1, _BLOCK // n)
+    per = max(1, min(len(idx), _CERTIFY_BLOCK // n))
+    band = np.empty((3, per * n), dtype=complex)
+    band[0] = band[2] = H.offdiagonal
+    band[0, ::n] = band[2, n - 1 :: n] = 0.0
     for start in range(0, len(idx), per):
         lam = eigs[idx[start : start + per], None]
         m = len(lam)
         shift = lam + 1e-10 * (1.0 + np.abs(lam)) * (1 + 1j)
-        band = np.empty((3, m * n), dtype=complex)
-        band[0] = band[2] = H.offdiagonal
-        band[0, ::n] = band[2, n - 1 :: n] = 0.0
-        band[1] = (H.diagonal - shift).ravel()
-        v = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        band[1, : m * n] = (H.diagonal - shift).ravel()
+        v = rng.random(2 * m * n).view(complex)
         for _ in range(3):
             try:
-                v = solve_banded((1, 1), band, v.ravel()).reshape(m, n)
+                v = solve_banded((1, 1), band[:, : m * n], v, overwrite_b=True, check_finite=False)
             except np.linalg.LinAlgError:
                 break
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-        resid = float(np.max(np.linalg.norm(H.matvec(v) - lam * v, axis=1)))
+        v = v.reshape(m, n)
+        resid = float(np.max(np.linalg.norm(H.matvec(v) - lam * v, axis=1) / np.linalg.norm(v, axis=1)))
         if not resid <= bound:
             raise QRNotConverged(f"residual certification failed: {resid:.3g} > {bound:.3g}")
         worst = max(worst, resid)
     return worst
 
 
-def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.ndarray:
-    """p(z)/p'(z) at each z, for p(z) = det(T - z) and T the tridiagonal
-    with diagonal d and squared off-diagonal b2.
+def _recurrence_log_derivative(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.ndarray:
+    """p'(z)/p(z) at each z, for p(z) = det(T - z) and T the tridiagonal
+    with diagonal d and squared off-diagonal b2, by the three-term recurrence.
 
     The LU pivots of T - z are r_k = (d_k - z) - b2/r_{k-1}, so p'/p is the
     sum of u_k = r_k'/r_k, with r_k' = -1 + (b2/r_{k-1}) u_{k-1}.  An exactly
-    zero pivot becomes `tiny`, so that b2 = 0 gives no 0/0.
+    zero pivot becomes `tiny`, so that b2 = 0 gives no 0/0.  One step per
+    row, each over all of z.
     """
     r = d[0] - z
     r[r == 0] = tiny
@@ -140,7 +145,62 @@ def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.n
         r[r == 0] = tiny
         u = (t * u - 1.0) / r
         total += u
-    return 1.0 / total
+    return total
+
+
+def _reduction_log_derivative(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.ndarray:
+    """p'(z)/p(z) as `_recurrence_log_derivative`, by odd-even cyclic
+    reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
+    627-656): log2 N steps, each over all rows and all of z.
+
+    A step eliminates the odd rows of T - z.  Their pivots a are factors of
+    p, so a'/a joins the sum; the even rows keep a tridiagonal Schur
+    complement, with diagonal a_e - c_l/a_l - c_r/a_r and squared
+    off-diagonal c_l c_r / a^2.  Each value carries its z-derivative.  An
+    exactly zero pivot becomes `tiny`, as in the recurrence.
+    """
+    a = d - z[:, None]
+    a[a == 0] = tiny
+    da = np.full(a.shape, -1.0 + 0j)
+    c = np.full((len(z), len(d) - 1), b2, dtype=complex)
+    dc = np.zeros_like(c)
+    total = np.zeros(len(z), dtype=complex)
+    while a.shape[1] > 1:
+        m = a.shape[1]
+        ao, dao = a[:, 1::2], da[:, 1::2]
+        total += np.sum(dao / ao, axis=1)
+        tl = c[:, ::2] / ao
+        dtl = (dc[:, ::2] - tl * dao) / ao
+        r = (m - 1) // 2  # eliminated rows with a right neighbour
+        tr = c[:, 1::2] / ao[:, :r]
+        dtr = (dc[:, 1::2] - tr * dao[:, :r]) / ao[:, :r]
+        a, da = a[:, ::2].copy(), da[:, ::2].copy()
+        a[:, : m // 2] -= tl
+        da[:, : m // 2] -= dtl
+        a[:, 1 : r + 1] -= tr
+        da[:, 1 : r + 1] -= dtr
+        a[a == 0] = tiny
+        c = tl[:, :r] * tr
+        dc = dtl[:, :r] * tr + tl[:, :r] * dtr
+    return total + da[:, 0] / a[:, 0]
+
+
+def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.ndarray:
+    """p(z)/p'(z) at each z, for p(z) = det(T - z) and T the tridiagonal
+    with diagonal d and squared off-diagonal b2.
+
+    The recurrence costs N Python steps however few z there are; the
+    reduction costs log2 N steps but 3-5 times the arithmetic.  So a sweep
+    with fewer than N/8 roots left takes the reduction, in blocks of
+    _BLOCK // N roots so that memory stays O(_BLOCK).
+    """
+    n = len(d)
+    if 8 * len(z) >= n:
+        return 1.0 / _recurrence_log_derivative(d, b2, z, tiny)
+    rows = max(1, _BLOCK // n)
+    return 1.0 / np.concatenate(
+        [_reduction_log_derivative(d, b2, z[i : i + rows], tiny) for i in range(0, len(z), rows)]
+    )
 
 
 def _aberth(d: np.ndarray, b: float) -> np.ndarray:
@@ -221,25 +281,23 @@ def conjugation_pair_check(eigs, tol: float) -> ConjugationReport:
     real_count = int(np.sum(real_mask))
     rest = eigs[~real_mask]
     ups = sorted((z for z in rest if z.imag > 0), key=lambda z: (z.real, z.imag))
-    downs = list(z for z in rest if z.imag < 0)
-    used = [False] * len(downs)
+    mirrors = rest[rest.imag < 0].conj()
+    used = np.zeros(len(mirrors), dtype=bool)
     pair_count = 0
     max_defect = 0.0
     for u in ups:
-        best_j, best_d = -1, math.inf
-        for j, d in enumerate(downs):
-            if used[j]:
-                continue
-            dist = abs(u - d.conjugate())
-            if dist < best_d:
-                best_j, best_d = j, dist
-        if best_j >= 0 and best_d <= tol * scale:
-            used[best_j] = True
+        # the nearest unused mirror, the first on ties; NaN never wins.
+        # hypot rounds as abs() of a Python complex does; np.abs may not
+        diff = u - mirrors
+        dist = np.hypot(diff.real, diff.imag)
+        dist[used | np.isnan(dist)] = math.inf
+        j = int(np.argmin(dist)) if len(dist) else -1
+        best_d = float(dist[j]) if j >= 0 else math.inf
+        if best_d < math.inf and best_d <= tol * scale:
+            used[j] = True
             pair_count += 1
-            max_defect = max(max_defect, best_d)
-        else:
-            max_defect = max(max_defect, best_d if best_j >= 0 else math.inf)
-    unpaired = (len(ups) - pair_count) + (len(downs) - pair_count)
+        max_defect = max(max_defect, best_d)
+    unpaired = (len(ups) - pair_count) + (len(mirrors) - pair_count)
     return ConjugationReport(
         real_count=real_count,
         pair_count=pair_count,

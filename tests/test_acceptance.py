@@ -284,13 +284,16 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_pt_spectral_signature(self):
-        spec = PotentialSpec(family=Family.HyperbolicScarf, variant=Variant.PT, V0=1.0, V1=1.0, V2=1.0, q=1.0)
+        # at q = 1 this form is real on the grid, so its spectrum would be
+        # closed under conjugation whatever the symmetry; at q = 2 it is not
+        spec = PotentialSpec(family=Family.HyperbolicScarf, variant=Variant.PT, V0=1.0, V1=1.0, V2=1.0, q=2.0)
         rep = pt_symmetry_check(spec, np.linspace(-2, 2, 101), tol=1e-12)
         assert rep.verdict
-        dom = default_domain(spec, L=8.0)
-        eigs = oracle.eigen_complex_dense(oracle.discretize(spec, dom, 1600))
-        conj = oracle.conjugation_pair_check(eigs, tol=1e-8)
+        H = oracle.discretize(spec, default_domain(spec, L=8.0), 1600)
+        assert not H.is_real
+        conj = oracle.conjugation_pair_check(oracle.eigen_complex_dense(H), tol=1e-8)
         assert conj.closed
+        assert conj.pair_count >= 1
         _report(
             "5 PT spectral signature",
             True,

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import linear_sum_assignment
 
 from ptspec import oracle
@@ -208,6 +209,17 @@ class TestEigenSolver:
         with pytest.raises(QRNotConverged, match="residual certification"):
             oracle._certify(H, eigs)
 
+    def test_complex_solve_allocates_no_dense_matrix(self):
+        # a dense N=6000 complex matrix alone is 576 MB
+        H = self._manual(np.full(6000, 2.0 + 0.5j), -1.0)
+        tracemalloc.start()
+        try:
+            eigen_complex_dense(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     def test_exhausted_sweep_budget_raises(self, monkeypatch):
         # this grid takes 7 sweeps
         monkeypatch.setattr(oracle, "_ABERTH_SWEEPS", 2)
@@ -226,7 +238,115 @@ class TestEigenSolver:
         assert peak < 50e6
 
 
+def _log_derivatives(d, b2, z, tiny):
+    """p'/p by both evaluation orders, each on its own copy of z."""
+    return (
+        oracle._recurrence_log_derivative(d, b2, z.copy(), tiny),
+        oracle._reduction_log_derivative(d, b2, z.copy(), tiny),
+    )
+
+
+class TestNewtonRatios:
+    @pytest.mark.parametrize("n", [50, 51, 400, 401])
+    @pytest.mark.parametrize("b2", [0.7 - 0.2j, 0.0])
+    def test_orders_agree_on_random_tridiagonals(self, n, b2):
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        rec, red = _log_derivatives(d, b2, z, 1e-13)
+        assert np.max(np.abs(rec - red) / np.abs(rec)) < 1e-12
+
+    @pytest.mark.parametrize("n", [50, 51])
+    def test_orders_agree_on_a_zero_pivot(self, n):
+        # with b = 0 both orders meet the zero pivot d_k - z in the same row
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = d[[0, 1, n // 2, n - 1]]
+        rec, red = _log_derivatives(d, 0.0, z, 1e-13)
+        assert np.all(np.isfinite(rec))
+        assert np.max(np.abs(rec - red) / np.abs(rec)) < 1e-12
+
+    @pytest.mark.parametrize("N", [400, 401])
+    @pytest.mark.parametrize("name", sorted(_VARIANT_GRIDS))
+    def test_orders_agree_on_every_variant_grid(self, name, N):
+        # at the Aberth start, on the eigenvalues and just off them, the two
+        # Newton ratios differ by rounding: a few hundred ulps of ||H|| at most
+        H = _variant_grid(name, N)
+        d, b = H.diagonal, H.offdiagonal
+        ulp = np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * abs(b))
+        eigs = eigen_complex_dense(H, certify=False)
+        start = eigvalsh_tridiagonal(d.real, np.full(N - 1, b), lapack_driver="sterf") + 1j * np.mean(d.imag)
+        for z in (start, eigs, eigs * (1.0 + 1e-6 * (1 + 1j))):
+            rec, red = _log_derivatives(d, b * b, z, ulp)
+            assert np.max(np.abs(1.0 / rec - 1.0 / red)) < 1000.0 * ulp
+
+    def test_a_sweep_picks_the_order_by_its_root_count(self, monkeypatch):
+        # fewer than N/8 roots take the reduction, in blocks of _BLOCK // N
+        calls = []
+
+        def stub(order):
+            return lambda d, b2, z, tiny: calls.append((order, len(z))) or np.ones(len(z))
+
+        monkeypatch.setattr(oracle, "_recurrence_log_derivative", stub("recurrence"))
+        monkeypatch.setattr(oracle, "_reduction_log_derivative", stub("reduction"))
+        monkeypatch.setattr(oracle, "_BLOCK", 4 * 80)
+        d, z = np.zeros(80, dtype=complex), np.zeros(10, dtype=complex)
+        assert len(oracle._newton_ratios(d, 1.0, z, 1e-13)) == 10
+        assert len(oracle._newton_ratios(d, 1.0, z[:9], 1e-13)) == 9
+        assert calls == [("recurrence", 10), ("reduction", 4), ("reduction", 4), ("reduction", 1)]
+
+
+def _conjugation_by_scan(eigs, tol):
+    """Test-local reference: the pairing as a Python scan over every lower
+    eigenvalue for each upper one, the first minimum on ties."""
+    eigs = np.asarray(eigs, dtype=complex)
+    scale = 1.0 + float(np.max(np.abs(eigs))) if len(eigs) else 1.0
+    real_mask = np.abs(eigs.imag) <= tol * scale
+    rest = eigs[~real_mask]
+    ups = sorted((z for z in rest if z.imag > 0), key=lambda z: (z.real, z.imag))
+    downs = [z for z in rest if z.imag < 0]
+    used = [False] * len(downs)
+    pair_count, max_defect = 0, 0.0
+    for u in ups:
+        best_j, best_d = -1, math.inf
+        for j, d in enumerate(downs):
+            dist = abs(u - d.conjugate())
+            if not used[j] and dist < best_d:
+                best_j, best_d = j, dist
+        if best_j >= 0 and best_d <= tol * scale:
+            used[best_j] = True
+            pair_count += 1
+            max_defect = max(max_defect, best_d)
+        else:
+            max_defect = max(max_defect, best_d if best_j >= 0 else math.inf)
+    unpaired = (len(ups) - pair_count) + (len(downs) - pair_count)
+    return ConjugationReport(
+        real_count=int(np.sum(real_mask)),
+        pair_count=pair_count,
+        unpaired=unpaired,
+        max_defect=float(max_defect),
+        closed=(unpaired == 0),
+    )
+
+
 class TestConjugationCheck:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_scan_on_random_multisets(self, seed):
+        # coarse values make exact ties and repeated eigenvalues; unequal
+        # upper and lower counts leave every candidate used
+        rng = np.random.default_rng(seed)
+        n_up, n_down, n_real = rng.integers(0, 12, size=3)
+        up = rng.integers(-3, 4, n_up) + 1j * rng.integers(1, 4, n_up)
+        down = rng.integers(-3, 4, n_down) - 1j * rng.integers(1, 4, n_down)
+        eigs = np.concatenate([up, down + rng.choice([0.0, 1e-9, 0.3], n_down), rng.integers(-3, 4, n_real)])
+        rng.shuffle(eigs)
+        for tol in (1e-12, 1e-9, 0.1):
+            assert conjugation_pair_check(eigs, tol) == _conjugation_by_scan(eigs, tol)
+
+    def test_matches_the_scan_with_nan(self):
+        eigs = [1 + 1j, complex(math.nan, -1.0), 1 - 1j, 2 + 1j, complex(2.0, math.nan)]
+        assert conjugation_pair_check(eigs, 1e-9) == _conjugation_by_scan(eigs, 1e-9)
+
     def test_all_real(self):
         rep = conjugation_pair_check([1.0, 2.0, 3.0], tol=1e-12)
         assert rep == ConjugationReport(real_count=3, pair_count=0, unpaired=0, max_defect=0.0, closed=True)
