@@ -7,10 +7,14 @@ Every grid is solved on its tridiagonal, with no N x N matrix and no size
 cap: all N eigenvalues in O(N^2) time and O(N) memory.  A real symmetric
 grid goes to LAPACK `dsterf`.  A complex symmetric grid goes to the
 Ehrlich-Aberth iteration of Bini, Gemignani & Tisseur (SIAM J. Matrix Anal.
-Appl. 27 (2005) 153-175), which takes its Newton ratios from the three-term
-recurrence.  Complex symmetric tridiagonal eigenproblems lack the guarantees
-of the Hermitian case, so every eigenvalue of a complex grid is certified by
-an inverse-iteration residual; a real grid certifies a random sample.
+Appl. 27 (2005) 153-175).  A sweep takes its Newton ratios from the
+three-term recurrence, N Python steps over all roots at once, until fewer
+than N/8 roots are left; then from odd-even cyclic reduction (Buzbee, Golub
+& Nielson, SIAM J. Numer. Anal. 7 (1970) 627-656), log2 N steps, which makes
+the slow tail of nearly multiple roots cheap.  Complex symmetric tridiagonal
+eigenproblems lack the guarantees of the Hermitian case, so every
+eigenvalue of a complex grid is certified by an inverse-iteration residual;
+a real grid certifies a random sample.
 """
 
 from __future__ import annotations
