@@ -28,8 +28,9 @@ from ptspec.potentials import Family, PotentialSpec, default_domain
 def study_point(A, B, L, N):
     spec = PotentialSpec(family=Family.ManningRosen, A=A, B=B, q=1.0)
     dom = default_domain(spec, L=L)
-    eigs = oracle.eigen_complex_dense(oracle.discretize(spec, dom, N))
     thr = oracle.continuum_threshold(spec)
+    # only the bound states are read: bisection for the levels below thr
+    eigs = oracle.eigen_complex_dense(oracle.discretize(spec, dom, N), lowest=0, below=thr)
     below = [float(z.real) for z in eigs if z.real < thr]
     res = spectra.closed_form_spectrum(spec, 5)
     finite = [(n, e) for n, e in res.entries if np.isfinite(e.real)]

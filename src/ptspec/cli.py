@@ -201,7 +201,10 @@ def cmd_verify(args) -> int:
     eigs = study.eigs_finest
     thr = oracle.continuum_threshold(spec)
     match = oracle.match_levels(res.entries, eigs, thr)
-    conj = oracle.conjugation_pair_check(eigs, tol=1e-8)
+    if study.finest_is_real:
+        conj = oracle.ConjugationReport.real(args.N)
+    else:
+        conj = oracle.conjugation_pair_check(eigs, tol=1e-8)
     failures = []
     err_by_level = [lv.err_estimate for lv in study.levels]
     for i, (n, e_f, lam, rel) in enumerate(match.pairs):

@@ -4,17 +4,23 @@ of the resulting (possibly complex symmetric) tridiagonal matrix, and level
 matching against closed-form spectra.
 
 Every grid is solved on its tridiagonal, with no N x N matrix and no size
-cap: all N eigenvalues in O(N^2) time and O(N) memory.  A real symmetric
-grid goes to LAPACK `dsterf`.  A complex symmetric grid goes to the
-Ehrlich-Aberth iteration of Bini, Gemignani & Tisseur (SIAM J. Matrix Anal.
-Appl. 27 (2005) 153-175).  A sweep takes its Newton ratios from the
+cap, in O(N) memory.  A real symmetric grid is solved only for the
+eigenvalues its caller reads: the convergence study asks each coarse grid
+for its lowest levels, and the finest grid for every eigenvalue below the
+continuum threshold.  Those come from Sturm-sequence bisection (Barth,
+Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK `dstebz`), k
+eigenvalues in O(N k).  Where every eigenvalue is wanted, as on the finest
+grid of a form with no threshold, LAPACK `dsterf` gives all N in O(N^2).
+A complex symmetric grid is always solved whole, by the Ehrlich-Aberth
+iteration of Bini, Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27
+(2005) 153-175).  A sweep takes its Newton ratios from the
 three-term recurrence, N Python steps over all roots at once, until fewer
 than N/8 roots are left; then from odd-even cyclic reduction (Buzbee, Golub
 & Nielson, SIAM J. Numer. Anal. 7 (1970) 627-656), log2 N steps, which makes
 the slow tail of nearly multiple roots cheap.  Complex symmetric tridiagonal
 eigenproblems lack the guarantees of the Hermitian case, so every
 eigenvalue of a complex grid is certified by an inverse-iteration residual;
-a real grid certifies a random sample.
+a real grid certifies five of the eigenvalues it returns, drawn at random.
 """
 
 from __future__ import annotations
@@ -236,22 +242,46 @@ def _aberth(d: np.ndarray, b: float) -> np.ndarray:
     raise QRNotConverged(f"Ehrlich-Aberth: {len(active)} of {n} eigenvalues unconverged after {_ABERTH_SWEEPS} sweeps")
 
 
-def eigen_complex_dense(H: GridHamiltonian, certify: bool = True) -> np.ndarray:
-    """All N eigenvalues, sorted by real part, from the tridiagonal alone.
+def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float) -> np.ndarray:
+    """Ascending eigenvalues of the real tridiagonal with diagonal d and
+    constant off-diagonal b: all of them if lowest is None, else the lowest
+    `lowest` and every one below `below`, whichever are more.
+
+    All N come from `dsterf`.  A window comes from `dstebz` bisection:
+    first by value up to `below`, then, if that gave fewer than `lowest`,
+    by index.
+    """
+    off = np.full(len(d) - 1, b)
+    if lowest is None or lowest >= len(d) or below == math.inf:
+        return eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
+    eigs = np.empty(0)
+    if below > -math.inf:
+        eigs = eigvalsh_tridiagonal(d, off, select="v", select_range=(-math.inf, below), lapack_driver="stebz")
+    if len(eigs) < lowest:
+        eigs = eigvalsh_tridiagonal(d, off, select="i", select_range=(0, lowest - 1), lapack_driver="stebz")
+    return eigs
+
+
+def eigen_complex_dense(
+    H: GridHamiltonian, certify: bool = True, lowest: int | None = None, below: float = -math.inf
+) -> np.ndarray:
+    """Eigenvalues sorted by real part, from the tridiagonal alone.
 
     No dense matrix is built; the name is kept because the benchmark's
-    tracer wraps the oracle's eigensolve by it.  Real symmetric grids go
-    to LAPACK `dsterf`.  These are the bits the dense symmetric solver
-    gives: `dsyevd` runs the `dsytrd` reduction, which leaves a tridiagonal
-    matrix as it is, then the same `dsterf`.  Complex ones go to
+    tracer wraps the oracle's eigensolve by it.  A real symmetric grid
+    returns all N eigenvalues if `lowest` is None; else its lowest `lowest`
+    and every eigenvalue below `below`, whichever are more (`dstebz`
+    bisection), and all N when `below` is +inf.  All N come from LAPACK
+    `dsterf`: the bits the dense symmetric solver gives, since `dsyevd`
+    runs the `dsytrd` reduction, which leaves a tridiagonal matrix as it
+    is, then the same `dsterf`.  A complex grid always returns all N, from
     Ehrlich-Aberth iteration, which makes no BLAS call, so its bits do not
     depend on the BLAS thread count.  certify=True checks the
     inverse-iteration residual contract (`_certify`).
     """
     try:
         if H.is_real:
-            off = np.full(H.N - 1, H.offdiagonal)
-            eigs = eigvalsh_tridiagonal(H.diagonal.real, off, lapack_driver="sterf").astype(complex)
+            eigs = _real_eigenvalues(H.diagonal.real, H.offdiagonal, lowest, below).astype(complex)
         else:
             eigs = _aberth(H.diagonal, H.offdiagonal)
     except np.linalg.LinAlgError as err:
@@ -271,6 +301,13 @@ class ConjugationReport:
     unpaired: int
     max_defect: float
     closed: bool
+
+    @classmethod
+    def real(cls, n: int) -> "ConjugationReport":
+        """The report of n real eigenvalues, each its own mirror: what
+        `conjugation_pair_check` gives on a real grid's whole spectrum,
+        with no need to solve for it."""
+        return cls(real_count=n, pair_count=0, unpaired=0, max_defect=0.0, closed=True)
 
 
 def conjugation_pair_check(eigs, tol: float) -> ConjugationReport:
@@ -389,7 +426,11 @@ class ConvergenceReport:
     N_list: tuple
     h_list: tuple
     levels: tuple  # ConvergenceLevel per tracked level
-    eigs_finest: np.ndarray = field(compare=False, repr=False)  # certified, sorted by real part
+    # certified, sorted by real part: every eigenvalue below the continuum
+    # threshold, and at least the lowest n_levels; all N for a complex grid
+    # or a form with no threshold
+    eigs_finest: np.ndarray = field(compare=False, repr=False)
+    finest_is_real: bool
 
     def to_dict(self) -> dict:
         return {
@@ -414,9 +455,12 @@ def convergence_study(spec: PotentialSpec, domain: DomainSpec, N_list, n_levels:
     Per tracked level: two-grid extrapolation from the finest pair, observed
     order from the finest triple when available (expected ~2 for the central
     difference), and a flag when the extrapolation and the finest grid
-    disagree by more than 10x the finest-pair step estimate.  The finest
-    grid's eigenvalues are residual-certified and returned with the report,
-    so a caller needs no second solve of that grid.
+    disagree by more than 10x the finest-pair step estimate.  A real grid
+    is solved only for what the study reads: a coarse grid for its lowest
+    n_levels, the finest for every eigenvalue below the continuum threshold
+    and at least its lowest n_levels.  The finest grid's eigenvalues are
+    residual-certified and returned with the report, so a caller needs no
+    second solve of that grid.
     """
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 2:
@@ -424,14 +468,15 @@ def convergence_study(spec: PotentialSpec, domain: DomainSpec, N_list, n_levels:
     if len(set(N_list)) < len(N_list):
         # two equal grids make the Richardson denominator h1^2 - h2^2 zero
         raise ValueError(f"N_list repeats a grid size: {N_list}")
+    thr = continuum_threshold(spec)
     all_eigs = []
     hs = []
     for N in N_list:
         H = discretize(spec, domain, N)
-        all_eigs.append(eigen_complex_dense(H, certify=False))
+        below = thr if N == N_list[-1] else -math.inf
+        all_eigs.append(eigen_complex_dense(H, certify=False, lowest=n_levels, below=below))
         hs.append(H.h)
     _certify(H, all_eigs[-1])
-    thr = continuum_threshold(spec)
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]
     track = min(n_levels, *counts) if min(counts) > 0 else min(n_levels, len(all_eigs[0]))
     levels = []
@@ -459,5 +504,9 @@ def convergence_study(spec: PotentialSpec, domain: DomainSpec, N_list, n_levels:
             )
         )
     return ConvergenceReport(
-        N_list=tuple(N_list), h_list=tuple(hs), levels=tuple(levels), eigs_finest=all_eigs[-1]
+        N_list=tuple(N_list),
+        h_list=tuple(hs),
+        levels=tuple(levels),
+        eigs_finest=all_eigs[-1],
+        finest_is_real=H.is_real,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -244,6 +245,30 @@ class TestVerifyCommand:
         fresh = oracle.match_levels(entries, eigs, oracle.continuum_threshold(spec)).to_dict()
         assert d["match"]["pairs"]
         assert json.dumps(d["match"], sort_keys=True) == json.dumps(fresh, sort_keys=True)
+
+
+# the verify-real benchmark forms: argv, L of default_domain
+_REAL_VERIFY = {
+    "trig-scarf": (("--family", "trig-scarf", "--A", "-2"), 12.0),
+    "hyp-blind-spot": (("--family", "hyperbolic-scarf", "--V0", "0", "--V1", "4", "--V2", "-3", "--q", "1"), 14.0),
+    "fig2-pt": (("--family", "hyperbolic-scarf", "--variant", "pt", "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1"), 12.0),
+    "mr-deep": (("--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1"), 16.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_VERIFY))
+def test_real_grid_conjugation_is_that_of_the_full_spectrum(capsys, name):
+    # verify no longer solves a real grid whole; its conjugation block, built
+    # from N, must be what the scan of the full dsterf spectrum reports
+    argv, L = _REAL_VERIFY[name]
+    _, out, _ = run(capsys, "verify", *argv, "--L", str(L), "--N", "1000", "--n-max", "3")
+    d = json.loads(out)
+    spec = PotentialSpec.from_dict(d["spec"])
+    H = oracle.discretize(spec, default_domain(spec, L=L), 1000)
+    assert H.is_real
+    scan = oracle.conjugation_pair_check(oracle.eigen_complex_dense(H), tol=1e-8)
+    assert oracle.ConjugationReport.real(1000) == scan
+    assert d["conjugation"] == dataclasses.asdict(scan)
 
 
 class TestDeterminismAndRoundTrip:

@@ -107,16 +107,18 @@ def test_cli_output_is_golden(name):
 
 
 def test_verify_bytes_do_not_depend_on_blas_threads():
-    # the complex oracle makes no BLAS call, so a second BLAS thread must not
-    # move the last bits of a level
+    # neither the complex oracle nor the dstebz bisection of a finite-threshold
+    # real grid makes a BLAS call, so a second BLAS thread must not move the
+    # last bits of a level
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ptspec.cli", *CASES["verify_fig7"]], env=env, capture_output=True, timeout=300
-        )
-        assert proc.stdout == (GOLDEN / "verify_fig7.out").read_bytes(), f"OPENBLAS_NUM_THREADS={threads}"
+    for name in ("verify_fig7", "verify_mr_deep"):
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ptspec.cli", *CASES[name]], env=env, capture_output=True, timeout=300
+            )
+            assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes(), f"{name}, OPENBLAS_NUM_THREADS={threads}"
 
 
 def test_every_golden_file_has_a_case():

@@ -1,12 +1,16 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import linear_sum_assignment
 
 from ptspec import oracle
+from ptspec.cli import main
 from ptspec.errors import QRNotConverged, SingularityError
 from ptspec.oracle import (
     ConjugationReport,
@@ -236,6 +240,123 @@ class TestEigenSolver:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+
+def _norm_max(H):
+    return float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal)
+
+
+def _sturm_count(d, b, x):
+    """How many eigenvalues of the tridiagonal (d, constant b) lie below
+    each x: the negative LDL^T pivots of T - x, in long double."""
+    r = np.longdouble(d[0]) - np.asarray(x, dtype=np.longdouble)
+    count = (r < 0).astype(int)
+    b2 = np.longdouble(b) ** 2
+    for dk in d[1:]:
+        r[r == 0] = np.finfo(np.longdouble).tiny
+        r = (np.longdouble(dk) - x) - b2 / r
+        count += r < 0
+    return count
+
+
+# finite-threshold real forms: spec, L of default_domain
+_THRESHOLD_GRIDS = {
+    "hyp-blind-spot": (PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=1.0), 14.0),
+    "mr-deep": (PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0), 16.0),
+    "hyp-v1": (PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=6.0, V2=0.0, q=1.0), 12.0),
+    "mr-marginal": (PotentialSpec(family=Family.ManningRosen, A=-4.0, B=2.0, q=1.0), 16.0),
+}
+
+
+def _full_spectrum(monkeypatch):
+    """Make every eigensolve of the oracle return the whole spectrum."""
+    solve = oracle.eigen_complex_dense
+    monkeypatch.setattr(oracle, "eigen_complex_dense", lambda H, certify=True, **_: solve(H, certify))
+
+
+class TestRealWindow:
+    @pytest.mark.parametrize("N", [1000, 2000])
+    @pytest.mark.parametrize("name", ["hyp-blind-spot", "mr-deep", "hyp-v1"])
+    @pytest.mark.parametrize("lowest", [0, 6])
+    def test_window_is_the_below_threshold_spectrum(self, name, N, lowest):
+        # the lowest max(lowest, k) values of the full dsterf spectrum, k of
+        # them below the threshold
+        spec, L = _THRESHOLD_GRIDS[name]
+        H = discretize(spec, default_domain(spec, L=L), N)
+        below = continuum_threshold(spec)
+        full = eigen_complex_dense(H, certify=False)
+        win = eigen_complex_dense(H, certify=False, lowest=lowest, below=below)
+        k = int(np.sum(full.real < below))
+        assert int(np.sum(win.real < below)) == k and len(win) == max(lowest, k)
+        assert np.all(win.imag == 0.0)
+        assert np.max(np.abs(win - full[: len(win)]), initial=0.0) <= 8.0 * np.finfo(float).eps * _norm_max(H)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(50, 400),
+        seed=st.integers(0, 2**32 - 1),
+        b=st.floats(-10.0, 10.0).filter(lambda b: b != 0.0),
+        where=st.floats(-1.2, 1.2),
+        lowest=st.integers(0, 10),
+    )
+    def test_window_on_random_tridiagonals(self, n, seed, b, where, lowest):
+        # dsterf itself can miss an eigenvalue of these by more than
+        # 8 eps ||H||_max, so the values are held to the exact spectrum,
+        # bracketed by long-double Sturm counts, and the count to dsterf's
+        d = np.random.default_rng(seed).uniform(-50.0, 50.0, n)
+        H = GridHamiltonian(
+            domain=DomainSpec(DomainKind.FiniteInterval, 0.0, float(n + 1)),
+            N=n, h=1.0, diagonal=d.astype(complex), offdiagonal=b, kappa=1.0,
+        )
+        below, tol = 50.0 * where, 8.0 * np.finfo(float).eps * _norm_max(H)
+        full = eigvalsh_tridiagonal(d, np.full(n - 1, b), lapack_driver="sterf")
+        # a threshold within rounding of an eigenvalue may fall on either side
+        assume(np.min(np.abs(full - below)) > 2.0 * tol)
+        win = eigen_complex_dense(H, certify=False, lowest=lowest, below=below).real
+        k = int(np.sum(full < below))
+        assert int(np.sum(win < below)) == k and len(win) == max(lowest, k)
+        i = np.arange(len(win))
+        assert np.all(_sturm_count(d, b, win - tol) <= i)
+        assert np.all(_sturm_count(d, b, win + tol) >= i + 1)
+
+    @pytest.mark.parametrize("name", ["mr-marginal", "mr-deep", "hyp-blind-spot"])
+    def test_study_tracks_the_levels_of_a_full_spectrum_study(self, name, monkeypatch):
+        # the marginal well has no level below its threshold A = -4, so the
+        # study tracks the lowest n_levels of each grid.  Both solves round
+        # at the scale of eps ||H||_max, and the extrapolation (4 e2 - e1)/3
+        # adds up the two grids' errors with weights 4/3 and 1/3
+        spec, L = _THRESHOLD_GRIDS[name]
+        dom = default_domain(spec, L=L)
+        rep = convergence_study(spec, dom, [1000, 2000])
+        _full_spectrum(monkeypatch)
+        ref = oracle.convergence_study(spec, dom, [1000, 2000])
+        assert len(rep.levels) == len(ref.levels)
+        if name == "mr-marginal":
+            assert len(rep.levels) == 6 and not np.any(ref.eigs_finest.real < continuum_threshold(spec))
+        tol = 8.0 * np.finfo(float).eps * _norm_max(discretize(spec, dom, 2000))
+        for got, want in zip(rep.levels, ref.levels):
+            assert abs(got.value_finest - want.value_finest) <= tol
+            assert abs(got.extrapolated - want.extrapolated) <= 5.0 / 3.0 * tol
+            assert got.flagged == want.flagged
+
+    def test_finite_threshold_verify_makes_no_full_solve(self, monkeypatch, capsys):
+        drivers = []
+
+        def counted(*args, **kwargs):
+            drivers.append(kwargs.get("lapack_driver"))
+            return eigvalsh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counted)
+        argv = ["verify", "--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1", "--L", "16", "--N", "1000"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["match"]["pairs"]
+        assert drivers and "sterf" not in drivers and set(drivers) == {"stebz"}
+
+    def test_certification_samples_the_window(self):
+        spec, L = _THRESHOLD_GRIDS["mr-deep"]
+        H = discretize(spec, default_domain(spec, L=L), 1000)
+        assert len(eigen_complex_dense(H, lowest=0, below=continuum_threshold(spec))) == 3
+        assert len(eigen_complex_dense(H, lowest=0, below=-1e9)) == 0
 
 
 def _log_derivatives(d, b2, z, tiny):
