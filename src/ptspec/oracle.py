@@ -268,16 +268,16 @@ def eigen_complex_dense(
     """Eigenvalues sorted by real part, from the tridiagonal alone.
 
     No dense matrix is built; the name is kept because the benchmark's
-    tracer wraps the oracle's eigensolve by it.  A real symmetric grid
-    returns all N eigenvalues if `lowest` is None; else its lowest `lowest`
-    and every eigenvalue below `below`, whichever are more (`dstebz`
-    bisection), and all N when `below` is +inf.  All N come from LAPACK
-    `dsterf`: the bits the dense symmetric solver gives, since `dsyevd`
-    runs the `dsytrd` reduction, which leaves a tridiagonal matrix as it
-    is, then the same `dsterf`.  A complex grid always returns all N, from
-    Ehrlich-Aberth iteration, which makes no BLAS call, so its bits do not
-    depend on the BLAS thread count.  certify=True checks the
-    inverse-iteration residual contract (`_certify`).
+    tracer wraps the oracle's eigensolve by it.  A complex grid returns all
+    N, from Ehrlich-Aberth iteration, which makes no BLAS call, so its bits
+    do not depend on the BLAS thread count.  A real symmetric grid returns
+    all N if `lowest` is None or `below` is +inf, from LAPACK `dsterf`: the
+    bits the dense symmetric solver gives, since `dsyevd` runs the `dsytrd`
+    reduction, which leaves a tridiagonal matrix as it is, then the same
+    `dsterf`.  Otherwise it returns its lowest `lowest` eigenvalues and
+    every one below `below`, whichever are more, by `dstebz` bisection in
+    O(N) per eigenvalue.  certify=True checks the inverse-iteration
+    residual contract (`_certify`).
     """
     try:
         if H.is_real:
