@@ -43,7 +43,14 @@ MATRIX = [
 def run_row(label, spec, n_max, L, N):
     dom = default_domain(spec, L=L)
     res = spectra.closed_form_spectrum(spec, n_max)
-    study = oracle.convergence_study(spec, dom, [N // 2, N], n_levels=min(4, n_max + 1))
+    # where the published form disagrees with the pipeline, report both
+    try:
+        num, pipeline_error = nu_engine.solve_spectrum_numeric(spec, n_max), None
+    except PtspecError as err:
+        num, pipeline_error = None, err
+    # the finest grid is solved for what both matches read
+    energies = res.energies() + (num.energies() if num else [])
+    study = oracle.convergence_study(spec, dom, [N // 2, N], n_levels=min(4, n_max + 1), energies=energies)
     eigs = study.eigs_finest
     thr = oracle.continuum_threshold(spec)
     match = oracle.match_levels(res.entries, eigs, thr)
@@ -56,14 +63,12 @@ def run_row(label, spec, n_max, L, N):
         "unmatched_formula": len(match.unmatched_formula),
         "convergence": study.to_dict(),
     }
-    # where the published form disagrees with the pipeline, report both
-    try:
-        num = nu_engine.solve_spectrum_numeric(spec, n_max)
+    if num is not None:
         pmatch = oracle.match_levels(num.entries, eigs, thr)
         row["pipeline_matched"] = len(pmatch.pairs)
         row["pipeline_max_rel_err"] = pmatch.max_rel_err
-    except PtspecError as err:
-        row["pipeline_error"] = str(err)
+    else:
+        row["pipeline_error"] = str(pipeline_error)
     return row
 
 

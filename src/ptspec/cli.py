@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
     domain = default_domain(spec, L=args.L)
     res = spectra.closed_form_spectrum(spec, args.n_max)
     n_half = max(args.N // 2, 50)
-    study = oracle.convergence_study(spec, domain, [n_half, args.N])
+    study = oracle.convergence_study(spec, domain, [n_half, args.N], energies=res.energies())
     eigs = study.eigs_finest
     thr = oracle.continuum_threshold(spec)
     match = oracle.match_levels(res.entries, eigs, thr)

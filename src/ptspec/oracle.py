@@ -7,10 +7,12 @@ Every grid is solved on its tridiagonal, with no N x N matrix and no size
 cap, in O(N) memory.  A real symmetric grid is solved only for the
 eigenvalues its caller reads: the convergence study asks each coarse grid
 for its lowest levels, and the finest grid for every eigenvalue below the
-continuum threshold.  Those come from Sturm-sequence bisection (Barth,
-Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK `dstebz`), k
-eigenvalues in O(N k).  Where every eigenvalue is wanted, as on the finest
-grid of a form with no threshold, LAPACK `dsterf` gives all N in O(N^2).
+continuum threshold or, on a form with no threshold, for the window that
+covers the energies its caller will match.  Those come from Sturm-sequence
+bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK
+`dstebz`), k eigenvalues in O(N k).  `verify` solves no real grid whole;
+where a caller asks for every eigenvalue, LAPACK `dsterf` gives all N in
+O(N^2).
 A complex symmetric grid is always solved whole, by the Ehrlich-Aberth
 iteration of Bini, Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27
 (2005) 153-175).  A sweep takes its Newton ratios from the
@@ -242,28 +244,37 @@ def _aberth(d: np.ndarray, b: float) -> np.ndarray:
     raise QRNotConverged(f"Ehrlich-Aberth: {len(active)} of {n} eigenvalues unconverged after {_ABERTH_SWEEPS} sweeps")
 
 
-def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float) -> np.ndarray:
+def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float, more: int = 0) -> np.ndarray:
     """Ascending eigenvalues of the real tridiagonal with diagonal d and
-    constant off-diagonal b: all of them if lowest is None, else the lowest
-    `lowest` and every one below `below`, whichever are more.
+    constant off-diagonal b: all of them if lowest is None, else every one
+    up to `below` and the `more` above those, and at least the lowest
+    `lowest` in all.
 
-    All N come from `dsterf`.  A window comes from `dstebz` bisection:
-    first by value up to `below`, then, if that gave fewer than `lowest`,
-    by index.
+    All N come from `dsterf`, also where the window would reach N.  A
+    window comes from `dstebz` bisection: first by value up to `below`,
+    then by index, for the `more` above those or, if that gave fewer than
+    `lowest`, for the lowest `lowest`.
     """
-    off = np.full(len(d) - 1, b)
-    if lowest is None or lowest >= len(d) or below == math.inf:
+    n = len(d)
+    off = np.full(n - 1, b)
+    if lowest is None or lowest >= n or below == math.inf:
         return eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
     eigs = np.empty(0)
     if below > -math.inf:
         eigs = eigvalsh_tridiagonal(d, off, select="v", select_range=(-math.inf, below), lapack_driver="stebz")
-    if len(eigs) < lowest:
+    if more:
+        top = max(lowest, len(eigs) + more)
+        if top >= n:
+            return eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
+        above = eigvalsh_tridiagonal(d, off, select="i", select_range=(len(eigs), top - 1), lapack_driver="stebz")
+        eigs = np.concatenate([eigs, above])
+    elif len(eigs) < lowest:
         eigs = eigvalsh_tridiagonal(d, off, select="i", select_range=(0, lowest - 1), lapack_driver="stebz")
     return eigs
 
 
 def eigen_complex_dense(
-    H: GridHamiltonian, certify: bool = True, lowest: int | None = None, below: float = -math.inf
+    H: GridHamiltonian, certify: bool = True, lowest: int | None = None, below: float = -math.inf, more: int = 0
 ) -> np.ndarray:
     """Eigenvalues sorted by real part, from the tridiagonal alone.
 
@@ -274,14 +285,14 @@ def eigen_complex_dense(
     all N if `lowest` is None or `below` is +inf, from LAPACK `dsterf`: the
     bits the dense symmetric solver gives, since `dsyevd` runs the `dsytrd`
     reduction, which leaves a tridiagonal matrix as it is, then the same
-    `dsterf`.  Otherwise it returns its lowest `lowest` eigenvalues and
-    every one below `below`, whichever are more, by `dstebz` bisection in
-    O(N) per eigenvalue.  certify=True checks the inverse-iteration
-    residual contract (`_certify`).
+    `dsterf`.  Otherwise it returns a window by `dstebz` bisection, in O(N)
+    per eigenvalue: every eigenvalue up to `below`, the `more` above those,
+    and at least the lowest `lowest` (`_real_eigenvalues`).  certify=True
+    checks the inverse-iteration residual contract (`_certify`).
     """
     try:
         if H.is_real:
-            eigs = _real_eigenvalues(H.diagonal.real, H.offdiagonal, lowest, below).astype(complex)
+            eigs = _real_eigenvalues(H.diagonal.real, H.offdiagonal, lowest, below, more).astype(complex)
         else:
             eigs = _aberth(H.diagonal, H.offdiagonal)
     except np.linalg.LinAlgError as err:
@@ -412,6 +423,21 @@ def match_levels(formula_entries, eigs, threshold: complex) -> LevelMatch:
     )
 
 
+def _covering_window(energies) -> tuple[float, int]:
+    """(M, K) for the energies a caller will match against a real spectrum:
+    M the highest finite real part among them, K how many there are.
+
+    Every eigenvalue up to M and the K above those cover the greedy
+    `match_levels`: the eigenvalues are real, so |e - lam| grows with
+    |Re e - lam| above M >= Re e.  Fewer than K entries come before any one,
+    so one of those K is unused and no farther from it than any eigenvalue
+    beyond, and on a tie it has the lower index.  The pairs and unmatched
+    formula levels are those of the whole spectrum.
+    """
+    reals = [complex(e).real for e in energies]
+    return max((r for r in reals if math.isfinite(r)), default=-math.inf), len(reals)
+
+
 @dataclass(frozen=True)
 class ConvergenceLevel:
     value_finest: complex
@@ -427,8 +453,9 @@ class ConvergenceReport:
     h_list: tuple
     levels: tuple  # ConvergenceLevel per tracked level
     # certified, sorted by real part: every eigenvalue below the continuum
-    # threshold, and at least the lowest n_levels; all N for a complex grid
-    # or a form with no threshold
+    # threshold, and at least the lowest n_levels.  A form with no threshold
+    # gives the window that covers the energies passed to the study, or all
+    # N if none were; a complex grid gives all N
     eigs_finest: np.ndarray = field(compare=False, repr=False)
     finest_is_real: bool
 
@@ -449,7 +476,9 @@ class ConvergenceReport:
         }
 
 
-def convergence_study(spec: PotentialSpec, domain: DomainSpec, N_list, n_levels: int = 6) -> ConvergenceReport:
+def convergence_study(
+    spec: PotentialSpec, domain: DomainSpec, N_list, n_levels: int = 6, energies=None
+) -> ConvergenceReport:
     """Richardson study over ascending N_list (>= 2 distinct entries).
 
     Per tracked level: two-grid extrapolation from the finest pair, observed
@@ -458,7 +487,10 @@ def convergence_study(spec: PotentialSpec, domain: DomainSpec, N_list, n_levels:
     disagree by more than 10x the finest-pair step estimate.  A real grid
     is solved only for what the study reads: a coarse grid for its lowest
     n_levels, the finest for every eigenvalue below the continuum threshold
-    and at least its lowest n_levels.  The finest grid's eigenvalues are
+    and at least its lowest n_levels.  With no threshold, the finest grid
+    is solved for the window that covers a `match_levels` of `energies`
+    (`_covering_window`), and at least its lowest n_levels; with
+    `energies` None, whole.  The finest grid's eigenvalues are
     residual-certified and returned with the report, so a caller needs no
     second solve of that grid.
     """
@@ -469,12 +501,18 @@ def convergence_study(spec: PotentialSpec, domain: DomainSpec, N_list, n_levels:
         # two equal grids make the Richardson denominator h1^2 - h2^2 zero
         raise ValueError(f"N_list repeats a grid size: {N_list}")
     thr = continuum_threshold(spec)
+    finest, more = thr, 0
+    if energies is not None and thr == math.inf:
+        finest, more = _covering_window(energies)
     all_eigs = []
     hs = []
     for N in N_list:
         H = discretize(spec, domain, N)
-        below = thr if N == N_list[-1] else -math.inf
-        all_eigs.append(eigen_complex_dense(H, certify=False, lowest=n_levels, below=below))
+        if N == N_list[-1]:
+            eigs = eigen_complex_dense(H, certify=False, lowest=n_levels, below=finest, more=more)
+        else:
+            eigs = eigen_complex_dense(H, certify=False, lowest=n_levels)
+        all_eigs.append(eigs)
         hs.append(H.h)
     _certify(H, all_eigs[-1])
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]

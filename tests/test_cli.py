@@ -233,18 +233,32 @@ class TestVerifyCommand:
         ids=["trig-base", "hyperbolic-pt"],
     )
     def test_matched_oracle_is_a_fresh_solve(self, capsys, argv):
-        # verify matches against the convergence study's finest grid; its
-        # levels must be bit for bit those of a fresh eigen_complex_dense
-        # solve of that grid
+        # verify matches against a window of the convergence study's finest
+        # grid, solved by bisection.  Against a fresh dsterf solve of the
+        # whole grid it makes the same (n, formula) pairs and unmatched
+        # formula levels, with eigenvalues within 8 eps ||H||_max, and its
+        # unmatched eigenvalues are that match's, cut to the window
         _, out, _ = run(capsys, "verify", *argv)
         d = json.loads(out)
+        got = d["match"]
         spec = PotentialSpec.from_dict(d["spec"])
         L = float(argv[argv.index("--L") + 1]) if "--L" in argv else 12.0
-        eigs = oracle.eigen_complex_dense(oracle.discretize(spec, default_domain(spec, L=L), d["N"]))
-        entries = spectra.closed_form_spectrum(spec, int(argv[argv.index("--n-max") + 1])).entries
-        fresh = oracle.match_levels(entries, eigs, oracle.continuum_threshold(spec)).to_dict()
-        assert d["match"]["pairs"]
-        assert json.dumps(d["match"], sort_keys=True) == json.dumps(fresh, sort_keys=True)
+        H = oracle.discretize(spec, default_domain(spec, L=L), d["N"])
+        assert H.is_real
+        eigs = oracle.eigen_complex_dense(H)
+        energies = spectra.closed_form_spectrum(spec, int(argv[argv.index("--n-max") + 1])).energies()
+        fresh = oracle.match_levels(list(enumerate(energies)), eigs, oracle.continuum_threshold(spec)).to_dict()
+        assert got["pairs"]
+        assert [(p["n"], p["formula"]) for p in got["pairs"]] == [(p["n"], p["formula"]) for p in fresh["pairs"]]
+        assert got["unmatched_formula"] == fresh["unmatched_formula"]
+        top, more = oracle._covering_window(energies)
+        window = max(6, int(np.sum(eigs.real <= top)) + more)
+        assert len(got["pairs"]) + len(got["unmatched_oracle"]) == window < H.N
+        tol = 8.0 * np.finfo(float).eps * (float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal))
+        got_eigs = [p["oracle"] for p in got["pairs"]] + got["unmatched_oracle"]
+        fresh_eigs = [p["oracle"] for p in fresh["pairs"]] + fresh["unmatched_oracle"][: len(got["unmatched_oracle"])]
+        for a, b in zip(got_eigs, fresh_eigs, strict=True):
+            assert abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= tol
 
 
 # the verify-real benchmark forms: argv, L of default_domain

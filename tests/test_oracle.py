@@ -347,6 +347,54 @@ class TestRealWindow:
         assert json.loads(capsys.readouterr().out)["match"]["pairs"]
         assert drivers and set(drivers) == {"stebz"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "trig-scarf", "--A", "-2", "--N", "1000"),
+            (
+                "--family", "hyperbolic-scarf", "--variant", "pt",
+                "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1", "--L", "6", "--N", "600",
+            ),
+        ],
+        ids=["trig-base", "hyperbolic-pt"],
+    )
+    def test_no_threshold_verify_makes_no_full_solve(self, monkeypatch, capsys, argv):
+        # forms with no continuum threshold: the finest grid takes the window
+        # that covers the closed-form levels, not dsterf's whole spectrum
+        drivers = []
+
+        def counted(*args, **kwargs):
+            drivers.append(kwargs.get("lapack_driver"))
+            return eigvalsh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counted)
+        assert main(["verify", *argv]) in (0, 2)
+        assert json.loads(capsys.readouterr().out)["match"]["pairs"]
+        assert drivers and set(drivers) == {"stebz"}
+
+    def test_covering_window_on_the_trig_grid(self):
+        # every eigenvalue up to the top closed-form level, the K above
+        # those, each bracketed within 8 eps ||H||_max of the exact
+        # eigenvalue by long-double Sturm counts
+        spec = PotentialSpec(family=Family.TrigScarf, A=-2.0)
+        H = discretize(spec, default_domain(spec, L=12.0), 3000)
+        d, b = H.diagonal.real, H.offdiagonal
+        top, more = oracle._covering_window(closed_form_spectrum(spec, 3).energies())
+        assert more == 4
+        win = eigen_complex_dense(H, lowest=6, below=top, more=more).real
+        assert len(win) == max(6, int(_sturm_count(d, b, [top])[0]) + more) < H.N
+        tol = 8.0 * np.finfo(float).eps * _norm_max(H)
+        i = np.arange(len(win))
+        assert np.all(_sturm_count(d, b, win - tol) <= i)
+        assert np.all(_sturm_count(d, b, win + tol) >= i + 1)
+
+    def test_window_reaching_n_is_the_whole_spectrum(self):
+        spec = PotentialSpec(family=Family.TrigScarf, A=-2.0)
+        H = discretize(spec, default_domain(spec, L=12.0), 60)
+        full = eigen_complex_dense(H, certify=False)
+        for more in (59, 60, 100):
+            np.testing.assert_array_equal(eigen_complex_dense(H, certify=False, lowest=6, below=full[1].real, more=more), full)
+
     def test_certification_takes_a_window_of_any_size(self):
         # it samples five of the returned eigenvalues: here all three, or none
         spec, L = _THRESHOLD_GRIDS["mr-deep"]
@@ -477,6 +525,11 @@ class TestConjugationCheck:
         assert not rep.closed and rep.unpaired >= 1
 
 
+# eigenvalue and formula real parts: half-integers, for ties and
+# duplicates, or any float
+_LEVEL = st.integers(-12, 12).map(lambda k: k / 2.0) | st.floats(-6.0, 6.0)
+
+
 class TestMatchLevels:
     def test_trig_reference(self, trig_a2_spec, trig_a2_eigs_3000):
         _, eigs = trig_a2_eigs_3000
@@ -501,6 +554,30 @@ class TestMatchLevels:
         match = match_levels(res.entries, eigs, continuum_threshold(spec))
         assert len(match.pairs) == 0
         assert len(match.unmatched_formula) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spectrum=st.lists(_LEVEL, min_size=1, max_size=40),
+        formula=st.lists(st.tuples(_LEVEL, st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-3.0, 3.0)), max_size=8),
+        nan_at=st.none() | st.integers(0, 8),
+        lowest=st.integers(0, 6),
+    )
+    def test_a_covering_window_matches_as_the_whole_spectrum(self, spectrum, formula, nan_at, lowest):
+        # half-integer draws make duplicate eigenvalues and formula levels
+        # equidistant from two of them; the window is what the oracle
+        # returns for these energies: every eigenvalue up to M, the K above
+        eigs = np.sort(np.array(spectrum))
+        energies = [complex(re, im) for re, im in formula]
+        if nan_at is not None:
+            energies.insert(min(nan_at, len(energies)), complex(math.nan, 0.0))
+        entries = list(enumerate(energies))
+        top, more = oracle._covering_window(energies)
+        window = eigs[: max(lowest, int(np.sum(eigs <= top)) + more)]
+        full = match_levels(entries, eigs, math.inf)
+        win = match_levels(entries, window, math.inf)
+        assert repr(win.pairs) == repr(full.pairs)
+        assert repr(win.unmatched_formula) == repr(full.unmatched_formula)
+        assert win.unmatched_oracle == full.unmatched_oracle[: len(window) - len(full.pairs)]
 
     def test_threshold_values(self):
         assert continuum_threshold(PotentialSpec(family=Family.TrigScarf, A=1.0)) == math.inf
