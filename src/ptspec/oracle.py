@@ -250,14 +250,17 @@ def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float,
     up to `below` and the `more` above those, and at least the lowest
     `lowest` in all.
 
-    All N come from `dsterf`, also where the window would reach N.  A
+    All N come from `dsterf`, also where the window reaches N; where that
+    is known beforehand (`more` alone reaches N, or `below` is past the
+    Gershgorin bound max(d) + 2|b| of the spectrum), with no bisection.  A
     window comes from `dstebz` bisection: first by value up to `below`,
     then by index, for the `more` above those or, if that gave fewer than
     `lowest`, for the lowest `lowest`.
     """
     n = len(d)
     off = np.full(n - 1, b)
-    if lowest is None or lowest >= n or below == math.inf:
+    whole = more >= n or (more > 0 and below >= float(np.max(d)) + 2.0 * abs(b))
+    if lowest is None or lowest >= n or below == math.inf or whole:
         return eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
     eigs = np.empty(0)
     if below > -math.inf:

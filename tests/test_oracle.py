@@ -388,12 +388,26 @@ class TestRealWindow:
         assert np.all(_sturm_count(d, b, win - tol) <= i)
         assert np.all(_sturm_count(d, b, win + tol) >= i + 1)
 
-    def test_window_reaching_n_is_the_whole_spectrum(self):
+    def test_window_reaching_n_is_the_whole_spectrum(self, monkeypatch):
+        # a window known to reach N beforehand takes no bisection
         spec = PotentialSpec(family=Family.TrigScarf, A=-2.0)
         H = discretize(spec, default_domain(spec, L=12.0), 60)
         full = eigen_complex_dense(H, certify=False)
-        for more in (59, 60, 100):
-            np.testing.assert_array_equal(eigen_complex_dense(H, certify=False, lowest=6, below=full[1].real, more=more), full)
+        drivers = []
+
+        def counted(*args, **kwargs):
+            drivers.append(kwargs.get("lapack_driver"))
+            return eigvalsh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counted)
+        for below, more, calls in [
+            (full[1].real, 59, ["stebz", "sterf"]),
+            (full[1].real, 60, ["sterf"]),
+            (full[-1].real * 1.5, 1, ["sterf"]),
+        ]:
+            drivers.clear()
+            np.testing.assert_array_equal(eigen_complex_dense(H, certify=False, lowest=6, below=below, more=more), full)
+            assert drivers == calls
 
     def test_certification_takes_a_window_of_any_size(self):
         # it samples five of the returned eigenvalues: here all three, or none
