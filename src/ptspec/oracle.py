@@ -511,11 +511,8 @@ def convergence_study(
     hs = []
     for N in N_list:
         H = discretize(spec, domain, N)
-        if N == N_list[-1]:
-            eigs = eigen_complex_dense(H, certify=False, lowest=n_levels, below=finest, more=more)
-        else:
-            eigs = eigen_complex_dense(H, certify=False, lowest=n_levels)
-        all_eigs.append(eigs)
+        below, extra = (finest, more) if N == N_list[-1] else (-math.inf, 0)
+        all_eigs.append(eigen_complex_dense(H, certify=False, lowest=n_levels, below=below, more=extra))
         hs.append(H.h)
     _certify(H, all_eigs[-1])
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]
