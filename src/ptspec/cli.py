@@ -2,7 +2,8 @@
 
 Commands:
   spectrum   closed-form energies for a potential spec
-  verify     formula-vs-oracle level matching with a convergence bound
+  verify     formula-vs-oracle level matching with a convergence bound; a
+             real grid is solved only for the eigenvalues the match reads
   profile    sampled potential values (CSV), incl. the fig1..fig8 presets
   trace      derivation record (all four branch candidates) as JSON
 
