@@ -268,6 +268,19 @@ _THRESHOLD_GRIDS = {
 }
 
 
+@pytest.fixture
+def lapack_drivers(monkeypatch):
+    """The LAPACK driver of each eigvalsh_tridiagonal call the oracle makes."""
+    drivers = []
+
+    def counted(*args, **kwargs):
+        drivers.append(kwargs.get("lapack_driver"))
+        return eigvalsh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counted)
+    return drivers
+
+
 class TestRealWindow:
     @pytest.mark.parametrize("N", [1000, 2000])
     @pytest.mark.parametrize("name", ["hyp-blind-spot", "mr-deep", "hyp-v1"])
@@ -334,18 +347,11 @@ class TestRealWindow:
             assert abs(got.extrapolated - want.extrapolated) <= 5.0 / 3.0 * tol
             assert got.flagged == want.flagged
 
-    def test_finite_threshold_verify_makes_no_full_solve(self, monkeypatch, capsys):
-        drivers = []
-
-        def counted(*args, **kwargs):
-            drivers.append(kwargs.get("lapack_driver"))
-            return eigvalsh_tridiagonal(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counted)
+    def test_finite_threshold_verify_makes_no_full_solve(self, lapack_drivers, capsys):
         argv = ["verify", "--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1", "--L", "16", "--N", "1000"]
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().out)["match"]["pairs"]
-        assert drivers and set(drivers) == {"stebz"}
+        assert lapack_drivers and set(lapack_drivers) == {"stebz"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -358,19 +364,12 @@ class TestRealWindow:
         ],
         ids=["trig-base", "hyperbolic-pt"],
     )
-    def test_no_threshold_verify_makes_no_full_solve(self, monkeypatch, capsys, argv):
+    def test_no_threshold_verify_makes_no_full_solve(self, lapack_drivers, capsys, argv):
         # forms with no continuum threshold: the finest grid takes the window
         # that covers the closed-form levels, not dsterf's whole spectrum
-        drivers = []
-
-        def counted(*args, **kwargs):
-            drivers.append(kwargs.get("lapack_driver"))
-            return eigvalsh_tridiagonal(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counted)
         assert main(["verify", *argv]) in (0, 2)
         assert json.loads(capsys.readouterr().out)["match"]["pairs"]
-        assert drivers and set(drivers) == {"stebz"}
+        assert lapack_drivers and set(lapack_drivers) == {"stebz"}
 
     def test_covering_window_on_the_trig_grid(self):
         # every eigenvalue up to the top closed-form level, the K above
@@ -388,26 +387,19 @@ class TestRealWindow:
         assert np.all(_sturm_count(d, b, win - tol) <= i)
         assert np.all(_sturm_count(d, b, win + tol) >= i + 1)
 
-    def test_window_reaching_n_is_the_whole_spectrum(self, monkeypatch):
+    def test_window_reaching_n_is_the_whole_spectrum(self, lapack_drivers):
         # a window known to reach N beforehand takes no bisection
         spec = PotentialSpec(family=Family.TrigScarf, A=-2.0)
         H = discretize(spec, default_domain(spec, L=12.0), 60)
         full = eigen_complex_dense(H, certify=False)
-        drivers = []
-
-        def counted(*args, **kwargs):
-            drivers.append(kwargs.get("lapack_driver"))
-            return eigvalsh_tridiagonal(*args, **kwargs)
-
-        monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counted)
         for below, more, calls in [
             (full[1].real, 59, ["stebz", "sterf"]),
             (full[1].real, 60, ["sterf"]),
             (full[-1].real * 1.5, 1, ["sterf"]),
         ]:
-            drivers.clear()
+            lapack_drivers.clear()
             np.testing.assert_array_equal(eigen_complex_dense(H, certify=False, lowest=6, below=below, more=more), full)
-            assert drivers == calls
+            assert lapack_drivers == calls
 
     def test_certification_takes_a_window_of_any_size(self):
         # it samples five of the returned eigenvalues: here all three, or none
