@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nu_engine, spectra
 from .errors import NoAdmissibleBranch, PtspecError, QRNotConverged, SingularityError
-from .core_math import LowPoly, complex_json
+from .core_math import LowPoly, canonical_json, complex_json
 from .potentials import Family, PotentialSpec, Variant, apply_variant, default_domain, evaluate_grid
 
 _EXIT_OK = 0
@@ -50,13 +50,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# fig1..fig8 presets: caption parameter sets, with profile window (L, N)
+_PROFILE_POINTS = 400  # samples in the profile of every preset
+_MR_PT = dict(family=Family.ManningRosen, variant=Variant.PT, A=1.0, B=1.0, q=1.0, alpha=1.0)
+_MR_NONPT = dict(family=Family.ManningRosen, variant=Variant.NonPT, A=1.0 + 1j, B=1.0 + 1j, q=1.0, alpha=1.0)
+
+# fig1..fig8 presets: caption parameter sets, with the profile window L
 _PRESETS = {
-    "fig1": (dict(family=Family.HyperbolicScarf, V0=10.0, V1=15.0, V2=10.0, q=10.0, alpha=1.0), 6.0, 400),
+    "fig1": (dict(family=Family.HyperbolicScarf, V0=10.0, V1=15.0, V2=10.0, q=10.0, alpha=1.0), 6.0),
     "fig2": (
         dict(family=Family.HyperbolicScarf, variant=Variant.PT, V0=1.0, V1=1.0, V2=1.0, q=1.0, alpha=1.0),
         6.0,
-        400,
     ),
     "fig3": (
         dict(
@@ -69,21 +72,12 @@ _PRESETS = {
             alpha=1.0,
         ),
         4.0,
-        400,
     ),
-    "fig4": (dict(family=Family.ManningRosen, A=10.0, B=1.0, q=-4.0, alpha=1.0), 3.0, 400),
-    "fig5": (dict(family=Family.ManningRosen, variant=Variant.PT, A=1.0, B=1.0, q=1.0, alpha=1.0), 6.0, 400),
-    "fig6": (dict(family=Family.ManningRosen, variant=Variant.PT, A=1.0, B=1.0, q=1.0, alpha=1.0), 6.0, 400),
-    "fig7": (
-        dict(family=Family.ManningRosen, variant=Variant.NonPT, A=1.0 + 1j, B=1.0 + 1j, q=1.0, alpha=1.0),
-        3.0,
-        400,
-    ),
-    "fig8": (
-        dict(family=Family.ManningRosen, variant=Variant.NonPT, A=1.0 + 1j, B=1.0 + 1j, q=1.0, alpha=1.0),
-        3.0,
-        400,
-    ),
+    "fig4": (dict(family=Family.ManningRosen, A=10.0, B=1.0, q=-4.0, alpha=1.0), 3.0),
+    "fig5": (_MR_PT, 6.0),
+    "fig6": (_MR_PT, 6.0),
+    "fig7": (_MR_NONPT, 3.0),
+    "fig8": (_MR_NONPT, 3.0),
 }
 
 
@@ -118,8 +112,7 @@ def _add_shared(p: argparse.ArgumentParser):
 
 def _build_spec(args) -> PotentialSpec:
     if args.preset:
-        kw, _, _ = _PRESETS[args.preset]
-        return PotentialSpec(**kw)
+        return PotentialSpec(**_PRESETS[args.preset][0])
     if args.spec_json:
         with open(args.spec_json) as fh:
             return PotentialSpec.from_json(fh.read())
@@ -169,10 +162,6 @@ def _write_out(text: str, out_path: str | None):
         raise
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def cmd_spectrum(args) -> int:
     spec = _build_spec(args)
     res = spectra.closed_form_spectrum(spec, args.n_max)
@@ -184,7 +173,7 @@ def cmd_spectrum(args) -> int:
             lines.append(f"{n},{e.real:.15g},{e.imag:.15g}")
         _write_out("\n".join(lines) + "\n", args.out)
     else:
-        _write_out(_json_dump(payload), args.out)
+        _write_out(canonical_json(payload), args.out)
     if args.strict and res.warnings:
         sys.stderr.write("condition warnings: " + "; ".join(res.warnings) + "\n")
         return _EXIT_CONDITION
@@ -229,7 +218,7 @@ def cmd_verify(args) -> int:
         "convergence": study.to_dict(),
         "failures": failures,
     }
-    _write_out(_json_dump(payload), args.out)
+    _write_out(canonical_json(payload), args.out)
     if failures:
         sys.stderr.write(f"{len(failures)} matched level(s) outside the convergence bound\n")
         return _EXIT_CONDITION
@@ -237,14 +226,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    spec = _build_spec(args)
     if args.preset:
-        kw, L, npts = _PRESETS[args.preset]
-        spec = PotentialSpec(**kw)
-        skip = True
+        L, npts, skip = _PRESETS[args.preset][1], _PROFILE_POINTS, True
     else:
-        spec = _build_spec(args)
-        L, npts = args.L, max(args.N, 50)
-        skip = args.skip_poles
+        L, npts, skip = args.L, max(args.N, 50), args.skip_poles
     if args.x_min is not None or args.x_max is not None:
         if args.x_min is None or args.x_max is None or not args.x_max > args.x_min:
             raise _UsageError("--x-min and --x-max must both be given with x_max > x_min")
@@ -263,7 +249,7 @@ def cmd_profile(args) -> int:
             "spec": spec.to_dict(),
             "samples": [{"x": float(x), **complex_json(v)} for x, v in zip(xs_kept, vals)],
         }
-        _write_out(_json_dump(payload), args.out)
+        _write_out(canonical_json(payload), args.out)
     else:
         lines = ["x,re_V,im_V"]
         for x, v in zip(xs_kept, vals):
@@ -302,7 +288,7 @@ def cmd_trace(args) -> int:
         try:
             trace = nu_engine.select_branch(form)
         except NoAdmissibleBranch as err:
-            _write_out(_json_dump(_no_branch_payload(err)), args.out)
+            _write_out(canonical_json(_no_branch_payload(err)), args.out)
             return _EXIT_NONCONVERGED
         _write_out(nu_engine.trace_to_json(trace), args.out)
         return _EXIT_OK
@@ -310,11 +296,9 @@ def cmd_trace(args) -> int:
     try:
         _, trace = nu_engine.solve_level(spec, args.n)
     except NoAdmissibleBranch as err:
-        _write_out(_json_dump(_no_branch_payload(err, spec=spec.to_dict())), args.out)
+        _write_out(canonical_json(_no_branch_payload(err, spec=spec.to_dict())), args.out)
         return _EXIT_NONCONVERGED
-    out = json.loads(nu_engine.trace_to_json(trace))
-    out["spec"] = spec.to_dict()
-    _write_out(_json_dump(out), args.out)
+    _write_out(canonical_json({**nu_engine.trace_to_dict(trace), "spec": spec.to_dict()}), args.out)
     return _EXIT_OK
 
 

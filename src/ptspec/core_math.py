@@ -8,6 +8,7 @@ documented square-root branch, so downstream formulas are deterministic.
 from __future__ import annotations
 
 import cmath
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,11 @@ def complex_json(z) -> dict | None:
         return None
     z = complex(z)
     return {"re": z.real, "im": z.imag}
+
+
+def canonical_json(obj) -> str:
+    """The canonical JSON text of every output: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ class FamilyRecord:
     needs_q: bool
     variants: dict  # Variant -> VariantForm
     s_map: Callable  # (spec, x) -> s of the reduction
-    s_interval: Callable  # q -> (lo, hi, hi_unbounded), the s-image of the quantization domain
+    s_interval: Callable  # q -> (lo, hi), the s-image of the quantization domain; hi None where unbounded
     reduce: Callable  # (spec, energy) -> (sigma, tau_tilde, sigma_tilde, ReducedParams) of the Base form
     nonpt_predicates: Callable  # spec -> [Predicate] under which the NonPT spectrum is claimed real
     aux: Callable = lambda form: {}  # HypergeometricForm -> auxiliaries recorded in the trace
@@ -382,8 +382,8 @@ def _mr_nonpt_levels(spec: PotentialSpec, n_max: int):
 
 def _mr_s_interval(q: float):
     if q > 0:  # s = e^{-2 alpha x} runs from 1/q at the wall sinh_q = 0 to 0
-        return (0.0, 1.0 / q, False)
-    return (0.0, None, True)
+        return (0.0, 1.0 / q)
+    return (0.0, None)
 
 
 def _mr_reduce(spec: PotentialSpec, energy: complex):
@@ -435,7 +435,7 @@ FAMILIES = {
             ),
         },
         s_map=lambda spec, x: np.cos(spec.alpha * np.asarray(x, dtype=float)),
-        s_interval=lambda q: (-1.0, 1.0, False),
+        s_interval=lambda q: (-1.0, 1.0),
         reduce=_trig_reduce,
         nonpt_predicates=_trig_predicates,
     ),
@@ -457,7 +457,7 @@ FAMILIES = {
             ),
         },
         s_map=lambda spec, x: cosh_q(spec.alpha * np.asarray(x, dtype=float), spec.q),
-        s_interval=lambda q: (np.sqrt(abs(q)), None, True),
+        s_interval=lambda q: (np.sqrt(abs(q)), None),
         reduce=_hyp_reduce,
         nonpt_predicates=_hyp_predicates,
         aux=_hyp_aux,

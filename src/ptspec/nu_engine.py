@@ -32,12 +32,11 @@ them.  Every derivation step is retained in an audit trace.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core_math import LowPoly, complex_json, quadratic_roots, sqrt_principal
+from .core_math import LowPoly, canonical_json, complex_json, quadratic_roots, sqrt_principal
 from .errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleBranch, UnsupportedVariant
 from .families import FAMILIES, Family, ReducedParams, Variant
 from .potentials import PotentialSpec
@@ -51,8 +50,9 @@ _POLISH_REACH = 1e-6  # a polishing step longer than this, relative to 1 + |E|, 
 @dataclass(frozen=True)
 class HypergeometricForm:
     """(sigma, tau_tilde, sigma_tilde) triple at a fixed trial energy, with
-    the s-image (lo, hi, hi_unbounded) of the quantization domain on which
-    the weight must be integrable.  family is None for a raw triple."""
+    the s-image (lo, hi) of the quantization domain on which the weight must
+    be integrable, hi None where it is unbounded.  family is None for a raw
+    triple."""
 
     family: Family | None
     sigma: LowPoly
@@ -74,7 +74,7 @@ def build_form(spec: PotentialSpec, energy: complex) -> HypergeometricForm:
 def synthetic_form(sigma: LowPoly, tau_tilde: LowPoly, sigma_tilde: LowPoly) -> HypergeometricForm:
     """Wrap a raw polynomial triple (used for fixtures and the trace CLI);
     its weight is screened on s in (-1, 1)."""
-    return HypergeometricForm(None, sigma, tau_tilde, sigma_tilde, ReducedParams(0.0, 0.0), (-1.0, 1.0, False))
+    return HypergeometricForm(None, sigma, tau_tilde, sigma_tilde, ReducedParams(0.0, 0.0), (-1.0, 1.0))
 
 
 def _half_gap(form: HypergeometricForm) -> LowPoly:
@@ -149,15 +149,12 @@ class BranchCandidate:
 
 @dataclass(frozen=True)
 class NUTrace:
-    """Full derivation record for one accepted branch."""
+    """Full derivation record for one accepted branch: chosen is one of
+    the four candidates."""
 
     form: HypergeometricForm
     k_candidates: tuple[complex, complex]
-    chosen_k: complex
-    pi: LowPoly
-    tau: LowPoly
-    tau_slope: complex
-    lam: complex
+    chosen: BranchCandidate
     lambda_n: complex | None
     aux: dict
     candidates: tuple[BranchCandidate, ...]
@@ -192,7 +189,7 @@ def weight_exponents(form: HypergeometricForm, tau: LowPoly):
 def weight_failure(form: HypergeometricForm, tau: LowPoly) -> str:
     """Why the weight rho solving (sigma rho)' = tau rho is not integrable on
     the form's s-interval, or "" when it is."""
-    lo, hi, hi_unbounded = form.s_interval
+    lo, hi = form.s_interval
     roots, exps, _ = weight_exponents(form, tau)
     tol = 1e-9
     for r, e in zip(roots, exps):
@@ -200,7 +197,7 @@ def weight_failure(form: HypergeometricForm, tau: LowPoly) -> str:
         at_hi = (hi is not None) and abs(r - hi) <= tol * (1.0 + abs(hi))
         if (at_lo or at_hi) and complex(e).real <= -1.0:
             return f"rho exponent {e} at s={r} is not integrable"
-    if hi_unbounded and form.sigma.degree() == 2:
+    if hi is None and form.sigma.degree() == 2:
         power = (tau.c1 - 2.0 * form.sigma.c2) / form.sigma.c2
         if complex(power).real >= -1.0:
             return f"rho ~ s^{power} at infinity is not integrable"
@@ -258,11 +255,7 @@ def _trace(form, ks, cands, best: BranchCandidate, lambda_n=None, notes=None) ->
     return NUTrace(
         form=form,
         k_candidates=(complex(ks[0]), complex(ks[1])),
-        chosen_k=best.k,
-        pi=best.pi,
-        tau=best.tau,
-        tau_slope=best.tau_slope,
-        lam=best.lam,
+        chosen=best,
         lambda_n=lambda_n,
         aux=FAMILIES[form.family].aux(form) if form.family is not None else {},
         candidates=tuple(cands),
@@ -418,32 +411,22 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
     return complex(e_n), _trace(form, ks, cands, best, lambda_n, {"n": n, "energy": complex(e_n)})
 
 
-def solve_spectrum_numeric(spec: PotentialSpec, n_max: int):
-    """Energies for n = 0..n_max from the numeric pipeline.
+@dataclass(frozen=True)
+class NumericSpectrum:
+    """Levels n = 0..n_max of the numeric pipeline, with the trace of each."""
 
-    Returns a SpectrumResult whose convention note records the branch data.
-    """
-    from . import spectra
+    entries: list  # [(n, complex E)]
+    traces: list  # [NUTrace], one per entry
 
-    entries = []
-    traces = []
-    for n in range(n_max + 1):
-        e_n, trace = solve_level(spec, n)
-        entries.append((n, e_n))
-        traces.append(trace)
-    result = spectra.SpectrumResult(
-        family=spec.family,
-        variant=spec.variant,
-        params=spec.to_dict()["params"],
-        entries=entries,
-        reality_flag=spectra.measure_reality_flag(entries),
-        conditions=None,
-        condition_report="",
-        convention_note="numeric pipeline roots; branch k and tau' recorded per level",
-        warnings=[],
-    )
-    result.traces = traces
-    return result
+    def energies(self):
+        return [e for _, e in self.entries]
+
+
+def solve_spectrum_numeric(spec: PotentialSpec, n_max: int) -> NumericSpectrum:
+    """Energies for n = 0..n_max from the numeric pipeline, each with the
+    trace of its accepted branch."""
+    levels = [solve_level(spec, n) for n in range(n_max + 1)]
+    return NumericSpectrum([(n, e) for n, (e, _) in enumerate(levels)], [t for _, t in levels])
 
 
 def _poly_json(p: LowPoly):
@@ -457,11 +440,11 @@ def trace_to_dict(trace: NUTrace) -> dict:
         "tau_tilde": _poly_json(trace.form.tau_tilde),
         "sigma_tilde": _poly_json(trace.form.sigma_tilde),
         "k_candidates": [complex_json(k) for k in trace.k_candidates],
-        "chosen_k": complex_json(trace.chosen_k),
-        "pi": _poly_json(trace.pi),
-        "tau": _poly_json(trace.tau),
-        "tau_slope": complex_json(trace.tau_slope),
-        "lambda": complex_json(trace.lam),
+        "chosen_k": complex_json(trace.chosen.k),
+        "pi": _poly_json(trace.chosen.pi),
+        "tau": _poly_json(trace.chosen.tau),
+        "tau_slope": complex_json(trace.chosen.tau_slope),
+        "lambda": complex_json(trace.chosen.lam),
         "lambda_n": complex_json(trace.lambda_n),
         "aux": {k: complex_json(v) for k, v in trace.aux.items()},
         "branches": [
@@ -482,4 +465,4 @@ def trace_to_dict(trace: NUTrace) -> dict:
 
 
 def trace_to_json(trace: NUTrace) -> str:
-    return json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":"))
+    return canonical_json(trace_to_dict(trace))

@@ -59,8 +59,6 @@ class GridHamiltonian:
     h: float
     diagonal: np.ndarray  # complex, 2 kappa/h^2 + V(x_i)
     offdiagonal: float  # -kappa/h^2
-    kappa: float
-    boundary: str = "dirichlet"
 
     @property
     def is_real(self) -> bool:
@@ -93,7 +91,7 @@ def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltoni
         raise SingularityError(f"grid touches a pole: {err}", where=err.where) from err
     kappa = spec.kappa
     diag = 2.0 * kappa / h**2 + v
-    return GridHamiltonian(domain=domain, N=N, h=h, diagonal=diag, offdiagonal=-kappa / h**2, kappa=kappa)
+    return GridHamiltonian(domain=domain, N=N, h=h, diagonal=diag, offdiagonal=-kappa / h**2)
 
 
 def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:

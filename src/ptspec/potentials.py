@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_math import complex_json
+from .core_math import canonical_json, complex_json
 from .errors import SingularityError, UnsupportedTransform
 from .families import FAMILIES, Family, Variant, variant_form
 
@@ -90,7 +90,7 @@ class PotentialSpec:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":
@@ -137,7 +137,6 @@ class DomainSpec:
     left: float
     right: float
     L: float | None = None
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if not self.right > self.left:

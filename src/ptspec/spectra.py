@@ -12,10 +12,9 @@ result's convention note instead of being patched.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
-from .core_math import complex_json
+from .core_math import canonical_json, complex_json
 from .errors import UnsupportedVariant
 from .families import _REALITY_TOL, FAMILIES, Family, Predicate, Variant, variant_form
 from .potentials import PotentialSpec
@@ -32,8 +31,6 @@ class RealityConditions:
     """Named parameter restrictions under which the variant's published
     spectrum is claimed real; every predicate is evaluated, never assumed."""
 
-    family: Family
-    variant: Variant
     predicates: tuple[Predicate, ...]
     verdict: bool
     note: str = ""
@@ -41,7 +38,7 @@ class RealityConditions:
 
 @dataclass
 class SpectrumResult:
-    """Indexed energies with reality flag and condition report."""
+    """Indexed energies with reality flag and reality conditions."""
 
     family: Family
     variant: Variant
@@ -49,7 +46,6 @@ class SpectrumResult:
     entries: list  # [(n, complex E)]
     reality_flag: RealityFlag
     conditions: RealityConditions | None
-    condition_report: str
     convention_note: str
     warnings: list = field(default_factory=list)
     alt_entries: list | None = None  # second sign candidate where published
@@ -82,7 +78,7 @@ class SpectrumResult:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
 
 def measure_reality_flag(entries, tol: float = _REALITY_TOL) -> RealityFlag:
@@ -95,14 +91,12 @@ def measure_reality_flag(entries, tol: float = _REALITY_TOL) -> RealityFlag:
 def reality_conditions(spec: PotentialSpec) -> RealityConditions:
     """Evaluate the published reality restrictions against the parameters."""
     if spec.variant is Variant.PT or spec.variant is Variant.QDeformedPT:
-        return RealityConditions(
-            spec.family, spec.variant, (), True, "unconditional for the PT-symmetric form"
-        )
+        return RealityConditions((), True, "unconditional for the PT-symmetric form")
     if spec.variant is not Variant.NonPT:
         raise UnsupportedVariant("reality conditions apply to PT and NonPT variants")
     preds = FAMILIES[spec.family].nonpt_predicates(spec)
     verdict = all(p.ok for p in preds)
-    return RealityConditions(spec.family, spec.variant, tuple(preds), verdict)
+    return RealityConditions(tuple(preds), verdict)
 
 
 def closed_form_spectrum(spec: PotentialSpec, n_max: int) -> SpectrumResult:
@@ -117,13 +111,8 @@ def closed_form_spectrum(spec: PotentialSpec, n_max: int) -> SpectrumResult:
     ee, warnings, alt = form.levels(spec, n_max)
     entries = [(n, complex(e)) for n, e in enumerate(ee)]
     conds = None
-    report = ""
     if spec.variant in (Variant.PT, Variant.QDeformedPT, Variant.NonPT):
         conds = reality_conditions(spec)
-        report = "; ".join(
-            f"{p.name}: measured {complex(p.measured):.3g} -> {'ok' if p.ok else 'violated'}"
-            for p in conds.predicates
-        ) or conds.note
     measured = measure_reality_flag(entries)
     flag = measured
     if measured is RealityFlag.AllReal and spec.variant is Variant.NonPT and conds is not None and conds.verdict:
@@ -135,7 +124,6 @@ def closed_form_spectrum(spec: PotentialSpec, n_max: int) -> SpectrumResult:
         entries=entries,
         reality_flag=flag,
         conditions=conds,
-        condition_report=report,
         convention_note=form.note,
         warnings=warnings,
         alt_entries=[(n, complex(e)) for n, e in enumerate(alt)] if alt is not None else None,

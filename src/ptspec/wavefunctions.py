@@ -51,7 +51,6 @@ class WavefunctionSpec:
     z_shift: complex
     prefactor: PrefactorForm
     norm_constant: complex = 1.0
-    notes: dict | None = None
 
 
 def _base_signs(roots, lo, hi):
@@ -71,15 +70,16 @@ def assemble(spec: PotentialSpec, trace: NUTrace, n: int) -> WavefunctionSpec:
     """
     form = trace.form
     sigma = form.sigma
-    failure = weight_failure(form, trace.tau)
+    chosen = trace.chosen
+    failure = weight_failure(form, chosen.tau)
     if failure:
         raise NonIntegrableWeight(failure)
-    lo, hi, _ = form.s_interval
+    lo, hi = form.s_interval
 
     # phi from pi/sigma
-    phi_roots, phi_exps, phi_lin = _rational_exponents(trace.pi, sigma)
+    phi_roots, phi_exps, phi_lin = _rational_exponents(chosen.pi, sigma)
     # rho from (tau - sigma')/sigma
-    rho_roots, rho_exps, _ = weight_exponents(form, trace.tau)
+    rho_roots, rho_exps, _ = weight_exponents(form, chosen.tau)
 
     if sigma.degree() == 2:
         r1, r2 = quadratic_roots(sigma)
@@ -101,10 +101,6 @@ def assemble(spec: PotentialSpec, trace: NUTrace, n: int) -> WavefunctionSpec:
         roots=tuple((complex(r), complex(e), sg) for r, e, sg in zip(phi_roots, phi_exps, signs)),
         exp_linear=complex(phi_lin),
     )
-    notes = {
-        "phi_exponents": {str(r): complex(e) for r, e in zip(phi_roots, phi_exps)},
-        "rho_exponents": {str(r): complex(e) for r, e in zip(rho_roots, rho_exps)},
-    }
     return WavefunctionSpec(
         potential=spec,
         n=n,
@@ -112,7 +108,6 @@ def assemble(spec: PotentialSpec, trace: NUTrace, n: int) -> WavefunctionSpec:
         z_scale=complex(z_scale),
         z_shift=complex(z_shift),
         prefactor=pref,
-        notes=notes,
     )
 
 

@@ -380,7 +380,8 @@ class TestCriterion8:
     def test_structural_invariants_on_acceptance_runs(self):
         assert _ACCEPTANCE_TRACES, "criteria 1 and 3 must run first"
         for trace in _ACCEPTANCE_TRACES:
-            assert trace.tau_slope.real < 0.0
+            assert trace.chosen in trace.candidates
+            assert trace.chosen.tau_slope.real < 0.0
             for c in trace.candidates:
                 assert c.square_residual <= 1e-10
                 assert c.tau.c0 == trace.form.tau_tilde.c0 + 2 * c.pi.c0

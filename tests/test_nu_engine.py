@@ -49,15 +49,15 @@ class TestBuildForm:
     def test_s_interval_fixed_at_build(self):
         # the weight's s-interval follows the spec's q; a raw triple gets (-1, 1)
         hyp = PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=4.0)
-        assert build_form(hyp, 1.0).s_interval == (2.0, None, True)
+        assert build_form(hyp, 1.0).s_interval == (2.0, None)
         mr = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=2.0)
-        assert build_form(mr, -1.0).s_interval == (0.0, 0.5, False)
+        assert build_form(mr, -1.0).s_interval == (0.0, 0.5)
         # below q = 1 the wall sinh_q = 0 maps to s = 1/q > 1
         mr = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=0.5)
-        assert build_form(mr, -1.0).s_interval == (0.0, 2.0, False)
-        assert build_form(trig(), 4.0).s_interval == (-1.0, 1.0, False)
+        assert build_form(mr, -1.0).s_interval == (0.0, 2.0)
+        assert build_form(trig(), 4.0).s_interval == (-1.0, 1.0)
         raw = synthetic_form(LowPoly(1, 0, 0), LowPoly(0, 1, 0), LowPoly(0, 0, 0))
-        assert raw.s_interval == (-1.0, 1.0, False)
+        assert raw.s_interval == (-1.0, 1.0)
 
     def test_variants_rejected(self):
         with pytest.raises(UnsupportedVariant):
@@ -129,10 +129,10 @@ class TestSelectBranch:
         # beta = -2: accepted tau = -2s(1 + sqrt(9/4)) = -5s
         form = build_form(trig(), 4.0)
         trace = select_branch(form)
-        assert abs(trace.tau.c1 + 5.0) < 1e-13
-        assert abs(trace.tau.c0) < 1e-13
-        assert trace.tau_slope.real < 0
-        assert abs(trace.chosen_k - 2.0) < 1e-13
+        assert abs(trace.chosen.tau.c1 + 5.0) < 1e-13
+        assert abs(trace.chosen.tau.c0) < 1e-13
+        assert trace.chosen.tau_slope.real < 0
+        assert abs(trace.chosen.k - 2.0) < 1e-13
 
     def test_hyperbolic_accepted_matches_zeta_form(self):
         # accepted tau = -(zeta1 - 2) s - sqrt(q) zeta2 with Re zeta1 > 2
@@ -141,8 +141,8 @@ class TestSelectBranch:
         trace = select_branch(form)
         z1, z2 = trace.aux["zeta1"], trace.aux["zeta2"]
         assert z1.real > 2
-        assert abs(trace.tau.c1 + (z1 - 2.0)) < 1e-12
-        assert abs(abs(trace.tau.c0) - abs(z2)) < 1e-12
+        assert abs(trace.chosen.tau.c1 + (z1 - 2.0)) < 1e-12
+        assert abs(abs(trace.chosen.tau.c0) - abs(z2)) < 1e-12
 
     def test_all_positive_slopes_raise(self):
         # sigma = s^2 + 1, tau_tilde = s, sigma_tilde = s^2/4: the radicand
@@ -160,7 +160,7 @@ class TestSelectBranch:
         # no-admissible-branch fixture.
         form = synthetic_form(LowPoly(1, 0, 0), LowPoly(0, 1, 0), LowPoly(0, 0, 0))
         trace = select_branch(form)
-        assert abs(trace.tau.c1 + 1.0) < 1e-14
+        assert abs(trace.chosen.tau.c1 + 1.0) < 1e-14
 
     def test_identities_tau_and_lambda(self):
         for spec, e in (
@@ -180,20 +180,20 @@ class TestSelectBranch:
 
 def level_equation(trace, n):
     """F_n of the trace's accepted branch."""
-    return nu_engine._f_n(trace.tau_slope, trace.form.sigma, n, trace.lam)
+    return nu_engine._f_n(trace.chosen.tau_slope, trace.form.sigma, n, trace.chosen.lam)
 
 
 class TestLevelEquation:
     def test_n0_is_lambda(self):
         form = build_form(trig(), 4.0)
         trace = select_branch(form)
-        assert level_equation(trace, 0) == trace.lam
+        assert level_equation(trace, 0) == trace.chosen.lam
 
     def test_n2_trig_coefficients(self):
         form = build_form(trig(), 4.0)
         trace = select_branch(form)
         # sigma'' = -2: F_2 = lambda + 2 tau' - 2
-        assert abs(level_equation(trace, 2) - (trace.lam + 2 * trace.tau_slope - 2.0)) < 1e-14
+        assert abs(level_equation(trace, 2) - (trace.chosen.lam + 2 * trace.chosen.tau_slope - 2.0)) < 1e-14
 
     def test_root_reproduces_closed_form(self):
         # F_n = 0 at eps = (n + 1/2 + sqrt(1/4 - beta))^2 for the trig family
@@ -302,7 +302,7 @@ class TestSolveSpectrum:
         for (n, e), ref in zip(res.entries, expected):
             assert abs(e - ref) < 1e-9 * (1 + abs(ref))
         for t in res.traces:
-            assert t.tau_slope.real < 0
+            assert t.chosen.tau_slope.real < 0
 
     @pytest.mark.parametrize("A", [0.0, 0.1, -0.5])
     def test_most_negative_tau_slope_wins(self, A):
@@ -315,7 +315,7 @@ class TestSolveSpectrum:
         root = math.sqrt(0.25 - A)
         for (n, e), t in zip(res.entries, res.traces):
             assert abs(e - (n + 0.5 + root) ** 2) < 1e-10 * (n + 1) ** 2
-            assert abs(t.tau_slope - (-2.0 - 2.0 * root)) < 1e-10
+            assert abs(t.chosen.tau_slope - (-2.0 - 2.0 * root)) < 1e-10
 
     def test_manning_rosen_below_q_one_screens_weight_up_to_the_wall(self):
         # q = 1/2: s = e^{-2 alpha x} runs from 1/q = 2 at the wall to 0.  The
@@ -423,7 +423,7 @@ class TestTraceSerialization:
 
     def test_lambda_n_equals_lambda_at_root(self):
         _, trace = solve_level(trig(), 2)
-        assert abs(trace.lam - trace.lambda_n) < 1e-10
+        assert abs(trace.chosen.lam - trace.lambda_n) < 1e-10
 
     def test_hyperbolic_aux_present(self):
         spec = PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=5.0, V2=0.0, q=1.0)

@@ -56,7 +56,6 @@ class TestDiscretize:
             h=1.0 / 101,
             diagonal=(2.0 * 101**2 + big) * np.ones(100, dtype=complex),
             offdiagonal=-(101.0**2),
-            kappa=1.0,
         )
         eigs = eigen_complex_dense(H)
         assert abs(eigs[0].real - big) / big < 1e-2
@@ -127,7 +126,6 @@ class TestEigenSolver:
             h=1.0,
             diagonal=np.asarray(diag, dtype=complex),
             offdiagonal=off,
-            kappa=1.0,
         )
 
     def test_diagonal_case(self):
@@ -313,7 +311,7 @@ class TestRealWindow:
         d = np.random.default_rng(seed).uniform(-50.0, 50.0, n)
         H = GridHamiltonian(
             domain=DomainSpec(DomainKind.FiniteInterval, 0.0, float(n + 1)),
-            N=n, h=1.0, diagonal=d.astype(complex), offdiagonal=b, kappa=1.0,
+            N=n, h=1.0, diagonal=d.astype(complex), offdiagonal=b,
         )
         below, tol = 50.0 * where, 8.0 * np.finfo(float).eps * _norm_max(H)
         full = eigvalsh_tridiagonal(d, np.full(n - 1, b), lapack_driver="sterf")

@@ -7,7 +7,7 @@ from scipy.integrate import simpson
 from ptspec.errors import NonIntegrableWeight
 from ptspec.core_math import LowPoly
 from ptspec.families import FAMILIES
-from ptspec.nu_engine import NUTrace, build_form, solve_level
+from ptspec.nu_engine import BranchCandidate, NUTrace, build_form, solve_level
 from ptspec.potentials import Family, PotentialSpec, default_domain
 from ptspec.wavefunctions import assemble, eval_psi, node_count, normalize
 
@@ -58,7 +58,7 @@ class TestAssembleTrig:
         for s in ss:
             lp = np.log(wf.prefactor(np.array([s - h, s + h])))
             dlog = (lp[1] - lp[0]) / (2 * h)
-            target = trace.pi(s) / trace.form.sigma(s)
+            target = trace.chosen.pi(s) / trace.form.sigma(s)
             assert abs(dlog - target) < 1e-8 * (1 + abs(target))
 
 
@@ -116,18 +116,17 @@ class TestErrorPaths:
         spec = trig()
         form = build_form(spec, 4.0)
         pi = LowPoly(0.0, 1.0, 0.0)  # tau = tau_tilde + 2 pi = s
-        trace = NUTrace(
-            form=form,
-            k_candidates=(0.0, 0.0),
-            chosen_k=0.0,
+        chosen = BranchCandidate(
+            k=0.0,
+            sign=1,
             pi=pi,
             tau=form.tau_tilde + pi.scale(2.0),
             tau_slope=1.0,
             lam=0.0,
-            lambda_n=None,
-            aux={},
-            candidates=(),
+            square_residual=0.0,
+            admissible=False,
         )
+        trace = NUTrace(form=form, k_candidates=(0.0, 0.0), chosen=chosen, lambda_n=None, aux={}, candidates=(chosen,))
         with pytest.raises(NonIntegrableWeight):
             assemble(spec, trace, 0)
 
