@@ -21,8 +21,12 @@ than N/8 roots are left; then from odd-even cyclic reduction (Buzbee, Golub
 & Nielson, SIAM J. Numer. Anal. 7 (1970) 627-656), log2 N steps, which makes
 the slow tail of nearly multiple roots cheap.  Complex symmetric tridiagonal
 eigenproblems lack the guarantees of the Hermitian case, so every
-eigenvalue of a complex grid is certified by an inverse-iteration residual;
-a real grid certifies five of the eigenvalues it returns, drawn at random.
+eigenvalue of a complex grid is certified: by a trace bound on its best
+residual, N |p/p'| from one more recurrence sweep, or where that bound
+fails, is not a number, or met an exactly zero pivot, by an
+inverse-iteration residual.  Five eigenvalues drawn at random take the
+inverse-iteration check on either grid kind: on a complex grid as a witness
+independent of the recurrence, on a real grid as its whole certification.
 """
 
 from __future__ import annotations
@@ -95,24 +99,37 @@ def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltoni
 
 
 def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:
-    """Inverse-iteration residual check: every eigenvalue of a complex grid,
-    five random ones of a real grid.
+    """Residual check against the contract bound relative to ||H||_max:
+    every eigenvalue of a complex grid, five random ones of a real grid.
 
-    A block of shifts takes one banded solve per step: the shifted copies of
-    H sit uncoupled down the diagonal of one band.  Three steps run from a
-    seeded random start without renormalizing, and ||Hv - lambda v||/||v||
-    is taken once, on the last v.  Returns the worst such residual; raises
-    QRNotConverged if one exceeds the contract bound relative to ||H||_max,
-    or is not a number.
+    On a complex grid each eigenvalue lambda first takes a trace bound.  With
+    G = (T - lambda)^-1, sigma_min(T - lambda) = 1/||G||_2 <= 1/max_r |G_rr|
+    <= N/|tr G| = N |p(lambda)/p'(lambda)| (Parlett & Dhillon, Linear Algebra
+    Appl. 267 (1997) 247-279), so one recurrence sweep over all N, the one
+    Aberth runs (`_newton_ratios`), bounds the best residual of each.
+
+    The banded check is inverse iteration.  A block of shifts takes one
+    banded solve per step: the shifted copies of H sit uncoupled down the
+    diagonal of one band.  Three steps run from a seeded random start
+    without renormalizing, and ||Hv - lambda v||/||v|| is taken once, on the
+    last v.  It runs on five seeded random eigenvalues of either grid, a
+    witness independent of the recurrence, and on every eigenvalue of a
+    complex grid whose trace bound is over the contract or not a number; a
+    recurrence that meets an exactly zero pivot gives NaN.  Returns the
+    worst bound or residual taken; raises QRNotConverged if a banded
+    residual exceeds the contract, or is not a number.
     """
     rng = np.random.default_rng(seed)
     n = H.N
-    if H.is_real:
-        idx = rng.choice(len(eigs), size=min(5, len(eigs)), replace=False)
-    else:
-        idx = np.arange(len(eigs))
+    idx = rng.choice(len(eigs), size=min(5, len(eigs)), replace=False)
     bound = _RESIDUAL_BOUND * (float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal))
     worst = 0.0
+    if not H.is_real:
+        with np.errstate(invalid="ignore"):  # a NaN bound only routes an eigenvalue to the banded check
+            trace_bound = n * np.abs(_newton_ratios(H.diagonal, H.offdiagonal**2, eigs, math.nan))
+        held = trace_bound <= bound
+        worst = float(np.max(trace_bound[held], initial=0.0))
+        idx = np.concatenate([idx, np.setdiff1d(np.flatnonzero(~held), idx)])
     per = max(1, min(len(idx), _CERTIFY_BLOCK // n))
     band = np.empty((3, per * n), dtype=complex)
     band[0] = band[2] = H.offdiagonal
@@ -142,8 +159,9 @@ def _recurrence_log_derivative(d: np.ndarray, b2: float, z: np.ndarray, tiny: fl
 
     The LU pivots of T - z are r_k = (d_k - z) - b2/r_{k-1}, so p'/p is the
     sum of u_k = r_k'/r_k, with r_k' = -1 + (b2/r_{k-1}) u_{k-1}.  An exactly
-    zero pivot becomes `tiny`, so that b2 = 0 gives no 0/0.  One step per
-    row, each over all of z.
+    zero pivot becomes `tiny`, so that b2 = 0 gives no 0/0; a NaN `tiny`
+    makes p'/p NaN at each z that met one.  One step per row, each over all
+    of z.
     """
     r = d[0] - z
     r[r == 0] = tiny
@@ -289,7 +307,9 @@ def eigen_complex_dense(
     `dsterf`.  Otherwise it returns a window by `dstebz` bisection, in O(N)
     per eigenvalue: every eigenvalue up to `below`, the `more` above those,
     and at least the lowest `lowest` (`_real_eigenvalues`).  certify=True
-    checks the inverse-iteration residual contract (`_certify`).
+    checks the residual contract (`_certify`): on a complex grid every
+    eigenvalue, by its trace bound or by inverse iteration, on a real grid
+    five random ones, by inverse iteration.
     """
     try:
         if H.is_real:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded, svdvals
 from scipy.optimize import linear_sum_assignment
 
 from ptspec import oracle
-from ptspec.cli import main
+from ptspec.cli import _PRESETS, main
 from ptspec.errors import QRNotConverged, SingularityError
 from ptspec.oracle import (
     ConjugationReport,
@@ -83,11 +83,16 @@ def _dense_eigvalsh(H):
     return eigs[np.argsort(eigs.real)]
 
 
+def _dense(H):
+    """Test-local reference: the grid as a dense matrix."""
+    off = np.full(H.N - 1, H.offdiagonal)
+    return np.diag(H.diagonal) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def _dense_eigvals(H):
     """Test-local reference: the complex grid as a dense matrix, through the
     dense general eigensolver."""
-    off = np.full(H.N - 1, H.offdiagonal)
-    return np.linalg.eigvals(np.diag(H.diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return np.linalg.eigvals(_dense(H))
 
 
 # spec, L of default_domain, N
@@ -115,6 +120,20 @@ _VARIANT_GRIDS = {
 def _variant_grid(name, N):
     spec, L = _VARIANT_GRIDS[name]
     return discretize(spec, default_domain(spec, L=L), N)
+
+
+@pytest.fixture
+def banded_solves(monkeypatch):
+    """The band width, in columns, of each solve_banded call the oracle
+    makes: N per eigenvalue checked."""
+    widths = []
+
+    def counted(l_and_u, ab, b, **kwargs):
+        widths.append(ab.shape[1])
+        return solve_banded(l_and_u, ab, b, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_banded", counted)
+    return widths
 
 
 class TestEigenSolver:
@@ -238,6 +257,69 @@ class TestEigenSolver:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+
+class TestTraceCertification:
+    def _trace_bounds(self, H, eigs):
+        """N |p/p'| at every eigenvalue, from one recurrence sweep over all."""
+        with np.errstate(invalid="ignore"):
+            return H.N * np.abs(oracle._newton_ratios(H.diagonal, H.offdiagonal**2, eigs, math.nan))
+
+    @pytest.mark.parametrize("name", sorted(k for k in _VARIANT_GRIDS if k != "hyp-pt-q1"))
+    def test_trace_bound_is_above_the_least_singular_value(self, name):
+        # sigma_min(T - z) = 1/||G||_2 <= 1/max_r |G_rr| <= N/|tr G| = N |p/p'|
+        # for G = (T - z)^-1.  At an eigenvalue both sides are rounding, and
+        # svdvals gives sigma_min to a few eps ||T - z||_2 only; 1e-9 ||H||_max
+        # off it, near the contract, the bound holds as it stands
+        H = _variant_grid(name, 200)
+        eigs = eigen_complex_dense(H, certify=False)
+        pick = np.random.default_rng(0).choice(H.N, size=20, replace=False)
+        T, norm = _dense(H), _norm_max(H)
+        off = eigs[pick] + 1e-9 * norm * (1 + 1j)
+        for z, bounds, slack in [
+            (eigs[pick], self._trace_bounds(H, eigs)[pick], 4.0 * np.finfo(float).eps * (norm + np.abs(eigs[pick]))),
+            (off, self._trace_bounds(H, off), 0.0),
+        ]:
+            sigma = np.array([svdvals(T - lam * np.eye(H.N))[-1] for lam in z])
+            assert np.all(bounds >= sigma - slack)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig5", "fig7", "trig-nonpt"])
+    def test_trace_bound_certifies_every_eigenvalue_of_the_complex_forms(self, name):
+        # verify's default --L 12 for the presets
+        spec = PotentialSpec(**_PRESETS[name][0]) if name in _PRESETS else _VARIANT_GRIDS[name][0]
+        H = discretize(spec, default_domain(spec, L=12.0), 800)
+        assert not H.is_real
+        bounds = self._trace_bounds(H, eigen_complex_dense(H, certify=False))
+        assert np.all(bounds <= oracle._RESIDUAL_BOUND * _norm_max(H))
+
+    def test_five_witnesses_take_the_banded_check_when_every_bound_holds(self, banded_solves):
+        H = _variant_grid("mr-nonpt", 800)
+        eigen_complex_dense(H)
+        assert banded_solves == [5 * H.N] * 3
+        # a real grid certifies five random eigenvalues, as it always has
+        banded_solves.clear()
+        H = _variant_grid("hyp-pt-q1", 800)
+        eigen_complex_dense(H)
+        assert banded_solves == [5 * H.N] * 3
+
+    def test_zero_pivots_go_to_the_banded_check(self, banded_solves):
+        # with b = 0 each eigenvalue d_k meets the zero pivot of row k, so
+        # every one is certified by inverse iteration, once
+        rng = np.random.default_rng(11)
+        d = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        H = GridHamiltonian(
+            domain=DomainSpec(DomainKind.FiniteInterval, 0.0, 201.0), N=200, h=1.0, diagonal=d, offdiagonal=0.0
+        )
+        assert np.all(np.isnan(self._trace_bounds(H, d)))
+        oracle._certify(H, d.copy())
+        assert len(banded_solves) % 3 == 0 and sum(banded_solves) == 3 * H.N * H.N
+
+    def test_a_nan_eigenvalue_is_refused(self):
+        H = _variant_grid("mr-nonpt", 200)
+        eigs = eigen_complex_dense(H, certify=False)
+        eigs[17] = complex(math.nan, 0.0)
+        with pytest.raises(QRNotConverged, match="residual certification"):
+            oracle._certify(H, eigs)
 
 
 def _norm_max(H):
@@ -448,6 +530,16 @@ class TestNewtonRatios:
         for z in (start, eigs, eigs * (1.0 + 1e-6 * (1 + 1j))):
             rec, red = _log_derivatives(d, b * b, z, ulp)
             assert np.max(np.abs(1.0 / rec - 1.0 / red)) < 1000.0 * ulp
+
+    def test_a_nan_tiny_marks_each_zero_pivot(self):
+        # row 0's pivot d_0 - z is zero at z = d_0 alone; later pivots carry
+        # -b2/r_{k-1} as well
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        z = np.array([d[0], d[30], 0.1 + 0.2j])
+        with np.errstate(invalid="ignore"):
+            got = oracle._recurrence_log_derivative(d, 0.7 - 0.2j, z, math.nan)
+        assert np.isnan(got[0]) and np.all(np.isfinite(got[1:]))
 
     def test_a_sweep_picks_the_order_by_its_root_count(self, monkeypatch):
         # fewer than N/8 roots take the reduction, in blocks of _BLOCK // N
