@@ -311,8 +311,8 @@ class TestTraceCertification:
             domain=DomainSpec(DomainKind.FiniteInterval, 0.0, 201.0), N=200, h=1.0, diagonal=d, offdiagonal=0.0
         )
         assert np.all(np.isnan(self._trace_bounds(H, d)))
-        oracle._certify(H, d.copy())
-        assert len(banded_solves) % 3 == 0 and sum(banded_solves) == 3 * H.N * H.N
+        oracle._certify(H, d)
+        assert sum(banded_solves) == 3 * H.N * H.N
 
     def test_a_nan_eigenvalue_is_refused(self):
         H = _variant_grid("mr-nonpt", 200)
