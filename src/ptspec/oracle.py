@@ -15,18 +15,22 @@ where a caller asks for every eigenvalue, LAPACK `dsterf` gives all N in
 O(N^2).
 A complex symmetric grid is always solved whole, by the Ehrlich-Aberth
 iteration of Bini, Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27
-(2005) 153-175).  A sweep takes its Newton ratios from the
-three-term recurrence, N Python steps over all roots at once, until fewer
-than N/8 roots are left; then from odd-even cyclic reduction (Buzbee, Golub
-& Nielson, SIAM J. Numer. Anal. 7 (1970) 627-656), log2 N steps, which makes
-the slow tail of nearly multiple roots cheap.  Complex symmetric tridiagonal
-eigenproblems lack the guarantees of the Hermitian case, so every
-eigenvalue of a complex grid is certified: by a trace bound on its best
-residual, N |p/p'| from one more recurrence sweep, or where that bound
-fails, is not a number, or met an exactly zero pivot, by an
-inverse-iteration residual.  Five eigenvalues drawn at random take the
-inverse-iteration check on either grid kind: on a complex grid as a witness
-independent of the recurrence, on a real grid as its whole certification.
+(2005) 153-175).  It starts from the first-order eigenvalues of the grid
+in its imaginary part: the eigenvalues mu_j of the real part, from
+`dsterf`, each moved by i v_j^T diag(Im d) v_j, which one more pass of the
+recurrence below gives with no eigenvector.  A sweep takes its Newton
+ratios from the three-term recurrence, N Python steps over all roots at
+once, until fewer than N/8 roots are left; then from odd-even cyclic
+reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627-656),
+log2 N steps, which makes the slow tail of nearly multiple roots cheap.
+Complex symmetric tridiagonal eigenproblems lack the guarantees of the
+Hermitian case, so every eigenvalue of a complex grid is certified: by a
+trace bound on its best residual, N |p/p'| from one more recurrence sweep,
+or where that bound fails, is not a number, or met an exactly zero pivot,
+by an inverse-iteration residual.  Five eigenvalues drawn at random take
+the inverse-iteration check on either grid kind: on a complex grid as a
+witness independent of the recurrence, on a real grid as its whole
+certification.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .potentials import DomainSpec, PotentialSpec, evaluate
 
 _RESIDUAL_BOUND = 1e-8
 # Ehrlich-Aberth sweeps before a complex grid is refused; the grids of the
-# tests and the benchmark take 2 to 56.
+# tests and the benchmark take 1 to 37.
 _ABERTH_SWEEPS = 200
 # Complex numbers per block of the Aberth sweeps and of certification, so
 # that memory stays O(N) however many eigenvalues a sweep or a check takes.
@@ -153,25 +157,30 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:
     return worst
 
 
-def _recurrence_log_derivative(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.ndarray:
+def _recurrence_log_derivative(
+    d: np.ndarray, b2: float, z: np.ndarray, tiny: float, w: np.ndarray | None = None
+) -> np.ndarray:
     """p'(z)/p(z) at each z, for p(z) = det(T - z) and T the tridiagonal
     with diagonal d and squared off-diagonal b2, by the three-term recurrence.
 
     The LU pivots of T - z are r_k = (d_k - z) - b2/r_{k-1}, so p'/p is the
-    sum of u_k = r_k'/r_k, with r_k' = -1 + (b2/r_{k-1}) u_{k-1}.  An exactly
-    zero pivot becomes `tiny`, so that b2 = 0 gives no 0/0; a NaN `tiny`
-    makes p'/p NaN at each z that met one.  One step per row, each over all
-    of z.
+    sum of u_k = r_k'/r_k, with r_k' = -1 + (b2/r_{k-1}) u_{k-1}.  Given w,
+    the -1, the z-derivative of d_k - z, becomes w_k, and the sum is the
+    derivative of log p along diag(w) instead.  An exactly zero pivot
+    becomes `tiny`, so that b2 = 0 gives no 0/0; a NaN `tiny` makes the
+    result NaN at each z that met one.  One step per row, each over all of
+    z.
     """
+    w = np.full(len(d), -1.0) if w is None else w
     r = d[0] - z
     r[r == 0] = tiny
-    u = -1.0 / r
+    u = w[0] / r
     total = u.copy()
-    for dk in d[1:]:
+    for dk, wk in zip(d[1:], w[1:]):
         t = b2 / r
         r = (dk - t) - z
         r[r == 0] = tiny
-        u = (t * u - 1.0) / r
+        u = (t * u + wk) / r
         total += u
     return total
 
@@ -231,18 +240,38 @@ def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.n
     )
 
 
+def _aberth_start(d: np.ndarray, b: float, tiny: float) -> np.ndarray:
+    """First-order eigenvalues mu_j + i c_j of T = T_0 + i diag(Im d), T_0
+    the real part of the tridiagonal with diagonal d and off-diagonal b.
+
+    mu_j comes from `dsterf` on T_0, and c_j = v_j^T diag(Im d) v_j, v_j its
+    eigenvector, is -(d_t log p)/(d_mu log p) at t = 0 for p(mu, t) =
+    det(T_0 + t diag(Im d) - mu).  Both derivatives come from one recurrence
+    pass over all mu, with no eigenvector: T_0 and mu are real, so the
+    recurrence along w = -1 + i Im d keeps the parts of w apart, and its sum
+    is d_mu log p + i d_t log p.  A start value that is not finite falls
+    back to mu_j + i mean(Im d).
+    """
+    mu = eigvalsh_tridiagonal(d.real, np.full(len(d) - 1, b), lapack_driver="sterf")
+    with np.errstate(all="ignore"):  # a value that is not finite takes the fallback
+        g = _recurrence_log_derivative(d.real, b * b, mu, tiny, -1.0 + 1j * d.imag)
+        c = -g.imag / g.real
+    c[~np.isfinite(c)] = np.mean(d.imag)
+    return mu + 1j * c
+
+
 def _aberth(d: np.ndarray, b: float) -> np.ndarray:
     """All eigenvalues of the tridiagonal with diagonal d and constant
     off-diagonal b, by Ehrlich-Aberth iteration.
 
-    Starts from `dsterf` on Re d, moved by i mean(Im d).  A sweep updates
-    every unconverged approximation at once; one stops when its step is at
-    most a few ulps of ||H||.  Raises QRNotConverged if any is left after
-    _ABERTH_SWEEPS sweeps.
+    Starts from the first-order eigenvalues of T in its imaginary part
+    (`_aberth_start`).  A sweep updates every unconverged approximation at
+    once; one stops when its step is at most a few ulps of ||H||.  Raises
+    QRNotConverged if any is left after _ABERTH_SWEEPS sweeps.
     """
     n = len(d)
     ulp = np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * abs(b))
-    lam = eigvalsh_tridiagonal(d.real, np.full(n - 1, b), lapack_driver="sterf") + 1j * np.mean(d.imag)
+    lam = _aberth_start(d, b, ulp)
     active = np.arange(n)
     rows = max(1, _BLOCK // n)
     for _ in range(_ABERTH_SWEEPS):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded, svdvals
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded, svdvals
 from scipy.optimize import linear_sum_assignment
 
 from ptspec import oracle
@@ -242,7 +242,7 @@ class TestEigenSolver:
         assert peak < 50e6
 
     def test_exhausted_sweep_budget_raises(self, monkeypatch):
-        # this grid takes 7 sweeps
+        # this grid takes 4 sweeps
         monkeypatch.setattr(oracle, "_ABERTH_SWEEPS", 2)
         with pytest.raises(QRNotConverged, match="unconverged after 2 sweeps"):
             eigen_complex_dense(_variant_grid("mr-nonpt", 200), certify=False)
@@ -257,6 +257,102 @@ class TestEigenSolver:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+
+@pytest.fixture
+def aberth_calls(monkeypatch):
+    """The evaluations one Aberth solve makes: ("sweep", roots) per
+    `_newton_ratios` call, ("recurrence", roots) per full-recurrence sweep
+    and ("start", roots) for the recurrence pass of the start."""
+    calls = []
+    ratios, recurrence = oracle._newton_ratios, oracle._recurrence_log_derivative
+
+    def counted_ratios(d, b2, z, tiny):
+        calls.append(("sweep", len(z)))
+        return ratios(d, b2, z, tiny)
+
+    def counted_recurrence(d, b2, z, tiny, w=None):
+        calls.append(("recurrence" if w is None else "start", len(z)))
+        return recurrence(d, b2, z, tiny, w)
+
+    monkeypatch.setattr(oracle, "_newton_ratios", counted_ratios)
+    monkeypatch.setattr(oracle, "_recurrence_log_derivative", counted_recurrence)
+    return calls
+
+
+def _diagonal_ulp(d, b):
+    return np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * abs(b))
+
+
+class TestAberthStart:
+    @pytest.mark.parametrize("name", sorted(k for k in _VARIANT_GRIDS if k != "hyp-pt-q1"))
+    def test_start_is_the_first_order_eigenvalue(self, name):
+        # mu_j + i v_j^T diag(Im d) v_j, with the eigenvectors v_j of the
+        # real part from LAPACK's tridiagonal eigenvector solver
+        H = _variant_grid(name, 400)
+        d, b = H.diagonal, H.offdiagonal
+        start = oracle._aberth_start(d, b, _diagonal_ulp(d, b))
+        mu, v = eigh_tridiagonal(d.real, np.full(H.N - 1, b))
+        assert np.array_equal(start.real, eigvalsh_tridiagonal(d.real, np.full(H.N - 1, b), lapack_driver="sterf"))
+        assert np.max(np.abs(start.imag - (v**2).T @ d.imag)) < 1e-10 * np.max(np.abs(d.imag))
+
+    def test_a_diagonal_start_is_the_diagonal(self, aberth_calls):
+        # b = 0: every mu_j = Re d_j meets the zero pivot of its own row, and
+        # the start is d_j up to the guard's first-order term, tiny times
+        # sum_k (Im d_k - Im d_j)/(d_k - d_j): rounding on separated entries,
+        # where Aberth stops after one sweep
+        k = np.arange(200.0)
+        d = k**2 + 1j * np.cos(k)
+        ulp = _diagonal_ulp(d, 0.0)
+        assert np.max(np.abs(oracle._aberth_start(d, 0.0, ulp) - d)) <= 2.0 * ulp
+        assert np.max(np.abs(oracle._aberth(d, 0.0) - d)) <= 2.0 * ulp
+        assert [c for c in aberth_calls if c[0] == "sweep"] == [("sweep", 200)]
+        # close entries make that term larger, but no larger
+        rng = np.random.default_rng(1)
+        d = np.sort(rng.standard_normal(100)) + 1j * rng.standard_normal(100)
+        ulp = _diagonal_ulp(d, 0.0)
+        gaps = d.real[:, None] - d.real[None, :]
+        np.fill_diagonal(gaps, np.inf)
+        term = ulp * np.sum(np.abs(d.imag[:, None] - d.imag[None, :]) / np.abs(gaps), axis=1)
+        assert np.all(np.abs(oracle._aberth_start(d, 0.0, ulp) - d) <= 2.0 * term + 2.0 * ulp)
+
+    def test_shifted_laplacian_start_is_finite(self):
+        # a constant diagonal c: its row pivots meet exact zeros, such as
+        # (1 - mu) - 1/r_0 at mu = 1, and every c_j is Im c
+        n = 800
+        d = np.full(n, 2.0 + 0.5j)
+        ref = 2.0 + 0.5j - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
+        start = oracle._aberth_start(d, -1.0, _diagonal_ulp(d, -1.0))
+        assert np.all(np.isfinite(start))
+        assert np.max(np.abs(start - ref)) < 1e-13
+        eigs = oracle._aberth(d, -1.0)
+        assert np.max(np.abs(eigs[np.argsort(eigs.real)] - ref)) < 1e-13
+
+    def test_a_start_that_is_not_finite_takes_the_mean(self):
+        # a NaN tiny makes every c_j of a diagonal NaN
+        rng = np.random.default_rng(2)
+        d = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        start = oracle._aberth_start(d, 0.0, math.nan)
+        assert np.array_equal(start, np.sort(d.real) + 1j * np.mean(d.imag))
+
+    @pytest.mark.parametrize(
+        "name, sweeps, full",
+        [
+            # the dsterf-on-Re(d) start moved by i mean(Im d) took 54 sweeps,
+            # 32 of them on the full recurrence, on the fig5-type grid, and
+            # 7 (3) and 6 (3) on the other two
+            ("mr-pt", 40, 12),
+            ("mr-nonpt", 7, 3),
+            ("trig-nonpt", 6, 3),
+        ],
+    )
+    def test_sweep_counts(self, name, sweeps, full, aberth_calls):
+        H = _variant_grid(name, 400)
+        oracle._aberth(H.diagonal, H.offdiagonal)
+        kinds = [kind for kind, _ in aberth_calls]
+        assert kinds.count("start") == 1
+        assert kinds.count("sweep") <= sweeps
+        assert kinds.count("recurrence") <= full
 
 
 class TestTraceCertification:
@@ -520,14 +616,15 @@ class TestNewtonRatios:
     @pytest.mark.parametrize("N", [400, 401])
     @pytest.mark.parametrize("name", sorted(_VARIANT_GRIDS))
     def test_orders_agree_on_every_variant_grid(self, name, N):
-        # at the Aberth start, on the eigenvalues and just off them, the two
-        # Newton ratios differ by rounding: a few hundred ulps of ||H|| at most
+        # at the Aberth start, at the real part's eigenvalues moved by
+        # i mean(Im d), on the eigenvalues and just off them, the two Newton
+        # ratios differ by rounding: a few hundred ulps of ||H|| at most
         H = _variant_grid(name, N)
         d, b = H.diagonal, H.offdiagonal
         ulp = np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * abs(b))
         eigs = eigen_complex_dense(H, certify=False)
-        start = eigvalsh_tridiagonal(d.real, np.full(N - 1, b), lapack_driver="sterf") + 1j * np.mean(d.imag)
-        for z in (start, eigs, eigs * (1.0 + 1e-6 * (1 + 1j))):
+        mean = eigvalsh_tridiagonal(d.real, np.full(N - 1, b), lapack_driver="sterf") + 1j * np.mean(d.imag)
+        for z in (oracle._aberth_start(d, b, ulp), mean, eigs, eigs * (1.0 + 1e-6 * (1 + 1j))):
             rec, red = _log_derivatives(d, b * b, z, ulp)
             assert np.max(np.abs(1.0 / rec - 1.0 / red)) < 1000.0 * ulp
 
