@@ -299,15 +299,15 @@ class TestAberthStart:
     def test_a_diagonal_start_is_the_diagonal(self, aberth_calls):
         # b = 0: every mu_j = Re d_j meets the zero pivot of its own row, and
         # the start is d_j up to the guard's first-order term, tiny times
-        # sum_k (Im d_k - Im d_j)/(d_k - d_j): rounding on separated entries,
-        # where Aberth stops after one sweep
+        # sum_k (Im d_k - Im d_j)/(Re d_k - Re d_j): rounding on separated
+        # entries, where Aberth stops after one sweep
         k = np.arange(200.0)
         d = k**2 + 1j * np.cos(k)
         ulp = _diagonal_ulp(d, 0.0)
         assert np.max(np.abs(oracle._aberth_start(d, 0.0, ulp) - d)) <= 2.0 * ulp
         assert np.max(np.abs(oracle._aberth(d, 0.0) - d)) <= 2.0 * ulp
         assert [c for c in aberth_calls if c[0] == "sweep"] == [("sweep", 200)]
-        # close entries make that term larger, but no larger
+        # on close entries the term is larger, and the start stays within it
         rng = np.random.default_rng(1)
         d = np.sort(rng.standard_normal(100)) + 1j * rng.standard_normal(100)
         ulp = _diagonal_ulp(d, 0.0)
