@@ -181,7 +181,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import oracle  # scipy.linalg: only verify needs it
+    from . import oracle  # SciPy's linalg: only verify needs it
 
     spec = _build_spec(args)
     domain = default_domain(spec, L=args.L)

