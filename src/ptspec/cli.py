@@ -165,15 +165,13 @@ def _write_out(text: str, out_path: str | None):
 def cmd_spectrum(args) -> int:
     spec = _build_spec(args)
     res = spectra.closed_form_spectrum(spec, args.n_max)
-    payload = res.to_dict()
-    payload["spec"] = spec.to_dict()
     if args.format == "csv":
         lines = ["n,re_E,im_E"]
         for n, e in res.entries:
             lines.append(f"{n},{e.real:.15g},{e.imag:.15g}")
         _write_out("\n".join(lines) + "\n", args.out)
     else:
-        _write_out(canonical_json(payload), args.out)
+        _write_out(res.to_json(), args.out)
     if args.strict and res.warnings:
         sys.stderr.write("condition warnings: " + "; ".join(res.warnings) + "\n")
         return _EXIT_CONDITION

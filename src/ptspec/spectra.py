@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .core_math import canonical_json, complex_json
 from .errors import UnsupportedVariant
-from .families import _REALITY_TOL, FAMILIES, Family, Predicate, Variant, variant_form
+from .families import _REALITY_TOL, FAMILIES, Predicate, Variant, variant_form
 from .potentials import PotentialSpec
 
 
@@ -40,9 +40,7 @@ class RealityConditions:
 class SpectrumResult:
     """Indexed energies with reality flag and reality conditions."""
 
-    family: Family
-    variant: Variant
-    params: dict
+    spec: PotentialSpec
     entries: list  # [(n, complex E)]
     reality_flag: RealityFlag
     conditions: RealityConditions | None
@@ -55,9 +53,7 @@ class SpectrumResult:
 
     def to_dict(self) -> dict:
         d = {
-            "family": self.family.value,
-            "variant": self.variant.value,
-            "params": self.params,
+            "spec": self.spec.to_dict(),
             "convention_note": self.convention_note,
             "entries": [{"n": n, **complex_json(e)} for n, e in self.entries],
             "reality_flag": self.reality_flag.value,
@@ -118,9 +114,7 @@ def closed_form_spectrum(spec: PotentialSpec, n_max: int) -> SpectrumResult:
     if measured is RealityFlag.AllReal and spec.variant is Variant.NonPT and conds is not None and conds.verdict:
         flag = RealityFlag.ConditionallyReal
     return SpectrumResult(
-        family=spec.family,
-        variant=spec.variant,
-        params=spec.to_dict()["params"],
+        spec=spec,
         entries=entries,
         reality_flag=flag,
         conditions=conds,

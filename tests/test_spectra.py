@@ -186,9 +186,12 @@ class TestRealityMachinery:
 
 class TestSerialization:
     def test_json_schema(self):
-        res = closed_form_spectrum(trig(variant=Variant.NonPT, A=3j, q=2.0), 2)
-        d = json.loads(res.to_json())
-        assert set(d) >= {"family", "variant", "params", "convention_note", "entries", "reality_flag", "conditions"}
+        spec = trig(variant=Variant.NonPT, A=3j, q=2.0)
+        d = json.loads(closed_form_spectrum(spec, 2).to_json())
+        assert set(d) >= {"spec", "convention_note", "entries", "reality_flag", "conditions"}
+        # the spec's facts are stated once, under "spec"
+        assert not set(d) & {"family", "variant", "params"}
+        assert d["spec"] == spec.to_dict()
         assert d["entries"][0].keys() == {"n", "re", "im"}
         assert d["conditions"]["predicates"][0]["name"] == "A1 = 0"
 
