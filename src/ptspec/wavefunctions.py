@@ -145,8 +145,8 @@ def normalize(wf: WavefunctionSpec, domain: DomainSpec, n_points: int = 2001) ->
     the constant keeps SciPy's bits.  SciPy's own is not imported: its
     `integrate` subpackage loads `special`, `optimize` and `sparse`, which
     would make the cold start of every process that normalizes about four
-    times as long.  Raises
-    NotNormalizable when the right-edge tail carries non-decaying weight.
+    times as long.  Raises NotNormalizable when the right-edge tail carries
+    non-decaying weight.
     """
     n_points = max(int(n_points), 1001)
     if n_points % 2 == 0:
