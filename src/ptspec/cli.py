@@ -12,6 +12,10 @@ Exit codes: 0 success, 1 usage error, 2 condition warnings under --strict,
 projection.  Outputs are deterministic (sorted keys, no timestamps) and
 written atomically.
 
+Dependencies: `spectrum` runs on the standard library alone and loads no
+NumPy; `profile` and `trace` load NumPy; `verify` loads NumPy and
+`scipy.linalg`.  Each command imports what it needs when it runs.
+
 Potential-spec JSON schema (accepted by --spec-json and embedded in every
 output under "spec"): {"family": str, "variant": str, "params": {"A"|"B"|
 "V0"|"V1"|"V2": {"re": float, "im": float}|null, "alpha": float,
@@ -28,9 +32,7 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
-from . import nu_engine, spectra
+from . import spectra
 from .errors import NoAdmissibleBranch, PtspecError, QRNotConverged, SingularityError
 from .core_math import LowPoly, canonical_json, complex_json
 from .potentials import Family, PotentialSpec, Variant, apply_variant, default_domain, evaluate_grid
@@ -224,6 +226,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    import numpy as np
+
     spec = _build_spec(args)
     if args.preset:
         L, npts, skip = _PRESETS[args.preset][1], _PROFILE_POINTS, True
@@ -275,6 +279,8 @@ def _no_branch_payload(err: NoAdmissibleBranch, **extra) -> dict:
 
 
 def cmd_trace(args) -> int:
+    from . import nu_engine  # NumPy: spectrum runs without it
+
     if args.form_json:
         with open(args.form_json) as fh:
             raw = json.load(fh)

@@ -3,6 +3,8 @@ functions and Jacobi polynomial evaluation.
 
 Everything here is pure double-precision complex arithmetic with a single
 documented square-root branch, so downstream formulas are deterministic.
+NumPy is imported only inside the functions that take arrays, so the
+closed-form spectra run without it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegreeError
 
@@ -105,11 +105,15 @@ def quadratic_roots(p: LowPoly) -> tuple[complex, complex]:
 
 def sinh_q(x: float, q: complex) -> complex:
     """Deformed sinh: (e^x - q e^-x)/2; q=1 recovers sinh."""
+    import numpy as np
+
     return 0.5 * (np.exp(x) - q * np.exp(-x))
 
 
 def cosh_q(x: float, q: complex) -> complex:
     """Deformed cosh: (e^x + q e^-x)/2; cosh_q^2 - sinh_q^2 = q."""
+    import numpy as np
+
     return 0.5 * (np.exp(x) + q * np.exp(-x))
 
 
@@ -135,6 +139,8 @@ def jacobi_eval(idx: JacobiIndex, x: complex) -> complex:
     Valid for complex indices and complex argument.  Vectorizes over x when
     given an array.
     """
+    import numpy as np
+
     a, b, n = complex(idx.nu1), complex(idx.nu2), idx.n
     x = np.asarray(x, dtype=complex) if not np.isscalar(x) else complex(x)
     p_prev = 1.0 + 0.0 * x  # P_0

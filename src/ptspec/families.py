@@ -25,6 +25,9 @@ Closed forms are implemented exactly as published, radicands taken on the
 principal branch, nested radicals inner-first.  Where a published form is
 known to disagree with the numeric pipeline or the finite-difference oracle,
 the disagreement is carried in its convention note instead of being patched.
+
+NumPy is imported only inside the evaluators, s-maps and reductions, which
+take or build arrays; the closed forms and predicates run without it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
-
-import numpy as np
 
 from .core_math import LowPoly, cosh_q, sinh_q, sqrt_principal
 from .errors import SingularityError, UnsupportedReduction, UnsupportedVariant
@@ -108,6 +109,8 @@ class FamilyRecord:
 
 
 def _check_poles(den, scale, x):
+    import numpy as np
+
     bad = np.abs(den) < _POLE_TOL * scale
     if np.any(bad):
         where = np.asarray(x)[bad] if np.ndim(x) else x
@@ -129,6 +132,8 @@ def _sinh_q_wall(spec: PotentialSpec) -> float | None:
 
 
 def _trig_base(spec: PotentialSpec, x):
+    import numpy as np
+
     ax = spec.alpha * x
     s = np.sin(ax)
     _check_poles(s, 1.0, x)
@@ -136,6 +141,8 @@ def _trig_base(spec: PotentialSpec, x):
 
 
 def _trig_pt(spec: PotentialSpec, x):
+    import numpy as np
+
     ax = spec.alpha * x
     s = np.sinh(ax)
     _check_poles(s, np.cosh(ax), x)
@@ -188,6 +195,12 @@ def _trig_nonpt_levels(spec: PotentialSpec, n_max: int):
     return _trig_image_levels(spec, n_max, root)
 
 
+def _trig_s_map(spec: PotentialSpec, x):
+    import numpy as np
+
+    return np.cos(spec.alpha * np.asarray(x, dtype=float))
+
+
 def _trig_reduce(spec: PotentialSpec, energy: complex):
     ka2 = spec.kappa * spec.alpha**2
     rp = ReducedParams(complex(energy / ka2), complex(spec.A / ka2))
@@ -212,6 +225,8 @@ def _hyp_base(spec: PotentialSpec, x):
 
 
 def _hyp_pt(spec: PotentialSpec, x):
+    import numpy as np
+
     ax, q = spec.alpha * x, spec.q
     if q == 1:
         # Morse-type cosine form; the q=1 limit of the ratio form
@@ -226,6 +241,8 @@ def _hyp_pt(spec: PotentialSpec, x):
 
 
 def _hyp_nonpt(spec: PotentialSpec, x):
+    import numpy as np
+
     ax = spec.alpha * x
     u = spec.q * np.exp(-2 * ax)
     den = (u + 1j) ** 2
@@ -260,7 +277,21 @@ def _hyp_nonpt_levels(spec: PotentialSpec, n_max: int):
     return [spec.V0 + 1j * v1 + ka2 * ((n + 0.5) - 0.5 * outer) ** 2 for n in range(n_max + 1)], [], None
 
 
+def _hyp_s_map(spec: PotentialSpec, x):
+    import numpy as np
+
+    return cosh_q(spec.alpha * np.asarray(x, dtype=float), spec.q)
+
+
+def _hyp_s_interval(q: float):
+    import numpy as np
+
+    return (np.sqrt(abs(q)), None)
+
+
 def _hyp_reduce(spec: PotentialSpec, energy: complex):
+    import numpy as np
+
     ka2 = spec.kappa * spec.alpha**2
     q = spec.q
     if not q > 0:
@@ -310,6 +341,8 @@ def _mr_base(spec: PotentialSpec, x):
 
 
 def _mr_pt(spec: PotentialSpec, x):
+    import numpy as np
+
     ax, q = spec.alpha * x, spec.q
     c2, s2 = np.cos(2 * ax), np.sin(2 * ax)
     den = (1 + q**2) * c2 + 1j * (1 - q**2) * s2 - 2 * q
@@ -319,6 +352,8 @@ def _mr_pt(spec: PotentialSpec, x):
 
 
 def _mr_nonpt(spec: PotentialSpec, x):
+    import numpy as np
+
     ax, q = spec.alpha * x, spec.q
     u = np.exp(-2 * ax)
     den = (1j * q * u - 1) ** 2
@@ -380,6 +415,12 @@ def _mr_nonpt_levels(spec: PotentialSpec, n_max: int):
     return ee, [], alt
 
 
+def _mr_s_map(spec: PotentialSpec, x):
+    import numpy as np
+
+    return np.exp(-2.0 * spec.alpha * np.asarray(x, dtype=float))
+
+
 def _mr_s_interval(q: float):
     if q > 0:  # s = e^{-2 alpha x} runs from 1/q at the wall sinh_q = 0 to 0
         return (0.0, 1.0 / q)
@@ -434,7 +475,7 @@ FAMILIES = {
                 "complexified coupling A1 + iA2 with q -> iq folded in; real iff A1 = 0",
             ),
         },
-        s_map=lambda spec, x: np.cos(spec.alpha * np.asarray(x, dtype=float)),
+        s_map=_trig_s_map,
         s_interval=lambda q: (-1.0, 1.0),
         reduce=_trig_reduce,
         nonpt_predicates=_trig_predicates,
@@ -456,8 +497,8 @@ FAMILIES = {
                 "printed combination (2i - 1)V1 evaluated with the stored complex V1, V2",
             ),
         },
-        s_map=lambda spec, x: cosh_q(spec.alpha * np.asarray(x, dtype=float), spec.q),
-        s_interval=lambda q: (np.sqrt(abs(q)), None),
+        s_map=_hyp_s_map,
+        s_interval=_hyp_s_interval,
         reduce=_hyp_reduce,
         nonpt_predicates=_hyp_predicates,
         aux=_hyp_aux,
@@ -480,7 +521,7 @@ FAMILIES = {
                 "published for eps^2; both +-sqrt candidates returned (entries carry +, alt_entries -)",
             ),
         },
-        s_map=lambda spec, x: np.exp(-2.0 * spec.alpha * np.asarray(x, dtype=float)),
+        s_map=_mr_s_map,
         s_interval=_mr_s_interval,
         reduce=_mr_reduce,
         nonpt_predicates=_mr_predicates,

@@ -4,21 +4,24 @@ non-PT transforms and a numeric PT-symmetry classifier.
 The three families (trigonometric Scarf, q-deformed hyperbolic Scarf,
 Manning-Rosen) and their variants are described in `families.py`, one record
 per family; every family-specific fact used here (parameter names, the
-evaluator, the inner wall) is looked up there.
+evaluator, the inner wall) is looked up there.  NumPy is imported only
+inside the functions that evaluate V on arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core_math import canonical_json, complex_json
 from .errors import SingularityError, UnsupportedTransform
 from .families import FAMILIES, Family, Variant, variant_form
+
+
+_NUMERIC_FIELDS = ("A", "B", "V0", "V1", "V2", "alpha", "q", "period", "mass", "hbar")
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,15 @@ class PotentialSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
+        for name in _NUMERIC_FIELDS:
+            v = getattr(self, name)
+            if v is not None and not cmath.isfinite(complex(v)):
+                raise ValueError(f"{name} must be finite, got {v}")
+        for name in ("mass", "hbar"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.period == 0:
+            raise ValueError("period must be nonzero")
         if self.period is not None:
             object.__setattr__(self, "alpha", math.pi / self.period)
         if self.alpha == 0:
@@ -167,6 +179,8 @@ def evaluate(spec: PotentialSpec, x):
     Base variants with real parameters return exactly real values.  Raises
     SingularityError at poles.
     """
+    import numpy as np
+
     scalar = np.isscalar(x)
     arr = np.asarray(x, dtype=float)
     out = variant_form(spec).potential(spec, arr)
@@ -176,6 +190,8 @@ def evaluate(spec: PotentialSpec, x):
 def evaluate_grid(spec: PotentialSpec, xs, skip_poles: bool = False):
     """Evaluate on a grid; with skip_poles, drop singular nodes instead of
     raising.  Returns (xs_kept, values)."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     if not skip_poles:
         return xs, evaluate(spec, xs)
@@ -233,6 +249,8 @@ def pt_symmetry_check(spec: PotentialSpec, grid, tol: float) -> PTSymmetryReport
     max |V(2c - x)* - V(x)|.  For real Base forms the report also carries
     the parity structure note.
     """
+    import numpy as np
+
     xs = np.asarray(grid, dtype=float)
     center = 0.5 * (xs[0] + xs[-1])
     mirrored = 2.0 * center - xs
