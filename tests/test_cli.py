@@ -73,6 +73,27 @@ class TestSpectrumCommand:
         assert code == 1
         assert "B" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--mass", "0"),
+            ("--hbar", "0"),
+            ("--period", "0"),
+            ("--mass", "-1"),
+            ("--A", "nan"),
+            ("--alpha", "inf"),
+            ("--q", "nan"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_numbers_are_usage_errors(self, capsys, flags):
+        # these once raised ZeroDivisionError, or printed NaN/Infinity JSON and exited 0
+        argv = ["spectrum", "--family", "trig-scarf", "--A", "-2", *flags]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ")
+
 
 class TestProfileCommand:
     @pytest.mark.parametrize("preset", [f"fig{k}" for k in range(1, 9)])
@@ -157,6 +178,12 @@ class TestTraceCommand:
         assert d["error"] == "NoAdmissibleBranch"
         assert len(d["branches"]) == 4
         assert all(b["rejection"] for b in d["branches"])
+
+    def test_negative_level_is_refused(self, capsys):
+        code, out, err = run(capsys, "trace", "--family", "trig-scarf", "--A", "-2", "--n", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: level n must be >= 0\n"
 
     def test_hyperbolic_negative_q_is_refused(self, capsys):
         # sigma = s^2 - q and the weight's interval s > sqrt(q) assume q > 0;
@@ -315,22 +342,45 @@ class TestDeterminismAndRoundTrip:
 
 
 def test_spectrum_trace_and_profile_do_not_load_scipy():
-    # only verify needs the oracle, and with it scipy.linalg
+    # spectrum runs on the standard library alone; trace and profile add
+    # NumPy; only verify needs the oracle, and with it scipy.linalg
     import subprocess
     import sys
 
     script = """
 import contextlib, io, sys
 import ptspec.cli
+from ptspec.cli import _PRESETS
+
+def loaded(top):
+    return sorted(m for m in sys.modules if m.split(".")[0] == top)
+
+trig = ["spectrum", "--family", "trig-scarf", "--A", "-2", "--q", "2", "--variant"]
 with contextlib.redirect_stdout(io.StringIO()):
+    assert loaded("numpy") == [], "import ptspec.cli"
     for argv in (
-        ["spectrum", "--family", "trig-scarf", "--A", "-2"],
+        *(["spectrum", "--preset", p] for p in sorted(_PRESETS)),
+        *(trig + [v] for v in ("base", "pt", "qpt", "nonpt")),
+        ["spectrum", "--preset", "fig7", "--format", "csv"],
+    ):
+        assert ptspec.cli.main(argv) == 0, argv
+    assert loaded("numpy") == [], "spectrum"
+    for argv in (
         ["trace", "--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1"],
         ["profile", "--preset", "fig1", "--format", "csv"],
     ):
         assert ptspec.cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    assert loaded("scipy") == [], "trace and profile"
+    assert ptspec.cli.main(["verify", "--family", "trig-scarf", "--A", "-2", "--N", "400"]) == 0
+print("ok")
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "ok"
+    # the module entry point itself, as a user runs it
+    argv = [sys.executable, "-X", "importtime", "-m", "ptspec.cli", "spectrum", "--preset", "fig3"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "ptspec.spectra" in imported
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []

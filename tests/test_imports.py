@@ -1,14 +1,21 @@
-"""The package's imports: each is used, and only the oracle loads SciPy.
+"""The package's imports: each is used, only the oracle loads SciPy, and
+only the array modules load NumPy when imported.
 
 No linter runs on the package, so the first check stands in for the
 unused-import rule: a deletion that leaves an import behind fails here.
-`__init__.py` is exempt, because its imports are the names it exports.
+It reads each import in its own scope, so a stale import in one function
+is found even where another function reads the same name.  `__init__.py`
+is exempt, because its imports are the names it exports.
 
 SciPy is the largest cost of a cold start.  Only `ptspec.oracle` may
 import it, and from it only `scipy.linalg`, at module level; every other
 module, eigenfunction normalization included, runs without it.  The
 import checks run in fresh interpreters, so that nothing this test
 session has loaded counts.
+
+NumPy is imported at module level only by `nu_engine`, `oracle` and
+`wavefunctions`; the other modules import it inside the functions that
+take or build arrays, so that `spectrum` runs without it.
 """
 
 from __future__ import annotations
@@ -24,22 +31,62 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ptspec"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _with_scopes(node, scopes=()):
+    """Every node below node, with the chain of functions that encloses it."""
+    for child in ast.iter_child_nodes(node):
+        yield child, scopes
+        yield from _with_scopes(child, scopes + (child,) if isinstance(child, _SCOPES) else scopes)
+
+
 def unused_imports(source: str) -> list[str]:
-    """Names bound by an import statement of source and never read in it."""
-    tree = ast.parse(source)
-    imported = set()
-    for node in ast.walk(tree):
+    """Names bound by an import statement of source and never read in its scope.
+
+    A module-level import may be read anywhere in the module; an import
+    inside a function only inside that function, nested functions included.
+    A read counts for the innermost enclosing import of its name, so one
+    function's read does not cover another's import.  Names bound in a
+    function are reported as function.name.
+    """
+    nodes = list(_with_scopes(ast.parse(source)))
+    used = {}  # (scope chain, name) -> read
+    for node, scopes in nodes:
         if isinstance(node, ast.Import):
-            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(a.asname or a.name for a in node.names)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - used)
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        used.update(((scopes, name), False) for name in names)
+    for node, scopes in nodes:
+        if isinstance(node, ast.Name):
+            for depth in range(len(scopes), -1, -1):
+                if (scopes[:depth], node.id) in used:
+                    used[scopes[:depth], node.id] = True
+                    break
+    return sorted(
+        ".".join([getattr(f, "name", "<lambda>") for f in scopes] + [name])
+        for (scopes, name), read in used.items()
+        if not read
+    )
 
 
 def test_the_check_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom . import spectra\nfrom .x import a, b\nnp.ones(a)\n"
     assert unused_imports(source) == ["b", "os", "spectra"]
+
+
+def test_the_check_reads_each_function_import_in_its_own_function():
+    # a module-wide check passes this: g reads np, so f's stale import hid
+    source = (
+        "import math\n"
+        "def f(x):\n    import numpy as np\n    return x\n"
+        "def g(x):\n    import numpy as np\n    def h():\n        return np.sin(x)\n    return h\n"
+        "def k(x):\n    import math\n    return math.cos(x)\n"
+    )
+    assert unused_imports(source) == ["f.np", "math"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -90,12 +137,11 @@ def test_the_oracle_loads_only_scipy_linalg():
     assert {s for s in subpackages if s not in ("linalg", "version") and not s.startswith("_")} == set()
 
 
-def test_scipy_is_imported_at_module_level_of_the_oracle_only():
-    # a deferred import would move the cost into the first timed call
+def _import_sites(top: str) -> list[tuple[str, bool]]:
+    """(file, at module level) of every statement that imports package top."""
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text())
-        top = {id(node) for node in tree.body}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 mods = [a.name for a in node.names]
@@ -103,6 +149,18 @@ def test_scipy_is_imported_at_module_level_of_the_oracle_only():
                 mods = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "scipy" for m in mods):
-                found.append((path.name, id(node) in top))
-    assert found == [("oracle.py", True)]
+            if any(m.split(".")[0] == top for m in mods):
+                found.append((path.name, node in tree.body))
+    return found
+
+
+def test_scipy_is_imported_at_module_level_of_the_oracle_only():
+    # a deferred import would move the cost into the first timed call
+    assert _import_sites("scipy") == [("oracle.py", True)]
+
+
+def test_numpy_is_imported_at_module_level_of_the_array_modules_only():
+    # elsewhere it is imported in the functions that take or build arrays,
+    # so that a cold `spectrum` loads no NumPy
+    at_top = {name for name, top in _import_sites("numpy") if top}
+    assert at_top == {"nu_engine.py", "oracle.py", "wavefunctions.py"}

@@ -278,6 +278,10 @@ class TestTerminationPoly:
 
 
 class TestSolveSpectrum:
+    def test_negative_level_raises(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            solve_level(trig(), -1)
+
     def test_trig_scarf_levels(self):
         res = solve_spectrum_numeric(trig(), 3)
         for n, e in res.entries:

@@ -272,6 +272,35 @@ class TestDomainsAndSerialization:
         with pytest.raises(ValueError):
             mk(Family.ManningRosen, A=1.0, B=1.0)  # q required
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(A=math.nan),
+            dict(A=complex(1.0, math.inf), variant=Variant.NonPT, q=1.0),
+            dict(A=1.0, alpha=math.inf),
+            dict(A=1.0, alpha=-math.inf),
+            dict(A=1.0, q=math.nan),
+            dict(A=1.0, period=math.inf),
+            dict(A=1.0, mass=math.nan),
+            dict(A=1.0, hbar=math.inf),
+            dict(A=1.0, mass=0.0),
+            dict(A=1.0, mass=-0.5),
+            dict(A=1.0, hbar=0.0),
+            dict(A=1.0, hbar=-1.0),
+            dict(A=1.0, period=0.0),
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_bad_numbers_are_refused(self, kw):
+        with pytest.raises(ValueError):
+            mk(Family.TrigScarf, **kw)
+
+    def test_bad_numbers_are_refused_from_json(self):
+        d = mk(Family.HyperbolicScarf, V0=1.0, V1=1.0, V2=1.0, q=2.0).to_dict()
+        d["params"]["V2"] = {"re": math.nan, "im": 0.0}
+        with pytest.raises(ValueError, match="V2 must be finite"):
+            PotentialSpec.from_dict(d)
+
     def test_evaluate_grid_skip_poles(self):
         spec = mk(Family.TrigScarf, A=-2.0)
         xs = np.linspace(0.0, math.pi, 7)  # endpoints are poles
