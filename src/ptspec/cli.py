@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 usage error, 2 condition warnings under --strict,
 projection.  Outputs are deterministic (sorted keys, no timestamps) and
 written atomically.
 
-Dependencies: `spectrum` runs on the standard library alone and loads no
-NumPy; `profile` and `trace` load NumPy; `verify` loads NumPy and
+Dependencies: `spectrum` and `trace` run on the standard library alone and
+load no NumPy; `profile` loads NumPy; `verify` loads NumPy and
 `scipy.linalg`.  Each command imports what it needs when it runs.
 
 Potential-spec JSON schema (accepted by --spec-json and embedded in every
@@ -279,7 +279,7 @@ def _no_branch_payload(err: NoAdmissibleBranch, **extra) -> dict:
 
 
 def cmd_trace(args) -> int:
-    from . import nu_engine  # NumPy: spectrum runs without it
+    from . import nu_engine  # only trace needs the NU engine
 
     if args.form_json:
         with open(args.form_json) as fh:

@@ -103,6 +103,65 @@ def quadratic_roots(p: LowPoly) -> tuple[complex, complex]:
     return (t / a, c / t)
 
 
+_EPS = 2.0**-52
+_ABERTH_SWEEPS = 100  # a cap only: each root stops at its rounding level long before
+
+
+def poly_roots(coeffs) -> tuple[complex, ...]:
+    """Every root of a polynomial of low degree, coefficients highest power
+    first with the leading one non-zero.
+
+    Degree 1 and 2 are solved in closed form (quadratic_roots), higher
+    degrees by Aberth's method from the circle of Fujiwara's bound on the
+    roots.  An Aberth root stops once its backward error is at the rounding
+    level, |p(z)| <= 4 eps sum |c_i| |z|^i: a simple root is then exact to
+    rounding, a double root (where Aberth converges only linearly) to about
+    the square root of it.
+    """
+    c = [complex(x) for x in coeffs]
+    if c and c[0] == 0:
+        raise DegreeError("poly_roots needs a non-zero leading coefficient")
+    zeros = ()
+    while len(c) > 1 and c[-1] == 0:  # exact roots at 0, where |p(z)| is never small against its terms
+        c.pop()
+        zeros += (0j,)
+    d = len(c) - 1
+    if d < 1:
+        return zeros
+    if d == 1:
+        return (-c[1] / c[0],) + zeros
+    if d == 2:
+        return quadratic_roots(LowPoly(c[2], c[1], c[0])) + zeros
+    mag = [abs(x) for x in c]
+    radius = 2.0 * max([(mag[i] / mag[0]) ** (1.0 / i) for i in range(1, d)] + [(mag[d] / (2.0 * mag[0])) ** (1.0 / d)])
+    # off the real axis, so that no two starts are conjugate
+    z = [cmath.rect(radius, 2.0 * cmath.pi * j / d + 0.4) for j in range(d)]
+    tail = list(zip(c[1:], mag[1:]))
+    active = list(range(d))
+    for _ in range(_ABERTH_SWEEPS):
+        for i in list(active):
+            zi = z[i]
+            azi = abs(zi)
+            p, dp, size = c[0], 0.0, mag[0]
+            for a, m in tail:
+                dp = dp * zi + p
+                p = p * zi + a
+                size = size * azi + m
+            if abs(p) <= 4.0 * _EPS * size:
+                active.remove(i)
+                continue
+            pull = 0.0
+            for j in range(d):
+                if j != i:
+                    pull += 1.0 / (zi - z[j])
+            den = dp - p * pull
+            if den != 0:
+                z[i] = zi - p / den
+        if not active:
+            break
+    return tuple(z) + zeros
+
+
 def sinh_q(x: float, q: complex) -> complex:
     """Deformed sinh: (e^x - q e^-x)/2; q=1 recovers sinh."""
     import numpy as np

@@ -26,8 +26,8 @@ principal branch, nested radicals inner-first.  Where a published form is
 known to disagree with the numeric pipeline or the finite-difference oracle,
 the disagreement is carried in its convention note instead of being patched.
 
-NumPy is imported only inside the evaluators, s-maps and reductions, which
-take or build arrays; the closed forms and predicates run without it.
+NumPy is imported only inside the evaluators and s-maps, which take or
+build arrays; the reductions, closed forms and predicates run without it.
 """
 
 from __future__ import annotations
@@ -284,14 +284,10 @@ def _hyp_s_map(spec: PotentialSpec, x):
 
 
 def _hyp_s_interval(q: float):
-    import numpy as np
-
-    return (np.sqrt(abs(q)), None)
+    return (math.sqrt(abs(q)), None)
 
 
 def _hyp_reduce(spec: PotentialSpec, energy: complex):
-    import numpy as np
-
     ka2 = spec.kappa * spec.alpha**2
     q = spec.q
     if not q > 0:
@@ -302,7 +298,7 @@ def _hyp_reduce(spec: PotentialSpec, energy: complex):
     rp = ReducedParams(
         sqrt_principal((energy - spec.V0) / ka2),
         sqrt_principal(spec.V1 / (ka2 * q)),
-        sqrt_principal(spec.V2 / (ka2 * np.sqrt(q + 0j))),
+        sqrt_principal(spec.V2 / (ka2 * math.sqrt(q))),
     )
     e2, b2, g2 = rp.eps**2, rp.beta**2, rp.gamma**2
     return LowPoly(-q, 0.0, 1.0), LowPoly(0.0, 1.0, 0.0), LowPoly(-q * e2, -g2, e2 - b2), rp

@@ -22,27 +22,33 @@ substitution.  The pipeline then
      F_n(E) = lambda + n tau' + n(n-1) sigma''/2 = 0,  lambda = k + pi',
      on all four branches at once.  sigma_tilde is affine in E, so the
      product of F_n over the branches is a polynomial P_n(E) of degree at
-     most 4 (termination_poly).  Each real root of P_n is polished by Newton's
-     method on the branch where F_n vanishes, and the first-ranked admissible
-     (root, branch) pair is the level.
+     most 4 (termination_poly), whose roots poly_roots finds.  Each real
+     root of P_n is polished by Newton's method on the branch where F_n
+     vanishes, and the first-ranked admissible (root, branch) pair is the
+     level.
 
 No published closed form is read: the pipeline is an independent check of
-them.  Every derivation step is retained in an audit trace.
+them.  Every derivation step is retained in an audit trace.  The arithmetic
+is on Python complex numbers and tuples of them, so `trace` runs without
+NumPy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .core_math import LowPoly, canonical_json, complex_json, quadratic_roots, sqrt_principal
+from .core_math import LowPoly, canonical_json, complex_json, poly_roots, quadratic_roots, sqrt_principal
 from .errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleBranch, UnsupportedVariant
 from .families import FAMILIES, Family, ReducedParams, Variant
 from .potentials import PotentialSpec
 
 _F_TOL = 1e-12  # a root's F_n residual (_f_residual) at most this
 _COEFF_TOL = 1e-10  # a coefficient of P_n this small against its terms is rounding
+_DISC_TOL = 1e-14  # a k-discriminant this small against its terms is rounding
+# a weight exponent this close to -1, relative to its size, is -1 (not
+# integrable): it is computed from an energy whose F_n residual may be _F_TOL
+_EXP_TOL = _F_TOL
 _POLISH_STEPS = 4  # forms built per root of P_n while polishing, at most
 _POLISH_REACH = 1e-6  # a polishing step longer than this, relative to 1 + |E|, leaves the root
 
@@ -102,6 +108,16 @@ def k_candidates(form: HypergeometricForm) -> tuple[complex, complex]:
     ck = b1 * b1 - 4.0 * b2 * b0
     scale = max(abs(ak), abs(bk), abs(ck), 1.0)
     if abs(ak) > 1e-14 * scale:
+        # the k-discriminant against the magnitudes of its terms, down to
+        # those of a_k, b_k and c_k: where D(k) has a double root for every
+        # E (fig4), a residue at this level is rounding, and the two k must
+        # not split by its square root
+        at = abs(s1) ** 2 + 4.0 * abs(s2) * abs(s0)
+        bt = 2.0 * abs(b1) * abs(s1) + 4.0 * (abs(b2) * abs(s0) + abs(b0) * abs(s2))
+        ct = abs(b1) ** 2 + 4.0 * abs(b2) * abs(b0)
+        if abs(bk * bk - 4.0 * ak * ck) <= _DISC_TOL * (bt * bt + 4.0 * at * ct):
+            k = -bk / (2.0 * ak)
+            return (k, k)
         return quadratic_roots(LowPoly(ck, bk, ak))
     if abs(bk) > 1e-14 * scale:
         k = -ck / bk
@@ -195,11 +211,11 @@ def weight_failure(form: HypergeometricForm, tau: LowPoly) -> str:
     for r, e in zip(roots, exps):
         at_lo = abs(r - lo) <= tol * (1.0 + abs(lo))
         at_hi = (hi is not None) and abs(r - hi) <= tol * (1.0 + abs(hi))
-        if (at_lo or at_hi) and complex(e).real <= -1.0:
+        if (at_lo or at_hi) and complex(e).real <= -1.0 + _EXP_TOL * (1.0 + abs(e)):
             return f"rho exponent {e} at s={r} is not integrable"
     if hi is None and form.sigma.degree() == 2:
         power = (tau.c1 - 2.0 * form.sigma.c2) / form.sigma.c2
-        if complex(power).real >= -1.0:
+        if complex(power).real >= -1.0 - _EXP_TOL * (1.0 + abs(power)):
             return f"rho ~ s^{power} at infinity is not integrable"
     return ""
 
@@ -295,15 +311,35 @@ def _f_residual(c: BranchCandidate, sigma: LowPoly, n: int) -> float:
     return abs(_f_n(c.tau_slope, sigma, n, c.lam)) / (1.0 + size)
 
 
-def _add(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sum of two coefficient arrays (or scalars), highest power first;
-    np.polyadd would drop leading zeros, and with them the alignment of the
-    two passes of _resultant."""
-    u, v = np.atleast_1d(u), np.atleast_1d(v)
+def _add(u: tuple, v: tuple) -> tuple:
+    """Sum of two coefficient tuples, highest power first, aligned at the
+    constant term, with no leading zero dropped: the two passes of
+    _resultant must keep the same length."""
     if len(u) < len(v):
         u, v = v, u
     cut = len(u) - len(v)
-    return np.concatenate((u[:cut], u[cut:] + v))
+    return u[:cut] + tuple(x + y for x, y in zip(u[cut:], v))
+
+
+def _scaled(a, u: tuple) -> tuple:
+    return tuple(a * x for x in u)
+
+
+def _mul(u, v) -> tuple:
+    """Product of two coefficient tuples, highest power first."""
+    out = [0.0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _polyval(coeffs, x):
+    """Horner's rule, coefficients highest power first."""
+    y = 0.0
+    for a in coeffs:
+        y = y * x + a
+    return y
 
 
 def _resultant(s, b, c, m, sign):
@@ -312,24 +348,24 @@ def _resultant(s, b, c, m, sign):
     and g(k) = F_n^+ F_n^- = (k + c)^2 - m^2 (b2 + k s2).
 
     s = (s0, s1, s2) are sigma's coefficients and b = (b0, b1, b2) those of
-    the radicand at k = 0, each a [slope, intercept] array in E.  sign = -1
+    the radicand at k = 0, each a (slope, intercept) tuple in E.  sign = -1
     gives the resultant; sign = +1 on absolute values gives, per
     coefficient, the sum of the magnitudes of its terms (its rounding scale).
     """
-    mul = np.convolve
     s0, s1, s2 = s
     b0, b1, b2 = b
     ak = s1 * s1 + sign * 4.0 * s2 * s0
-    bk = _add(2.0 * s1 * b1, sign * 4.0 * (s0 * b2 + s2 * b0))
-    ck = _add(mul(b1, b1), sign * 4.0 * mul(b2, b0))
+    bk = _add(_scaled(2.0 * s1, b1), _scaled(sign * 4.0, _add(_scaled(s0, b2), _scaled(s2, b0))))
+    ck = _add(_mul(b1, b1), _scaled(sign * 4.0, _mul(b2, b0)))
     g1 = 2.0 * c + sign * m * m * s2
-    g0 = _add(c * c, sign * m * m * b2)
+    g0 = _add((c * c,), _scaled(sign * m * m, b2))
     # two quadratics, g monic: (a_k g0 - c_k)^2 - (a_k g1 - b_k)(b_k g0 - c_k g1)
-    x = _add(ak * g0, sign * ck)
-    return _add(mul(x, x), sign * mul(_add(ak * g1, sign * bk), _add(mul(bk, g0), sign * g1 * ck)))
+    x = _add(_scaled(ak, g0), _scaled(sign, ck))
+    y = _mul(_add((ak * g1,), _scaled(sign, bk)), _add(_mul(bk, g0), _scaled(sign * g1, ck)))
+    return _add(_mul(x, x), _scaled(sign, y))
 
 
-def termination_poly(spec: PotentialSpec, n: int) -> np.ndarray:
+def termination_poly(spec: PotentialSpec, n: int) -> tuple[complex, ...]:
     """Coefficients in E, highest first, of P_n(E) = a_k^2 times the product
     of F_n over the four (k, sign) branches: its roots are every energy at
     which level n terminates on some branch.
@@ -342,39 +378,43 @@ def termination_poly(spec: PotentialSpec, n: int) -> np.ndarray:
     """
     f0, f1 = build_form(spec, 0.0), build_form(spec, 1.0)
     r0, r1 = _radicand(f0, 0.0), _radicand(f1, 0.0)
-    b = [np.array([y - x, x]) for x, y in zip(r0.coeffs(), r1.coeffs())]
+    b = [(y - x, x) for x, y in zip(r0.coeffs(), r1.coeffs())]
     s = f0.sigma.coeffs()
     m = 2 * n + 1
     c = m * _half_gap(f0).c1 + n * f0.tau_tilde.c1 + n * (n - 1) * s[2]
     value = _resultant(s, b, c, m, -1.0)
-    scale = _resultant([abs(v) for v in s], [np.abs(v) for v in b], abs(c), m, 1.0)
-    value = np.where(np.abs(value) > _COEFF_TOL * scale, value, 0.0)
-    if not value.any():
+    scale = _resultant([abs(v) for v in s], [(abs(x), abs(y)) for x, y in b], abs(c), m, 1.0)
+    value = [v if abs(v) > _COEFF_TOL * t else 0j for v, t in zip(value, scale)]
+    while value and value[0] == 0:
+        value.pop(0)
+    if not value:
         raise DegenerateTermination(f"P_{n}(E) vanishes identically: level {n} terminates at every energy")
-    return np.trim_zeros(value, "f")
+    return tuple(value)
 
 
-def _polished(spec: PotentialSpec, n: int, dpoly: np.ndarray, e: float):
+def _polished(spec: PotentialSpec, n: int, dpoly: tuple, e: float):
     """Newton's method on P_n from e, a real root of its coefficients.
 
     P_n is evaluated as a_k^2 times the product of the four F_n, which is
     exact to rounding where one of them vanishes, so each step is Newton's
     on that factor.  Steps go on while they shrink the least F_n residual
     (_f_residual).  Returns (e, form, k pair, candidates, residuals) at the
-    best point, or None when no residual reaches _F_TOL: a split double
-    root, where F_n is as large as the square root of a rounding error.
+    best point, or None when no residual reaches _F_TOL: a root where F_n
+    does not vanish, or one that poly_roots gives only to about the square
+    root of the rounding level (a double root of P_n) and that the steps do
+    not bring to _F_TOL within _POLISH_REACH and _POLISH_STEPS forms.
     """
-    best, best_r = None, np.inf
+    best, best_r = None, math.inf
     for _ in range(_POLISH_STEPS):
         form, ks, cands = branches(spec, e)
         rs = [_f_residual(c, form.sigma, n) for c in cands]
         if min(rs) >= best_r:
             break
         best, best_r = (e, form, ks, cands, rs), min(rs)
-        fs = [_f_n(c.tau_slope, form.sigma, n, c.lam) for c in cands]
+        f = math.prod(_f_n(c.tau_slope, form.sigma, n, c.lam) for c in cands)
         s0, s1, s2 = form.sigma.coeffs()
-        slope = np.polyval(dpoly, e)
-        step = ((s1 * s1 - 4.0 * s2 * s0) ** 2 * np.prod(fs) / slope).real if slope != 0 else np.inf
+        slope = _polyval(dpoly, e)
+        step = ((s1 * s1 - 4.0 * s2 * s0) ** 2 * f / slope).real if slope != 0 else math.inf
         if not abs(step) <= _POLISH_REACH * (1.0 + abs(e)):
             break
         e -= step
@@ -394,12 +434,12 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
     if n < 0:
         raise ValueError("level n must be >= 0")
     poly = termination_poly(spec, n)
-    dpoly = np.polyder(poly)
+    dpoly = tuple((len(poly) - 1 - i) * a for i, a in enumerate(poly[:-1]))
     found = []
-    for root in np.roots(poly):
+    for root in poly_roots(poly):
         if abs(root.imag) > 1e-8 * (1.0 + abs(root)):
             continue  # Base pipeline: spectra are real
-        at = _polished(spec, n, dpoly, float(root.real))
+        at = _polished(spec, n, dpoly, root.real)
         if at is None:
             continue
         e, form, ks, cands, rs = at

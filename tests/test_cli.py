@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ class TestDeterminismAndRoundTrip:
 
 
 def test_spectrum_trace_and_profile_do_not_load_scipy():
-    # spectrum runs on the standard library alone; trace and profile add
+    # spectrum and trace run on the standard library alone; profile adds
     # NumPy; only verify needs the oracle, and with it scipy.linalg
     import subprocess
     import sys
@@ -383,4 +384,38 @@ print("ok")
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
     assert "ptspec.spectra" in imported
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+def test_trace_does_not_load_numpy():
+    # the NU engine works on tuples of Python complex numbers, so a trace of
+    # each family, of a preset and of a raw form runs without NumPy
+    import subprocess
+    import sys
+
+    form = Path(__file__).parent / "golden" / "no_admissible_form.json"
+    script = f"""
+import contextlib, io, sys
+import ptspec.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv, code in (
+        (["trace", "--family", "trig-scarf", "--A", "-2", "--n", "1"], 0),
+        (["trace", "--family", "hyperbolic-scarf", "--V0", "0", "--V1", "4", "--V2", "-3", "--q", "1"], 0),
+        (["trace", "--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1", "--n", "2"], 0),
+        (["trace", "--preset", "fig4", "--n", "1"], 0),
+        (["trace", "--form-json", {str(form)!r}], 3),
+    ):
+        assert ptspec.cli.main(argv) == code, argv
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")) or "ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+    # the module entry point itself, as a user runs it
+    argv = [sys.executable, "-X", "importtime", "-m", "ptspec.cli", "trace", "--family", "trig-scarf", "--A", "-2"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "ptspec.nu_engine" in imported
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi, gammaln
 
@@ -12,6 +12,7 @@ from ptspec.core_math import (
     LowPoly,
     cosh_q,
     jacobi_eval,
+    poly_roots,
     quadratic_roots,
     sinh_q,
     sqrt_principal,
@@ -82,6 +83,68 @@ class TestQuadraticRoots:
         rec = LowPoly(c2 * r1 * r2, -c2 * (r1 + r2), c2)
         for a, b in zip(rec.coeffs(), p.coeffs()):
             assert abs(a - b) <= 1e-13 * (1 + scale)
+
+
+_EPS = 2.0**-52
+# components 0 or at least 1e-3: a root of 1e-147 next to one of 1 puts
+# |z|^4 below the smallest double, and no backward error is measurable
+_unit_part = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+_unit_root = st.builds(complex, _unit_part, _unit_part)
+_scale = st.floats(-2.0, 3.0).map(lambda t: 10.0**t)
+_lead = st.builds(complex, st.floats(0.1, 10.0), st.floats(-10.0, 10.0))
+
+
+def _at_rounding_level(coeffs, z) -> bool:
+    """|p(z)| at most 8 eps times the sum of the magnitudes of its terms."""
+    p = size = 0.0
+    for a in coeffs:
+        p = p * z + a
+        size = size * abs(z) + abs(a)
+    return abs(p) <= 8 * _EPS * size
+
+
+def _distance(found, ref):
+    """Largest distance from a found root to its nearest unmatched reference."""
+    ref, worst = list(ref), 0.0
+    for z in found:
+        j = min(range(len(ref)), key=lambda j: abs(ref[j] - z))
+        worst = max(worst, abs(ref.pop(j) - z))
+    return worst
+
+
+class TestPolyRoots:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_unit_root, min_size=1, max_size=4), _scale, _lead)
+    def test_simple_roots_match_numpy(self, unit, scale, lead):
+        assume(all(abs(a - b) >= 0.25 for i, a in enumerate(unit) for b in unit[:i]))
+        coeffs = lead * np.poly([u * scale for u in unit])
+        roots = poly_roots(coeffs)
+        assert len(roots) == len(unit)
+        assert _distance(roots, np.roots(coeffs)) <= 1e-12 * scale
+        assert all(_at_rounding_level(coeffs, z) for z in roots)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_unit_root, min_size=1, max_size=2), _scale, _lead)
+    def test_double_roots_of_a_square(self, unit, scale, lead):
+        # a double root is fixed only to about the square root of the
+        # rounding of the coefficients, here 3e-7 of the scale at worst;
+        # numpy's companion-matrix roots split it as much
+        assume(len(unit) == 1 or abs(unit[0] - unit[1]) >= 0.5)
+        exact = [u * scale for u in unit for _ in range(2)]
+        coeffs = lead * np.poly(exact)
+        roots = poly_roots(coeffs)
+        assert _distance(roots, exact) <= 1e-6 * scale
+        assert _distance(roots, np.roots(coeffs)) <= 1e-6 * scale
+        assert all(_at_rounding_level(coeffs, z) for z in roots)
+
+    def test_low_degrees(self):
+        assert poly_roots([3.0]) == ()
+        assert poly_roots([2.0, -3.0]) == (1.5,)
+        assert sorted(z.real for z in poly_roots([1.0, -3.0, 2.0])) == [1.0, 2.0]
+
+    def test_zero_leading_coefficient(self):
+        with pytest.raises(DegreeError):
+            poly_roots([0.0, 1.0, 2.0])
 
 
 class TestDeformedHyperbolics:

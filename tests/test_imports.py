@@ -13,9 +13,9 @@ module, eigenfunction normalization included, runs without it.  The
 import checks run in fresh interpreters, so that nothing this test
 session has loaded counts.
 
-NumPy is imported at module level only by `nu_engine`, `oracle` and
-`wavefunctions`; the other modules import it inside the functions that
-take or build arrays, so that `spectrum` runs without it.
+NumPy is imported at module level only by `oracle` and `wavefunctions`;
+the other modules import it inside the functions that take or build
+arrays, so that `spectrum` and `trace` run without it.
 """
 
 from __future__ import annotations
@@ -161,6 +161,6 @@ def test_scipy_is_imported_at_module_level_of_the_oracle_only():
 
 def test_numpy_is_imported_at_module_level_of_the_array_modules_only():
     # elsewhere it is imported in the functions that take or build arrays,
-    # so that a cold `spectrum` loads no NumPy
+    # so that a cold `spectrum` or `trace` loads no NumPy
     at_top = {name for name, top in _import_sites("numpy") if top}
-    assert at_top == {"nu_engine.py", "oracle.py", "wavefunctions.py"}
+    assert at_top == {"oracle.py", "wavefunctions.py"}

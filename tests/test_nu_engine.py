@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ptspec import nu_engine
-from ptspec.core_math import LowPoly, sqrt_principal
+from ptspec.core_math import LowPoly, poly_roots, sqrt_principal
 from ptspec.errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleBranch, UnsupportedVariant
 from ptspec.nu_engine import (
     build_form,
@@ -23,6 +23,10 @@ from ptspec.potentials import Family, PotentialSpec, Variant
 
 def trig(A=-2.0, **kw):
     return PotentialSpec(family=Family.TrigScarf, A=A, **kw)
+
+
+FIG4 = PotentialSpec(family=Family.ManningRosen, A=10.0, B=1.0, q=-4.0)
+MR_DEEP = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
 
 
 class TestBuildForm:
@@ -123,6 +127,38 @@ class TestKCandidates:
         with pytest.raises(DegenerateDiscriminant):
             k_candidates(form)
 
+    @pytest.mark.parametrize("energy", [0.0, -3.0, 7.0, 1.234567])
+    def test_fig4_k_pair_does_not_split(self, energy):
+        # fig4's D(k) has the double root k = 19 at every E; at E = 1.234567
+        # rounding left a discriminant of 2e-13, and the pair split into
+        # 19 +- 2.4e-7
+        form = build_form(FIG4, energy)
+        k1, k2 = k_candidates(form)
+        assert k1 == k2
+        assert abs(k1 - 19.0) <= 1e-14 * 19.0
+        if energy in (0.0, -3.0, 7.0):
+            assert k1 == 19.0
+
+    @pytest.mark.parametrize(
+        "spec,energy,pair",
+        [
+            (trig(), 4.0, (4.25, 2.0)),
+            (
+                PotentialSpec(family=Family.HyperbolicScarf, V0=1.0, V1=5.0, V2=0.5, q=2.0),
+                3.7,
+                (2.6943063937629157, -0.04430639376291555),
+            ),
+            (
+                PotentialSpec(family=Family.ManningRosen, A=3.3, B=0.7, q=-4.0),
+                -1.3,
+                (8.249468024894146, 3.5505319751058533),
+            ),
+        ],
+    )
+    def test_distinct_pair_keeps_its_bits(self, spec, energy, pair):
+        # the values before the discriminant was snapped at its rounding level
+        assert k_candidates(build_form(spec, energy)) == pair
+
 
 class TestSelectBranch:
     def test_trig_accepted_slope(self):
@@ -181,6 +217,19 @@ class TestSelectBranch:
 def level_equation(trace, n):
     """F_n of the trace's accepted branch."""
     return nu_engine._f_n(trace.chosen.tau_slope, trace.form.sigma, n, trace.chosen.lam)
+
+
+class TestWeightFailure:
+    @pytest.mark.parametrize("energy", [-41.0, -41.000000000000014])
+    def test_exponent_minus_one_is_not_integrable(self, energy):
+        # the deep well's n = 2 level, at the energy polished from P_2 and at
+        # one two ulps off it: the k = 19.5, sign -1 branch has rho ~ s^-1 at
+        # s = 0, computed as -1 and as -0.99999999999999911
+        form, _, cands = nu_engine.branches(MR_DEEP, energy)
+        (c,) = [c for c in cands if abs(c.k - 19.5) < 1e-12 and c.sign == -1]
+        roots, exps, _ = nu_engine.weight_exponents(form, c.tau)
+        assert min(abs(e + 1.0) for e in exps) < 1e-14
+        assert "not integrable" in nu_engine.weight_failure(form, c.tau)
 
 
 class TestLevelEquation:
@@ -383,7 +432,7 @@ class TestSolveSpectrum:
 
         monkeypatch.setattr(nu_engine, "weight_failure", counted)
         spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
-        assert len(np.roots(termination_poly(spec, 0))) == 2
+        assert len(poly_roots(termination_poly(spec, 0))) == 2
         solve_level(spec, 0)
         assert len(calls) == 8
 
@@ -393,6 +442,16 @@ class TestSolveSpectrum:
         assert trace.notes["n"] == 1 and abs(trace.notes["energy"] - 9.0) < 1e-12
         assert len(trace.candidates) == 4
         assert all(c.weight_integrable is not None for c in trace.candidates)
+
+    @pytest.mark.xfail(strict=True, reason="fig4 has no bound state; the pipeline still returns non-levels")
+    def test_fig4_has_no_level(self):
+        # V > -10 everywhere for fig4, so no energy is a bound state; every
+        # root of P_n that polishes lies on a branch whose weight is not
+        # integrable, and the pipeline still accepts it (by Re(tau') < 0
+        # alone) instead of refusing
+        for n in range(6):
+            with pytest.raises(NoAdmissibleBranch):
+                solve_level(FIG4, n)
 
     def test_no_admissible_root_lists_rejected_branches(self):
         # Manning-Rosen A=-40, B=2 at n = 6: both real roots of P_6 lie on
