@@ -133,7 +133,7 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
     if d == 2:
         return quadratic_roots(LowPoly(c[2], c[1], c[0])) + zeros
     mag = [abs(x) for x in c]
-    radius = 2.0 * max([(mag[i] / mag[0]) ** (1.0 / i) for i in range(1, d)] + [(mag[d] / (2.0 * mag[0])) ** (1.0 / d)])
+    radius = 2.0 * max([(mag[i] / mag[0]) ** (1.0 / i) for i in range(1, d)] + [(0.5 * mag[d] / mag[0]) ** (1.0 / d)])
     # off the real axis, so that no two starts are conjugate
     z = [cmath.rect(radius, 2.0 * cmath.pi * j / d + 0.4) for j in range(d)]
     tail = list(zip(c[1:], mag[1:]))
@@ -154,9 +154,7 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
             for j in range(d):
                 if j != i:
                     pull += 1.0 / (zi - z[j])
-            den = dp - p * pull
-            if den != 0:
-                z[i] = zi - p / den
+            z[i] = zi - p / (dp - p * pull)
         if not active:
             break
     return tuple(z) + zeros

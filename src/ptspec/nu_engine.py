@@ -46,9 +46,6 @@ from .potentials import PotentialSpec
 _F_TOL = 1e-12  # a root's F_n residual (_f_residual) at most this
 _COEFF_TOL = 1e-10  # a coefficient of P_n this small against its terms is rounding
 _DISC_TOL = 1e-14  # a k-discriminant this small against its terms is rounding
-# a weight exponent this close to -1, relative to its size, is -1 (not
-# integrable): it is computed from an energy whose F_n residual may be _F_TOL
-_EXP_TOL = _F_TOL
 _POLISH_STEPS = 4  # forms built per root of P_n while polishing, at most
 _POLISH_REACH = 1e-6  # a polishing step longer than this, relative to 1 + |E|, leaves the root
 
@@ -208,14 +205,16 @@ def weight_failure(form: HypergeometricForm, tau: LowPoly) -> str:
     lo, hi = form.s_interval
     roots, exps, _ = weight_exponents(form, tau)
     tol = 1e-9
+    # an exponent within _F_TOL of -1, relative to its size, is -1 (not
+    # integrable): it comes from an energy whose F_n residual may be _F_TOL
     for r, e in zip(roots, exps):
         at_lo = abs(r - lo) <= tol * (1.0 + abs(lo))
         at_hi = (hi is not None) and abs(r - hi) <= tol * (1.0 + abs(hi))
-        if (at_lo or at_hi) and complex(e).real <= -1.0 + _EXP_TOL * (1.0 + abs(e)):
+        if (at_lo or at_hi) and complex(e).real <= -1.0 + _F_TOL * (1.0 + abs(e)):
             return f"rho exponent {e} at s={r} is not integrable"
     if hi is None and form.sigma.degree() == 2:
         power = (tau.c1 - 2.0 * form.sigma.c2) / form.sigma.c2
-        if complex(power).real >= -1.0 - _EXP_TOL * (1.0 + abs(power)):
+        if complex(power).real >= -1.0 - _F_TOL * (1.0 + abs(power)):
             return f"rho ~ s^{power} at infinity is not integrable"
     return ""
 
@@ -325,7 +324,7 @@ def _scaled(a, u: tuple) -> tuple:
     return tuple(a * x for x in u)
 
 
-def _mul(u, v) -> tuple:
+def _mul(u: tuple, v: tuple) -> tuple:
     """Product of two coefficient tuples, highest power first."""
     out = [0.0] * (len(u) + len(v) - 1)
     for i, x in enumerate(u):
