@@ -1,10 +1,10 @@
-"""Complex scalar utilities, low-degree polynomials, q-deformed hyperbolic
-functions and Jacobi polynomial evaluation.
+"""Complex scalar utilities, low-degree polynomials and their roots,
+q-deformed hyperbolic functions and Jacobi polynomial evaluation.
 
 Everything here is pure double-precision complex arithmetic with a single
 documented square-root branch, so downstream formulas are deterministic.
 NumPy is imported only inside the functions that take arrays, so the
-closed-form spectra run without it.
+closed-form spectra and the NU engine run without it.
 """
 
 from __future__ import annotations

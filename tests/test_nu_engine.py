@@ -222,12 +222,12 @@ def level_equation(trace, n):
 class TestWeightFailure:
     @pytest.mark.parametrize("energy", [-41.0, -41.000000000000014])
     def test_exponent_minus_one_is_not_integrable(self, energy):
-        # the deep well's n = 2 level, at the energy polished from P_2 and at
-        # one two ulps off it: the k = 19.5, sign -1 branch has rho ~ s^-1 at
-        # s = 0, computed as -1 and as -0.99999999999999911
+        # the deep well's n = 2 level, at the energy polished from P_2 and two
+        # ulps off it: the k = 19.5, sign -1 branch has rho ~ s^-1 at s = 0,
+        # computed as -1 and as -0.99999999999999911
         form, _, cands = nu_engine.branches(MR_DEEP, energy)
         (c,) = [c for c in cands if abs(c.k - 19.5) < 1e-12 and c.sign == -1]
-        roots, exps, _ = nu_engine.weight_exponents(form, c.tau)
+        _, exps, _ = nu_engine.weight_exponents(form, c.tau)
         assert min(abs(e + 1.0) for e in exps) < 1e-14
         assert "not integrable" in nu_engine.weight_failure(form, c.tau)
 
