@@ -85,19 +85,24 @@ def _half_gap(form: HypergeometricForm) -> LowPoly:
     return (form.sigma.derivative() - form.tau_tilde).scale(0.5)
 
 
+def _radicand_head(form: HypergeometricForm, p: LowPoly) -> LowPoly:
+    """p^2 - sigma_tilde, p the half gap: the radicand less k sigma."""
+    return LowPoly(p.c0 * p.c0, 2.0 * p.c0 * p.c1, p.c1 * p.c1) - form.sigma_tilde
+
+
 def _radicand(form: HypergeometricForm, k: complex) -> LowPoly:
-    p = _half_gap(form)
-    p2 = LowPoly(p.c0 * p.c0, 2.0 * p.c0 * p.c1, p.c1 * p.c1)
-    return p2 - form.sigma_tilde + form.sigma.scale(k)
+    return _radicand_head(form, _half_gap(form)) + form.sigma.scale(k)
 
 
-def k_candidates(form: HypergeometricForm) -> tuple[complex, complex]:
+def k_candidates(form: HypergeometricForm, base: LowPoly | None = None) -> tuple[complex, complex]:
     """Both k for which the radicand's s-discriminant vanishes.
 
+    base is the radicand at k = 0, computed from the form when not given.
     The discriminant is a polynomial in k; raises DegenerateDiscriminant
     when it is constant (no k can be solved for).
     """
-    base = _radicand(form, 0.0)
+    if base is None:
+        base = _radicand(form, 0.0)
     s2, s1, s0 = form.sigma.c2, form.sigma.c1, form.sigma.c0
     b2, b1, b0 = base.c2, base.c1, base.c0
     ak = s1 * s1 - 4.0 * s2 * s0
@@ -220,12 +225,17 @@ def weight_failure(form: HypergeometricForm, tau: LowPoly) -> str:
 
 
 def _enumerate_branches(form: HypergeometricForm) -> tuple[tuple[complex, complex], list[BranchCandidate]]:
-    """The k pair and the four unweighed (k, sign) candidates of a form."""
-    ks = k_candidates(form)
+    """The k pair and the four unweighed (k, sign) candidates of a form.
+
+    The half gap and the radicand head are built once; the radicand at
+    each k is (p^2 - sigma_tilde) + sigma k, as in _radicand.
+    """
     p = _half_gap(form)
+    head = _radicand_head(form, p)
+    ks = k_candidates(form, head + form.sigma.scale(0.0))
     out = []
     for k in ks:  # duplicate k kept so the audit always shows four slots
-        a, b, resid = _square_factor(_radicand(form, k))
+        a, b, resid = _square_factor(head + form.sigma.scale(k))
         for sign in (+1, -1):
             pi = LowPoly(p.c0 + sign * b, p.c1 + sign * a, 0.0)
             tau = form.tau_tilde + pi.scale(2.0)
@@ -397,24 +407,29 @@ def _polished(spec: PotentialSpec, n: int, dpoly: tuple, e: float):
     P_n is evaluated as a_k^2 times the product of the four F_n, which is
     exact to rounding where one of them vanishes, so each step is Newton's
     on that factor.  Steps go on while they shrink the least F_n residual
-    (_f_residual).  Returns (e, form, k pair, candidates, residuals) at the
-    best point, or None when no residual reaches _F_TOL: a root where F_n
-    does not vanish, or one that poly_roots gives only to about the square
-    root of the rounding level (a double root of P_n) and that the steps do
-    not bring to _F_TOL within _POLISH_REACH and _POLISH_STEPS forms.
+    (_f_residual).  A step back to an energy already visited (the same e,
+    or the other end of a one-ulp cycle) ends the loop: a form there gives
+    the residuals it gave before, which did not beat the best.  So each
+    form is built at a new energy.  Returns (e, form, k pair, candidates,
+    residuals) at the best point, or None when no residual reaches _F_TOL:
+    a root where F_n does not vanish, or one that poly_roots gives only to
+    about the square root of the rounding level (a double root of P_n) and
+    that the steps do not bring to _F_TOL within _POLISH_REACH and
+    _POLISH_STEPS forms.
     """
-    best, best_r = None, math.inf
+    best, best_r, seen = None, math.inf, []
     for _ in range(_POLISH_STEPS):
         form, ks, cands = branches(spec, e)
         rs = [_f_residual(c, form.sigma, n) for c in cands]
         if min(rs) >= best_r:
             break
         best, best_r = (e, form, ks, cands, rs), min(rs)
+        seen.append(e)
         f = math.prod(_f_n(c.tau_slope, form.sigma, n, c.lam) for c in cands)
         s0, s1, s2 = form.sigma.coeffs()
         slope = _polyval(dpoly, e)
         step = ((s1 * s1 - 4.0 * s2 * s0) ** 2 * f / slope).real if slope != 0 else math.inf
-        if not abs(step) <= _POLISH_REACH * (1.0 + abs(e)):
+        if not abs(step) <= _POLISH_REACH * (1.0 + abs(e)) or e - step in seen:
             break
         e -= step
     return best if best_r <= _F_TOL else None
@@ -426,9 +441,11 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
 
     Each real root is polished on the branch where F_n vanishes; every
     branch whose F_n residual is at most _F_TOL there is a candidate, and
-    the admissible one that ranks first (_rank) is the level.  Raises
-    NoAdmissibleBranch when no real root lies on an admissible branch,
-    and ValueError for n < 0.
+    only these are weighed.  The admissible one that ranks first (_rank) is
+    the level, and the four candidates of its form are weighed once, for
+    the trace.  Raises NoAdmissibleBranch, listing the weighed candidates,
+    when no real root lies on an admissible branch, and ValueError for
+    n < 0.
     """
     if n < 0:
         raise ValueError("level n must be >= 0")
@@ -442,15 +459,17 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
         if at is None:
             continue
         e, form, ks, cands, rs = at
-        cands = _weigh(form, cands)
-        found += [(e, form, ks, cands, c) for c, r in zip(cands, rs) if r <= _F_TOL]
+        ends = [i for i, r in enumerate(rs) if r <= _F_TOL]
+        weighed = _weigh(form, [cands[i] for i in ends])
+        found += [(e, form, ks, cands, i, c) for i, c in zip(ends, weighed)]
     admissible = [t for t in found if t[-1].admissible]
     if not admissible:
         why = f"no real root of P_{n} lies on a branch with Re(tau') < 0"
         raise NoAdmissibleBranch(why, candidates=[t[-1] for t in found])
-    e_n, form, ks, cands, best = min(admissible, key=lambda t: _rank(t[-1]))
-    lambda_n = -_f_n(best.tau_slope, form.sigma, n)
-    return complex(e_n), _trace(form, ks, cands, best, lambda_n, {"n": n, "energy": complex(e_n)})
+    e_n, form, ks, cands, i, _ = min(admissible, key=lambda t: _rank(t[-1]))
+    cands = _weigh(form, cands)
+    lambda_n = -_f_n(cands[i].tau_slope, form.sigma, n)
+    return complex(e_n), _trace(form, ks, cands, cands[i], lambda_n, {"n": n, "energy": complex(e_n)})
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptspec import nu_engine
 from ptspec.core_math import LowPoly, poly_roots, sqrt_principal
@@ -420,9 +423,10 @@ class TestSolveSpectrum:
             solve_level(PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0), 0)
 
     def test_weight_checked_only_at_real_roots(self, monkeypatch):
-        # integrability is read for the four candidates at each real root of
-        # P_n (two for the Manning-Rosen deep well at n = 0), never while
-        # polishing
+        # integrability is read, never while polishing, for the branch on
+        # which F_n vanishes at each real root of P_n (two for the
+        # Manning-Rosen deep well at n = 0, one branch each) and then once
+        # for the four candidates of the accepted form, which the trace shows
         calls = []
         real = nu_engine.weight_failure
 
@@ -434,7 +438,47 @@ class TestSolveSpectrum:
         spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
         assert len(poly_roots(termination_poly(spec, 0))) == 2
         solve_level(spec, 0)
-        assert len(calls) == 8
+        assert len(calls) == 6
+
+    def test_polishing_builds_each_energy_once(self, monkeypatch):
+        # a Newton step that leaves E as it is ends the polish: a form built
+        # again at the same E gives the same residuals
+        energies = []
+        real = nu_engine.build_form
+
+        def recorded(spec, energy):
+            energies.append(energy)
+            return real(spec, energy)
+
+        specs = (trig(), MR_DEEP, FIG4, PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=1.0))
+        polished = 0
+        for spec in specs:
+            for n in range(6):
+                poly = termination_poly(spec, n)
+                dpoly = tuple((len(poly) - 1 - i) * a for i, a in enumerate(poly[:-1]))
+                monkeypatch.setattr(nu_engine, "build_form", recorded)
+                for root in poly_roots(poly):
+                    energies.clear()
+                    nu_engine._polished(spec, n, dpoly, root.real)
+                    assert len(set(energies)) == len(energies), (spec, n, energies)
+                    polished += len(energies) > 1
+                monkeypatch.setattr(nu_engine, "build_form", real)
+        assert polished  # some roots take more than one form
+
+    @pytest.mark.parametrize("spec, forms", [(trig(), 40), (MR_DEEP, 26)])
+    def test_forms_built_per_spectrum(self, monkeypatch, spec, forms):
+        # the deterministic count behind the pipeline's wall time: two forms
+        # for P_n and the polishing forms of each real root, n = 0..5
+        calls = []
+        real = nu_engine.build_form
+
+        def counted(spec, energy):
+            calls.append(energy)
+            return real(spec, energy)
+
+        monkeypatch.setattr(nu_engine, "build_form", counted)
+        solve_spectrum_numeric(spec, 5)
+        assert len(calls) == forms
 
     def test_trace_records_level_and_branch(self):
         _, trace = solve_level(trig(), 1)
@@ -461,6 +505,84 @@ class TestSolveSpectrum:
             solve_level(spec, 6)
         assert len(err.value.candidates) == 2
         assert all(not c.admissible and c.rejection for c in err.value.candidates)
+
+
+def _reference_level(spec, n):
+    """solve_level as a plain polish-and-weigh loop: every root polished
+    until its residual stops falling, all four candidates weighed at each
+    polished root.  Returns (E, chosen, four candidates) or the refused
+    candidates."""
+
+    def f_n(c, sigma):
+        return c.lam + n * c.tau_slope + 0.5 * n * (n - 1) * (2.0 * sigma.c2)
+
+    def residual(c, sigma):
+        size = abs(c.k) + abs(c.pi.c1) + n * abs(c.tau_slope) + n * (n - 1) * abs(sigma.c2)
+        return abs(f_n(c, sigma)) / (1.0 + size)
+
+    poly = termination_poly(spec, n)
+    dpoly = tuple((len(poly) - 1 - i) * a for i, a in enumerate(poly[:-1]))
+    found = []
+    for root in poly_roots(poly):
+        if abs(root.imag) > 1e-8 * (1.0 + abs(root)):
+            continue
+        e, best, best_r = root.real, None, math.inf
+        for _ in range(nu_engine._POLISH_STEPS):
+            form, ks, cands = nu_engine.branches(spec, e)
+            rs = [residual(c, form.sigma) for c in cands]
+            if min(rs) >= best_r:
+                break
+            best, best_r = (e, form, cands, rs), min(rs)
+            slope = 0.0
+            for a in dpoly:
+                slope = slope * e + a
+            s0, s1, s2 = form.sigma.coeffs()
+            f = math.prod(f_n(c, form.sigma) for c in cands)
+            step = ((s1 * s1 - 4.0 * s2 * s0) ** 2 * f / slope).real if slope != 0 else math.inf
+            if not abs(step) <= nu_engine._POLISH_REACH * (1.0 + abs(e)):
+                break
+            e -= step
+        if best_r > nu_engine._F_TOL:
+            continue
+        e, form, cands, rs = best
+        cands = [replace(c, weight_integrable=not nu_engine.weight_failure(form, c.tau)) for c in cands]
+        found += [(e, cands, c) for c, r in zip(cands, rs) if r <= nu_engine._F_TOL]
+    admissible = [t for t in found if t[-1].admissible]
+    if not admissible:
+        return [t[-1] for t in found]
+    return min(admissible, key=lambda t: (not t[-1].weight_integrable, t[-1].tau_slope.real))
+
+
+_PIPELINE_SPECS = st.one_of(
+    st.builds(lambda A: trig(A=A), st.floats(-2.2, -1.8)),
+    st.builds(
+        lambda V1, V2: PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=V1, V2=V2, q=1.0),
+        st.floats(5.6, 6.4),
+        st.sampled_from([0.0, -2.8, -3.0, -3.2]),
+    ),
+    st.builds(
+        lambda A: PotentialSpec(family=Family.ManningRosen, A=A, B=2.0, q=1.0),
+        st.floats(-42.0, -38.0),
+    ),
+)
+
+
+class TestReferenceLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(_PIPELINE_SPECS, st.integers(0, 7))
+    def test_same_level_bit_for_bit(self, spec, n):
+        # solve_level stops polishing a converged root and weighs only the
+        # branches that terminate; the level, its branch and the four
+        # candidates of the trace, or the refused candidates, are the ones
+        # the plain loop gives, to the bit (repr keeps the sign of a zero)
+        ref = _reference_level(spec, n)
+        try:
+            e, trace = solve_level(spec, n)
+        except NoAdmissibleBranch as err:
+            assert repr(err.candidates) == repr(ref)
+            return
+        assert isinstance(ref, tuple)
+        assert repr((e, trace.chosen, trace.candidates)) == repr((complex(ref[0]), ref[2], tuple(ref[1])))
 
 
 class TestTraceSerialization:
