@@ -450,19 +450,20 @@ class TestSolveSpectrum:
             energies.append(energy)
             return real(spec, energy)
 
-        specs = (trig(), MR_DEEP, FIG4, PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=1.0))
-        polished = 0
-        for spec in specs:
+        blind_spot = PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=1.0)
+        starts = []
+        for spec in (trig(), MR_DEEP, FIG4, blind_spot):
             for n in range(6):
                 poly = termination_poly(spec, n)
                 dpoly = tuple((len(poly) - 1 - i) * a for i, a in enumerate(poly[:-1]))
-                monkeypatch.setattr(nu_engine, "build_form", recorded)
-                for root in poly_roots(poly):
-                    energies.clear()
-                    nu_engine._polished(spec, n, dpoly, root.real)
-                    assert len(set(energies)) == len(energies), (spec, n, energies)
-                    polished += len(energies) > 1
-                monkeypatch.setattr(nu_engine, "build_form", real)
+                starts += [(spec, n, dpoly, root.real) for root in poly_roots(poly)]
+        monkeypatch.setattr(nu_engine, "build_form", recorded)
+        polished = 0
+        for spec, n, dpoly, e in starts:
+            energies.clear()
+            nu_engine._polished(spec, n, dpoly, e)
+            assert len(set(energies)) == len(energies), (spec, n, energies)
+            polished += len(energies) > 1
         assert polished  # some roots take more than one form
 
     @pytest.mark.parametrize("spec, forms", [(trig(), 40), (MR_DEEP, 26)])
