@@ -196,9 +196,13 @@ def cmd_verify(args) -> int:
     else:
         conj = oracle.conjugation_pair_check(eigs, tol=1e-8)
     failures = []
-    err_by_level = [lv.err_estimate for lv in study.levels]
-    for i, (n, e_f, lam, rel) in enumerate(match.pairs):
-        est = err_by_level[i] if i < len(err_by_level) else (err_by_level[-1] if err_by_level else 0.0)
+    # a matched eigenvalue that is a tracked level takes that level's estimate
+    # (both come from eigs_finest, so equality is exact); any other, the
+    # highest tracked level's
+    err_by_value = {lv.value_finest: lv.err_estimate for lv in study.levels}
+    fallback = study.levels[-1].err_estimate if study.levels else 0.0
+    for n, e_f, lam, rel in match.pairs:
+        est = err_by_value.get(lam, fallback)
         bound = max(10.0 * est, args.tol * max(abs(lam), 1.0))
         if abs(e_f - lam) > bound:
             failures.append({"n": n, "abs_err": abs(e_f - lam), "bound": bound})

@@ -228,6 +228,31 @@ class TestVerifyCommand:
         assert out == ""
         assert "repeats a grid size" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1", "--L", "16", "--N", "400"),
+            ("--family", "hyperbolic-scarf", "--variant", "pt", "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1",
+             "--L", "6", "--N", "300"),
+        ],
+        ids=["mr-deep", "hyperbolic-pt"],
+    )
+    def test_bound_takes_the_matched_level_estimate(self, capsys, argv):
+        # pairs come in formula order, tracked levels in eigenvalue order: in
+        # the deep well n = 0 matches the third tracked level, and its bound
+        # once took the first level's estimate (17.38 instead of 1.618)
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 2
+        d = json.loads(out)
+        levels = d["convergence"]["levels"]
+        est = {(lv["finest"]["re"], lv["finest"]["im"]): lv["err_estimate"] for lv in levels}
+        bounds = {f["n"]: f["bound"] for f in d["failures"]}
+        assert len(bounds) == len(d["match"]["pairs"])
+        for p in d["match"]["pairs"]:
+            lam = complex(p["oracle"]["re"], p["oracle"]["im"])
+            e = est.get((lam.real, lam.imag), levels[-1]["err_estimate"])
+            assert bounds[p["n"]] == max(10.0 * e, 1e-3 * max(abs(lam), 1.0))
+
     def test_pt_repulsive_reports_unmatched(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--family", "trig-scarf", "--variant", "pt", "--A", "1", "--N", "400", "--n-max", "2"
