@@ -136,7 +136,7 @@ def _build_spec(args) -> PotentialSpec:
     b_val = split(args.B, (args.B1, args.B2), "B")
     explicit_complex = isinstance(a_val, complex) or isinstance(b_val, complex)
     try:
-        if variant is Variant.Base or explicit_complex:
+        if explicit_complex:
             return PotentialSpec(
                 family=family, variant=variant, A=a_val, B=b_val, V0=args.V0, V1=args.V1, V2=args.V2, **common
             )

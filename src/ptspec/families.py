@@ -5,14 +5,18 @@ three families lives here, and the generic modules look it up.
   HyperbolicScarf V(x) = V0 + V1 coth_q^2(alpha x) + V2 coth_q(alpha x)/sinh_q(alpha x)
   ManningRosen    V(x) = A coth_q(alpha x) + B/sinh_q^2(alpha x)
 
-A FamilyRecord holds the parameter names, the couplings the NonPT transform
-complexifies, the x -> s map of the Nikiforov-Uvarov reduction and its
-s-interval, the reduced (sigma, tau_tilde, sigma_tilde) triple of the Base
-form, the zeta/mu auxiliaries (hyperbolic Scarf only) and the NonPT reality
-predicates.  Its `variants` table holds, per variant, the potential
-evaluator, the inner wall, the continuum threshold and the published closed
-form; the variants a family supports are the keys of that table, and
-`variant_form` raises UnsupportedVariant for any other pair.
+A FamilyRecord holds the parameter names, the x -> s map of the
+Nikiforov-Uvarov reduction and its s-interval, the reduced (sigma,
+tau_tilde, sigma_tilde) triple of the Base form and the zeta/mu auxiliaries
+(hyperbolic Scarf only).  Its `variants` table holds one VariantForm per
+variant: the potential evaluator, the inner wall, the continuum threshold,
+the published closed form, and the variant rules.  Those state whether the
+form needs q (all but the two undeformed trig forms do), which couplings
+the transform to it complexifies (none for a form with real couplings),
+and the predicates under which its spectrum is claimed real (none for the
+PT forms, whose claim is unconditional; no claim at all for Base).  The
+variants a family supports are the keys of that table, and `variant_form`
+raises UnsupportedVariant for any other pair, so no spec of one is built.
 
 Variants: Base (real), PT (alpha -> i alpha image), QDeformedPT (trig family
 only), NonPT (complexified couplings with q -> iq folded into the printed
@@ -93,18 +97,20 @@ class VariantForm:
     levels: Callable  # (spec, n_max) -> (published E_0..E_n_max, warnings, second sign or None)
     note: str  # convention note of the published closed form
     right_wall: Callable | None = None  # spec -> right wall, when the form lives on one finite cell
+    needs_q: bool = True  # False for the two undeformed trig forms only
+    complexified: tuple[str, ...] = ()  # couplings p -> p(1+i) in the transform to this form; () means real couplings
+    # spec -> [Predicate] under which the published spectrum is claimed real,
+    # [] for an unconditional claim; None where no claim is made (Base)
+    predicates: Callable | None = None
 
 
 @dataclass(frozen=True)
 class FamilyRecord:
     params: tuple[str, ...]
-    nonpt_complexified: tuple[str, ...]  # couplings p -> p(1+i) under the NonPT transform
-    needs_q: bool
     variants: dict  # Variant -> VariantForm
     s_map: Callable  # (spec, x) -> s of the reduction
     s_interval: Callable  # q -> (lo, hi), the s-image of the quantization domain; hi None where unbounded
     reduce: Callable  # (spec, energy) -> (sigma, tau_tilde, sigma_tilde, ReducedParams) of the Base form
-    nonpt_predicates: Callable  # spec -> [Predicate] under which the NonPT spectrum is claimed real
     aux: Callable = lambda form: {}  # HypergeometricForm -> auxiliaries recorded in the trace
 
 
@@ -121,6 +127,7 @@ _origin = lambda spec: 0.0
 _no_wall = lambda spec: None
 _no_threshold = lambda spec: math.inf
 _zero_threshold = lambda spec: 0.0
+_unconditional = lambda spec: []  # the PT forms claim a real spectrum under no condition
 
 
 def _sinh_q_wall(spec: PotentialSpec) -> float | None:
@@ -450,36 +457,32 @@ def _mr_predicates(spec: PotentialSpec):
 FAMILIES = {
     Family.TrigScarf: FamilyRecord(
         params=("A",),
-        nonpt_complexified=("A",),
-        needs_q=False,
         variants={
             Variant.Base: VariantForm(
                 _trig_base, _origin, _no_threshold, _trig_base_levels,
                 "well spectrum; alpha = pi/period recovers the periodic form",
-                right_wall=lambda spec: math.pi / spec.alpha,
+                right_wall=lambda spec: math.pi / spec.alpha, needs_q=False,
             ),
             Variant.PT: VariantForm(
                 _trig_pt, _origin, _zero_threshold, _trig_pt_levels,
-                "sign-flipped well depth under the alpha -> i alpha image",
+                "sign-flipped well depth under the alpha -> i alpha image", needs_q=False, predicates=_unconditional,
             ),
             Variant.QDeformedPT: VariantForm(
                 _trig_qpt, _sinh_q_wall, _zero_threshold, _trig_qpt_levels,
-                "deformed coupling A/q; q=1 recovers the PT spectrum",
+                "deformed coupling A/q; q=1 recovers the PT spectrum", predicates=_unconditional,
             ),
             Variant.NonPT: VariantForm(
                 _trig_nonpt, _no_wall, _zero_threshold, _trig_nonpt_levels,  # sinh_{iq} has no real zero
                 "complexified coupling A1 + iA2 with q -> iq folded in; real iff A1 = 0",
+                complexified=("A",), predicates=_trig_predicates,
             ),
         },
         s_map=_trig_s_map,
         s_interval=lambda q: (-1.0, 1.0),
         reduce=_trig_reduce,
-        nonpt_predicates=_trig_predicates,
     ),
     Family.HyperbolicScarf: FamilyRecord(
         params=("V0", "V1", "V2"),
-        nonpt_complexified=("V1", "V2"),
-        needs_q=True,
         variants={
             Variant.Base: VariantForm(
                 _hyp_base, _sinh_q_wall, lambda spec: float(spec.V0 + spec.V1), _hyp_base_levels,
@@ -487,22 +490,23 @@ FAMILIES = {
                 "(the deformed couplings V1/q, V2/sqrt(q) are undeformed here)",
             ),
             # PT forms are oscillatory: no continuum threshold
-            Variant.PT: VariantForm(_hyp_pt, _no_wall, _no_threshold, _hyp_pt_levels, "PT image of the deformed well"),
+            Variant.PT: VariantForm(
+                _hyp_pt, _no_wall, _no_threshold, _hyp_pt_levels, "PT image of the deformed well",
+                predicates=_unconditional,
+            ),
             Variant.NonPT: VariantForm(
                 _hyp_nonpt, _no_wall, lambda spec: float((complex(spec.V0) + complex(spec.V1)).real), _hyp_nonpt_levels,
                 "printed combination (2i - 1)V1 evaluated with the stored complex V1, V2",
+                complexified=("V1", "V2"), predicates=_hyp_predicates,
             ),
         },
         s_map=_hyp_s_map,
         s_interval=_hyp_s_interval,
         reduce=_hyp_reduce,
-        nonpt_predicates=_hyp_predicates,
         aux=_hyp_aux,
     ),
     Family.ManningRosen: FamilyRecord(
         params=("A", "B"),
-        nonpt_complexified=("A", "B"),
-        needs_q=True,
         variants={
             Variant.Base: VariantForm(
                 _mr_base, _sinh_q_wall, lambda spec: float(spec.A),
@@ -510,17 +514,17 @@ FAMILIES = {
             ),
             Variant.PT: VariantForm(
                 _mr_pt, _mr_pt_wall, _no_threshold,
-                lambda spec, n_max: _mr_bracket_levels(spec, n_max, -1.0), _MR_SIGN_NOTE,
+                lambda spec, n_max: _mr_bracket_levels(spec, n_max, -1.0), _MR_SIGN_NOTE, predicates=_unconditional,
             ),
             Variant.NonPT: VariantForm(
                 _mr_nonpt, _no_wall, lambda spec: float((1j * complex(spec.A)).real), _mr_nonpt_levels,
                 "published for eps^2; both +-sqrt candidates returned (entries carry +, alt_entries -)",
+                complexified=("A", "B"), predicates=_mr_predicates,
             ),
         },
         s_map=_mr_s_map,
         s_interval=_mr_s_interval,
         reduce=_mr_reduce,
-        nonpt_predicates=_mr_predicates,
     ),
 }
 

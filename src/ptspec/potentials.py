@@ -4,8 +4,8 @@ non-PT transforms and a numeric PT-symmetry classifier.
 The three families (trigonometric Scarf, q-deformed hyperbolic Scarf,
 Manning-Rosen) and their variants are described in `families.py`, one record
 per family; every family-specific fact used here (parameter names, the
-evaluator, the inner wall) is looked up there.  NumPy is imported only
-inside the functions that evaluate V on arrays.
+evaluator, the inner wall, the variant rules) is looked up there.  NumPy is
+imported only inside the functions that evaluate V on arrays.
 """
 
 from __future__ import annotations
@@ -69,14 +69,12 @@ class PotentialSpec:
             for name in other.params:
                 if name not in record.params and getattr(self, name) is not None:
                     raise ValueError(f"{name} is not a {self.family.name} parameter")
-        if record.needs_q and self.q is None:
-            raise ValueError(f"{self.family.name} requires the deformation q")
-        if self.variant in (Variant.QDeformedPT, Variant.NonPT) and self.q is None:
-            raise ValueError(f"variant {self.variant.name} requires the deformation q")
-        if self.variant in (Variant.Base, Variant.PT, Variant.QDeformedPT):
+        form = variant_form(self)
+        if form.needs_q and self.q is None:
+            raise ValueError(f"the {self.variant.name} form of {self.family.name} requires the deformation q")
+        if not form.complexified:
             for name in record.params:
-                v = getattr(self, name)
-                if v is not None and complex(v).imag != 0.0:
+                if complex(getattr(self, name)).imag != 0.0:
                     raise ValueError(f"{self.variant.name} variant requires real {name}")
 
     @property
@@ -208,26 +206,20 @@ def evaluate_grid(spec: PotentialSpec, xs, skip_poles: bool = False):
 def apply_variant(spec: PotentialSpec, target: Variant) -> PotentialSpec:
     """Transform a Base spec to a variant of the same family.
 
-    PT keeps parameters (the alpha -> i alpha image is folded into the
-    variant's evaluation form); QDeformedPT (trig family) keeps A and uses
-    the stored q; NonPT complexifies the designated couplings p -> p(1+i)
-    with q -> iq folded into the printed forms.  target=Base is the identity.
+    The target form's couplings `complexified` go p -> p(1+i), with q -> iq
+    folded into the printed NonPT forms; every other parameter is kept (the
+    PT images fold alpha -> i alpha into their evaluation form, and the
+    deformed forms use the stored q).  target=Base is the identity.
     """
-    if target is Variant.Base:
-        if spec.variant is not Variant.Base:
-            raise UnsupportedTransform("only Base specs can be transformed")
-        return spec
     if spec.variant is not Variant.Base:
         raise UnsupportedTransform("transforms start from a Base spec")
-    record = FAMILIES[spec.family]
-    if target not in record.variants:
+    form = FAMILIES[spec.family].variants.get(target)
+    if form is None:
         raise UnsupportedTransform(f"{spec.family.name} has no {target.name} variant")
-    if target is not Variant.PT and spec.q is None:
+    if form.needs_q and spec.q is None:
         raise UnsupportedTransform(f"{target.name} needs q on the Base spec")
-    if target is Variant.NonPT:
-        changes = {name: complex(getattr(spec, name)) * (1 + 1j) for name in record.nonpt_complexified}
-        return replace(spec, variant=Variant.NonPT, **changes)
-    return replace(spec, variant=target)
+    changes = {name: complex(getattr(spec, name)) * (1 + 1j) for name in form.complexified}
+    return replace(spec, variant=target, **changes)
 
 
 @dataclass(frozen=True)

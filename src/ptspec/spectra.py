@@ -1,7 +1,7 @@
 """Closed-form energy spectra for every family/variant pair, with the
 reality-condition predicates for the non-Hermitian variants.
 
-The published formulas, their convention notes and the NonPT predicates are
+The published formulas, their convention notes and reality predicates are
 kept in `families.py`, one record per family, exactly as published; this
 module evaluates them, measures the reality of the levels and packs the
 result.  Where a published form is known to disagree with the numeric
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .core_math import canonical_json, complex_json
 from .errors import UnsupportedVariant
-from .families import _REALITY_TOL, FAMILIES, Predicate, Variant, variant_form
+from .families import _REALITY_TOL, Predicate, variant_form
 from .potentials import PotentialSpec
 
 
@@ -86,13 +86,11 @@ def measure_reality_flag(entries, tol: float = _REALITY_TOL) -> RealityFlag:
 
 def reality_conditions(spec: PotentialSpec) -> RealityConditions:
     """Evaluate the published reality restrictions against the parameters."""
-    if spec.variant is Variant.PT or spec.variant is Variant.QDeformedPT:
-        return RealityConditions((), True, "unconditional for the PT-symmetric form")
-    if spec.variant is not Variant.NonPT:
+    predicates = variant_form(spec).predicates
+    if predicates is None:
         raise UnsupportedVariant("reality conditions apply to PT and NonPT variants")
-    preds = FAMILIES[spec.family].nonpt_predicates(spec)
-    verdict = all(p.ok for p in preds)
-    return RealityConditions(tuple(preds), verdict)
+    preds = tuple(predicates(spec))
+    return RealityConditions(preds, all(p.ok for p in preds), "" if preds else "unconditional for the PT-symmetric form")
 
 
 def closed_form_spectrum(spec: PotentialSpec, n_max: int) -> SpectrumResult:
@@ -106,12 +104,9 @@ def closed_form_spectrum(spec: PotentialSpec, n_max: int) -> SpectrumResult:
     form = variant_form(spec)
     ee, warnings, alt = form.levels(spec, n_max)
     entries = [(n, complex(e)) for n, e in enumerate(ee)]
-    conds = None
-    if spec.variant in (Variant.PT, Variant.QDeformedPT, Variant.NonPT):
-        conds = reality_conditions(spec)
-    measured = measure_reality_flag(entries)
-    flag = measured
-    if measured is RealityFlag.AllReal and spec.variant is Variant.NonPT and conds is not None and conds.verdict:
+    conds = None if form.predicates is None else reality_conditions(spec)
+    flag = measure_reality_flag(entries)
+    if flag is RealityFlag.AllReal and conds is not None and conds.predicates and conds.verdict:
         flag = RealityFlag.ConditionallyReal
     return SpectrumResult(
         spec=spec,

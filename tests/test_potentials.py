@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptspec.core_math import cosh_q, sinh_q
-from ptspec.errors import SingularityError, UnsupportedTransform
+from ptspec.errors import SingularityError, UnsupportedTransform, UnsupportedVariant
 from ptspec.families import variant_form
 from ptspec.potentials import (
     DomainKind,
@@ -145,6 +145,11 @@ class TestApplyVariant:
     def test_qdeformed_requires_q(self):
         with pytest.raises(UnsupportedTransform):
             apply_variant(mk(Family.TrigScarf, A=1.0), Variant.QDeformedPT)
+
+    def test_unsupported_pair_cannot_be_built(self):
+        # hyperbolic Scarf has no q-deformed PT form, so no such spec exists
+        with pytest.raises(UnsupportedVariant):
+            mk(Family.HyperbolicScarf, variant=Variant.QDeformedPT, V0=1.0, V1=1.0, V2=1.0, q=2.0)
 
     def test_transform_starts_from_base(self):
         pt = apply_variant(mk(Family.TrigScarf, A=1.0), Variant.PT)
