@@ -1,11 +1,17 @@
 """Command-line entry point.
 
-Commands:
+Commands, each with its own flags.  All four also read the spec flags
+(--family --variant --A/--A1/--A2 --B/--B1/--B2 --V0 --V1 --V2 --alpha --q
+--period --hbar --mass --preset --spec-json) and --out, and refuse any other:
   spectrum   closed-form energies for a potential spec
+             --n-max --format --strict
   verify     formula-vs-oracle level matching with a convergence bound; a
              real grid is solved only for the eigenvalues the match reads
+             --n-max --N --L --tol
   profile    sampled potential values (CSV), incl. the fig1..fig8 presets
+             --N --L --format --skip-poles --x-min --x-max
   trace      derivation record (all four branch candidates) as JSON
+             --n --form-json
 
 Exit codes: 0 success, 1 usage error, 2 condition warnings under --strict,
 3 numerical non-convergence.  JSON is the canonical format; CSV is a
@@ -86,30 +92,32 @@ _PRESETS = {
 def _add_shared(p: argparse.ArgumentParser):
     p.add_argument("--family", choices=[f.value for f in Family])
     p.add_argument("--variant", choices=[v.value for v in Variant], default="base")
-    p.add_argument("--A", type=float)
-    p.add_argument("--A1", type=float)
-    p.add_argument("--A2", type=float)
-    p.add_argument("--B", type=float)
-    p.add_argument("--B1", type=float)
-    p.add_argument("--B2", type=float)
-    p.add_argument("--V0", type=float)
-    p.add_argument("--V1", type=float)
-    p.add_argument("--V2", type=float)
+    for coupling in ("A", "A1", "A2", "B", "B1", "B2", "V0", "V1", "V2"):
+        p.add_argument(f"--{coupling}", type=float)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--q", type=float)
     p.add_argument("--period", type=float)
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--mass", type=float, default=0.5)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--N", type=int, default=3000)
-    p.add_argument("--L", type=float, default=12.0)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
     p.add_argument("--preset", choices=sorted(_PRESETS))
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--skip-poles", action="store_true")
     p.add_argument("--spec-json", help="load the potential spec from a JSON file")
+
+
+# every flag that only some commands read; make_parser names the commands
+_OWN_FLAGS = {
+    "--n-max": dict(type=int, default=10),
+    "--N": dict(type=int, default=3000),
+    "--L": dict(type=float, default=12.0),
+    "--tol": dict(type=float, default=1e-3),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--strict": dict(action="store_true"),
+    "--skip-poles": dict(action="store_true"),
+    "--x-min": dict(type=float),
+    "--x-max": dict(type=float),
+    "--n": dict(type=int, default=0),
+    "--form-json": dict(help="trace a raw (sigma, tau_tilde, sigma_tilde) triple"),
+}
 
 
 def _build_spec(args) -> PotentialSpec:
@@ -122,26 +130,20 @@ def _build_spec(args) -> PotentialSpec:
         raise _UsageError("--family is required (or use --preset/--spec-json)")
     family = Family(args.family)
     variant = Variant(args.variant)
-    common = dict(alpha=args.alpha, q=args.q, period=args.period, mass=args.mass, hbar=args.hbar)
 
-    def split(re_flag, parts, name):
-        re_v, (p1, p2) = re_flag, parts
+    def split(re_v, p1, p2, name):
         if p1 is not None or p2 is not None:
             if variant is not Variant.NonPT:
                 raise _UsageError(f"--{name}1/--{name}2 need --variant nonpt")
             return complex(p1 or 0.0, p2 or 0.0)
         return re_v
 
-    a_val = split(args.A, (args.A1, args.A2), "A")
-    b_val = split(args.B, (args.B1, args.B2), "B")
-    explicit_complex = isinstance(a_val, complex) or isinstance(b_val, complex)
+    kw = {name: getattr(args, name) for name in ("V0", "V1", "V2", "alpha", "q", "period", "mass", "hbar")}
+    kw.update(family=family, A=split(args.A, args.A1, args.A2, "A"), B=split(args.B, args.B1, args.B2, "B"))
     try:
-        if explicit_complex:
-            return PotentialSpec(
-                family=family, variant=variant, A=a_val, B=b_val, V0=args.V0, V1=args.V1, V2=args.V2, **common
-            )
-        base = PotentialSpec(family=family, A=a_val, B=b_val, V0=args.V0, V1=args.V1, V2=args.V2, **common)
-        return apply_variant(base, variant)
+        if isinstance(kw["A"], complex) or isinstance(kw["B"], complex):  # given as --A1/--A2 or --B1/--B2
+            return PotentialSpec(variant=variant, **kw)
+        return apply_variant(PotentialSpec(**kw), variant)
     except (ValueError, PtspecError) as err:
         raise _UsageError(str(err)) from err
 
@@ -196,9 +198,7 @@ def cmd_verify(args) -> int:
     else:
         conj = oracle.conjugation_pair_check(eigs, tol=1e-8)
     failures = []
-    # a matched eigenvalue that is a tracked level takes that level's estimate
-    # (both come from eigs_finest, so equality is exact); any other, the
-    # highest tracked level's
+    # a pair matched to a tracked level takes its estimate; exact keys, as both come from eigs_finest
     err_by_value = {lv.value_finest: lv.err_estimate for lv in study.levels}
     fallback = study.levels[-1].err_estimate if study.levels else 0.0
     for n, e_f, lam, rel in match.pairs:
@@ -313,20 +313,16 @@ def cmd_trace(args) -> int:
 def make_parser() -> _Parser:
     parser = _Parser(prog="ptspec", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("spectrum", cmd_spectrum),
-        ("verify", cmd_verify),
-        ("profile", cmd_profile),
-        ("trace", cmd_trace),
+    for name, fn, flags in (
+        ("spectrum", cmd_spectrum, ("--n-max", "--format", "--strict")),
+        ("verify", cmd_verify, ("--n-max", "--N", "--L", "--tol")),
+        ("profile", cmd_profile, ("--N", "--L", "--format", "--skip-poles", "--x-min", "--x-max")),
+        ("trace", cmd_trace, ("--n", "--form-json")),
     ):
         p = sub.add_parser(name)
         _add_shared(p)
-        if name == "trace":
-            p.add_argument("--n", type=int, default=0)
-            p.add_argument("--form-json", help="trace a raw (sigma, tau_tilde, sigma_tilde) triple")
-        if name == "profile":
-            p.add_argument("--x-min", type=float)
-            p.add_argument("--x-max", type=float)
+        for flag in flags:
+            p.add_argument(flag, **_OWN_FLAGS[flag])
         p.set_defaults(func=fn)
     return parser
 

@@ -90,7 +90,8 @@ def reality_conditions(spec: PotentialSpec) -> RealityConditions:
     if predicates is None:
         raise UnsupportedVariant("reality conditions apply to PT and NonPT variants")
     preds = tuple(predicates(spec))
-    return RealityConditions(preds, all(p.ok for p in preds), "" if preds else "unconditional for the PT-symmetric form")
+    note = "" if preds else "unconditional for the PT-symmetric form"
+    return RealityConditions(preds, all(p.ok for p in preds), note)
 
 
 def closed_form_spectrum(spec: PotentialSpec, n_max: int) -> SpectrumResult:

@@ -338,6 +338,25 @@ def test_real_grid_conjugation_is_that_of_the_full_spectrum(capsys, name):
     assert d["conjugation"] == dataclasses.asdict(scan)
 
 
+# every (command, flag) pair that all four commands once declared and this
+# command never read: each is now a usage error instead of a silent no-op
+_UNREAD_FLAGS = [
+    ("spectrum", "--N", "300"), ("spectrum", "--L", "6"), ("spectrum", "--tol", "0.1"), ("spectrum", "--skip-poles"),
+    ("verify", "--format", "csv"), ("verify", "--strict"), ("verify", "--skip-poles"),
+    ("profile", "--n-max", "3"), ("profile", "--tol", "0.1"), ("profile", "--strict"),
+    ("trace", "--n-max", "3"), ("trace", "--N", "300"), ("trace", "--L", "6"), ("trace", "--tol", "0.1"),
+    ("trace", "--format", "csv"), ("trace", "--strict"), ("trace", "--skip-poles"),
+]
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, *f in _UNREAD_FLAGS], ids=map(" ".join, _UNREAD_FLAGS))
+def test_unread_flag_is_a_usage_error(capsys, command, flag):
+    code, out, err = run(capsys, command, "--family", "trig-scarf", "--A", "-2", *flag)
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
+
+
 class TestDeterminismAndRoundTrip:
     def test_identical_bytes(self, capsys):
         argv = ["spectrum", "--family", "trig-scarf", "--A", "-2", "--n-max", "4"]
