@@ -5,9 +5,10 @@ lines.  Criterion 3's Manning-Rosen leg (3c) checks the pipeline against
 the levels of the published reduced equation, not against the published
 bracket: that bracket is not a root of the reduced equation on any branch,
 and the grid oracle and an exact symbolic check side with the reduced
-equation (see README and scripts/manning_rosen_sign_study.py).  The
-printed bracket stays verbatim in `spectra.closed_form_spectrum`, and 3c
-reports its miss without asserting on it.
+equation (the 3c tests of TestCriterion3; TestCriterion9 records the
+published sign against the oracle).  The printed bracket stays verbatim in
+`spectra.closed_form_spectrum`, and 3c reports its miss without asserting
+on it.  TestCriterion10 writes the profile CSV of every figure preset.
 """
 
 import json
