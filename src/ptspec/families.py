@@ -16,7 +16,7 @@ the transform to it complexifies (none for a form with real couplings),
 and the predicates under which its spectrum is claimed real (none for the
 PT forms, whose claim is unconditional; no claim at all for Base).  The
 variants a family supports are the keys of that table, and `variant_form`
-raises UnsupportedVariant for any other pair, so no spec of one is built.
+raises UnsupportedVariant for any other pair, so PotentialSpec refuses it.
 
 Variants: Base (real), PT (alpha -> i alpha image), QDeformedPT (trig family
 only), NonPT (complexified couplings with q -> iq folded into the printed
