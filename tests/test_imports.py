@@ -1,8 +1,9 @@
 """The package's imports: each is used, only the oracle loads SciPy, and
 only the array modules load NumPy when imported.
 
-No linter runs on the package, so the first check stands in for the
-unused-import rule: a deletion that leaves an import behind fails here.
+No linter runs on the package or its scripts, so the first check stands
+in for the unused-import rule: a deletion that leaves an import behind
+fails here.
 It reads each import in its own scope, so a stale import in one function
 is found even where another function reads the same name.  `__init__.py`
 is exempt, because its imports are the names it exports.
@@ -29,6 +30,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ptspec"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -89,7 +91,7 @@ def test_the_check_reads_each_function_import_in_its_own_function():
     assert unused_imports(source) == ["f.np", "math"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 

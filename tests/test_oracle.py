@@ -15,6 +15,7 @@ from ptspec.errors import QRNotConverged, SingularityError
 from ptspec.oracle import (
     ConjugationReport,
     GridHamiltonian,
+    LevelMatch,
     conjugation_pair_check,
     continuum_threshold,
     convergence_study,
@@ -723,7 +724,59 @@ class TestConjugationCheck:
 _LEVEL = st.integers(-12, 12).map(lambda k: k / 2.0) | st.floats(-6.0, 6.0)
 
 
+def _match_by_scan(formula_entries, eigs, threshold):
+    """Test-local reference: the matching as a Python scan over every
+    unused eigenvalue below the threshold for each formula level, the
+    first minimum on ties."""
+    thr = complex(threshold).real
+    cands = [complex(z) for z in np.asarray(eigs, dtype=complex) if z.real < thr]
+    used = [False] * len(cands)
+    pairs, unmatched = [], []
+    for n, e in formula_entries:
+        best_j, best_d = -1, math.inf
+        for j, lam in enumerate(cands):
+            d = abs(complex(e) - lam)
+            if not used[j] and d < best_d:
+                best_j, best_d = j, d
+        if best_j < 0:
+            unmatched.append((n, complex(e)))
+            continue
+        used[best_j] = True
+        lam = cands[best_j]
+        pairs.append((n, complex(e), lam, float(best_d / max(abs(lam), 1e-300))))
+    return LevelMatch(
+        pairs=tuple(pairs),
+        unmatched_formula=tuple(unmatched),
+        unmatched_oracle=tuple(lam for j, lam in enumerate(cands) if not used[j]),
+        threshold=thr,
+    )
+
+
 class TestMatchLevels:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spectrum=st.lists(st.tuples(_LEVEL, st.sampled_from([0.0, 0.0, 0.5, -0.5, math.nan])), max_size=30),
+        formula=st.lists(st.tuples(_LEVEL, st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-3.0, 3.0)), max_size=8),
+        nan_at=st.none() | st.integers(0, 8),
+        threshold=st.sampled_from([math.inf, -math.inf]) | _LEVEL,
+    )
+    def test_matches_the_scan(self, spectrum, formula, nan_at, threshold):
+        # half-integer draws make duplicate eigenvalues and formula levels
+        # equidistant from two of them; a NaN imaginary part makes an
+        # eigenvalue no level can take, a threshold cuts the candidates,
+        # down to none at -inf or below every draw
+        eigs = np.array([complex(re, im) for re, im in spectrum], dtype=complex)
+        energies = [complex(re, im) for re, im in formula]
+        if nan_at is not None:
+            energies.insert(min(nan_at, len(energies)), complex(math.nan, 0.0))
+        entries = list(enumerate(energies))
+        got, ref = match_levels(entries, eigs, threshold), _match_by_scan(entries, eigs, threshold)
+        assert repr(got.pairs) == repr(ref.pairs)
+        assert repr(got.unmatched_formula) == repr(ref.unmatched_formula)
+        assert repr(got.unmatched_oracle) == repr(ref.unmatched_oracle)
+        assert got.threshold == ref.threshold
+
+
     def test_trig_reference(self, trig_a2_spec, trig_a2_eigs_3000):
         _, eigs = trig_a2_eigs_3000
         res = closed_form_spectrum(trig_a2_spec, 3)
