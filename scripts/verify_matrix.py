@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from ptspec import nu_engine, oracle, spectra
 from ptspec.errors import PtspecError
 from ptspec.potentials import Family, PotentialSpec, default_domain
@@ -48,25 +46,21 @@ def run_row(label, spec, n_max, L, N):
         num, pipeline_error = nu_engine.solve_spectrum_numeric(spec, n_max), None
     except PtspecError as err:
         num, pipeline_error = None, err
-    # the finest grid is solved for what both matches read
-    energies = res.energies() + (num.energies() if num else [])
-    study = oracle.convergence_study(spec, dom, [N // 2, N], n_levels=min(4, n_max + 1), energies=energies)
-    eigs = study.eigs_finest
-    thr = oracle.continuum_threshold(spec)
-    match = oracle.match_levels(res.entries, eigs, thr)
+    lists = [res.entries] + ([num.entries] if num else [])
+    study, matches, _ = oracle.verify_levels(spec, dom, N, *lists, n_levels=min(4, n_max + 1))
+    match = matches[0]
     row = {
         "label": label,
         "spec": spec.to_dict(),
-        "threshold": None if not np.isfinite(thr) else thr,
+        "threshold": match.to_dict()["threshold"],
         "matched": len(match.pairs),
         "max_rel_err": match.max_rel_err,
         "unmatched_formula": len(match.unmatched_formula),
         "convergence": study.to_dict(),
     }
     if num is not None:
-        pmatch = oracle.match_levels(num.entries, eigs, thr)
-        row["pipeline_matched"] = len(pmatch.pairs)
-        row["pipeline_max_rel_err"] = pmatch.max_rel_err
+        row["pipeline_matched"] = len(matches[1].pairs)
+        row["pipeline_max_rel_err"] = matches[1].max_rel_err
     else:
         row["pipeline_error"] = str(pipeline_error)
     return row

@@ -2,11 +2,14 @@
 
 Commands, each with its own flags.  All four also read the spec flags
 (--family --variant --A/--A1/--A2 --B/--B1/--B2 --V0 --V1 --V2 --alpha --q
---period --hbar --mass --preset --spec-json) and --out, and refuse any other:
+--period --hbar --mass --preset --spec-json) and --out, and refuse any other,
+and any abbreviation.  --preset and --spec-json replace the spec flags, so a
+spec flag beside them is refused, as are --spec-json and profile's --N --L
+--skip-poles beside --preset, and every flag but --out beside --form-json:
   spectrum   closed-form energies for a potential spec
              --n-max --format --strict
-  verify     formula-vs-oracle level matching with a convergence bound; a
-             real grid is solved only for the eigenvalues the match reads
+  verify     formula-vs-oracle level matching with a convergence bound, by
+             `oracle.verify_levels`
              --n-max --N --L --tol
   profile    sampled potential values (CSV), incl. the fig1..fig8 presets
              --N --L --format --skip-poles --x-min --x-max
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -188,15 +190,7 @@ def cmd_verify(args) -> int:
     spec = _build_spec(args)
     domain = default_domain(spec, L=args.L)
     res = spectra.closed_form_spectrum(spec, args.n_max)
-    n_half = max(args.N // 2, 50)
-    study = oracle.convergence_study(spec, domain, [n_half, args.N], energies=res.energies())
-    eigs = study.eigs_finest
-    thr = oracle.continuum_threshold(spec)
-    match = oracle.match_levels(res.entries, eigs, thr)
-    if study.finest_is_real:
-        conj = oracle.ConjugationReport.real(args.N)
-    else:
-        conj = oracle.conjugation_pair_check(eigs, tol=1e-8)
+    study, (match,), conj = oracle.verify_levels(spec, domain, args.N, res.entries)
     failures = []
     # a pair matched to a tracked level takes its estimate; exact keys, as both come from eigs_finest
     err_by_value = {lv.value_finest: lv.err_estimate for lv in study.levels}
@@ -206,19 +200,14 @@ def cmd_verify(args) -> int:
         bound = max(10.0 * est, args.tol * max(abs(lam), 1.0))
         if abs(e_f - lam) > bound:
             failures.append({"n": n, "abs_err": abs(e_f - lam), "bound": bound})
+    matched = match.to_dict()
     payload = {
         "spec": spec.to_dict(),
         "domain": {"left": domain.left, "right": domain.right, "kind": domain.kind.value},
         "N": args.N,
-        "threshold": thr if math.isfinite(thr) else None,
-        "match": match.to_dict(),
-        "conjugation": {
-            "real_count": conj.real_count,
-            "pair_count": conj.pair_count,
-            "unpaired": conj.unpaired,
-            "max_defect": conj.max_defect if math.isfinite(conj.max_defect) else None,
-            "closed": conj.closed,
-        },
+        "threshold": matched["threshold"],
+        "match": matched,
+        "conjugation": conj.to_dict(),
         "convergence": study.to_dict(),
         "failures": failures,
     }
@@ -264,54 +253,53 @@ def cmd_profile(args) -> int:
     return _EXIT_OK
 
 
-def _poly_from_json(obj) -> LowPoly:
-    return LowPoly(*(complex(c["re"], c["im"]) for c in obj))
-
-
-def _no_branch_payload(err: NoAdmissibleBranch, **extra) -> dict:
-    """The rejected (k, sign) candidates of a NoAdmissibleBranch, as JSON."""
-    branches = [
-        {
-            "k": complex_json(c.k),
-            "sign": c.sign,
-            "tau_slope": complex_json(c.tau_slope),
-            "rejection": c.rejection,
-        }
-        for c in err.candidates
-    ]
-    return {"error": "NoAdmissibleBranch", "reason": str(err), **extra, "branches": branches}
-
-
 def cmd_trace(args) -> int:
     from . import nu_engine  # only trace needs the NU engine
 
-    if args.form_json:
-        with open(args.form_json) as fh:
-            raw = json.load(fh)
-        form = nu_engine.synthetic_form(
-            _poly_from_json(raw["sigma"]),
-            _poly_from_json(raw["tau_tilde"]),
-            _poly_from_json(raw["sigma_tilde"]),
-        )
-        try:
-            trace = nu_engine.select_branch(form)
-        except NoAdmissibleBranch as err:
-            _write_out(canonical_json(_no_branch_payload(err)), args.out)
-            return _EXIT_NONCONVERGED
-        _write_out(nu_engine.trace_to_json(trace), args.out)
-        return _EXIT_OK
-    spec = _build_spec(args)
+    spec = None if args.form_json else _build_spec(args)
+    extra = {} if spec is None else {"spec": spec.to_dict()}
     try:
-        _, trace = nu_engine.solve_level(spec, args.n)
-    except NoAdmissibleBranch as err:
-        _write_out(canonical_json(_no_branch_payload(err, spec=spec.to_dict())), args.out)
+        if spec is None:
+            with open(args.form_json) as fh:
+                raw = json.load(fh)
+            polys = (LowPoly(*(complex(c["re"], c["im"]) for c in raw[k])) for k in ("sigma", "tau_tilde", "sigma_tilde"))
+            trace = nu_engine.select_branch(nu_engine.synthetic_form(*polys))
+        else:
+            _, trace = nu_engine.solve_level(spec, args.n)
+    except NoAdmissibleBranch as err:  # the rejected (k, sign) candidates
+        branches = [
+            {"k": complex_json(c.k), "sign": c.sign, "tau_slope": complex_json(c.tau_slope), "rejection": c.rejection}
+            for c in err.candidates
+        ]
+        payload = {"error": "NoAdmissibleBranch", "reason": str(err), **extra, "branches": branches}
+        _write_out(canonical_json(payload), args.out)
         return _EXIT_NONCONVERGED
-    _write_out(canonical_json({**nu_engine.trace_to_dict(trace), "spec": spec.to_dict()}), args.out)
+    _write_out(canonical_json({**nu_engine.trace_to_dict(trace), **extra}), args.out)
     return _EXIT_OK
 
 
+def _refuse_replaced(args, argv) -> None:
+    """Refuse a flag given beside the source that replaces it: --form-json
+    replaces every other flag but --out, --preset and --spec-json the spec
+    flags, and --preset also --spec-json and profile's sampling."""
+    if getattr(args, "form_json", None):
+        source, kept = "--form-json", ()
+    elif args.preset:
+        source = "--preset"
+        kept = [f for f in args.flags if args.command != "profile" or f not in ("--N", "--L", "--skip-poles")]
+    elif args.spec_json:
+        source, kept = "--spec-json", args.flags
+    else:
+        return
+    for flag in (a.partition("=")[0] for a in argv if a.startswith("--")):
+        if flag not in (source, "--out", *kept):
+            raise _UsageError(f"{flag} is not read beside {source}")
+
+
 def make_parser() -> _Parser:
-    parser = _Parser(prog="ptspec", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(
+        prog="ptspec", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, flags in (
         ("spectrum", cmd_spectrum, ("--n-max", "--format", "--strict")),
@@ -319,18 +307,19 @@ def make_parser() -> _Parser:
         ("profile", cmd_profile, ("--N", "--L", "--format", "--skip-poles", "--x-min", "--x-max")),
         ("trace", cmd_trace, ("--n", "--form-json")),
     ):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         _add_shared(p)
         for flag in flags:
             p.add_argument(flag, **_OWN_FLAGS[flag])
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, flags=flags)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
+        _refuse_replaced(args, argv)
     except _UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
         return _EXIT_USAGE

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .core_math import LowPoly, canonical_json, complex_json, poly_roots, quadratic_roots, sqrt_principal
+from .core_math import LowPoly, complex_json, poly_roots, quadratic_roots, sqrt_principal
 from .errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleBranch, UnsupportedVariant
 from .families import FAMILIES, Family, ReducedParams, Variant
 from .potentials import PotentialSpec
@@ -523,7 +523,3 @@ def trace_to_dict(trace: NUTrace) -> dict:
         ],
         "notes": {k: (complex_json(v) if isinstance(v, complex) else v) for k, v in trace.notes.items()},
     }
-
-
-def trace_to_json(trace: NUTrace) -> str:
-    return canonical_json(trace_to_dict(trace))

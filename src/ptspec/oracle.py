@@ -1,14 +1,16 @@
 """Independent verification path: second-order central-difference
 discretization of -kappa d^2/dx^2 + V(x) with Dirichlet walls, eigensolve
 of the resulting (possibly complex symmetric) tridiagonal matrix, and level
-matching against closed-form spectra.
+matching against closed-form spectra.  `verify_levels` runs the check: a
+Richardson study on two grids, the match of each list of levels and the
+conjugation report, the last two by one greedy nearest-unused matcher.
 
 Every grid is solved on its tridiagonal, with no N x N matrix and no size
 cap, in O(N) memory.  A real symmetric grid is solved only for the
-eigenvalues its caller reads: the convergence study asks each coarse grid
-for its lowest levels, and the finest grid for every eigenvalue below the
-continuum threshold or, on a form with no threshold, for the window that
-covers the energies its caller will match.  Those come from Sturm-sequence
+eigenvalues `verify_levels` reads: the convergence study asks each coarse
+grid for its lowest levels, and the finest grid for every eigenvalue below
+the continuum threshold or, on a form with no threshold, for the window
+that covers the energies it matches.  Those come from Sturm-sequence
 bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK
 `dstebz`), k eigenvalues in O(N k).  `verify` solves no real grid whole;
 where a caller asks for every eigenvalue, LAPACK `dsterf` gives all N in
@@ -36,7 +38,7 @@ certification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
@@ -353,6 +355,30 @@ def eigen_complex_dense(
     return eigs
 
 
+def _greedy_nearest(queries, pool, bound: float = math.inf) -> tuple[list, np.ndarray]:
+    """Greedy injective matching in query order: each query takes the
+    nearest unused pool entry, the first on a tie, if it is within bound;
+    NaN never wins.  np.hypot rounds as abs() of a Python complex does;
+    np.abs may not.  Returns (j, d) per query, the pool index taken or -1
+    and the distance to the nearest unused entry (inf if none is left),
+    and the mask of the entries taken."""
+    pool = np.asarray(pool, dtype=complex)
+    used = np.zeros(len(pool), dtype=bool)
+    picks = []
+    for z in queries:
+        diff = z - pool
+        dist = np.hypot(diff.real, diff.imag)
+        dist[used | np.isnan(dist)] = math.inf
+        j = int(np.argmin(dist)) if len(dist) else -1
+        d = float(dist[j]) if j >= 0 else math.inf
+        if d < math.inf and d <= bound:
+            used[j] = True
+        else:
+            j = -1
+        picks.append((j, d))
+    return picks, used
+
+
 @dataclass(frozen=True)
 class ConjugationReport:
     """Closure of a spectrum under complex conjugation."""
@@ -363,48 +389,31 @@ class ConjugationReport:
     max_defect: float
     closed: bool
 
-    @classmethod
-    def real(cls, n: int) -> "ConjugationReport":
-        """The report of n real eigenvalues, each its own mirror: what
-        `conjugation_pair_check` gives on a real grid's whole spectrum,
-        with no need to solve for it."""
-        return cls(real_count=n, pair_count=0, unpaired=0, max_defect=0.0, closed=True)
+    def to_dict(self) -> dict:
+        return {**asdict(self), "max_defect": self.max_defect if math.isfinite(self.max_defect) else None}
 
 
 def conjugation_pair_check(eigs, tol: float) -> ConjugationReport:
     """Verify the multiset {lambda} equals {lambda*} within tol.
 
-    Counts real eigenvalues (|Im| <= tol scale) and conjugate pairs; any
+    Counts real eigenvalues (|Im| <= tol scale) and conjugate pairs, each
+    upper eigenvalue taking the nearest unused mirror of a lower one; any
     leftover unpaired eigenvalue marks the spectrum as not closed.
     """
     eigs = np.asarray(eigs, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(eigs))) if len(eigs) else 1.0
     real_mask = np.abs(eigs.imag) <= tol * scale
-    real_count = int(np.sum(real_mask))
     rest = eigs[~real_mask]
     ups = sorted((z for z in rest if z.imag > 0), key=lambda z: (z.real, z.imag))
     mirrors = rest[rest.imag < 0].conj()
-    used = np.zeros(len(mirrors), dtype=bool)
-    pair_count = 0
-    max_defect = 0.0
-    for u in ups:
-        # the nearest unused mirror, the first on ties; NaN never wins.
-        # hypot rounds as abs() of a Python complex does; np.abs may not
-        diff = u - mirrors
-        dist = np.hypot(diff.real, diff.imag)
-        dist[used | np.isnan(dist)] = math.inf
-        j = int(np.argmin(dist)) if len(dist) else -1
-        best_d = float(dist[j]) if j >= 0 else math.inf
-        if best_d < math.inf and best_d <= tol * scale:
-            used[j] = True
-            pair_count += 1
-        max_defect = max(max_defect, best_d)
+    picks, _ = _greedy_nearest(ups, mirrors, tol * scale)
+    pair_count = sum(j >= 0 for j, _ in picks)
     unpaired = (len(ups) - pair_count) + (len(mirrors) - pair_count)
     return ConjugationReport(
-        real_count=real_count,
+        real_count=int(np.sum(real_mask)),
         pair_count=pair_count,
         unpaired=unpaired,
-        max_defect=float(max_defect),
+        max_defect=max((d for _, d in picks), default=0.0),
         closed=(unpaired == 0),
     )
 
@@ -445,30 +454,20 @@ def match_levels(formula_entries, eigs, threshold: complex) -> LevelMatch:
     real part below the threshold; empty matches are allowed and reported."""
     thr = complex(threshold).real
     eigs = np.asarray(eigs, dtype=complex)
-    cands = [complex(z) for z in eigs if z.real < thr]
-    used = [False] * len(cands)
-    pairs = []
-    unmatched = []
-    for n, e in formula_entries:
-        best_j, best_d = -1, math.inf
-        for j, lam in enumerate(cands):
-            if used[j]:
-                continue
-            d = abs(complex(e) - lam)
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j < 0:
-            unmatched.append((n, complex(e)))
+    cands = eigs[eigs.real < thr]
+    entries = [(n, complex(e)) for n, e in formula_entries]
+    picks, used = _greedy_nearest([e for _, e in entries], cands)
+    pairs, unmatched = [], []
+    for (n, e), (j, d) in zip(entries, picks):
+        if j < 0:
+            unmatched.append((n, e))
             continue
-        used[best_j] = True
-        lam = cands[best_j]
-        rel = best_d / max(abs(lam), 1e-300)
-        pairs.append((n, complex(e), lam, float(rel)))
-    unmatched_oracle = tuple(lam for j, lam in enumerate(cands) if not used[j])
+        lam = complex(cands[j])
+        pairs.append((n, e, lam, d / max(abs(lam), 1e-300)))
     return LevelMatch(
         pairs=tuple(pairs),
         unmatched_formula=tuple(unmatched),
-        unmatched_oracle=unmatched_oracle,
+        unmatched_oracle=tuple(complex(z) for z in cands[~used]),
         threshold=thr,
     )
 
@@ -595,3 +594,22 @@ def convergence_study(
         eigs_finest=all_eigs[-1],
         finest_is_real=H.is_real,
     )
+
+
+def verify_levels(spec: PotentialSpec, domain: DomainSpec, N: int, *entry_lists, n_levels: int = 6):
+    """(study, matches, conjugation) of each list of (n, E) entries, on
+    grids of N // 2 (at least 50) and N nodes.
+
+    The study solves the finest grid for the window that covers every
+    list's energies, so each list's `match_levels` against it is its match
+    against the whole spectrum.  A real grid's N eigenvalues are each their
+    own mirror, so its conjugation report needs no solve.
+    """
+    energies = [e for entries in entry_lists for _, e in entries]
+    study = convergence_study(spec, domain, [max(N // 2, 50), N], n_levels=n_levels, energies=energies)
+    eigs, thr = study.eigs_finest, continuum_threshold(spec)
+    if study.finest_is_real:
+        conj = ConjugationReport(real_count=N, pair_count=0, unpaired=0, max_defect=0.0, closed=True)
+    else:
+        conj = conjugation_pair_check(eigs, tol=1e-8)
+    return study, tuple(match_levels(entries, eigs, thr) for entries in entry_lists), conj

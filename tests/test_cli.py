@@ -356,6 +356,53 @@ def test_unread_flag_is_a_usage_error(capsys, command, flag):
     assert err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_a_flag_prefix_is_a_usage_error(capsys, command):
+    # --n is trace's level flag; prefix matching once took it as --n-max
+    code, out, err = run(capsys, command, "--family", "trig-scarf", "--A", "-2", "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == "usage error: unrecognized arguments: --n 1\n"
+
+
+# any JSON file: a flag is refused before it is read
+_JSON = str(Path(__file__).parent / "golden" / "no_admissible_form.json")
+
+# (argv, the flag its source replaces, the source): each was read and then
+# dropped, so that the output did not change
+_REPLACED_FLAGS = [
+    (["spectrum", "--preset", "fig1", "--V1", "99"], "--V1", "--preset"),
+    (["verify", "--preset", "fig7", "--variant=pt"], "--variant", "--preset"),
+    (["spectrum", "--preset", "fig1", "--spec-json", _JSON], "--spec-json", "--preset"),
+    (["profile", "--preset", "fig1", "--N", "100", "--L", "3"], "--N", "--preset"),
+    (["profile", "--preset", "fig1", "--skip-poles"], "--skip-poles", "--preset"),
+    (["trace", "--spec-json", _JSON, "--family", "trig-scarf"], "--family", "--spec-json"),
+    (["trace", "--form-json", _JSON, "--n", "2"], "--n", "--form-json"),
+    (["trace", "--form-json", _JSON, "--preset", "fig4"], "--preset", "--form-json"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,source", _REPLACED_FLAGS, ids=[f"{a[0]} {f} {s}" for a, f, s in _REPLACED_FLAGS])
+def test_a_flag_beside_the_source_that_replaces_it_is_a_usage_error(capsys, argv, flag, source):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {flag} is not read beside {source}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--preset", "fig7", "--N", "300", "--L", "3", "--n-max", "1", "--tol", "0.1"],
+        ["profile", "--preset", "fig1", "--format", "csv", "--x-min", "1", "--x-max", "2"],
+        ["spectrum", "--preset", "fig1", "--n-max", "2", "--format", "csv", "--strict"],
+    ],
+    ids=["verify", "profile", "spectrum"],
+)
+def test_the_flags_a_preset_leaves_are_read(capsys, argv, tmp_path):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert "usage error" not in err
+    assert code in (0, 2)
+
+
 class TestDeterminismAndRoundTrip:
     def test_identical_bytes(self, capsys):
         argv = ["spectrum", "--family", "trig-scarf", "--A", "-2", "--n-max", "4"]

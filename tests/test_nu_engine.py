@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptspec import nu_engine
-from ptspec.core_math import LowPoly, poly_roots, sqrt_principal
+from ptspec.core_math import LowPoly, canonical_json, poly_roots, sqrt_principal
 from ptspec.errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleBranch, UnsupportedVariant
 from ptspec.nu_engine import (
     build_form,
@@ -19,7 +19,6 @@ from ptspec.nu_engine import (
     synthetic_form,
     termination_poly,
     trace_to_dict,
-    trace_to_json,
 )
 from ptspec.potentials import Family, PotentialSpec, Variant
 
@@ -605,7 +604,7 @@ class TestTraceSerialization:
         ):
             assert key in d
         assert len(d["branches"]) == 4
-        json.loads(trace_to_json(trace))
+        json.loads(canonical_json(trace_to_dict(trace)))
 
     def test_lambda_n_equals_lambda_at_root(self):
         _, trace = solve_level(trig(), 2)
