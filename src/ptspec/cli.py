@@ -2,10 +2,10 @@
 
 Commands, each with its own flags.  All four also read the spec flags
 (--family --variant --A/--A1/--A2 --B/--B1/--B2 --V0 --V1 --V2 --alpha --q
---period --hbar --mass --preset --spec-json) and --out, and refuse any other,
-and any abbreviation.  --preset and --spec-json replace the spec flags, so a
-spec flag beside them is refused, as are --spec-json and profile's --N --L
---skip-poles beside --preset, and every flag but --out beside --form-json:
+--period --hbar --mass --preset --spec-json) and --out, by full name only.
+They refuse any other flag, and a flag given beside the source that replaces
+it: a spec flag beside --preset or --spec-json, --spec-json or profile's --N
+--L --skip-poles beside --preset, and any flag but --out beside --form-json:
   spectrum   closed-form energies for a potential spec
              --n-max --format --strict
   verify     formula-vs-oracle level matching with a convergence bound, by
@@ -256,16 +256,16 @@ def cmd_profile(args) -> int:
 def cmd_trace(args) -> int:
     from . import nu_engine  # only trace needs the NU engine
 
-    spec = None if args.form_json else _build_spec(args)
-    extra = {} if spec is None else {"spec": spec.to_dict()}
+    if args.form_json:
+        with open(args.form_json) as fh:
+            raw = json.load(fh)
+        polys = (LowPoly(*(complex(c["re"], c["im"]) for c in raw[k])) for k in ("sigma", "tau_tilde", "sigma_tilde"))
+        form, extra = nu_engine.synthetic_form(*polys), {}
+    else:
+        spec = _build_spec(args)
+        extra = {"spec": spec.to_dict()}
     try:
-        if spec is None:
-            with open(args.form_json) as fh:
-                raw = json.load(fh)
-            polys = (LowPoly(*(complex(c["re"], c["im"]) for c in raw[k])) for k in ("sigma", "tau_tilde", "sigma_tilde"))
-            trace = nu_engine.select_branch(nu_engine.synthetic_form(*polys))
-        else:
-            _, trace = nu_engine.solve_level(spec, args.n)
+        trace = nu_engine.select_branch(form) if args.form_json else nu_engine.solve_level(spec, args.n)[1]
     except NoAdmissibleBranch as err:  # the rejected (k, sign) candidates
         branches = [
             {"k": complex_json(c.k), "sign": c.sign, "tau_slope": complex_json(c.tau_slope), "rejection": c.rejection}
@@ -320,10 +320,6 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         _refuse_replaced(args, argv)
-    except _UsageError as err:
-        sys.stderr.write(f"usage error: {err}\n")
-        return _EXIT_USAGE
-    try:
         return args.func(args)
     except _UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
