@@ -655,6 +655,153 @@ class TestNewtonRatios:
         assert calls == [("recurrence", 10), ("reduction", 4), ("reduction", 4), ("reduction", 1)]
 
 
+def _reference_recurrence(d, b2, z, tiny, w=None):
+    """Test-local copy of the guarded recurrence: each row's pivot is
+    checked for an exact zero before it divides."""
+    w = np.full(len(d), -1.0) if w is None else w
+    r = d[0] - z
+    r[r == 0] = tiny
+    u = w[0] / r
+    total = u.copy()
+    for dk, wk in zip(d[1:], w[1:]):
+        t = b2 / r
+        r = (dk - t) - z
+        r[r == 0] = tiny
+        u = (t * u + wk) / r
+        total += u
+    return total
+
+
+def _reference_reduction(d, b2, z, tiny):
+    """Test-local copy of the odd-even cyclic reduction, its guard inline."""
+    a = d - z[:, None]
+    a[a == 0] = tiny
+    da = np.full(a.shape, -1.0 + 0j)
+    c = np.full((len(z), len(d) - 1), b2, dtype=complex)
+    dc = np.zeros_like(c)
+    total = np.zeros(len(z), dtype=complex)
+    while a.shape[1] > 1:
+        m = a.shape[1]
+        ao, dao = a[:, 1::2], da[:, 1::2]
+        total += np.sum(dao / ao, axis=1)
+        tl = c[:, ::2] / ao
+        dtl = (dc[:, ::2] - tl * dao) / ao
+        r = (m - 1) // 2
+        tr = c[:, 1::2] / ao[:, :r]
+        dtr = (dc[:, 1::2] - tr * dao[:, :r]) / ao[:, :r]
+        a, da = a[:, ::2].copy(), da[:, ::2].copy()
+        a[:, : m // 2] -= tl
+        da[:, : m // 2] -= dtl
+        a[:, 1 : r + 1] -= tr
+        da[:, 1 : r + 1] -= dtr
+        a[a == 0] = tiny
+        c = tl[:, :r] * tr
+        dc = dtl[:, :r] * tr + tl[:, :r] * dtr
+    return total + da[:, 0] / a[:, 0]
+
+
+def _reference_aberth(d, b):
+    """Test-local copy of the Ehrlich-Aberth solve: the first-order start,
+    then sweeps by the guarded recurrence or, under N/8 roots, the
+    reduction, each root stopping at a step of 4 ulps of ||H||."""
+    n = len(d)
+    ulp = np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * abs(b))
+    mu = eigvalsh_tridiagonal(d.real, np.full(n - 1, b), lapack_driver="sterf")
+    with np.errstate(all="ignore"):
+        g = _reference_recurrence(d.real, b * b, mu, ulp, -1.0 + 1j * d.imag)
+        c = -g.imag / g.real
+    c[~np.isfinite(c)] = np.mean(d.imag)
+    lam = mu + 1j * c
+    active = np.arange(n)
+    rows = max(1, oracle._BLOCK // n)
+    for _ in range(oracle._ABERTH_SWEEPS):
+        z = lam[active]
+        if 8 * len(z) >= n:
+            step = 1.0 / _reference_recurrence(d, b * b, z, ulp)
+        else:
+            step = 1.0 / np.concatenate(
+                [_reference_reduction(d, b * b, z[i : i + rows], ulp) for i in range(0, len(z), rows)]
+            )
+        for i in range(0, len(z), rows):
+            diff = z[i : i + rows, None] - lam
+            diff[np.arange(len(diff)), active[i : i + rows]] = np.inf
+            w = step[i : i + rows]
+            step[i : i + rows] = w / (1.0 - w * np.sum(1.0 / diff, axis=1))
+        lam[active] = z - step
+        active = active[~(np.abs(step) <= 4.0 * ulp)]
+        if not len(active):
+            return lam
+    raise AssertionError("the reference solve did not converge")
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# the verify-complex benchmark ops at their middle choice, on verify's
+# default domain (L = 12)
+_BENCH_COMPLEX = {
+    "fig5": apply_variant(PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0), Variant.PT),
+    "fig7": apply_variant(PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0), Variant.NonPT),
+    "trig": PotentialSpec(family=Family.TrigScarf, variant=Variant.NonPT, A=3j, q=2.0),
+}
+
+
+class TestReferenceLoops:
+    @pytest.mark.parametrize("tiny", [1e-13, math.nan])
+    @pytest.mark.parametrize("b2", [0.7 - 0.2j, 0.7, 0.0])
+    @pytest.mark.parametrize("n", [50, 51, 400])
+    def test_recurrence_is_the_guarded_loop_bit_for_bit(self, n, b2, tiny):
+        # z = d_0 meets the zero pivot of row 0 for any b2, z = d_k that of
+        # row k when b2 = 0; the rest meet none
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = np.concatenate([d[[0, 1, n // 2, n - 1]], rng.standard_normal(20) + 1j * rng.standard_normal(20)])
+        with np.errstate(invalid="ignore"):
+            got = oracle._recurrence_log_derivative(d, b2, z.copy(), tiny)
+            want = _reference_recurrence(d, b2, z.copy(), tiny)
+            assert np.isnan(_reference_recurrence(d, b2, z.copy(), math.nan)[0])
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("tiny", [1e-13, math.nan])
+    @pytest.mark.parametrize("n", [50, 51, 400])
+    def test_recurrence_meets_a_later_zero_pivot_bit_for_bit(self, n, tiny):
+        # the shifted discrete Laplacian: at z = 1 + 0.5i the pivot of row 1,
+        # (1 + 0.5i - z) ... (2 + 0.5i - z) - 1/r_0, is exactly zero
+        d = np.full(n, 2.0 + 0.5j)
+        z = np.concatenate([[1.0 + 0.5j], 2.0 + 0.5j - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))])
+        with np.errstate(invalid="ignore"):
+            got = oracle._recurrence_log_derivative(d, 1.0, z.copy(), tiny)
+            want = _reference_recurrence(d, 1.0, z.copy(), tiny)
+            assert np.isnan(_reference_recurrence(d, 1.0, z[:1].copy(), math.nan)[0])
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [50, 51, 400])
+    def test_recurrence_along_w_is_the_guarded_loop_bit_for_bit(self, n):
+        # the start's call: real pivots at the real part's eigenvalues, and
+        # mu = 1 on the shifted Laplacian's real part, whose row-1 pivot is 0
+        rng = np.random.default_rng(n + 1)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = -1.0 + 1j * d.imag
+        mu = eigvalsh_tridiagonal(d.real, np.full(n - 1, -0.8), lapack_driver="sterf")
+        for d_re, b, z in [(d.real, -0.8, mu), (np.full(n, 2.0), -1.0, np.array([1.0, 0.5, 3.0]))]:
+            got = oracle._recurrence_log_derivative(d_re, b * b, z.copy(), 1e-13, w)
+            assert _same_bits(got, _reference_recurrence(d_re, b * b, z.copy(), 1e-13, w))
+
+    @pytest.mark.parametrize("N", [400, 401])
+    @pytest.mark.parametrize("name", sorted(_VARIANT_GRIDS))
+    def test_aberth_is_the_reference_loop_bit_for_bit(self, name, N):
+        H = _variant_grid(name, N)
+        assert _same_bits(oracle._aberth(H.diagonal, H.offdiagonal), _reference_aberth(H.diagonal, H.offdiagonal))
+
+    @pytest.mark.parametrize("name", sorted(_BENCH_COMPLEX))
+    def test_aberth_on_the_benchmark_grids_is_the_reference_loop_bit_for_bit(self, name):
+        spec = _BENCH_COMPLEX[name]
+        H = discretize(spec, default_domain(spec, L=12.0), 800)
+        assert not H.is_real
+        assert _same_bits(oracle._aberth(H.diagonal, H.offdiagonal), _reference_aberth(H.diagonal, H.offdiagonal))
+
+
 def _conjugation_by_scan(eigs, tol):
     """Test-local reference: the pairing as a Python scan over every lower
     eigenvalue for each upper one, the first minimum on ties."""
@@ -717,6 +864,20 @@ class TestConjugationCheck:
     def test_unpaired_detected(self):
         rep = conjugation_pair_check([1 + 1j, 2.0], tol=1e-9)
         assert not rep.closed and rep.unpaired >= 1
+
+    @pytest.mark.parametrize("side", ["upper", "lower", "real", "empty"])
+    def test_an_empty_side_matches_the_scan(self, side):
+        # with no mirror left, every upper eigenvalue is unpaired at an
+        # infinite defect; with no upper one, the defect is 0
+        rng = np.random.default_rng(3)
+        re, im = rng.standard_normal(40), 0.1 + rng.random(40)
+        eigs = {"upper": re + 1j * im, "lower": re - 1j * im, "real": re + 0j, "empty": np.empty(0, complex)}[side]
+        for extra in ([], [1.0, complex(2.0, math.nan)]):
+            spectrum = np.concatenate([eigs, np.asarray(extra, dtype=complex)])
+            for tol in (1e-12, 1e-9, 0.1):
+                rep = conjugation_pair_check(spectrum, tol)
+                assert rep == _conjugation_by_scan(spectrum, tol)
+                assert rep.max_defect == (math.inf if side == "upper" else 0.0)
 
 
 # eigenvalue and formula real parts: half-integers, for ties and
