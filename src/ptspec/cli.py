@@ -162,10 +162,9 @@ def _write_out(text: str, out_path: str | None):
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
+    finally:  # after the replace, tmp is gone
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def cmd_spectrum(args) -> int:

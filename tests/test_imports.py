@@ -3,7 +3,11 @@ only the array modules load NumPy when imported.
 
 No linter runs on the package or its scripts, so the first check stands
 in for the unused-import rule: a deletion that leaves an import behind
-fails here.
+fails here.  A second stands in for the rule against broad handlers: no
+`except Exception`, `except BaseException` or bare `except:` in either,
+so that a bug cannot pass for an expected failure.  The benchmark under
+`perfbench/` is not checked; it catches every exception of an op on
+purpose, to record it as a failed op.
 It reads each import in its own scope, so a stale import in one function
 is found even where another function reads the same name.  `__init__.py`
 is exempt, because its imports are the names it exports.
@@ -94,6 +98,38 @@ def test_the_check_reads_each_function_import_in_its_own_function():
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+_BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(source: str) -> list[int]:
+    """Lines of the handlers of source that catch Exception or
+    BaseException, alone or in a tuple, or everything (a bare except)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in caught if c is not None}
+        if node.type is None or names & _BROAD:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_finds_a_broad_handler():
+    source = (
+        "try:\n    f()\nexcept Exception:\n    pass\n"
+        "try:\n    f()\nexcept (ValueError, builtins.BaseException) as err:\n    pass\n"
+        "try:\n    f()\nexcept:\n    pass\n"
+        "try:\n    f()\nexcept (ValueError, KeyError):\n    pass\nexcept ExceptionGroup:\n    pass\n"
+    )
+    assert broad_handlers(source) == [3, 7, 11]
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
+def test_no_broad_exception_handler(path):
+    assert broad_handlers(path.read_text()) == []
 
 
 _LOADED_SCIPY = """
