@@ -25,11 +25,14 @@ ratios from the three-term recurrence, N Python steps over all roots at
 once, until fewer than N/8 roots are left; then from odd-even cyclic
 reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627-656),
 log2 N steps, which makes the slow tail of nearly multiple roots cheap.
+The recurrence checks no pivot in its rows: an exactly zero one shows as a
+sum that is not finite, and only those z run again, with the pivot patched.
 Complex symmetric tridiagonal eigenproblems lack the guarantees of the
 Hermitian case, so every eigenvalue of a complex grid is certified: by a
-trace bound on its best residual, N |p/p'| from one more recurrence sweep,
-or where that bound fails, is not a number, or met an exactly zero pivot,
-by an inverse-iteration residual.  Five eigenvalues drawn at random take
+trace bound on its best residual, N |p/p'| + |step| from the sweep that
+moved it last, so that certifying runs no sweep, or where that bound
+fails, is not a number, or that sweep met an exactly zero pivot, by an
+inverse-iteration residual.  Five eigenvalues drawn at random take
 the inverse-iteration check on either grid kind: on a complex grid as a
 witness independent of the recurrence, on a real grid as its whole
 certification.
@@ -104,15 +107,16 @@ def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltoni
     return GridHamiltonian(domain=domain, N=N, h=h, diagonal=diag, offdiagonal=-kappa / h**2)
 
 
-def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:
+def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | None, seed: int = 7) -> float:
     """Residual check against the contract bound relative to ||H||_max:
     every eigenvalue of a complex grid, five random ones of a real grid.
 
-    On a complex grid each eigenvalue lambda first takes a trace bound.  With
-    G = (T - lambda)^-1, sigma_min(T - lambda) = 1/||G||_2 <= 1/max_r |G_rr|
-    <= N/|tr G| = N |p(lambda)/p'(lambda)| (Parlett & Dhillon, Linear Algebra
-    Appl. 267 (1997) 247-279), so one recurrence sweep over all N, the one
-    Aberth runs (`_newton_ratios`), bounds the best residual of each.
+    On a complex grid each eigenvalue comes with a trace bound on its best
+    residual; a real grid passes None.  With G = (T - z)^-1, sigma_min(T -
+    z) = 1/||G||_2 <= 1/max_r |G_rr| <= N/|tr G| = N |p(z)/p'(z)| (Parlett &
+    Dhillon, Linear Algebra Appl. 267 (1997) 247-279), so the Newton ratios
+    of one recurrence sweep over all N bound the best residual of each z.
+    `_aberth` takes them from each root's last sweep, so no sweep runs here.
 
     The banded check is inverse iteration.  A block of shifts takes one
     banded solve per step: the shifted copies of H sit uncoupled down the
@@ -120,8 +124,8 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:
     without renormalizing, and ||Hv - lambda v||/||v|| is taken once, on the
     last v.  It runs on five seeded random eigenvalues of either grid, a
     witness independent of the recurrence, and on every eigenvalue of a
-    complex grid whose trace bound is over the contract or not a number; a
-    recurrence that meets an exactly zero pivot gives NaN.  Returns the
+    complex grid whose trace bound is over the contract or not a number; an
+    evaluation that met an exactly zero pivot gives NaN.  Returns the
     worst bound or residual taken; raises QRNotConverged if a banded
     residual exceeds the contract, or is not a number.
     """
@@ -131,9 +135,7 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:
     bound = _RESIDUAL_BOUND * (float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal))
     worst = 0.0
     if not H.is_real:
-        with np.errstate(invalid="ignore"):  # a NaN bound only routes an eigenvalue to the banded check
-            trace_bound = n * np.abs(_newton_ratios(H.diagonal, H.offdiagonal**2, eigs, math.nan))
-        held = trace_bound <= bound
+        held = trace_bound <= bound  # a NaN bound routes its eigenvalue to the banded check
         worst = float(np.max(trace_bound[held], initial=0.0))
         idx = np.concatenate([idx, np.setdiff1d(np.flatnonzero(~held), idx)])
     per = max(1, min(len(idx), _CERTIFY_BLOCK // n))
@@ -159,47 +161,82 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, seed: int = 7) -> float:
     return worst
 
 
-def _recurrence_log_derivative(
-    d: np.ndarray, b2: float, z: np.ndarray, tiny: float, w: np.ndarray | None = None
-) -> np.ndarray:
-    """p'(z)/p(z) at each z, for p(z) = det(T - z) and T the tridiagonal
-    with diagonal d and squared off-diagonal b2, by the three-term recurrence.
+def _recurrence_sum(d: np.ndarray, b2: float, z: np.ndarray, w: np.ndarray, tiny: float | None) -> np.ndarray:
+    """The sum over the rows of u_k = r_k'/r_k, one step per row over all
+    of z, in place.  With `tiny` given, an exactly zero pivot becomes tiny;
+    with None, it divides as it is.
 
-    The LU pivots of T - z are r_k = (d_k - z) - b2/r_{k-1}, so p'/p is the
-    sum of u_k = r_k'/r_k, with r_k' = -1 + (b2/r_{k-1}) u_{k-1}.  Given w,
-    the -1, the z-derivative of d_k - z, becomes w_k, and the sum is the
-    derivative of log p along diag(w) instead.  An exactly zero pivot
-    becomes `tiny`, so that b2 = 0 gives no 0/0; a NaN `tiny` makes the
-    result NaN at each z that met one.  One step per row, each over all of
-    z.
-    """
-    w = np.full(len(d), -1.0) if w is None else w
+    t u goes to a buffer of its own: NumPy's complex multiply of a single
+    element written over one of its operands does not round as its array
+    loop does, and a rerun is often on one z."""
     r = d[0] - z
-    r[r == 0] = tiny
+    if tiny is not None:
+        r[r == 0] = tiny
     u = w[0] / r
     total = u.copy()
+    t, tu = np.empty_like(r), np.empty_like(u)
     for dk, wk in zip(d[1:], w[1:]):
-        t = b2 / r
-        r = (dk - t) - z
-        r[r == 0] = tiny
-        u = (t * u + wk) / r
+        np.divide(b2, r, out=t)
+        np.subtract(dk, t, out=r)
+        np.subtract(r, z, out=r)
+        if tiny is not None:
+            r[r == 0] = tiny
+        np.multiply(t, u, out=tu)
+        np.add(tu, wk, out=tu)
+        np.divide(tu, r, out=u)
         total += u
     return total
 
 
-def _reduction_log_derivative(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.ndarray:
+def _recurrence_log_derivative(
+    d: np.ndarray, b2: float, z: np.ndarray, tiny: float, w: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """p'(z)/p(z) at each z, for p(z) = det(T - z) and T the tridiagonal
+    with diagonal d and squared off-diagonal b2, by the three-term
+    recurrence, and the mask of the z that met an exactly zero pivot.
+
+    The LU pivots of T - z are r_k = (d_k - z) - b2/r_{k-1}, so p'/p is the
+    sum of u_k = r_k'/r_k, with r_k' = -1 + (b2/r_{k-1}) u_{k-1}.  Given w,
+    the -1, the z-derivative of d_k - z, becomes w_k, and the sum is the
+    derivative of log p along diag(w) instead.  One step per row, each over
+    all of z.  b2 is real where d and z are.
+
+    The rows run with no check of their pivots.  Each divides by the pivot
+    it forms, so an exactly zero pivot makes that z's sum inf or NaN, which
+    no later row makes finite.  The z whose sum is not finite, those and
+    any whose sum overflowed, are the mask, and the same loop runs again on
+    them alone with each exactly zero pivot made `tiny`, so that b2 = 0
+    gives no 0/0.  That is the sum a check in every row gives, to the bit;
+    a NaN `tiny` makes it NaN at each z that met one.
+    """
+    w = np.full(len(d), -1.0) if w is None else w
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot is found by its sum
+        total = _recurrence_sum(d, b2, z, w, None)
+    hit = ~np.isfinite(total)
+    if hit.any():
+        total[hit] = _recurrence_sum(d, b2, z[hit], w, tiny)
+    return total, hit
+
+
+def _reduction_log_derivative(
+    d: np.ndarray, b2: float, z: np.ndarray, tiny: float
+) -> tuple[np.ndarray, np.ndarray]:
     """p'(z)/p(z) as `_recurrence_log_derivative`, by odd-even cyclic
     reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
-    627-656): log2 N steps, each over all rows and all of z.
+    627-656): log2 N steps, each over all rows and all of z.  Returns the
+    sum and the mask of the z that met an exactly zero pivot.
 
     A step eliminates the odd rows of T - z.  Their pivots a are factors of
     p, so a'/a joins the sum; the even rows keep a tridiagonal Schur
     complement, with diagonal a_e - c_l/a_l - c_r/a_r and squared
     off-diagonal c_l c_r / a^2.  Each value carries its z-derivative.  An
-    exactly zero pivot becomes `tiny`, as in the recurrence.
+    exactly zero pivot becomes `tiny`, as in the recurrence, but as soon as
+    it is formed: a row that survives the step goes on into the next one.
     """
     a = d - z[:, None]
-    a[a == 0] = tiny
+    zero = a == 0
+    hit = zero.any(axis=1)
+    a[zero] = tiny
     da = np.full(a.shape, -1.0 + 0j)
     c = np.full((len(z), len(d) - 1), b2, dtype=complex)
     dc = np.zeros_like(c)
@@ -218,15 +255,19 @@ def _reduction_log_derivative(d: np.ndarray, b2: float, z: np.ndarray, tiny: flo
         da[:, : m // 2] -= dtl
         a[:, 1 : r + 1] -= tr
         da[:, 1 : r + 1] -= dtr
-        a[a == 0] = tiny
+        zero = a == 0
+        hit |= zero.any(axis=1)
+        a[zero] = tiny
         c = tl[:, :r] * tr
         dc = dtl[:, :r] * tr + tl[:, :r] * dtr
-    return total + da[:, 0] / a[:, 0]
+    return total + da[:, 0] / a[:, 0], hit
 
 
-def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.ndarray:
+def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> tuple[np.ndarray, np.ndarray]:
     """p(z)/p'(z) at each z, for p(z) = det(T - z) and T the tridiagonal
-    with diagonal d and squared off-diagonal b2.
+    with diagonal d and squared off-diagonal b2, and the mask of the z
+    whose evaluation met an exactly zero pivot (or overflowed, in the
+    recurrence).
 
     The recurrence costs N Python steps however few z there are; the
     reduction costs log2 N steps but 3-5 times the arithmetic.  So a sweep
@@ -235,11 +276,12 @@ def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> np.n
     """
     n = len(d)
     if 8 * len(z) >= n:
-        return 1.0 / _recurrence_log_derivative(d, b2, z, tiny)
-    rows = max(1, _BLOCK // n)
-    return 1.0 / np.concatenate(
-        [_reduction_log_derivative(d, b2, z[i : i + rows], tiny) for i in range(0, len(z), rows)]
-    )
+        g, hit = _recurrence_log_derivative(d, b2, z, tiny)
+    else:
+        rows = max(1, _BLOCK // n)
+        blocks = [_reduction_log_derivative(d, b2, z[i : i + rows], tiny) for i in range(0, len(z), rows)]
+        g, hit = (np.concatenate(parts) for parts in zip(*blocks))
+    return 1.0 / g, hit
 
 
 def _aberth_start(d: np.ndarray, b: float, tiny: float) -> np.ndarray:
@@ -256,38 +298,51 @@ def _aberth_start(d: np.ndarray, b: float, tiny: float) -> np.ndarray:
     """
     mu = eigvalsh_tridiagonal(d.real, np.full(len(d) - 1, b), lapack_driver="sterf")
     with np.errstate(all="ignore"):  # a value that is not finite takes the fallback
-        g = _recurrence_log_derivative(d.real, b * b, mu, tiny, -1.0 + 1j * d.imag)
+        g, _ = _recurrence_log_derivative(d.real, b * b, mu, tiny, -1.0 + 1j * d.imag)
         c = -g.imag / g.real
     c[~np.isfinite(c)] = np.mean(d.imag)
     return mu + 1j * c
 
 
-def _aberth(d: np.ndarray, b: float) -> np.ndarray:
+def _aberth(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of the tridiagonal with diagonal d and constant
-    off-diagonal b, by Ehrlich-Aberth iteration.
+    off-diagonal b, by Ehrlich-Aberth iteration, each with a trace bound on
+    its least singular value sigma_min(T - lambda).
 
     Starts from the first-order eigenvalues of T in its imaginary part
     (`_aberth_start`).  A sweep updates every unconverged approximation at
     once; one stops when its step is at most a few ulps of ||H||.  Raises
     QRNotConverged if any is left after _ABERTH_SWEEPS sweeps.
+
+    Each bound comes from the root's last sweep, which moved it from z to
+    lambda = z - step: sigma_min(T - lambda) <= sigma_min(T - z) + |step|
+    <= N |w| + |step|, for w = p(z)/p'(z) the Newton ratio before the
+    Aberth correction (the trace bound of `_certify`).  A root whose last
+    evaluation met an exactly zero pivot, so that w is that of the patched
+    pivot, gets NaN.
     """
     n = len(d)
     ulp = np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * abs(b))
     lam = _aberth_start(d, b, ulp)
+    bound = np.empty(n)
     active = np.arange(n)
     rows = max(1, _BLOCK // n)
     for _ in range(_ABERTH_SWEEPS):
         z = lam[active]
-        step = _newton_ratios(d, b * b, z, ulp)
+        step, hit = _newton_ratios(d, b * b, z, ulp)
+        trace = n * np.abs(step)
+        trace[hit] = np.nan
         for i in range(0, len(z), rows):
             diff = z[i : i + rows, None] - lam
             diff[np.arange(len(diff)), active[i : i + rows]] = np.inf  # drops the j = i term
             w = step[i : i + rows]
             step[i : i + rows] = w / (1.0 - w * np.sum(1.0 / diff, axis=1))
         lam[active] = z - step
-        active = active[~(np.abs(step) <= 4.0 * ulp)]
+        size = np.abs(step)
+        bound[active] = trace + size
+        active = active[~(size <= 4.0 * ulp)]
         if not len(active):
-            return lam
+            return lam, bound
     raise QRNotConverged(f"Ehrlich-Aberth: {len(active)} of {n} eigenvalues unconverged after {_ABERTH_SWEEPS} sweeps")
 
 
@@ -342,16 +397,18 @@ def eigen_complex_dense(
     eigenvalue, by its trace bound or by inverse iteration, on a real grid
     five random ones, by inverse iteration.
     """
+    trace_bound = None
     try:
         if H.is_real:
             eigs = _real_eigenvalues(H.diagonal.real, H.offdiagonal, lowest, below, more).astype(complex)
         else:
-            eigs = _aberth(H.diagonal, H.offdiagonal)
+            eigs, trace_bound = _aberth(H.diagonal, H.offdiagonal)
     except np.linalg.LinAlgError as err:
         raise QRNotConverged(str(err)) from err
-    eigs = eigs[np.argsort(eigs.real)]
+    order = np.argsort(eigs.real)
+    eigs = eigs[order]
     if certify:
-        _certify(H, eigs)
+        _certify(H, eigs, None if trace_bound is None else trace_bound[order])
     return eigs
 
 
@@ -398,15 +455,21 @@ def conjugation_pair_check(eigs, tol: float) -> ConjugationReport:
 
     Counts real eigenvalues (|Im| <= tol scale) and conjugate pairs, each
     upper eigenvalue taking the nearest unused mirror of a lower one; any
-    leftover unpaired eigenvalue marks the spectrum as not closed.
+    leftover unpaired eigenvalue marks the spectrum as not closed.  With no
+    lower eigenvalue, as on non-PT grids, every upper one is left unpaired
+    at an infinite defect, with no search.
     """
     eigs = np.asarray(eigs, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(eigs))) if len(eigs) else 1.0
     real_mask = np.abs(eigs.imag) <= tol * scale
     rest = eigs[~real_mask]
-    ups = sorted((z for z in rest if z.imag > 0), key=lambda z: (z.real, z.imag))
     mirrors = rest[rest.imag < 0].conj()
-    picks, _ = _greedy_nearest(ups, mirrors, tol * scale)
+    if len(mirrors):
+        ups = sorted((z for z in rest if z.imag > 0), key=lambda z: (z.real, z.imag))
+        picks, _ = _greedy_nearest(ups, mirrors, tol * scale)
+    else:
+        ups = rest[rest.imag > 0]
+        picks = [(-1, math.inf)] * len(ups)
     pair_count = sum(j >= 0 for j, _ in picks)
     unpaired = (len(ups) - pair_count) + (len(mirrors) - pair_count)
     return ConjugationReport(
@@ -558,9 +621,8 @@ def convergence_study(
     for N in N_list:
         H = discretize(spec, domain, N)
         below, extra = (finest, more) if N == N_list[-1] else (-math.inf, 0)
-        all_eigs.append(eigen_complex_dense(H, certify=False, lowest=n_levels, below=below, more=extra))
+        all_eigs.append(eigen_complex_dense(H, certify=N == N_list[-1], lowest=n_levels, below=below, more=extra))
         hs.append(H.h)
-    _certify(H, all_eigs[-1])
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]
     track = min(n_levels, *counts) if min(counts) > 0 else min(n_levels, len(all_eigs[0]))
     levels = []

@@ -221,7 +221,8 @@ class TestEigenSolver:
     def test_certification_covers_every_complex_eigenvalue(self):
         H = _variant_grid("mr-nonpt", 200)
         eigs = eigen_complex_dense(H, certify=False)
-        oracle._certify(H, eigs)
+        trace_bounds = TestTraceCertification()._trace_bounds
+        oracle._certify(H, eigs, trace_bounds(H, eigs))
         # an eigenvalue a five-element sample with the certification seed
         # would not draw, moved 100 times the residual bound off
         sampled = np.random.default_rng(7).choice(H.N, size=5, replace=False)
@@ -229,7 +230,7 @@ class TestEigenSolver:
         bound = oracle._RESIDUAL_BOUND * (np.max(np.abs(H.diagonal)) + 2.0 * abs(H.offdiagonal))
         eigs[i] += 100.0 * bound
         with pytest.raises(QRNotConverged, match="residual certification"):
-            oracle._certify(H, eigs)
+            oracle._certify(H, eigs, trace_bounds(H, eigs))
 
     def test_complex_solve_allocates_no_dense_matrix(self):
         # a dense N=6000 complex matrix alone is 576 MB
@@ -306,7 +307,7 @@ class TestAberthStart:
         d = k**2 + 1j * np.cos(k)
         ulp = _diagonal_ulp(d, 0.0)
         assert np.max(np.abs(oracle._aberth_start(d, 0.0, ulp) - d)) <= 2.0 * ulp
-        assert np.max(np.abs(oracle._aberth(d, 0.0) - d)) <= 2.0 * ulp
+        assert np.max(np.abs(oracle._aberth(d, 0.0)[0] - d)) <= 2.0 * ulp
         assert [c for c in aberth_calls if c[0] == "sweep"] == [("sweep", 200)]
         # on close entries the term is larger, and the start stays within it
         rng = np.random.default_rng(1)
@@ -326,7 +327,7 @@ class TestAberthStart:
         start = oracle._aberth_start(d, -1.0, _diagonal_ulp(d, -1.0))
         assert np.all(np.isfinite(start))
         assert np.max(np.abs(start - ref)) < 1e-13
-        eigs = oracle._aberth(d, -1.0)
+        eigs, _ = oracle._aberth(d, -1.0)
         assert np.max(np.abs(eigs[np.argsort(eigs.real)] - ref)) < 1e-13
 
     def test_a_start_that_is_not_finite_takes_the_mean(self):
@@ -356,11 +357,25 @@ class TestAberthStart:
         assert kinds.count("recurrence") <= full
 
 
+@pytest.fixture
+def handed_over(monkeypatch):
+    """The eigenvalues and trace bounds each `_certify` call is handed."""
+    calls = []
+    certify = oracle._certify
+
+    def recorded(H, eigs, trace_bound, seed=7):
+        calls.append((eigs.copy(), None if trace_bound is None else trace_bound.copy()))
+        return certify(H, eigs, trace_bound, seed)
+
+    monkeypatch.setattr(oracle, "_certify", recorded)
+    return calls
+
+
 class TestTraceCertification:
     def _trace_bounds(self, H, eigs):
         """N |p/p'| at every eigenvalue, from one recurrence sweep over all."""
         with np.errstate(invalid="ignore"):
-            return H.N * np.abs(oracle._newton_ratios(H.diagonal, H.offdiagonal**2, eigs, math.nan))
+            return H.N * np.abs(oracle._newton_ratios(H.diagonal, H.offdiagonal**2, eigs, math.nan)[0])
 
     @pytest.mark.parametrize("name", sorted(k for k in _VARIANT_GRIDS if k != "hyp-pt-q1"))
     def test_trace_bound_is_above_the_least_singular_value(self, name):
@@ -389,6 +404,52 @@ class TestTraceCertification:
         bounds = self._trace_bounds(H, eigen_complex_dense(H, certify=False))
         assert np.all(bounds <= oracle._RESIDUAL_BOUND * _norm_max(H))
 
+    @pytest.mark.parametrize("name", sorted(k for k in _VARIANT_GRIDS if k != "hyp-pt-q1"))
+    def test_the_handed_over_bound_is_above_the_least_singular_value(self, name, handed_over):
+        # N |w| + |step| from each root's last sweep, on the 20 largest bounds
+        # and 20 seeded others (an svdvals of each of the N takes 6 s), with
+        # the rounding slack of the test above
+        H = _variant_grid(name, 200)
+        eigen_complex_dense(H)
+        [(eigs, bounds)] = handed_over
+        assert np.all(np.isfinite(bounds))
+        pick = np.union1d(np.argsort(bounds)[-20:], np.random.default_rng(0).choice(H.N, size=20, replace=False))
+        T, norm = _dense(H), _norm_max(H)
+        sigma = np.array([svdvals(T - lam * np.eye(H.N))[-1] for lam in eigs[pick]])
+        assert np.all(bounds[pick] >= sigma - 4.0 * np.finfo(float).eps * (norm + np.abs(eigs[pick])))
+
+    def test_a_zero_pivot_in_the_last_sweep_takes_the_banded_check(self, banded_solves, handed_over):
+        # the shifted discrete Laplacian: the last sweeps of 1 + 0.5i and
+        # 3 + 0.5i meet an exactly zero pivot, such as (1 - lambda) - 1/r_0
+        # in row 1, so these two join the five witnesses
+        n = 200
+        H = GridHamiltonian(
+            domain=DomainSpec(DomainKind.FiniteInterval, 0.0, n + 1.0),
+            N=n, h=1.0, diagonal=np.full(n, 2.0 + 0.5j), offdiagonal=-1.0,
+        )
+        eigen_complex_dense(H)
+        [(eigs, bounds)] = handed_over
+        fallback = np.flatnonzero(np.isnan(bounds))
+        assert eigs[fallback].tolist() == [1 + 0.5j, 3 + 0.5j]
+        witnesses = np.random.default_rng(7).choice(n, size=5, replace=False)
+        assert banded_solves == [len(np.union1d(witnesses, fallback)) * n] * 3
+
+    def test_a_certified_solve_evaluates_nothing_after_the_last_sweep(self, aberth_calls):
+        # the bounds come with the sweeps: certifying adds no evaluation,
+        # to a solve or to the study that certifies its finest grid
+        spec, L = _VARIANT_GRIDS["mr-nonpt"]
+        dom = default_domain(spec, L=L)
+        solves = []
+        for N in (200, 400):
+            eigen_complex_dense(discretize(spec, dom, N), certify=False)
+            solves.append(list(aberth_calls))
+            aberth_calls.clear()
+        eigen_complex_dense(discretize(spec, dom, 400))
+        assert aberth_calls == solves[1]
+        aberth_calls.clear()
+        convergence_study(spec, dom, [200, 400])
+        assert aberth_calls == solves[0] + solves[1]
+
     def test_five_witnesses_take_the_banded_check_when_every_bound_holds(self, banded_solves):
         H = _variant_grid("mr-nonpt", 800)
         eigen_complex_dense(H)
@@ -407,8 +468,9 @@ class TestTraceCertification:
         H = GridHamiltonian(
             domain=DomainSpec(DomainKind.FiniteInterval, 0.0, 201.0), N=200, h=1.0, diagonal=d, offdiagonal=0.0
         )
-        assert np.all(np.isnan(self._trace_bounds(H, d)))
-        oracle._certify(H, d)
+        bounds = self._trace_bounds(H, d)
+        assert np.all(np.isnan(bounds))
+        oracle._certify(H, d, bounds)
         assert sum(banded_solves) == 3 * H.N * H.N
 
     def test_a_nan_eigenvalue_is_refused(self):
@@ -416,7 +478,7 @@ class TestTraceCertification:
         eigs = eigen_complex_dense(H, certify=False)
         eigs[17] = complex(math.nan, 0.0)
         with pytest.raises(QRNotConverged, match="residual certification"):
-            oracle._certify(H, eigs)
+            oracle._certify(H, eigs, self._trace_bounds(H, eigs))
 
 
 def _norm_max(H):
@@ -589,8 +651,8 @@ class TestRealWindow:
 def _log_derivatives(d, b2, z, tiny):
     """p'/p by both evaluation orders, each on its own copy of z."""
     return (
-        oracle._recurrence_log_derivative(d, b2, z.copy(), tiny),
-        oracle._reduction_log_derivative(d, b2, z.copy(), tiny),
+        oracle._recurrence_log_derivative(d, b2, z.copy(), tiny)[0],
+        oracle._reduction_log_derivative(d, b2, z.copy(), tiny)[0],
     )
 
 
@@ -636,22 +698,23 @@ class TestNewtonRatios:
         d = rng.standard_normal(60) + 1j * rng.standard_normal(60)
         z = np.array([d[0], d[30], 0.1 + 0.2j])
         with np.errstate(invalid="ignore"):
-            got = oracle._recurrence_log_derivative(d, 0.7 - 0.2j, z, math.nan)
+            got, hit = oracle._recurrence_log_derivative(d, 0.7 - 0.2j, z, math.nan)
         assert np.isnan(got[0]) and np.all(np.isfinite(got[1:]))
+        assert hit.tolist() == [True, False, False]
 
     def test_a_sweep_picks_the_order_by_its_root_count(self, monkeypatch):
         # fewer than N/8 roots take the reduction, in blocks of _BLOCK // N
         calls = []
 
         def stub(order):
-            return lambda d, b2, z, tiny: calls.append((order, len(z))) or np.ones(len(z))
+            return lambda d, b2, z, tiny: calls.append((order, len(z))) or (np.ones(len(z)), np.zeros(len(z), bool))
 
         monkeypatch.setattr(oracle, "_recurrence_log_derivative", stub("recurrence"))
         monkeypatch.setattr(oracle, "_reduction_log_derivative", stub("reduction"))
         monkeypatch.setattr(oracle, "_BLOCK", 4 * 80)
         d, z = np.zeros(80, dtype=complex), np.zeros(10, dtype=complex)
-        assert len(oracle._newton_ratios(d, 1.0, z, 1e-13)) == 10
-        assert len(oracle._newton_ratios(d, 1.0, z[:9], 1e-13)) == 9
+        assert len(oracle._newton_ratios(d, 1.0, z, 1e-13)[0]) == 10
+        assert len(oracle._newton_ratios(d, 1.0, z[:9], 1e-13)[0]) == 9
         assert calls == [("recurrence", 10), ("reduction", 4), ("reduction", 4), ("reduction", 1)]
 
 
@@ -758,7 +821,7 @@ class TestReferenceLoops:
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z = np.concatenate([d[[0, 1, n // 2, n - 1]], rng.standard_normal(20) + 1j * rng.standard_normal(20)])
         with np.errstate(invalid="ignore"):
-            got = oracle._recurrence_log_derivative(d, b2, z.copy(), tiny)
+            got, _ = oracle._recurrence_log_derivative(d, b2, z.copy(), tiny)
             want = _reference_recurrence(d, b2, z.copy(), tiny)
             assert np.isnan(_reference_recurrence(d, b2, z.copy(), math.nan)[0])
         assert _same_bits(got, want)
@@ -771,7 +834,7 @@ class TestReferenceLoops:
         d = np.full(n, 2.0 + 0.5j)
         z = np.concatenate([[1.0 + 0.5j], 2.0 + 0.5j - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))])
         with np.errstate(invalid="ignore"):
-            got = oracle._recurrence_log_derivative(d, 1.0, z.copy(), tiny)
+            got, _ = oracle._recurrence_log_derivative(d, 1.0, z.copy(), tiny)
             want = _reference_recurrence(d, 1.0, z.copy(), tiny)
             assert np.isnan(_reference_recurrence(d, 1.0, z[:1].copy(), math.nan)[0])
         assert _same_bits(got, want)
@@ -785,21 +848,21 @@ class TestReferenceLoops:
         w = -1.0 + 1j * d.imag
         mu = eigvalsh_tridiagonal(d.real, np.full(n - 1, -0.8), lapack_driver="sterf")
         for d_re, b, z in [(d.real, -0.8, mu), (np.full(n, 2.0), -1.0, np.array([1.0, 0.5, 3.0]))]:
-            got = oracle._recurrence_log_derivative(d_re, b * b, z.copy(), 1e-13, w)
+            got, _ = oracle._recurrence_log_derivative(d_re, b * b, z.copy(), 1e-13, w)
             assert _same_bits(got, _reference_recurrence(d_re, b * b, z.copy(), 1e-13, w))
 
     @pytest.mark.parametrize("N", [400, 401])
     @pytest.mark.parametrize("name", sorted(_VARIANT_GRIDS))
     def test_aberth_is_the_reference_loop_bit_for_bit(self, name, N):
         H = _variant_grid(name, N)
-        assert _same_bits(oracle._aberth(H.diagonal, H.offdiagonal), _reference_aberth(H.diagonal, H.offdiagonal))
+        assert _same_bits(oracle._aberth(H.diagonal, H.offdiagonal)[0], _reference_aberth(H.diagonal, H.offdiagonal))
 
     @pytest.mark.parametrize("name", sorted(_BENCH_COMPLEX))
     def test_aberth_on_the_benchmark_grids_is_the_reference_loop_bit_for_bit(self, name):
         spec = _BENCH_COMPLEX[name]
         H = discretize(spec, default_domain(spec, L=12.0), 800)
         assert not H.is_real
-        assert _same_bits(oracle._aberth(H.diagonal, H.offdiagonal), _reference_aberth(H.diagonal, H.offdiagonal))
+        assert _same_bits(oracle._aberth(H.diagonal, H.offdiagonal)[0], _reference_aberth(H.diagonal, H.offdiagonal))
 
 
 def _conjugation_by_scan(eigs, tol):
