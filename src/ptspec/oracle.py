@@ -161,7 +161,7 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
     return worst
 
 
-def _recurrence_sum(d: np.ndarray, b2: float, z: np.ndarray, w: np.ndarray, tiny: float | None) -> np.ndarray:
+def _recurrence_sum(d: np.ndarray, b2: float, z: np.ndarray, tiny: float | None, w: np.ndarray) -> np.ndarray:
     """The sum over the rows of u_k = r_k'/r_k, one step per row over all
     of z, in place.  With `tiny` given, an exactly zero pivot becomes tiny;
     with None, it divides as it is.
@@ -211,10 +211,10 @@ def _recurrence_log_derivative(
     """
     w = np.full(len(d), -1.0) if w is None else w
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot is found by its sum
-        total = _recurrence_sum(d, b2, z, w, None)
+        total = _recurrence_sum(d, b2, z, None, w)
     hit = ~np.isfinite(total)
     if hit.any():
-        total[hit] = _recurrence_sum(d, b2, z[hit], w, tiny)
+        total[hit] = _recurrence_sum(d, b2, z[hit], tiny, w)
     return total, hit
 
 
