@@ -407,8 +407,8 @@ class TestTraceCertification:
     @pytest.mark.parametrize("name", sorted(k for k in _VARIANT_GRIDS if k != "hyp-pt-q1"))
     def test_the_handed_over_bound_is_above_the_least_singular_value(self, name, handed_over):
         # N |w| + |step| from each root's last sweep, on the 20 largest bounds
-        # and 20 seeded others (an svdvals of each of the N takes 6 s), with
-        # the rounding slack of the test above
+        # and 20 seeded others (an svdvals of each of the N would be most of
+        # the suite's time), with the rounding slack of the test above
         H = _variant_grid(name, 200)
         eigen_complex_dense(H)
         [(eigs, bounds)] = handed_over
