@@ -7,7 +7,8 @@ three families lives here, and the generic modules look it up.
 
 A FamilyRecord holds the parameter names, the x -> s map of the
 Nikiforov-Uvarov reduction and its s-interval, the reduced (sigma,
-tau_tilde, sigma_tilde) triple of the Base form and the zeta/mu auxiliaries
+tau_tilde, sigma_tilde) triple of the Base form, built from the spec's
+couplings at a trial energy, and the zeta/mu auxiliaries of its trace
 (hyperbolic Scarf only).  Its `variants` table holds one VariantForm per
 variant: the potential evaluator, the inner wall, the continuum threshold,
 the published closed form, and the variant rules.  Those state whether the
@@ -65,22 +66,6 @@ class Variant(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ReducedParams:
-    """Dimensionless couplings of the reduced equation.
-
-    trig:       eps = E/(k a^2),        beta = A/(k a^2)
-    hyperbolic: eps^2 = (E-V0)/(k a^2), beta^2 = V1/(k a^2 q), gamma^2 = V2/(k a^2 sqrt(q))
-    manning:    eps = -E/(k a^2),       beta = A/(k a^2),      gamma = 4B/(k a^2)
-
-    with k = hbar^2/2m and a = alpha.
-    """
-
-    eps: complex
-    beta: complex
-    gamma: complex | None = None
-
-
-@dataclass(frozen=True)
 class Predicate:
     name: str
     measured: complex
@@ -110,8 +95,10 @@ class FamilyRecord:
     variants: dict  # Variant -> VariantForm
     s_map: Callable  # (spec, x) -> s of the reduction
     s_interval: Callable  # q -> (lo, hi), the s-image of the quantization domain; hi None where unbounded
-    reduce: Callable  # (spec, energy) -> (sigma, tau_tilde, sigma_tilde, ReducedParams) of the Base form
-    aux: Callable = lambda form: {}  # HypergeometricForm -> auxiliaries recorded in the trace
+    # (spec, energy) -> (sigma, tau_tilde, sigma_tilde) of the Base form, in the
+    # dimensionless couplings named in each family's reduce, with k = hbar^2/2m
+    reduce: Callable
+    aux: Callable = lambda spec: {}  # spec -> auxiliaries recorded in the trace of its Base form
 
 
 def _check_poles(den, scale, x):
@@ -209,10 +196,10 @@ def _trig_s_map(spec: PotentialSpec, x):
 
 
 def _trig_reduce(spec: PotentialSpec, energy: complex):
+    """eps = E/(k a^2), beta = A/(k a^2)."""
     ka2 = spec.kappa * spec.alpha**2
-    rp = ReducedParams(complex(energy / ka2), complex(spec.A / ka2))
-    eps, beta = rp.eps, rp.beta
-    return LowPoly(1.0, 0.0, -1.0), LowPoly(0.0, -1.0, 0.0), LowPoly(eps + beta, 0.0, -eps), rp
+    eps, beta = complex(energy / ka2), complex(spec.A / ka2)
+    return LowPoly(1.0, 0.0, -1.0), LowPoly(0.0, -1.0, 0.0), LowPoly(eps + beta, 0.0, -eps)
 
 
 def _trig_predicates(spec: PotentialSpec):
@@ -294,7 +281,15 @@ def _hyp_s_interval(q: float):
     return (math.sqrt(abs(q)), None)
 
 
+def _hyp_couplings(spec: PotentialSpec) -> tuple[complex, complex]:
+    """beta and gamma of the reduced equation, with beta^2 = V1/(k a^2 q)
+    and gamma^2 = V2/(k a^2 sqrt(q))."""
+    ka2 = spec.kappa * spec.alpha**2
+    return sqrt_principal(spec.V1 / (ka2 * spec.q)), sqrt_principal(spec.V2 / (ka2 * math.sqrt(spec.q)))
+
+
 def _hyp_reduce(spec: PotentialSpec, energy: complex):
+    """eps^2 = (E - V0)/(k a^2), beta and gamma from _hyp_couplings."""
     ka2 = spec.kappa * spec.alpha**2
     q = spec.q
     if not q > 0:
@@ -302,22 +297,17 @@ def _hyp_reduce(spec: PotentialSpec, energy: complex):
         raise UnsupportedReduction(
             f"the hyperbolic Scarf reduction (sigma = s^2 - q on s > sqrt(q)) assumes q > 0, got q = {q:g}"
         )
-    rp = ReducedParams(
-        sqrt_principal((energy - spec.V0) / ka2),
-        sqrt_principal(spec.V1 / (ka2 * q)),
-        sqrt_principal(spec.V2 / (ka2 * math.sqrt(q))),
-    )
-    e2, b2, g2 = rp.eps**2, rp.beta**2, rp.gamma**2
-    return LowPoly(-q, 0.0, 1.0), LowPoly(0.0, 1.0, 0.0), LowPoly(-q * e2, -g2, e2 - b2), rp
+    beta, gamma = _hyp_couplings(spec)
+    e2, b2, g2 = sqrt_principal((energy - spec.V0) / ka2) ** 2, beta**2, gamma**2
+    return LowPoly(-q, 0.0, 1.0), LowPoly(0.0, 1.0, 0.0), LowPoly(-q * e2, -g2, e2 - b2)
 
 
-def _hyp_aux(form) -> dict:
+def _hyp_aux(spec: PotentialSpec) -> dict:
     """zeta1, zeta2, mu auxiliaries of the accepted branch."""
-    rp = form.reduced
-    b2 = rp.beta**2
-    g4 = rp.gamma**4
-    # q is -sigma.c0 for sigma = s^2 - q
-    q = -form.sigma.c0
+    beta, gamma = _hyp_couplings(spec)
+    b2 = beta**2
+    g4 = gamma**4
+    q = spec.q
     mu = 4.0 * q * sqrt_principal((4.0 * b2 + 1.0) ** 2 - 16.0 * g4 / q)
     z1 = sqrt_principal(0.5 + 2.0 * b2 + mu / (8.0 * q))
     z2 = sqrt_principal(0.5 + 2.0 * b2 - mu / (8.0 * q))
@@ -431,16 +421,16 @@ def _mr_s_interval(q: float):
 
 
 def _mr_reduce(spec: PotentialSpec, energy: complex):
+    """eps = -E/(k a^2), beta = A/(k a^2), gamma = 4B/(k a^2)."""
     ka2 = spec.kappa * spec.alpha**2
     q = spec.q
-    rp = ReducedParams(complex(-energy / ka2), complex(spec.A / ka2), complex(4.0 * spec.B / ka2))
-    eps, beta, gamma = rp.eps, rp.beta, rp.gamma
+    eps, beta, gamma = complex(-energy / ka2), complex(spec.A / ka2), complex(4.0 * spec.B / ka2)
     sigma_t = LowPoly(
         0.25 * (-eps - beta),
         0.25 * (2.0 * eps * q - gamma),
         0.25 * (q * q * (beta - eps)),
     )
-    return LowPoly(0.0, 1.0, -q), LowPoly(1.0, -q, 0.0), sigma_t, rp
+    return LowPoly(0.0, 1.0, -q), LowPoly(1.0, -q, 0.0), sigma_t
 
 
 def _mr_predicates(spec: PotentialSpec):

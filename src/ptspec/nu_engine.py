@@ -36,11 +36,11 @@ NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .core_math import LowPoly, complex_json, poly_roots, quadratic_roots, sqrt_principal
 from .errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleBranch, UnsupportedVariant
-from .families import FAMILIES, Family, ReducedParams, Variant
+from .families import FAMILIES, Variant
 from .potentials import PotentialSpec
 
 _F_TOL = 1e-12  # a root's F_n residual (_f_residual) at most this
@@ -53,15 +53,14 @@ _POLISH_REACH = 1e-6  # a polishing step longer than this, relative to 1 + |E|, 
 @dataclass(frozen=True)
 class HypergeometricForm:
     """(sigma, tau_tilde, sigma_tilde) triple at a fixed trial energy, with
-    the s-image (lo, hi) of the quantization domain on which the weight must
-    be integrable, hi None where it is unbounded.  family is None for a raw
-    triple."""
+    the spec it reduces (None for a raw triple) and the s-image (lo, hi) of
+    the quantization domain on which the weight must be integrable, hi None
+    where it is unbounded."""
 
-    family: Family | None
+    spec: PotentialSpec | None
     sigma: LowPoly
     tau_tilde: LowPoly
     sigma_tilde: LowPoly
-    reduced: ReducedParams
     s_interval: tuple
 
 
@@ -71,13 +70,13 @@ def build_form(spec: PotentialSpec, energy: complex) -> HypergeometricForm:
     if spec.variant is not Variant.Base:
         raise UnsupportedVariant("the numeric pipeline reduces the Base forms only")
     record = FAMILIES[spec.family]
-    return HypergeometricForm(spec.family, *record.reduce(spec, energy), s_interval=record.s_interval(spec.q))
+    return HypergeometricForm(spec, *record.reduce(spec, energy), s_interval=record.s_interval(spec.q))
 
 
 def synthetic_form(sigma: LowPoly, tau_tilde: LowPoly, sigma_tilde: LowPoly) -> HypergeometricForm:
     """Wrap a raw polynomial triple (used for fixtures and the trace CLI);
     its weight is screened on s in (-1, 1)."""
-    return HypergeometricForm(None, sigma, tau_tilde, sigma_tilde, ReducedParams(0.0, 0.0), (-1.0, 1.0))
+    return HypergeometricForm(None, sigma, tau_tilde, sigma_tilde, (-1.0, 1.0))
 
 
 def _half_gap(form: HypergeometricForm) -> LowPoly:
@@ -147,55 +146,88 @@ def _square_factor(Q: LowPoly) -> tuple[complex, complex, float]:
 
 @dataclass(frozen=True)
 class BranchCandidate:
-    """One (k, sign) combination of the pi formula, with its tau slope.
+    """One (k, sign) combination of the pi formula: pi, tau = tau_tilde +
+    2 pi, and the defect of the perfect square pi was read from.  tau',
+    lambda = k + pi', admissibility (Re tau' < 0) and the rejection text
+    are derived from these.
 
     weight_integrable stays None until the candidate is weighed (_weigh):
-    only the ranking and the trace read it.
+    the ranking, the trace and eigenfunction assembly read it.
     """
 
     k: complex
     sign: int
     pi: LowPoly
     tau: LowPoly
-    tau_slope: complex
-    lam: complex
     square_residual: float
-    admissible: bool
     weight_integrable: bool | None = None
-    rejection: str = ""
+
+    @property
+    def tau_slope(self) -> complex:
+        return complex(self.tau.c1)
+
+    @property
+    def lam(self) -> complex:
+        return self.k + complex(self.pi.c1)
+
+    @property
+    def admissible(self) -> bool:
+        return self.tau_slope.real < 0.0
+
+    @property
+    def rejection(self) -> str:
+        return "" if self.admissible else f"Re(tau')={self.tau_slope.real:.6g} >= 0"
 
 
 @dataclass(frozen=True)
 class NUTrace:
     """Full derivation record for one accepted branch: chosen is one of
-    the four candidates."""
+    the four candidates, whose slots 0-1 hold the first k and 2-3 the
+    second.  n and energy are the level's, None for a form traced at no
+    level (select_branch)."""
 
     form: HypergeometricForm
-    k_candidates: tuple[complex, complex]
     chosen: BranchCandidate
-    lambda_n: complex | None
-    aux: dict
     candidates: tuple[BranchCandidate, ...]
-    notes: dict = field(default_factory=dict)
+    n: int | None = None
+    energy: complex | None = None
+
+    @property
+    def k_candidates(self) -> tuple[complex, complex]:
+        return (self.candidates[0].k, self.candidates[2].k)
+
+    @property
+    def lambda_n(self) -> complex | None:
+        """The lambda at which level n terminates on the chosen branch."""
+        return None if self.n is None else -_f_n(self.chosen.tau_slope, self.form.sigma, self.n)
+
+    @property
+    def aux(self) -> dict:
+        spec = self.form.spec
+        return FAMILIES[spec.family].aux(spec) if spec is not None else {}
+
+    @property
+    def notes(self) -> dict:
+        return {} if self.n is None else {"n": self.n, "energy": self.energy}
 
 
 def _rational_exponents(num: LowPoly, den: LowPoly):
     """Exponents of exp(int num/den ds) at the simple roots of den.
 
-    Returns (roots, exponents, linear_coeff); linear_coeff is the e^{c s}
-    rate when deg den < 2.  Double roots keep the residue exponent and
-    ignore the essential part (enough for integrability screening).
+    Returns (roots, exponents).  Double roots keep the residue exponent and
+    ignore the essential part, and a den of degree < 2 its e^{c s} rate
+    (enough for integrability screening).
     """
     if den.degree() == 2:
         r1, r2 = quadratic_roots(den)
         dp = den.derivative()
         if abs(r1 - r2) > 1e-12 * (1.0 + abs(r1) + abs(r2)):
-            return [r1, r2], [num(r1) / dp(r1), num(r2) / dp(r2)], 0.0
-        return [r1], [num.c1 / den.c2], 0.0
+            return [r1, r2], [num(r1) / dp(r1), num(r2) / dp(r2)]
+        return [r1], [num.c1 / den.c2]
     if den.degree() == 1:
         r = -den.c0 / den.c1
-        return [r], [num(r) / den.c1], num.c1 / den.c1
-    return [], [], 0.0  # constant denominator: pure exponential prefactor
+        return [r], [num(r) / den.c1]
+    return [], []  # constant denominator: no finite singular point
 
 
 def weight_exponents(form: HypergeometricForm, tau: LowPoly):
@@ -208,7 +240,7 @@ def weight_failure(form: HypergeometricForm, tau: LowPoly) -> str:
     """Why the weight rho solving (sigma rho)' = tau rho is not integrable on
     the form's s-interval, or "" when it is."""
     lo, hi = form.s_interval
-    roots, exps, _ = weight_exponents(form, tau)
+    roots, exps = weight_exponents(form, tau)
     tol = 1e-9
     # an exponent within _F_TOL of -1, relative to its size, is -1 (not
     # integrable): it comes from an energy whose F_n residual may be _F_TOL
@@ -224,8 +256,8 @@ def weight_failure(form: HypergeometricForm, tau: LowPoly) -> str:
     return ""
 
 
-def _enumerate_branches(form: HypergeometricForm) -> tuple[tuple[complex, complex], list[BranchCandidate]]:
-    """The k pair and the four unweighed (k, sign) candidates of a form.
+def _enumerate_branches(form: HypergeometricForm) -> list[BranchCandidate]:
+    """The four unweighed (k, sign) candidates of a form, two per k.
 
     The half gap and the radicand head are built once; the radicand at
     each k is (p^2 - sigma_tilde) + sigma k, as in _radicand.
@@ -238,30 +270,14 @@ def _enumerate_branches(form: HypergeometricForm) -> tuple[tuple[complex, comple
         a, b, resid = _square_factor(head + form.sigma.scale(k))
         for sign in (+1, -1):
             pi = LowPoly(p.c0 + sign * b, p.c1 + sign * a, 0.0)
-            tau = form.tau_tilde + pi.scale(2.0)
-            slope = complex(tau.c1)
-            lam = complex(k) + complex(pi.c1)
-            admissible = slope.real < 0.0
-            out.append(
-                BranchCandidate(
-                    k=complex(k),
-                    sign=sign,
-                    pi=pi,
-                    tau=tau,
-                    tau_slope=slope,
-                    lam=lam,
-                    square_residual=resid,
-                    admissible=admissible,
-                    rejection="" if admissible else f"Re(tau')={slope.real:.6g} >= 0",
-                )
-            )
-    return ks, out
+            out.append(BranchCandidate(complex(k), sign, pi, form.tau_tilde + pi.scale(2.0), resid))
+    return out
 
 
 def branches(spec: PotentialSpec, energy: complex):
-    """(form, k pair, four unweighed candidates) at a trial energy."""
+    """(form, four unweighed candidates) at a trial energy."""
     form = build_form(spec, energy)
-    return (form, *_enumerate_branches(form))
+    return form, _enumerate_branches(form)
 
 
 def _weigh(form: HypergeometricForm, cands) -> list[BranchCandidate]:
@@ -275,19 +291,6 @@ def _rank(c: BranchCandidate):
     return (not c.weight_integrable, c.tau_slope.real)
 
 
-def _trace(form, ks, cands, best: BranchCandidate, lambda_n=None, notes=None) -> NUTrace:
-    """Derivation record of the accepted candidate among weighed cands."""
-    return NUTrace(
-        form=form,
-        k_candidates=(complex(ks[0]), complex(ks[1])),
-        chosen=best,
-        lambda_n=lambda_n,
-        aux=FAMILIES[form.family].aux(form) if form.family is not None else {},
-        candidates=tuple(cands),
-        notes=notes or {},
-    )
-
-
 def select_branch(form: HypergeometricForm) -> NUTrace:
     """Enumerate all four (k, sign) combinations and accept one.
 
@@ -295,12 +298,11 @@ def select_branch(form: HypergeometricForm) -> NUTrace:
     integrability over the form's s-interval, then on the most negative
     Re(tau').  All four candidates are retained in the trace for audit.
     """
-    ks, cands = _enumerate_branches(form)
-    cands = _weigh(form, cands)
+    cands = _weigh(form, _enumerate_branches(form))
     admissible = [c for c in cands if c.admissible]
     if not admissible:
         raise NoAdmissibleBranch("all four branch candidates have Re(tau') >= 0", candidates=cands)
-    return _trace(form, ks, cands, min(admissible, key=_rank))
+    return NUTrace(form, min(admissible, key=_rank), tuple(cands))
 
 
 def _f_n(tau_slope: complex, sigma: LowPoly, n: int, lam: complex | None = None) -> complex:
@@ -410,20 +412,20 @@ def _polished(spec: PotentialSpec, n: int, dpoly: tuple, e: float):
     (_f_residual).  A step back to an energy already visited (the same e,
     or the other end of a one-ulp cycle) ends the loop: a form there gives
     the residuals it gave before, which did not beat the best.  So each
-    form is built at a new energy.  Returns (e, form, k pair, candidates,
-    residuals) at the best point, or None when no residual reaches _F_TOL:
-    a root where F_n does not vanish, or one that poly_roots gives only to
-    about the square root of the rounding level (a double root of P_n) and
-    that the steps do not bring to _F_TOL within _POLISH_REACH and
-    _POLISH_STEPS forms.
+    form is built at a new energy.  Returns (e, form, candidates, residuals)
+    at the best point, or None when no residual reaches _F_TOL: a root where
+    F_n does not vanish, or one that poly_roots gives only to about the
+    square root of the rounding level (a double root of P_n) and that the
+    steps do not bring to _F_TOL within _POLISH_REACH and _POLISH_STEPS
+    forms.
     """
     best, best_r, seen = None, math.inf, []
     for _ in range(_POLISH_STEPS):
-        form, ks, cands = branches(spec, e)
+        form, cands = branches(spec, e)
         rs = [_f_residual(c, form.sigma, n) for c in cands]
         if min(rs) >= best_r:
             break
-        best, best_r = (e, form, ks, cands, rs), min(rs)
+        best, best_r = (e, form, cands, rs), min(rs)
         seen.append(e)
         f = math.prod(_f_n(c.tau_slope, form.sigma, n, c.lam) for c in cands)
         s0, s1, s2 = form.sigma.coeffs()
@@ -458,18 +460,17 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
         at = _polished(spec, n, dpoly, root.real)
         if at is None:
             continue
-        e, form, ks, cands, rs = at
+        e, form, cands, rs = at
         ends = [i for i, r in enumerate(rs) if r <= _F_TOL]
         weighed = _weigh(form, [cands[i] for i in ends])
-        found += [(e, form, ks, cands, i, c) for i, c in zip(ends, weighed)]
+        found += [(e, form, cands, i, c) for i, c in zip(ends, weighed)]
     admissible = [t for t in found if t[-1].admissible]
     if not admissible:
         why = f"no real root of P_{n} lies on a branch with Re(tau') < 0"
         raise NoAdmissibleBranch(why, candidates=[t[-1] for t in found])
-    e_n, form, ks, cands, i, _ = min(admissible, key=lambda t: _rank(t[-1]))
+    e_n, form, cands, i, _ = min(admissible, key=lambda t: _rank(t[-1]))
     cands = _weigh(form, cands)
-    lambda_n = -_f_n(cands[i].tau_slope, form.sigma, n)
-    return complex(e_n), _trace(form, ks, cands, cands[i], lambda_n, {"n": n, "energy": complex(e_n)})
+    return complex(e_n), NUTrace(form, cands[i], tuple(cands), n, complex(e_n))
 
 
 @dataclass(frozen=True)
@@ -478,9 +479,6 @@ class NumericSpectrum:
 
     entries: list  # [(n, complex E)]
     traces: list  # [NUTrace], one per entry
-
-    def energies(self):
-        return [e for _, e in self.entries]
 
 
 def solve_spectrum_numeric(spec: PotentialSpec, n_max: int) -> NumericSpectrum:

@@ -25,14 +25,13 @@ _NODE_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class PrefactorForm:
-    """Product of (s - r)^e factors times exp(c s), in sign-stable bases."""
+    """Product of (s - r)^e factors, in sign-stable bases."""
 
     roots: tuple  # ((root, exponent, base_sign), ...)
-    exp_linear: complex = 0.0
 
     def __call__(self, s):
         s = np.asarray(s, dtype=complex)
-        out = np.exp(self.exp_linear * s) if self.exp_linear != 0 else np.ones_like(s)
+        out = np.ones_like(s)
         for r, e, sign in self.roots:
             base = sign * (s - r)
             out = out * np.exp(complex(e) * np.log(base))
@@ -64,42 +63,34 @@ def _base_signs(roots, lo, hi):
 def assemble(spec: PotentialSpec, trace: NUTrace, n: int) -> WavefunctionSpec:
     """Build psi_n = phi * P_n from the accepted branch.
 
-    Raises NonIntegrableWeight when rho is not integrable on the s-image of
-    the quantization domain (a non-normalizable candidate).
+    Raises NonIntegrableWeight when the trace found rho not integrable on
+    the s-image of the quantization domain (a non-normalizable candidate).
+    Every family's sigma has two distinct roots, the ends of the Jacobi
+    interval.
     """
     form = trace.form
     sigma = form.sigma
     chosen = trace.chosen
-    failure = weight_failure(form, chosen.tau)
-    if failure:
-        raise NonIntegrableWeight(failure)
+    if not chosen.weight_integrable:
+        raise NonIntegrableWeight(weight_failure(form, chosen.tau))
     lo, hi = form.s_interval
 
     # phi from pi/sigma
-    phi_roots, phi_exps, phi_lin = _rational_exponents(chosen.pi, sigma)
+    phi_roots, phi_exps = _rational_exponents(chosen.pi, sigma)
     # rho from (tau - sigma')/sigma
-    rho_roots, rho_exps, _ = weight_exponents(form, chosen.tau)
+    rho_roots, rho_exps = weight_exponents(form, chosen.tau)
 
-    if sigma.degree() == 2:
-        r1, r2 = quadratic_roots(sigma)
-        if r1.real > r2.real:
-            r1, r2 = r2, r1
-        z_scale = 2.0 / (r2 - r1)
-        z_shift = -(r1 + r2) / (r2 - r1)
-        exp_at = dict(zip([complex(r) for r in rho_roots], rho_exps))
-        nu1 = exp_at.get(complex(r2), 0.0)
-        nu2 = exp_at.get(complex(r1), 0.0)
-    else:
-        # degenerate sigma: fall back to the raw variable
-        z_scale, z_shift = 1.0, 0.0
-        nu1 = rho_exps[0] if rho_exps else 0.0
-        nu2 = 0.0
+    r1, r2 = quadratic_roots(sigma)
+    if r1.real > r2.real:
+        r1, r2 = r2, r1
+    z_scale = 2.0 / (r2 - r1)
+    z_shift = -(r1 + r2) / (r2 - r1)
+    exp_at = dict(zip([complex(r) for r in rho_roots], rho_exps))
+    nu1 = exp_at.get(complex(r2), 0.0)
+    nu2 = exp_at.get(complex(r1), 0.0)
 
     signs = _base_signs(phi_roots, lo, hi)
-    pref = PrefactorForm(
-        roots=tuple((complex(r), complex(e), sg) for r, e, sg in zip(phi_roots, phi_exps, signs)),
-        exp_linear=complex(phi_lin),
-    )
+    pref = PrefactorForm(tuple((complex(r), complex(e), sg) for r, e, sg in zip(phi_roots, phi_exps, signs)))
     return WavefunctionSpec(
         potential=spec,
         n=n,

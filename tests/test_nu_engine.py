@@ -70,19 +70,20 @@ class TestBuildForm:
             build_form(PotentialSpec(family=Family.TrigScarf, variant=Variant.PT, A=1.0), 1.0)
 
     def test_reduced_roundtrip(self):
-        # the reduced energy of the form maps back to the trial energy:
-        # trig E = k a^2 eps, hyperbolic E = V0 + k a^2 eps^2, Manning-Rosen E = -k a^2 eps
+        # the trial energy maps back from the coefficient of sigma_tilde that
+        # carries it: trig c2 = -E/(k a^2), hyperbolic c0 = -q (E - V0)/(k a^2),
+        # Manning-Rosen c0 = (E - A)/(4 k a^2)
         for spec, e, energy_of in (
-            (trig(alpha=2.0), 7.3, lambda eps: 4.0 * eps),
+            (trig(alpha=2.0), 7.3, lambda st: -4.0 * st.c2),
             (
                 PotentialSpec(family=Family.HyperbolicScarf, V0=1.0, V1=5.0, V2=0.5, q=2.0),
                 3.7,
-                lambda eps: 1.0 + eps * eps,
+                lambda st: 1.0 - st.c0 / 2.0,
             ),
-            (PotentialSpec(family=Family.ManningRosen, A=-4.0, B=2.0, q=1.0), -5.1, lambda eps: -eps),
+            (PotentialSpec(family=Family.ManningRosen, A=-4.0, B=2.0, q=1.0), -5.1, lambda st: 4.0 * st.c0 - 4.0),
         ):
-            eps = build_form(spec, e).reduced.eps
-            assert abs(energy_of(eps) - e) < 1e-12 * (1 + abs(e))
+            sigma_tilde = build_form(spec, e).sigma_tilde
+            assert abs(energy_of(sigma_tilde) - e) < 1e-12 * (1 + abs(e))
 
 
 class TestKCandidates:
@@ -107,8 +108,8 @@ class TestKCandidates:
         spec = PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=1.0)
         eps = 1.3
         form = build_form(spec, eps**2)  # E = V0 + eps^2 with V0 = 0
-        rp = form.reduced
-        b2, g4, q = rp.beta**2, rp.gamma**4, 1.0
+        # beta^2 = V1/(k a^2) and gamma^2 = V2/(k a^2), with k a^2 = 1
+        b2, g4, q = spec.V1, spec.V2**2, 1.0
         mu = 4 * q * sqrt_principal((4 * b2 + 1) ** 2 - 16 * g4 / q)
         expected = {eps**2 - 0.125 - b2 / 2 + mu / (32 * q), eps**2 - 0.125 - b2 / 2 - mu / (32 * q)}
         for k in k_candidates(form):
@@ -227,9 +228,9 @@ class TestWeightFailure:
         # the deep well's n = 2 level, at the energy polished from P_2 and two
         # ulps off it: the k = 19.5, sign -1 branch has rho ~ s^-1 at s = 0,
         # computed as -1 and as -0.99999999999999911
-        form, _, cands = nu_engine.branches(MR_DEEP, energy)
+        form, cands = nu_engine.branches(MR_DEEP, energy)
         (c,) = [c for c in cands if abs(c.k - 19.5) < 1e-12 and c.sign == -1]
-        _, exps, _ = nu_engine.weight_exponents(form, c.tau)
+        _, exps = nu_engine.weight_exponents(form, c.tau)
         assert min(abs(e + 1.0) for e in exps) < 1e-14
         assert "not integrable" in nu_engine.weight_failure(form, c.tau)
 
@@ -528,7 +529,7 @@ def _reference_level(spec, n):
             continue
         e, best, best_r = root.real, None, math.inf
         for _ in range(nu_engine._POLISH_STEPS):
-            form, ks, cands = nu_engine.branches(spec, e)
+            form, cands = nu_engine.branches(spec, e)
             rs = [residual(c, form.sigma) for c in cands]
             if min(rs) >= best_r:
                 break

@@ -152,22 +152,17 @@ class TestNodes:
 
 class TestErrorPaths:
     def test_non_integrable_weight(self):
-        # hand-built trace whose rho exponent at s = +-1 is -3/2
+        # hand-built trace whose rho exponent at s = +-1 is -3/2, weighed as
+        # the pipeline weighs it; assembly words the refusal from the weight
         spec = trig()
         form = build_form(spec, 4.0)
         pi = LowPoly(0.0, 1.0, 0.0)  # tau = tau_tilde + 2 pi = s
         chosen = BranchCandidate(
-            k=0.0,
-            sign=1,
-            pi=pi,
-            tau=form.tau_tilde + pi.scale(2.0),
-            tau_slope=1.0,
-            lam=0.0,
-            square_residual=0.0,
-            admissible=False,
+            k=0.0, sign=1, pi=pi, tau=form.tau_tilde + pi.scale(2.0), square_residual=0.0, weight_integrable=False
         )
-        trace = NUTrace(form=form, k_candidates=(0.0, 0.0), chosen=chosen, lambda_n=None, aux={}, candidates=(chosen,))
-        with pytest.raises(NonIntegrableWeight):
+        assert chosen.tau_slope == 1.0 and chosen.lam == 1.0 and not chosen.admissible
+        trace = NUTrace(form=form, chosen=chosen, candidates=(chosen,))
+        with pytest.raises(NonIntegrableWeight, match="-1.5"):
             assemble(spec, trace, 0)
 
 
