@@ -282,10 +282,12 @@ def _hyp_s_interval(q: float):
 
 
 def _hyp_couplings(spec: PotentialSpec) -> tuple[complex, complex]:
-    """beta and gamma of the reduced equation, with beta^2 = V1/(k a^2 q)
-    and gamma^2 = V2/(k a^2 sqrt(q))."""
+    """beta and gamma of the reduced equation, with beta^2 = V1/(k a^2) and
+    gamma^2 = V2/(k a^2) at every q: with s = cosh_q(alpha x), sinh_q^2 =
+    s^2 - q, and q enters the triple only through sigma = s^2 - q and the
+    -q eps^2 of sigma_tilde."""
     ka2 = spec.kappa * spec.alpha**2
-    return sqrt_principal(spec.V1 / (ka2 * spec.q)), sqrt_principal(spec.V2 / (ka2 * math.sqrt(spec.q)))
+    return sqrt_principal(spec.V1 / ka2), sqrt_principal(spec.V2 / ka2)
 
 
 def _hyp_reduce(spec: PotentialSpec, energy: complex):
@@ -476,8 +478,8 @@ FAMILIES = {
         variants={
             Variant.Base: VariantForm(
                 _hyp_base, _sinh_q_wall, lambda spec: float(spec.V0 + spec.V1), _hyp_base_levels,
-                "published form coincides with the pipeline root only at q = 1 "
-                "(the deformed couplings V1/q, V2/sqrt(q) are undeformed here)",
+                "published form is the reduced equation's root at every q > 0; "
+                "q enters only as V2/sqrt(q), the coupling of the q = 1 translate",
             ),
             # PT forms are oscillatory: no continuum threshold
             Variant.PT: VariantForm(

@@ -149,7 +149,8 @@ class TestKCandidates:
             (
                 PotentialSpec(family=Family.HyperbolicScarf, V0=1.0, V1=5.0, V2=0.5, q=2.0),
                 3.7,
-                (2.6943063937629157, -0.04430639376291555),
+                # eps^2 - 1/8 - beta^2/2 +- mu/(32 q) of the audited triple, to one ulp
+                (2.6940408549696206, -2.544040854969621),
             ),
             (
                 PotentialSpec(family=Family.ManningRosen, A=3.3, B=0.7, q=-4.0),
@@ -268,8 +269,9 @@ def _exact_triples():
         return 1 - s**2, -s, (eps + beta) - eps * s**2
 
     def hyp_triple(s, E, sp):
+        # beta^2 = V1/(k a^2) and gamma^2 = V2/(k a^2) at every q (test_reductions)
         q = sp.Integer(2)
-        e2, b2, g2 = E - 1, sp.Rational(5) / q, sp.Rational(1, 2) / sp.sqrt(q)
+        e2, b2, g2 = E - 1, sp.Integer(5), sp.Rational(1, 2)
         return s**2 - q, s, -q * e2 - g2 * s + (e2 - b2) * s**2
 
     def mr_triple(s, E, sp):
@@ -506,6 +508,37 @@ class TestSolveSpectrum:
             solve_level(spec, 6)
         assert len(err.value.candidates) == 2
         assert all(not c.admissible and c.rejection for c in err.value.candidates)
+
+
+class TestHyperbolicDeformation:
+    # fig1's couplings; the published form depends on q only through V2/sqrt(q)
+    @staticmethod
+    def fig1(q, v2=10.0):
+        return PotentialSpec(family=Family.HyperbolicScarf, V0=10.0, V1=15.0, V2=v2, q=q)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 10.0])
+    def test_zeta1_is_the_closed_form_radical(self, q):
+        # zeta1 = sqrt(1/2 + 2 beta^2 + mu/(8 q)) is the outer radical of the
+        # published E_n = V0 + V1 - k a^2 (n + 1/2 - outer/2)^2
+        spec = self.fig1(q)
+        inner = sqrt_principal((4.0 * 15.0 + 1.0) ** 2 - 16.0 * 10.0**2 / q)
+        outer = sqrt_principal(0.5 + 2.0 * 15.0 + 0.5 * inner)
+        _, trace = solve_level(spec, 0)
+        assert abs(trace.aux["zeta1"] - outer) <= 1e-14 * abs(outer)
+
+    def test_fig1_levels_are_the_closed_form_and_the_q1_translate(self):
+        # V2 -> V2/sqrt(q) moves the form to q = 1 by a shift of x; with the
+        # couplings V1/q and V2/sqrt(q) the pipeline gave 10.919099,
+        # 11.443436, 9.967774 and 6.492112 here
+        from ptspec.spectra import closed_form_spectrum
+
+        spec, translate = self.fig1(10.0), self.fig1(1.0, 10.0 / math.sqrt(10.0))
+        closed = closed_form_spectrum(spec, 3).entries
+        for (n, e), expected in zip(closed, (13.549582, 19.317275, 23.084969, 24.852662)):
+            level = solve_level(spec, n)[0]
+            assert round(level.real, 6) == expected and level.imag == 0.0
+            assert abs(level - e) <= 1e-12 * abs(e)
+            assert abs(level - solve_level(translate, n)[0]) <= 1e-12 * abs(e)
 
 
 def _reference_level(spec, n):

@@ -85,16 +85,8 @@ def test_symbolic_map_is_the_package_map(family, q):
         assert abs(complex(V.subs(at)) - vi) <= 1e-12 * (1 + abs(vi))
 
 
-# the hyperbolic triple is built from V1/q and V2/sqrt(q) in place of V1 and V2
-_HYP_FAULT = pytest.mark.xfail(strict=True, reason="the hyperbolic reduction deforms its couplings at q != 1")
-_REDUCE_CASES = [
-    pytest.param(f, q, id=f"{f.value}-q{q}", marks=_HYP_FAULT if f is Family.HyperbolicScarf and q != 1.0 else ())
-    for f, q in CASES
-]
-
-
 @pytest.mark.parametrize("energy", ENERGIES)
-@pytest.mark.parametrize("family,q", _REDUCE_CASES)
+@pytest.mark.parametrize("family,q", CASES, ids=[f"{f.value}-q{q}" for f, q in CASES])
 def test_reduce_solves_the_schroedinger_equation(family, q, energy):
     spec = _spec(family, q)
     c, s, V = _symbolic(spec)
