@@ -74,6 +74,15 @@ class TestSpectrumCommand:
         assert code == 1
         assert "B" in err
 
+    @pytest.mark.parametrize("flag", ["--A1", "--A2", "--B1", "--B2"])
+    def test_split_coupling_needs_the_nonpt_variant(self, capsys, flag):
+        # a coupling given as real and imaginary parts is read only for the
+        # non-PT form, whose couplings are complex
+        argv = ["spectrum", "--family", "manning-rosen", "--A", "1", "--B", "1", "--q", "2", flag, "0.5"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"usage error: {flag[:3]}1/{flag[:3]}2 need --variant nonpt\n"
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -147,6 +156,12 @@ class TestProfileCommand:
         assert code2 == 0
         assert len(out.strip().splitlines()) >= 40
 
+    @pytest.mark.parametrize("given", [("--x-min", "0.5"), ("--x-max", "2.5"), ("--x-min", "2", "--x-max", "1")])
+    def test_window_needs_both_ends_in_order(self, capsys, given):
+        code, out, err = run(capsys, "profile", "--family", "trig-scarf", "--A", "-2", *given)
+        assert code == 1 and out == ""
+        assert err == "usage error: --x-min and --x-max must both be given with x_max > x_min\n"
+
 
 class TestTraceCommand:
     def test_trig_trace(self, capsys):
@@ -210,6 +225,23 @@ class TestTraceCommand:
 
 
 class TestVerifyCommand:
+    def test_grid_on_a_pole_is_a_singular_evaluation(self, capsys):
+        # Manning-Rosen PT at q = 1 has poles at multiples of pi; with
+        # L = 4 pi both grids of the study (N = 199, 399) put a node on pi.
+        # Exit 1, named as a singular evaluation, not as a generic error
+        argv = ["verify", "--family", "manning-rosen", "--variant", "pt", "--q", "1", "--A", "1", "--B", "1"]
+        code, out, err = run(capsys, *argv, "--L", repr(4 * math.pi), "--N", "399", "--n-max", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("singular evaluation: grid touches a pole")
+
+    def test_unconverged_eigensolve_exits_3(self, capsys, monkeypatch):
+        # one Ehrlich-Aberth sweep leaves the complex grid's roots
+        # unconverged: QRNotConverged, exit 3
+        monkeypatch.setattr(oracle, "_ABERTH_SWEEPS", 1)
+        code, out, err = run(capsys, "verify", "--preset", "fig7", "--N", "100", "--n-max", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("non-convergence: Ehrlich-Aberth:")
+
     def test_trig_reference(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--family", "trig-scarf", "--A", "-2", "--N", "600", "--n-max", "3"

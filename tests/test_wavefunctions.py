@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from ptspec.errors import NonIntegrableWeight
+from ptspec.errors import NonIntegrableWeight, NotNormalizable
 from ptspec.core_math import LowPoly
 from ptspec.families import FAMILIES
 from ptspec.nu_engine import BranchCandidate, NUTrace, build_form, solve_level
-from ptspec.potentials import Family, PotentialSpec, default_domain
+from ptspec.potentials import DomainKind, DomainSpec, Family, PotentialSpec, default_domain
 from ptspec.wavefunctions import _simpson, assemble, eval_psi, node_count, normalize
 
 
@@ -164,6 +165,31 @@ class TestErrorPaths:
         trace = NUTrace(form=form, chosen=chosen, candidates=(chosen,))
         with pytest.raises(NonIntegrableWeight, match="-1.5"):
             assemble(spec, trace, 0)
+
+    def test_psi_that_underflows_on_the_sample(self):
+        # the deep well's ground state decays as e^{-sqrt(104) x}: on
+        # (80, 96) every sample of psi is 0.0, which is no normalizable psi
+        # (deleting this check left the zero integral to word it)
+        spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
+        _, wf = solved(spec, 0, -104.0)
+        with pytest.raises(NotNormalizable, match="vanishes identically"):
+            normalize(wf, DomainSpec(DomainKind.HalfLine, 80.0, 96.0, L=16.0))
+
+    def test_tail_that_does_not_decay(self):
+        # cut at L = 0.5 the half-line holds only the rise of the ground
+        # state, so its right edge carries most of the density
+        spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
+        _, wf = solved(spec, 0, -104.0)
+        with pytest.raises(NotNormalizable, match="does not decay"):
+            normalize(wf, default_domain(spec, L=0.5))
+
+    def test_density_that_overflows(self):
+        # |1e200 psi|^2 is inf wherever psi is not tiny: the integral is not
+        # finite, and 1/sqrt(inf) would make the constant 0
+        spec = trig()
+        _, wf = solved(spec, 0, 4.0)
+        with np.errstate(over="ignore"), pytest.raises(NotNormalizable, match="non-finite"):
+            normalize(replace(wf, norm_constant=1e200), default_domain(spec))
 
 
 class TestExport:
