@@ -10,7 +10,11 @@ so that a bug cannot pass for an expected failure.  The benchmark under
 purpose, to record it as a failed op.
 It reads each import in its own scope, so a stale import in one function
 is found even where another function reads the same name.  `__init__.py`
-is exempt, because its imports are the names it exports.
+is exempt, because its imports are the names it exports.  A third stands
+in for the dead-code rule: every module-level function, class and
+constant of the package and its scripts is read somewhere in `src`,
+`scripts`, `tests` or `perfbench`, so a deletion that leaves a definition
+behind fails here.
 
 SciPy is the largest cost of a cold start.  Only `ptspec.oracle` may
 import it, and from it only `scipy.linalg`, at module level; every other
@@ -32,9 +36,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ptspec"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ptspec"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-SCRIPTS = sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+READERS = sorted(p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -130,6 +136,60 @@ def test_the_check_finds_a_broad_handler():
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_broad_exception_handler(path):
     assert broad_handlers(path.read_text()) == []
+
+
+def module_level_names(source: str) -> list[str]:
+    """The functions, classes and constants that source binds at module
+    level.  Imports bind no name of the module's own, and dunder names are
+    read by the interpreter."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name that source reads: a loaded name, an attribute, a name
+    imported from a module, or a string that spells it (getattr,
+    monkeypatch and the benchmark's tracer look a name up by its string)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unread_names(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """file:name for each module-level name of the defining sources (file
+    -> source) that no reader reads."""
+    read = set().union(*(read_names(source) for source in readers))
+    return sorted(f"{path}:{name}" for path, source in defining.items() for name in module_level_names(source) if name not in read)
+
+
+def test_the_check_finds_an_unread_name():
+    module = (
+        "import os\n__all__ = []\n_TOL: float = 1e-9\nX, (Y, Z) = 1, (2, 3)\n"
+        "class ReducedParams:\n    eps: complex\n"
+        "def _helper():\n    return _TOL\n"
+        "def f():\n    return X\n"
+    )
+    reader = "from m import f\nimport m\nm.Y\ngetattr(m, 'Z')\n"
+    assert unread_names({"m.py": module}, [module, reader]) == ["m.py:ReducedParams", "m.py:_helper"]
+
+
+def test_every_module_level_name_is_read():
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in [PACKAGE / "__init__.py", *MODULES, *SCRIPTS]}
+    assert unread_names(defining, [p.read_text() for p in READERS]) == []
 
 
 _LOADED_SCIPY = """
