@@ -83,6 +83,11 @@ class TestSpectrumCommand:
         assert code == 1 and out == ""
         assert err == f"usage error: {flag[:3]}1/{flag[:3]}2 need --variant nonpt\n"
 
+    def test_negative_level_count_is_an_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--family", "trig-scarf", "--A", "-2", "--n-max", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: n_max must be >= 0\n"
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -259,6 +264,15 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert "repeats a grid size" in err
+
+    @pytest.mark.parametrize(
+        "flags,why", [(("--N", "49"), "N must be >= 50"), (("--L", "0"), "right > left"), (("--L", "-3"), "right > left")]
+    )
+    def test_grid_too_small_or_empty_is_an_error(self, capsys, flags, why):
+        argv = ["verify", "--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1", *flags]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert why in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -194,6 +194,10 @@ class TestJacobi:
     def test_legendre_endpoint(self):
         assert abs(jacobi_eval(JacobiIndex(0.0, 0.0, 2), 1.0) - 1.0) < 1e-14
 
+    def test_negative_level_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            JacobiIndex(0.0, 0.0, -1)
+
     @given(
         n=st.integers(0, 20),
         a=st.floats(-0.99, 5),

@@ -1068,6 +1068,12 @@ class TestConvergenceStudy:
         rep = convergence_study(spec, box_domain(), [1000, 2000], n_levels=1)
         assert abs(rep.levels[0].extrapolated - 4.0) < 1e-5
 
+    def test_one_grid_is_refused(self):
+        # a Richardson study needs two grids
+        spec = PotentialSpec(family=Family.TrigScarf, A=-2.0)
+        with pytest.raises(ValueError, match="at least 2 entries"):
+            convergence_study(spec, box_domain(), [1000])
+
     @pytest.mark.parametrize("N_list", [[500, 500], [1000, 500, 1000]])
     def test_repeated_grid_size_raises(self, N_list):
         # equal grids would divide the Richardson step by h1^2 - h2^2 = 0

@@ -10,6 +10,7 @@ from ptspec.errors import SingularityError, UnsupportedTransform, UnsupportedVar
 from ptspec.families import variant_form
 from ptspec.potentials import (
     DomainKind,
+    DomainSpec,
     Family,
     PotentialSpec,
     Variant,
@@ -244,6 +245,19 @@ class TestDomainsAndSerialization:
         assert dom.kind is DomainKind.HalfLine
         assert abs(dom.left - math.log(10.0) / 2.0) < 1e-15
         assert abs(dom.right - dom.left - 6.0) < 1e-15
+
+    @pytest.mark.parametrize(
+        "kind,left,right,L,why",
+        [
+            (DomainKind.FiniteInterval, 1.0, 1.0, None, "right > left"),
+            (DomainKind.HalfLine, 0.0, -1.0, 1.0, "right > left"),
+            (DomainKind.HalfLine, 0.0, 12.0, None, "truncation L > 0"),
+            (DomainKind.FullLine, -12.0, 12.0, 0.0, "truncation L > 0"),
+        ],
+    )
+    def test_empty_or_untruncated_domain_is_refused(self, kind, left, right, L, why):
+        with pytest.raises(ValueError, match=why):
+            DomainSpec(kind, left, right, L=L)
 
     def test_full_line_for_complex_forms(self):
         dom = default_domain(mk(Family.ManningRosen, variant=Variant.NonPT, A=1 + 1j, B=1.0, q=1.0), L=5.0)
