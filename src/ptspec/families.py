@@ -6,18 +6,19 @@ three families lives here, and the generic modules look it up.
   ManningRosen    V(x) = A coth_q(alpha x) + B/sinh_q^2(alpha x)
 
 A FamilyRecord holds the parameter names, the x -> s map of the
-Nikiforov-Uvarov reduction and its s-interval, the reduced (sigma,
-tau_tilde, sigma_tilde) triple of the Base form, built from the spec's
-couplings at a trial energy, and the zeta/mu auxiliaries of its trace
-(hyperbolic Scarf only).  Its `variants` table holds one VariantForm per
-variant: the potential evaluator, the inner wall, the continuum threshold,
-the published closed form, and the variant rules.  Those state whether the
-form needs q (all but the two undeformed trig forms do), which couplings
-the transform to it complexifies (none for a form with real couplings),
-and the predicates under which its spectrum is claimed real (none for the
-PT forms, whose claim is unconditional; no claim at all for Base).  The
-variants a family supports are the keys of that table, and `variant_form`
-raises UnsupportedVariant for any other pair, so PotentialSpec refuses it.
+Nikiforov-Uvarov reduction and its s-interval, `reduce`, which builds the
+(sigma, tau_tilde, sigma_tilde) triple of the Base form from the spec's
+couplings at a trial energy, and `aux`, which gives the zeta/mu
+auxiliaries of the spec for its trace (hyperbolic Scarf only).  Its
+`variants` table holds one VariantForm per variant: the potential
+evaluator, the inner wall, the continuum threshold, the published closed
+form, and the variant rules.  Those state whether the form needs q (all
+but the two undeformed trig forms do), which couplings the transform to it
+complexifies (none for a form with real couplings), and the predicates
+under which its spectrum is claimed real (none for the PT forms, whose
+claim is unconditional; no claim at all for Base).  The variants a family
+supports are the keys of that table, and `variant_form` raises
+UnsupportedVariant for any other pair, so PotentialSpec refuses it.
 
 Variants: Base (real), PT (alpha -> i alpha image), QDeformedPT (trig family
 only), NonPT (complexified couplings with q -> iq folded into the printed
@@ -305,7 +306,8 @@ def _hyp_reduce(spec: PotentialSpec, energy: complex):
 
 
 def _hyp_aux(spec: PotentialSpec) -> dict:
-    """zeta1, zeta2, mu auxiliaries of the accepted branch."""
+    """zeta1, zeta2 and mu of the reduced equation; zeta1 is the outer
+    radical of the published closed form."""
     beta, gamma = _hyp_couplings(spec)
     b2 = beta**2
     g4 = gamma**4
