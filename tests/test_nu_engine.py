@@ -527,9 +527,8 @@ class TestHyperbolicDeformation:
         assert abs(trace.aux["zeta1"] - outer) <= 1e-14 * abs(outer)
 
     def test_fig1_levels_are_the_closed_form_and_the_q1_translate(self):
-        # V2 -> V2/sqrt(q) moves the form to q = 1 by a shift of x; with the
-        # couplings V1/q and V2/sqrt(q) the pipeline gave 10.919099,
-        # 11.443436, 9.967774 and 6.492112 here
+        # V2 -> V2/sqrt(q) moves the form to q = 1 by a shift of x, which
+        # changes no level
         from ptspec.spectra import closed_form_spectrum
 
         spec, translate = self.fig1(10.0), self.fig1(1.0, 10.0 / math.sqrt(10.0))
