@@ -66,13 +66,14 @@ def _spec(family, q):
 
 # the trigonometric Base form has no q
 CASES = [(Family.TrigScarf, None)] + [(f, q) for f in (Family.HyperbolicScarf, Family.ManningRosen) for q in (1.0, 2.0, 3.0)]
+IDS = [f"{f.value}-q{q}" for f, q in CASES]
 
 
 def _poly(p, s):
     return sum(_exact(c) * s**j for j, c in enumerate(p.coeffs()))
 
 
-@pytest.mark.parametrize("family,q", CASES, ids=[f"{f.value}-q{q}" for f, q in CASES])
+@pytest.mark.parametrize("family,q", CASES, ids=IDS)
 def test_symbolic_map_is_the_package_map(family, q):
     spec = _spec(family, q)
     c, s, V = _symbolic(spec)
@@ -86,7 +87,7 @@ def test_symbolic_map_is_the_package_map(family, q):
 
 
 @pytest.mark.parametrize("energy", ENERGIES)
-@pytest.mark.parametrize("family,q", CASES, ids=[f"{f.value}-q{q}" for f, q in CASES])
+@pytest.mark.parametrize("family,q", CASES, ids=IDS)
 def test_reduce_solves_the_schroedinger_equation(family, q, energy):
     spec = _spec(family, q)
     c, s, V = _symbolic(spec)
