@@ -140,19 +140,16 @@ class DomainKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Open interval (left, right) with Dirichlet walls; L records the
-    truncation used for unbounded kinds."""
+    """Open interval (left, right) with Dirichlet walls; an unbounded kind
+    is truncated at right (and, on the full line, at left)."""
 
     kind: DomainKind
     left: float
     right: float
-    L: float | None = None
 
     def __post_init__(self):
         if not self.right > self.left:
             raise ValueError("domain must have right > left")
-        if self.kind is not DomainKind.FiniteInterval and (self.L is None or self.L <= 0):
-            raise ValueError("unbounded domains need a truncation L > 0")
 
 
 def default_domain(spec: PotentialSpec, L: float = 12.0) -> DomainSpec:
@@ -167,8 +164,8 @@ def default_domain(spec: PotentialSpec, L: float = 12.0) -> DomainSpec:
     if form.right_wall is not None:
         return DomainSpec(DomainKind.FiniteInterval, wall, form.right_wall(spec))
     if wall is not None:
-        return DomainSpec(DomainKind.HalfLine, wall, wall + L, L=L)
-    return DomainSpec(DomainKind.FullLine, -L, L, L=L)
+        return DomainSpec(DomainKind.HalfLine, wall, wall + L)
+    return DomainSpec(DomainKind.FullLine, -L, L)
 
 
 def evaluate(spec: PotentialSpec, x):

@@ -131,62 +131,62 @@ _HALF, _FULL, _CELL = DomainKind.HalfLine, DomainKind.FullLine, DomainKind.Finit
 _LN2_2 = 0.34657359027997264  # ln(2)/2, the wall of sinh_q at q = 2
 _LN10_2 = 1.151292546497023  # ln(10)/2
 
-# spec, then (kind, left, right, L) of default_domain, the wall and
+# spec, then (kind, left, right) of default_domain, the wall and
 # continuum_threshold
 FAMILY_FACTS = {
-    "trig-base": (dict(family=Family.TrigScarf, A=-2.0), (_CELL, 0.0, math.pi, None), 0.0, math.inf),
-    "trig-pt": (dict(family=Family.TrigScarf, variant=Variant.PT, A=-2.0), (_HALF, 0.0, 12.0, 12.0), 0.0, 0.0),
+    "trig-base": (dict(family=Family.TrigScarf, A=-2.0), (_CELL, 0.0, math.pi), 0.0, math.inf),
+    "trig-pt": (dict(family=Family.TrigScarf, variant=Variant.PT, A=-2.0), (_HALF, 0.0, 12.0), 0.0, 0.0),
     "trig-qpt": (
         dict(family=Family.TrigScarf, variant=Variant.QDeformedPT, A=-2.0, q=2.0),
-        (_HALF, _LN2_2, 12.346573590279972, 12.0),
+        (_HALF, _LN2_2, 12.346573590279972),
         _LN2_2,
         0.0,
     ),
     "trig-nonpt": (
-        dict(family=Family.TrigScarf, variant=Variant.NonPT, A=3j, q=2.0), (_FULL, -12.0, 12.0, 12.0), None, 0.0
+        dict(family=Family.TrigScarf, variant=Variant.NonPT, A=3j, q=2.0), (_FULL, -12.0, 12.0), None, 0.0
     ),
     "hyp-base": (
         dict(family=Family.HyperbolicScarf, V0=10.0, V1=15.0, V2=10.0, q=10.0),
-        (_HALF, _LN10_2, 13.151292546497023, 12.0),
+        (_HALF, _LN10_2, 13.151292546497023),
         _LN10_2,
         25.0,
     ),
     "hyp-pt": (
         dict(family=Family.HyperbolicScarf, variant=Variant.PT, V0=1.0, V1=1.0, V2=1.0, q=2.0),
-        (_FULL, -12.0, 12.0, 12.0),
+        (_FULL, -12.0, 12.0),
         None,
         math.inf,
     ),
     "hyp-nonpt": (
         dict(family=Family.HyperbolicScarf, variant=Variant.NonPT, V0=10.0, V1=15 + 15j, V2=10 + 10j, q=10.0),
-        (_FULL, -12.0, 12.0, 12.0),
+        (_FULL, -12.0, 12.0),
         None,
         25.0,
     ),
     "mr-base": (
         dict(family=Family.ManningRosen, A=-40.0, B=2.0, q=2.0),
-        (_HALF, _LN2_2, 12.346573590279972, 12.0),
+        (_HALF, _LN2_2, 12.346573590279972),
         _LN2_2,
         -40.0,
     ),
     "mr-base-negative-q": (
-        dict(family=Family.ManningRosen, A=10.0, B=1.0, q=-4.0), (_FULL, -12.0, 12.0, 12.0), None, 10.0
+        dict(family=Family.ManningRosen, A=10.0, B=1.0, q=-4.0), (_FULL, -12.0, 12.0), None, 10.0
     ),
     "mr-pt": (
         dict(family=Family.ManningRosen, variant=Variant.PT, A=1.0, B=1.0, q=1.0),
-        (_HALF, 0.0, 12.0, 12.0),
+        (_HALF, 0.0, 12.0),
         0.0,
         math.inf,
     ),
     "mr-pt-q2": (
         dict(family=Family.ManningRosen, variant=Variant.PT, A=1.0, B=1.0, q=2.0),
-        (_FULL, -12.0, 12.0, 12.0),
+        (_FULL, -12.0, 12.0),
         None,
         math.inf,
     ),
     "mr-nonpt": (
         dict(family=Family.ManningRosen, variant=Variant.NonPT, A=1 + 1j, B=1 + 1j, q=1.0),
-        (_FULL, -12.0, 12.0, 12.0),
+        (_FULL, -12.0, 12.0),
         None,
         -1.0,
     ),
@@ -198,7 +198,7 @@ def test_family_facts(name):
     kw, domain, wall, threshold = FAMILY_FACTS[name]
     spec = PotentialSpec(**kw)
     d = default_domain(spec)
-    assert (d.kind, d.left, d.right, d.L) == domain
+    assert (d.kind, d.left, d.right) == domain
     assert variant_form(spec).wall(spec) == wall
     assert continuum_threshold(spec) == threshold
 

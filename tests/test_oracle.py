@@ -63,7 +63,7 @@ class TestDiscretize:
 
     def test_pole_on_grid_raises(self):
         spec = PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0)
-        dom = DomainSpec(DomainKind.HalfLine, -1.0, 1.0, L=2.0)  # includes x=0 pole region
+        dom = DomainSpec(DomainKind.HalfLine, -1.0, 1.0)  # includes x=0 pole region
         with pytest.raises(SingularityError):
             discretize(spec, dom, 99)  # x=0 is the 50th node
 

@@ -247,17 +247,15 @@ class TestDomainsAndSerialization:
         assert abs(dom.right - dom.left - 6.0) < 1e-15
 
     @pytest.mark.parametrize(
-        "kind,left,right,L,why",
+        "kind,left,right,why",
         [
-            (DomainKind.FiniteInterval, 1.0, 1.0, None, "right > left"),
-            (DomainKind.HalfLine, 0.0, -1.0, 1.0, "right > left"),
-            (DomainKind.HalfLine, 0.0, 12.0, None, "truncation L > 0"),
-            (DomainKind.FullLine, -12.0, 12.0, 0.0, "truncation L > 0"),
+            (DomainKind.FiniteInterval, 1.0, 1.0, "right > left"),
+            (DomainKind.HalfLine, 0.0, -1.0, "right > left"),
         ],
     )
-    def test_empty_or_untruncated_domain_is_refused(self, kind, left, right, L, why):
+    def test_empty_domain_is_refused(self, kind, left, right, why):
         with pytest.raises(ValueError, match=why):
-            DomainSpec(kind, left, right, L=L)
+            DomainSpec(kind, left, right)
 
     def test_full_line_for_complex_forms(self):
         dom = default_domain(mk(Family.ManningRosen, variant=Variant.NonPT, A=1 + 1j, B=1.0, q=1.0), L=5.0)

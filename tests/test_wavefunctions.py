@@ -173,7 +173,7 @@ class TestErrorPaths:
         spec = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
         _, wf = solved(spec, 0, -104.0)
         with pytest.raises(NotNormalizable, match="vanishes identically"):
-            normalize(wf, DomainSpec(DomainKind.HalfLine, 80.0, 96.0, L=16.0))
+            normalize(wf, DomainSpec(DomainKind.HalfLine, 80.0, 96.0))
 
     def test_tail_that_does_not_decay(self):
         # cut at L = 0.5 the half-line holds only the rise of the ground
