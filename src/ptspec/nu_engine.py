@@ -53,15 +53,19 @@ _POLISH_REACH = 1e-6  # a polishing step longer than this, relative to 1 + |E|, 
 @dataclass(frozen=True)
 class HypergeometricForm:
     """(sigma, tau_tilde, sigma_tilde) triple at a fixed trial energy, with
-    the spec it reduces (None for a raw triple) and the s-image (lo, hi) of
-    the quantization domain on which the weight must be integrable, hi None
-    where it is unbounded."""
+    the spec it reduces (None for a raw triple).  s_interval is the s-image
+    (lo, hi) of the quantization domain on which the weight must be
+    integrable, hi None where it is unbounded: the family's, or (-1, 1) for
+    a raw triple."""
 
     spec: PotentialSpec | None
     sigma: LowPoly
     tau_tilde: LowPoly
     sigma_tilde: LowPoly
-    s_interval: tuple
+
+    @property
+    def s_interval(self) -> tuple:
+        return (-1.0, 1.0) if self.spec is None else FAMILIES[self.spec.family].s_interval(self.spec.q)
 
 
 def build_form(spec: PotentialSpec, energy: complex) -> HypergeometricForm:
@@ -69,14 +73,13 @@ def build_form(spec: PotentialSpec, energy: complex) -> HypergeometricForm:
     evaluated at the trial energy."""
     if spec.variant is not Variant.Base:
         raise UnsupportedVariant("the numeric pipeline reduces the Base forms only")
-    record = FAMILIES[spec.family]
-    return HypergeometricForm(spec, *record.reduce(spec, energy), s_interval=record.s_interval(spec.q))
+    return HypergeometricForm(spec, *FAMILIES[spec.family].reduce(spec, energy))
 
 
 def synthetic_form(sigma: LowPoly, tau_tilde: LowPoly, sigma_tilde: LowPoly) -> HypergeometricForm:
     """Wrap a raw polynomial triple (used for fixtures and the trace CLI);
     its weight is screened on s in (-1, 1)."""
-    return HypergeometricForm(None, sigma, tau_tilde, sigma_tilde, (-1.0, 1.0))
+    return HypergeometricForm(None, sigma, tau_tilde, sigma_tilde)
 
 
 def _half_gap(form: HypergeometricForm) -> LowPoly:
@@ -285,10 +288,15 @@ def _weigh(form: HypergeometricForm, cands) -> list[BranchCandidate]:
     return [replace(c, weight_integrable=not weight_failure(form, c.tau)) for c in cands]
 
 
-def _rank(c: BranchCandidate):
-    """Order of weighed candidates: integrable weight first, then the most
-    negative Re(tau')."""
-    return (not c.weight_integrable, c.tau_slope.real)
+def _first_ranked(cands: list[BranchCandidate], why: str) -> int:
+    """Index of the admissible weighed candidate that ranks first:
+    integrable weight first, then the most negative Re(tau'), the first on
+    a tie.  Raises NoAdmissibleBranch(why), listing cands, when none is
+    admissible."""
+    admissible = [i for i, c in enumerate(cands) if c.admissible]
+    if not admissible:
+        raise NoAdmissibleBranch(why, candidates=cands)
+    return min(admissible, key=lambda i: (not cands[i].weight_integrable, cands[i].tau_slope.real))
 
 
 def select_branch(form: HypergeometricForm) -> NUTrace:
@@ -299,10 +307,8 @@ def select_branch(form: HypergeometricForm) -> NUTrace:
     Re(tau').  All four candidates are retained in the trace for audit.
     """
     cands = _weigh(form, _enumerate_branches(form))
-    admissible = [c for c in cands if c.admissible]
-    if not admissible:
-        raise NoAdmissibleBranch("all four branch candidates have Re(tau') >= 0", candidates=cands)
-    return NUTrace(form, min(admissible, key=_rank), tuple(cands))
+    i = _first_ranked(cands, "all four branch candidates have Re(tau') >= 0")
+    return NUTrace(form, cands[i], tuple(cands))
 
 
 def _f_n(tau_slope: complex, sigma: LowPoly, n: int, lam: complex | None = None) -> complex:
@@ -443,8 +449,8 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
 
     Each real root is polished on the branch where F_n vanishes; every
     branch whose F_n residual is at most _F_TOL there is a candidate, and
-    only these are weighed.  The admissible one that ranks first (_rank) is
-    the level, and the four candidates of its form are weighed once, for
+    only these are weighed.  The admissible one that ranks first
+    (_first_ranked) is the level, and the four candidates of its form are weighed once, for
     the trace.  Raises NoAdmissibleBranch, listing the weighed candidates,
     when no real root lies on an admissible branch, and ValueError for
     n < 0.
@@ -453,7 +459,7 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
         raise ValueError("level n must be >= 0")
     poly = termination_poly(spec, n)
     dpoly = tuple((len(poly) - 1 - i) * a for i, a in enumerate(poly[:-1]))
-    found = []
+    found, weighed = [], []
     for root in poly_roots(poly):
         if abs(root.imag) > 1e-8 * (1.0 + abs(root)):
             continue  # Base pipeline: spectra are real
@@ -462,13 +468,9 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
             continue
         e, form, cands, rs = at
         ends = [i for i, r in enumerate(rs) if r <= _F_TOL]
-        weighed = _weigh(form, [cands[i] for i in ends])
-        found += [(e, form, cands, i, c) for i, c in zip(ends, weighed)]
-    admissible = [t for t in found if t[-1].admissible]
-    if not admissible:
-        why = f"no real root of P_{n} lies on a branch with Re(tau') < 0"
-        raise NoAdmissibleBranch(why, candidates=[t[-1] for t in found])
-    e_n, form, cands, i, _ = min(admissible, key=lambda t: _rank(t[-1]))
+        found += [(e, form, cands, i) for i in ends]
+        weighed += _weigh(form, [cands[i] for i in ends])
+    e_n, form, cands, i = found[_first_ranked(weighed, f"no real root of P_{n} lies on a branch with Re(tau') < 0")]
     cands = _weigh(form, cands)
     return complex(e_n), NUTrace(form, cands[i], tuple(cands), n, complex(e_n))
 

@@ -52,7 +52,7 @@ class TestBuildForm:
         assert form.sigma_tilde.coeffs() == (-0.25, 0.5, -0.25)
         assert form.tau_tilde.coeffs() == (1.0, -1.0, 0.0)
 
-    def test_s_interval_fixed_at_build(self):
+    def test_s_interval_follows_the_spec(self):
         # the weight's s-interval follows the spec's q; a raw triple gets (-1, 1)
         hyp = PotentialSpec(family=Family.HyperbolicScarf, V0=0.0, V1=4.0, V2=-3.0, q=4.0)
         assert build_form(hyp, 1.0).s_interval == (2.0, None)
