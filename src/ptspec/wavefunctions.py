@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_math import JacobiIndex, jacobi_eval, quadratic_roots
+from .core_math import JacobiIndex, jacobi_eval
 from .errors import NonIntegrableWeight, NotNormalizable
 from .families import FAMILIES
 from .nu_engine import NUTrace, _rational_exponents, weight_exponents, weight_failure
@@ -66,30 +66,24 @@ def assemble(spec: PotentialSpec, trace: NUTrace, n: int) -> WavefunctionSpec:
     Raises NonIntegrableWeight when the trace found rho not integrable on
     the s-image of the quantization domain (a non-normalizable candidate).
     Every family's sigma has two distinct roots, the ends of the Jacobi
-    interval.
+    interval; the Jacobi indices are rho's exponents there, from
+    weight_exponents.
     """
     form = trace.form
-    sigma = form.sigma
     chosen = trace.chosen
     if not chosen.weight_integrable:
         raise NonIntegrableWeight(weight_failure(form, chosen.tau))
-    lo, hi = form.s_interval
 
     # phi from pi/sigma
-    phi_roots, phi_exps = _rational_exponents(chosen.pi, sigma)
+    phi_roots, phi_exps = _rational_exponents(chosen.pi, form.sigma)
     # rho from (tau - sigma')/sigma
     rho_roots, rho_exps = weight_exponents(form, chosen.tau)
 
-    r1, r2 = quadratic_roots(sigma)
-    if r1.real > r2.real:
-        r1, r2 = r2, r1
+    (r1, nu2), (r2, nu1) = sorted(zip(rho_roots, rho_exps), key=lambda pair: pair[0].real)
     z_scale = 2.0 / (r2 - r1)
     z_shift = -(r1 + r2) / (r2 - r1)
-    exp_at = dict(zip([complex(r) for r in rho_roots], rho_exps))
-    nu1 = exp_at.get(complex(r2), 0.0)
-    nu2 = exp_at.get(complex(r1), 0.0)
 
-    signs = _base_signs(phi_roots, lo, hi)
+    signs = _base_signs(phi_roots, *form.s_interval)
     pref = PrefactorForm(tuple((complex(r), complex(e), sg) for r, e, sg in zip(phi_roots, phi_exps, signs)))
     return WavefunctionSpec(
         potential=spec,
