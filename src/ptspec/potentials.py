@@ -21,7 +21,8 @@ from .errors import SingularityError, UnsupportedTransform
 from .families import FAMILIES, Family, Variant, variant_form
 
 
-_NUMERIC_FIELDS = ("A", "B", "V0", "V1", "V2", "alpha", "q", "period", "mass", "hbar")
+# every family's couplings, in the order of the family table
+_COUPLINGS = tuple(dict.fromkeys(name for record in FAMILIES.values() for name in record.params))
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class PotentialSpec:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in _NUMERIC_FIELDS:
+        for name in (*_COUPLINGS, "alpha", "q", "period", "mass", "hbar"):
             v = getattr(self, name)
             if v is not None and not cmath.isfinite(complex(v)):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -65,10 +66,9 @@ class PotentialSpec:
         for name in record.params:
             if getattr(self, name) is None:
                 raise ValueError(f"{self.family.name} requires parameter {name}")
-        for other in FAMILIES.values():
-            for name in other.params:
-                if name not in record.params and getattr(self, name) is not None:
-                    raise ValueError(f"{name} is not a {self.family.name} parameter")
+        for name in _COUPLINGS:
+            if name not in record.params and getattr(self, name) is not None:
+                raise ValueError(f"{name} is not a {self.family.name} parameter")
         form = variant_form(self)
         if form.needs_q and self.q is None:
             raise ValueError(f"the {self.variant.name} form of {self.family.name} requires the deformation q")
@@ -87,11 +87,7 @@ class PotentialSpec:
             "family": self.family.value,
             "variant": self.variant.value,
             "params": {
-                "A": complex_json(self.A),
-                "B": complex_json(self.B),
-                "V0": complex_json(self.V0),
-                "V1": complex_json(self.V1),
-                "V2": complex_json(self.V2),
+                **{name: complex_json(getattr(self, name)) for name in _COUPLINGS},
                 "alpha": self.alpha,
                 "q": self.q,
                 "period": self.period,
@@ -114,11 +110,7 @@ class PotentialSpec:
         spec = cls(
             family=Family(d["family"]),
             variant=Variant(d["variant"]),
-            A=dec(p.get("A")),
-            B=dec(p.get("B")),
-            V0=dec(p.get("V0")),
-            V1=dec(p.get("V1")),
-            V2=dec(p.get("V2")),
+            **{name: dec(p.get(name)) for name in _COUPLINGS},
             alpha=p["alpha"] if p.get("period") is None else 1.0,
             q=p.get("q"),
             period=p.get("period"),
