@@ -43,6 +43,7 @@ import tempfile
 from . import spectra
 from .errors import NoAdmissibleBranch, PtspecError, QRNotConverged, SingularityError
 from .core_math import LowPoly, canonical_json, complex_json
+from .families import FAMILIES
 from .potentials import Family, PotentialSpec, Variant, apply_variant, default_domain, evaluate_grid
 
 _EXIT_OK = 0
@@ -132,10 +133,13 @@ def _build_spec(args) -> PotentialSpec:
         raise _UsageError("--family is required (or use --preset/--spec-json)")
     family = Family(args.family)
     variant = Variant(args.variant)
+    form = FAMILIES[family].variants.get(variant)
 
     def split(re_v, p1, p2, name):
+        # read only for a form whose couplings are complex; a coupling the
+        # family lacks is then refused by PotentialSpec
         if p1 is not None or p2 is not None:
-            if variant is not Variant.NonPT:
+            if form is None or not form.complexified:
                 raise _UsageError(f"--{name}1/--{name}2 need --variant nonpt")
             return complex(p1 or 0.0, p2 or 0.0)
         return re_v
