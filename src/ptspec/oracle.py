@@ -593,10 +593,13 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Richardson study over ascending N_list (>= 2 distinct entries).
 
-    Per tracked level: two-grid extrapolation from the finest pair, observed
-    order from the finest triple when available (expected ~2 for the central
-    difference), and a flag when the extrapolation and the finest grid
-    disagree by more than 10x the finest-pair step estimate.  A real grid
+    Per tracked level: two-grid extrapolation from the finest pair, and a
+    flag when the extrapolation and the finest grid disagree by more than
+    10x the finest-pair step estimate.  With three grids or more, the
+    observed order is p = log(|e_-3 - e_-2| / |e_-2 - e_-1|) / log(h_-2 /
+    h_-1) over the three finest (about 2 for the central difference on a
+    converging level); it assumes the grids shrink h by one ratio,
+    h_-3 / h_-2 = h_-2 / h_-1.  A real grid
     is solved only for what the study reads: a coarse grid for its lowest
     n_levels, the finest for every eigenvalue below the continuum threshold
     and at least its lowest n_levels.  With no threshold, the finest grid
@@ -634,8 +637,8 @@ def convergence_study(
         step_est = abs(e2 - e1)
         order = float("nan")
         if len(vals) >= 3:
-            d1 = abs(vals[-2] - ext)
-            d2 = abs(vals[-1] - ext)
+            d1 = abs(vals[-3] - vals[-2])
+            d2 = abs(vals[-2] - vals[-1])
             if d1 > 0 and d2 > 0:
                 order = math.log(d1 / d2) / math.log(hs[-2] / hs[-1])
         err_est = abs(e2 - ext)

@@ -1063,6 +1063,21 @@ class TestConvergenceStudy:
         assert 1.8 <= order <= 2.2
         assert not rep.levels[0].flagged
 
+    @pytest.mark.parametrize(
+        "variant, N_list, lo, hi",
+        [
+            # converging levels between walls: the central difference's 2
+            (Variant.Base, [150, 300, 600], 1.9, 2.1),
+            # A = -2 makes trig PT V ~ -2/x^2 at the wall x = 0, a fall to the
+            # centre: the lowest levels drop like h^-2, so the order reads -2
+            (Variant.PT, [250, 500, 1000, 2000], -2.1, -1.9),
+        ],
+    )
+    def test_observed_order_reads_the_third_grid(self, variant, N_list, lo, hi):
+        spec = PotentialSpec(family=Family.TrigScarf, variant=variant, A=-2.0)
+        rep = convergence_study(spec, default_domain(spec), N_list, n_levels=2)
+        assert [lo <= lv.observed_order <= hi for lv in rep.levels] == [True, True]
+
     def test_trig_ground_state_extrapolates_to_4(self):
         spec = PotentialSpec(family=Family.TrigScarf, A=-2.0)
         rep = convergence_study(spec, box_domain(), [1000, 2000], n_levels=1)
