@@ -5,13 +5,15 @@ Commands, each with its own flags.  All four also read the spec flags
 --period --hbar --mass --preset --spec-json) and --out, by full name only.
 They refuse any other flag, and a flag given beside the source that replaces
 it: a spec flag beside --preset or --spec-json, --spec-json or profile's --N
---L --skip-poles beside --preset, and any flag but --out beside --form-json:
+--L --skip-poles beside --preset, any flag but --out beside --form-json,
+--alpha beside --period, and --L beside --x-min/--x-max or for a form that
+lives on one finite cell (trig Scarf Base), whose walls fix the domain:
   spectrum   closed-form energies for a potential spec
              --n-max --format --strict
   verify     formula-vs-oracle level matching with a convergence bound, by
              `oracle.verify_levels`
              --n-max --N --L --tol
-  profile    sampled potential values (CSV), incl. the fig1..fig8 presets
+  profile    potential values (CSV) at --N points, incl. the fig1..fig8 presets
              --N --L --format --skip-poles --x-min --x-max
   trace      derivation record (all four branch candidates) as JSON
              --n --form-json
@@ -44,7 +46,7 @@ from . import spectra
 from .errors import NoAdmissibleBranch, PtspecError, QRNotConverged, SingularityError
 from .core_math import LowPoly, canonical_json, complex_json
 from .families import FAMILIES
-from .potentials import Family, PotentialSpec, Variant, apply_variant, default_domain, evaluate_grid
+from .potentials import DomainKind, DomainSpec, Family, PotentialSpec, Variant, apply_variant, default_domain, evaluate_grid
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -171,6 +173,15 @@ def _write_out(text: str, out_path: str | None):
             os.unlink(tmp)
 
 
+def _domain(spec: PotentialSpec, L: float, given) -> DomainSpec:
+    """default_domain at L; a given --L is refused where the form lives on
+    one finite cell, whose walls fix the domain."""
+    domain = default_domain(spec, L=L)
+    if "--L" in given and domain.kind is DomainKind.FiniteInterval:
+        raise _UsageError("--L is not read for a form that lives on one finite cell")
+    return domain
+
+
 def cmd_spectrum(args) -> int:
     spec = _build_spec(args)
     res = spectra.closed_form_spectrum(spec, args.n_max)
@@ -191,7 +202,7 @@ def cmd_verify(args) -> int:
     from . import oracle  # SciPy's linalg: only verify needs it
 
     spec = _build_spec(args)
-    domain = default_domain(spec, L=args.L)
+    domain = _domain(spec, args.L, args.given)
     res = spectra.closed_form_spectrum(spec, args.n_max)
     study, (match,), conj = oracle.verify_levels(spec, domain, args.N, res.entries)
     failures = []
@@ -227,14 +238,16 @@ def cmd_profile(args) -> int:
     spec = _build_spec(args)
     if args.preset:
         L, npts, skip = _PRESETS[args.preset][1], _PROFILE_POINTS, True
+    elif args.N < 1:
+        raise _UsageError("--N must be >= 1")
     else:
-        L, npts, skip = args.L, max(args.N, 50), args.skip_poles
+        L, npts, skip = args.L, args.N, args.skip_poles
     if args.x_min is not None or args.x_max is not None:
         if args.x_min is None or args.x_max is None or not args.x_max > args.x_min:
             raise _UsageError("--x-min and --x-max must both be given with x_max > x_min")
         left, right = args.x_min, args.x_max
     else:
-        domain = default_domain(spec, L=L)
+        domain = _domain(spec, L, args.given)
         left, right = domain.left, domain.right
     xs = np.linspace(left, right, npts + 2)[1:-1]
     try:
@@ -281,10 +294,11 @@ def cmd_trace(args) -> int:
     return _EXIT_OK
 
 
-def _refuse_replaced(args, argv) -> None:
+def _refuse_replaced(args) -> None:
     """Refuse a flag given beside the source that replaces it: --form-json
     replaces every other flag but --out, --preset and --spec-json the spec
-    flags, and --preset also --spec-json and profile's sampling."""
+    flags, --preset also --spec-json and profile's sampling, --period
+    --alpha, and --x-min/--x-max --L."""
     if getattr(args, "form_json", None):
         source, kept = "--form-json", ()
     elif args.preset:
@@ -293,9 +307,12 @@ def _refuse_replaced(args, argv) -> None:
     elif args.spec_json:
         source, kept = "--spec-json", args.flags
     else:
-        return
-    for flag in (a.partition("=")[0] for a in argv if a.startswith("--")):
+        source, kept = None, args.given
+    for flag in args.given:
         if flag not in (source, "--out", *kept):
+            raise _UsageError(f"{flag} is not read beside {source}")
+    for flag, source in (("--alpha", "--period"), ("--L", "--x-min"), ("--L", "--x-max")):
+        if flag in args.given and source in args.given:
             raise _UsageError(f"{flag} is not read beside {source}")
 
 
@@ -322,7 +339,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = make_parser().parse_args(argv)
-        _refuse_replaced(args, argv)
+        args.given = [a.partition("=")[0] for a in argv if a.startswith("--")]
+        _refuse_replaced(args)
         return args.func(args)
     except _UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")

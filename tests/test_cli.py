@@ -360,9 +360,10 @@ class TestVerifyCommand:
             assert abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= tol
 
 
-# the verify-real benchmark forms: argv, L of default_domain
+# the verify-real benchmark forms: argv, L of default_domain (None where
+# the form's one finite cell fixes the domain)
 _REAL_VERIFY = {
-    "trig-scarf": (("--family", "trig-scarf", "--A", "-2"), 12.0),
+    "trig-scarf": (("--family", "trig-scarf", "--A", "-2"), None),
     "hyp-blind-spot": (("--family", "hyperbolic-scarf", "--V0", "0", "--V1", "4", "--V2", "-3", "--q", "1"), 14.0),
     "fig2-pt": (("--family", "hyperbolic-scarf", "--variant", "pt", "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1"), 12.0),
     "mr-deep": (("--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1"), 16.0),
@@ -374,10 +375,11 @@ def test_real_grid_conjugation_is_that_of_the_full_spectrum(capsys, name):
     # verify no longer solves a real grid whole; its conjugation block, built
     # from N, must be what the scan of the full dsterf spectrum reports
     argv, L = _REAL_VERIFY[name]
-    _, out, _ = run(capsys, "verify", *argv, "--L", str(L), "--N", "1000", "--n-max", "3")
+    kw = {} if L is None else {"L": L}
+    _, out, _ = run(capsys, "verify", *argv, *(f"--L={L}" for L in kw.values()), "--N", "1000", "--n-max", "3")
     d = json.loads(out)
     spec = PotentialSpec.from_dict(d["spec"])
-    H = oracle.discretize(spec, default_domain(spec, L=L), 1000)
+    H = oracle.discretize(spec, default_domain(spec, **kw), 1000)
     assert H.is_real
     scan = oracle.conjugation_pair_check(oracle.eigen_complex_dense(H), tol=1e-8)
     assert d["conjugation"] == dataclasses.asdict(scan)
@@ -424,6 +426,12 @@ _REPLACED_FLAGS = [
     (["trace", "--spec-json", _JSON, "--family", "trig-scarf"], "--family", "--spec-json"),
     (["trace", "--form-json", _JSON, "--n", "2"], "--n", "--form-json"),
     (["trace", "--form-json", _JSON, "--preset", "fig4"], "--preset", "--form-json"),
+    (["spectrum", "--family", "trig-scarf", "--A", "-2", "--alpha", "2", "--period", "3"], "--alpha", "--period"),
+    (
+        ["profile", "--family", "trig-scarf", "--variant", "pt", "--A", "-2", "--L", "3", "--x-min", "1", "--x-max", "2"],
+        "--L",
+        "--x-min",
+    ),
 ]
 
 
@@ -447,6 +455,26 @@ def test_the_flags_a_preset_leaves_are_read(capsys, argv, tmp_path):
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert "usage error" not in err
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("command", ["verify", "profile"])
+def test_length_is_refused_for_a_form_on_one_cell(capsys, command):
+    # trig Base lives on (0, pi/alpha), so --L was read and then dropped
+    code, out, err = run(capsys, command, "--family", "trig-scarf", "--A", "-2", "--L", "6", "--N", "100")
+    assert (code, out) == (1, "")
+    assert err == "usage error: --L is not read for a form that lives on one finite cell\n"
+
+
+@pytest.mark.parametrize("n", [1, 20])
+def test_profile_samples_exactly_n_points(capsys, n):
+    # --N below 50 was once raised to 50 without a word
+    code, out, _ = run(capsys, "profile", "--family", "trig-scarf", "--A", "-2", "--N", str(n))
+    assert code == 0 and len(json.loads(out)["samples"]) == n
+
+
+def test_profile_of_no_points_is_refused(capsys):
+    code, out, err = run(capsys, "profile", "--family", "trig-scarf", "--A", "-2", "--N", "0")
+    assert (code, out, err) == (1, "", "usage error: --N must be >= 1\n")
 
 
 class TestDeterminismAndRoundTrip:
