@@ -14,7 +14,11 @@ is exempt, because its imports are the names it exports.  A third stands
 in for the dead-code rule: every module-level function, class and
 constant of the package and its scripts is read somewhere in `src`,
 `scripts`, `tests` or `perfbench`, so a deletion that leaves a definition
-behind fails here.
+behind fails here.  A fourth keeps each variant rule on the family table:
+no module but `families.py` compares anything with `Variant.PT`,
+`Variant.QDeformedPT` or `Variant.NonPT`, so a rule that tells those
+variants apart is looked up there (a `Base` scope check, and a table that
+names a variant without comparing, are allowed).
 
 SciPy is the largest cost of a cold start.  Only `ptspec.oracle` may
 import it, and from it only `scipy.linalg`, at module level; every other
@@ -190,6 +194,39 @@ def test_the_check_finds_an_unread_name():
 def test_every_module_level_name_is_read():
     defining = {str(p.relative_to(ROOT)): p.read_text() for p in [PACKAGE / "__init__.py", *MODULES, *SCRIPTS]}
     assert unread_names(defining, [p.read_text() for p in READERS]) == []
+
+
+_RULED = {"PT", "QDeformedPT", "NonPT"}
+
+
+def variant_comparisons(source: str) -> list[int]:
+    """Lines of the comparisons of source with Variant.PT, QDeformedPT or
+    NonPT, alone or in a tuple, list or set."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        items = [i for o in operands for i in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
+        if any(isinstance(i, ast.Attribute) and getattr(i.value, "id", None) == "Variant" and i.attr in _RULED for i in items):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_finds_a_variant_comparison():
+    source = (
+        "if spec.variant is not Variant.NonPT:\n    pass\n"
+        "base = spec.variant is Variant.Base\n"
+        "x = v in (Variant.Base, Variant.QDeformedPT)\n"
+        "y = dict(variant=Variant.PT)\n"
+        "z = Variant.PT == v\n"
+    )
+    assert variant_comparisons(source) == [1, 4, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES + SCRIPTS if p.name != "families.py"], ids=lambda p: p.name)
+def test_variant_rules_are_read_from_the_family_table(path):
+    assert variant_comparisons(path.read_text()) == []
 
 
 _LOADED_SCIPY = """
