@@ -28,6 +28,7 @@ def trig(A=-2.0, **kw):
 
 
 FIG4 = PotentialSpec(family=Family.ManningRosen, A=10.0, B=1.0, q=-4.0)
+FIG1 = PotentialSpec(family=Family.HyperbolicScarf, V0=10.0, V1=15.0, V2=10.0, q=10.0)
 MR_DEEP = PotentialSpec(family=Family.ManningRosen, A=-40.0, B=2.0, q=1.0)
 
 
@@ -490,15 +491,17 @@ class TestSolveSpectrum:
         assert len(trace.candidates) == 4
         assert all(c.weight_integrable is not None for c in trace.candidates)
 
-    @pytest.mark.xfail(strict=True, reason="fig4 has no bound state; the pipeline still returns non-levels")
-    def test_fig4_has_no_level(self):
-        # V > -10 everywhere for fig4, so no energy is a bound state; every
-        # root of P_n that polishes lies on a branch whose weight is not
-        # integrable, and the pipeline still accepts it (by Re(tau') < 0
+    @pytest.mark.xfail(strict=True, reason="no bound state; the pipeline still returns non-levels")
+    @pytest.mark.parametrize("spec", [FIG4, FIG1], ids=["fig4", "fig1"])
+    def test_fig4_has_no_level(self, spec):
+        # V > -10 everywhere for fig4, and V > 25 for fig1 with every level
+        # it gives (13.5 to 24.9) below 25, so no energy is a bound state;
+        # every root of P_n that polishes lies on a branch whose weight is
+        # not integrable, and the pipeline still accepts it (by Re(tau') < 0
         # alone) instead of refusing
         for n in range(6):
             with pytest.raises(NoAdmissibleBranch):
-                solve_level(FIG4, n)
+                solve_level(spec, n)
 
     def test_no_admissible_root_lists_rejected_branches(self):
         # Manning-Rosen A=-40, B=2 at n = 6: both real roots of P_6 lie on
