@@ -45,8 +45,8 @@ import tempfile
 from . import spectra
 from .errors import NoAdmissibleBranch, PtspecError, QRNotConverged, SingularityError
 from .core_math import LowPoly, canonical_json, complex_json
-from .families import FAMILIES
-from .potentials import DomainKind, DomainSpec, Family, PotentialSpec, Variant, apply_variant, default_domain, evaluate_grid
+from .families import FAMILIES, Family, Variant
+from .potentials import DomainKind, DomainSpec, PotentialSpec, apply_variant, default_domain, evaluate_grid
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1

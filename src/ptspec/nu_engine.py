@@ -450,10 +450,10 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
     Each real root is polished on the branch where F_n vanishes; every
     branch whose F_n residual is at most _F_TOL there is a candidate, and
     only these are weighed.  The admissible one that ranks first
-    (_first_ranked) is the level, and the four candidates of its form are weighed once, for
-    the trace.  Raises NoAdmissibleBranch, listing the weighed candidates,
-    when no real root lies on an admissible branch, and ValueError for
-    n < 0.
+    (_first_ranked) is the level, and the four candidates of its form are
+    weighed once, for the trace.  Raises NoAdmissibleBranch, listing the
+    weighed candidates, when no real root lies on an admissible branch, and
+    ValueError for n < 0.
     """
     if n < 0:
         raise ValueError("level n must be >= 0")

@@ -596,11 +596,11 @@ def convergence_study(
     Per tracked level: two-grid extrapolation from the finest pair, and a
     flag when the extrapolation and the finest grid disagree by more than
     10x the finest-pair step estimate.  With three grids or more, the
-    observed order is p = log(|e_-3 - e_-2| / |e_-2 - e_-1|) / log(h_-2 /
-    h_-1) over the three finest (about 2 for the central difference on a
-    converging level); it assumes the grids shrink h by one ratio,
-    h_-3 / h_-2 = h_-2 / h_-1.  A real grid
-    is solved only for what the study reads: a coarse grid for its lowest
+    observed order over the three finest is
+    p = log(|e_-3 - e_-2| / |e_-2 - e_-1|) / log(h_-2 / h_-1), about 2 for
+    the central difference on a converging level; it assumes the grids
+    shrink h by one ratio, h_-3 / h_-2 = h_-2 / h_-1.  A real grid is
+    solved only for what the study reads: a coarse grid for its lowest
     n_levels, the finest for every eigenvalue below the continuum threshold
     and at least its lowest n_levels.  With no threshold, the finest grid
     is solved for the window that covers a `match_levels` of `energies`

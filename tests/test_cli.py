@@ -376,7 +376,7 @@ def test_real_grid_conjugation_is_that_of_the_full_spectrum(capsys, name):
     # from N, must be what the scan of the full dsterf spectrum reports
     argv, L = _REAL_VERIFY[name]
     kw = {} if L is None else {"L": L}
-    _, out, _ = run(capsys, "verify", *argv, *(f"--L={L}" for L in kw.values()), "--N", "1000", "--n-max", "3")
+    _, out, _ = run(capsys, "verify", *argv, *[f"--L={v}" for v in kw.values()], "--N", "1000", "--n-max", "3")
     d = json.loads(out)
     spec = PotentialSpec.from_dict(d["spec"])
     H = oracle.discretize(spec, default_domain(spec, **kw), 1000)
@@ -428,7 +428,7 @@ _REPLACED_FLAGS = [
     (["trace", "--form-json", _JSON, "--preset", "fig4"], "--preset", "--form-json"),
     (["spectrum", "--family", "trig-scarf", "--A", "-2", "--alpha", "2", "--period", "3"], "--alpha", "--period"),
     (
-        ["profile", "--family", "trig-scarf", "--variant", "pt", "--A", "-2", "--L", "3", "--x-min", "1", "--x-max", "2"],
+        ["profile", "--family", "trig-scarf", "--variant", "pt", "--A", "-2", "--L", "3", "--x-min", "1", "--x-max=2"],
         "--L",
         "--x-min",
     ),

@@ -208,7 +208,8 @@ def variant_comparisons(source: str) -> list[int]:
             continue
         operands = [node.left, *node.comparators]
         items = [i for o in operands for i in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
-        if any(isinstance(i, ast.Attribute) and getattr(i.value, "id", None) == "Variant" and i.attr in _RULED for i in items):
+        named = {i.attr for i in items if isinstance(i, ast.Attribute) and getattr(i.value, "id", None) == "Variant"}
+        if named & _RULED:
             lines.append(node.lineno)
     return lines
 

@@ -1072,6 +1072,7 @@ class TestConvergenceStudy:
             # centre: the lowest levels drop like h^-2, so the order reads -2
             (Variant.PT, [250, 500, 1000, 2000], -2.1, -1.9),
         ],
+        ids=["base", "pt"],
     )
     def test_observed_order_reads_the_third_grid(self, variant, N_list, lo, hi):
         spec = PotentialSpec(family=Family.TrigScarf, variant=variant, A=-2.0)
