@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegreeError
 
@@ -48,8 +48,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class LowPoly:
+class LowPoly(NamedTuple):
     """Polynomial c0 + c1*s + c2*s^2 with complex coefficients."""
 
     c0: complex = 0.0
@@ -174,20 +173,25 @@ def cosh_q(x: float, q: complex) -> complex:
     return 0.5 * (np.exp(x) + q * np.exp(-x))
 
 
-@dataclass(frozen=True)
-class JacobiIndex:
+class _JacobiFields(NamedTuple):
+    nu1: complex
+    nu2: complex
+    n: int
+
+
+class JacobiIndex(_JacobiFields):
     """Index pair (nu1, nu2) and level n of a Jacobi polynomial.
 
     nu1, nu2 may be complex; the three-term recurrence continues verbatim.
     """
 
-    nu1: complex
-    nu2: complex
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, *args, **kwargs):
+        idx = super().__new__(cls, *args, **kwargs)
+        if idx.n < 0:
             raise ValueError("Jacobi level n must be >= 0")
+        return idx
 
 
 def jacobi_eval(idx: JacobiIndex, x: complex) -> complex:

@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core_math import LowPoly, cosh_q, sinh_q, sqrt_principal
 from .errors import SingularityError, UnsupportedReduction, UnsupportedVariant
@@ -66,15 +65,13 @@ class Variant(enum.Enum):
     NonPT = "nonpt"
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     name: str
     measured: complex
     ok: bool
 
 
-@dataclass(frozen=True)
-class VariantForm:
+class VariantForm(NamedTuple):
     """The facts of one (family, variant) pair."""
 
     potential: Callable  # (spec, float array x) -> complex array V(x); SingularityError at poles
@@ -90,8 +87,7 @@ class VariantForm:
     predicates: Callable | None = None
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     params: tuple[str, ...]
     variants: dict  # Variant -> VariantForm
     s_map: Callable  # (spec, x) -> s of the reduction

@@ -36,7 +36,7 @@ NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core_math import LowPoly, complex_json, poly_roots, quadratic_roots, sqrt_principal
 from .errors import DegenerateDiscriminant, DegenerateTermination, NoAdmissibleBranch, UnsupportedVariant
@@ -50,8 +50,7 @@ _POLISH_STEPS = 4  # forms built per root of P_n while polishing, at most
 _POLISH_REACH = 1e-6  # a polishing step longer than this, relative to 1 + |E|, leaves the root
 
 
-@dataclass(frozen=True)
-class HypergeometricForm:
+class HypergeometricForm(NamedTuple):
     """(sigma, tau_tilde, sigma_tilde) triple at a fixed trial energy, with
     the spec it reduces (None for a raw triple).  s_interval is the s-image
     (lo, hi) of the quantization domain on which the weight must be
@@ -147,8 +146,7 @@ def _square_factor(Q: LowPoly) -> tuple[complex, complex, float]:
     return complex(a), complex(b), float(resid)
 
 
-@dataclass(frozen=True)
-class BranchCandidate:
+class BranchCandidate(NamedTuple):
     """One (k, sign) combination of the pi formula: pi, tau = tau_tilde +
     2 pi, and the defect of the perfect square pi was read from.  tau',
     lambda = k + pi', admissibility (Re tau' < 0) and the rejection text
@@ -182,8 +180,7 @@ class BranchCandidate:
         return "" if self.admissible else f"Re(tau')={self.tau_slope.real:.6g} >= 0"
 
 
-@dataclass(frozen=True)
-class NUTrace:
+class NUTrace(NamedTuple):
     """Full derivation record for one accepted branch: chosen is one of
     the four candidates, whose slots 0-1 hold the first k and 2-3 the
     second.  n and energy are the level's, None for a form traced at no
@@ -285,7 +282,7 @@ def branches(spec: PotentialSpec, energy: complex):
 
 def _weigh(form: HypergeometricForm, cands) -> list[BranchCandidate]:
     """The candidates with weight integrability filled in."""
-    return [replace(c, weight_integrable=not weight_failure(form, c.tau)) for c in cands]
+    return [c._replace(weight_integrable=not weight_failure(form, c.tau)) for c in cands]
 
 
 def _first_ranked(cands: list[BranchCandidate], why: str) -> int:
@@ -475,8 +472,7 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
     return complex(e_n), NUTrace(form, cands[i], tuple(cands), n, complex(e_n))
 
 
-@dataclass(frozen=True)
-class NumericSpectrum:
+class NumericSpectrum(NamedTuple):
     """Levels n = 0..n_max of the numeric pipeline, with the trace of each."""
 
     entries: list  # [(n, complex E)]

@@ -14,7 +14,7 @@ import cmath
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core_math import canonical_json, complex_json
 from .errors import SingularityError, UnsupportedTransform
@@ -25,14 +25,7 @@ from .families import FAMILIES, Family, Variant, variant_form
 _COUPLINGS = tuple(dict.fromkeys(name for record in FAMILIES.values() for name in record.params))
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """A potential family plus parameter set plus variant tag.
-
-    Only the fields relevant to the family are set; the rest stay None.
-    Unit convention defaults to 2m = hbar = 1 (mass = 0.5).
-    """
-
+class _SpecFields(NamedTuple):
     family: Family
     variant: Variant = Variant.Base
     A: complex | None = None
@@ -46,36 +39,49 @@ class PotentialSpec:
     mass: float = 0.5
     hbar: float = 1.0
 
-    def __post_init__(self):
+
+class PotentialSpec(_SpecFields):
+    """A potential family plus parameter set plus variant tag.
+
+    Only the fields relevant to the family are set; the rest stay None.
+    Unit convention defaults to 2m = hbar = 1 (mass = 0.5).  A period sets
+    alpha = pi/period.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
         for name in (*_COUPLINGS, "alpha", "q", "period", "mass", "hbar"):
-            v = getattr(self, name)
+            v = getattr(spec, name)
             if v is not None and not cmath.isfinite(complex(v)):
                 raise ValueError(f"{name} must be finite, got {v}")
         for name in ("mass", "hbar"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.period == 0:
+            if not getattr(spec, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(spec, name)}")
+        if spec.period == 0:
             raise ValueError("period must be nonzero")
-        if self.period is not None:
-            object.__setattr__(self, "alpha", math.pi / self.period)
-        if self.alpha == 0:
+        if spec.period is not None:
+            spec = super().__new__(cls, *args, **{**kwargs, "alpha": math.pi / spec.period})
+        if spec.alpha == 0:
             raise ValueError("alpha must be nonzero")
-        if self.q is not None and self.q == 0:
+        if spec.q is not None and spec.q == 0:
             raise ValueError("q must be nonzero")
-        record = FAMILIES[self.family]
+        record = FAMILIES[spec.family]
         for name in record.params:
-            if getattr(self, name) is None:
-                raise ValueError(f"{self.family.name} requires parameter {name}")
+            if getattr(spec, name) is None:
+                raise ValueError(f"{spec.family.name} requires parameter {name}")
         for name in _COUPLINGS:
-            if name not in record.params and getattr(self, name) is not None:
-                raise ValueError(f"{name} is not a {self.family.name} parameter")
-        form = variant_form(self)
-        if form.needs_q and self.q is None:
-            raise ValueError(f"the {self.variant.name} form of {self.family.name} requires the deformation q")
+            if name not in record.params and getattr(spec, name) is not None:
+                raise ValueError(f"{name} is not a {spec.family.name} parameter")
+        form = variant_form(spec)
+        if form.needs_q and spec.q is None:
+            raise ValueError(f"the {spec.variant.name} form of {spec.family.name} requires the deformation q")
         if not form.complexified:
             for name in record.params:
-                if complex(getattr(self, name)).imag != 0.0:
-                    raise ValueError(f"{self.variant.name} variant requires real {name}")
+                if complex(getattr(spec, name)).imag != 0.0:
+                    raise ValueError(f"{spec.variant.name} variant requires real {name}")
+        return spec
 
     @property
     def kappa(self) -> float:
@@ -130,18 +136,23 @@ class DomainKind(enum.Enum):
     FullLine = "full-line"
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Open interval (left, right) with Dirichlet walls; an unbounded kind
-    is truncated at right (and, on the full line, at left)."""
-
+class _DomainFields(NamedTuple):
     kind: DomainKind
     left: float
     right: float
 
-    def __post_init__(self):
-        if not self.right > self.left:
+
+class DomainSpec(_DomainFields):
+    """Open interval (left, right) with Dirichlet walls; an unbounded kind
+    is truncated at right (and, on the full line, at left)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        domain = super().__new__(cls, *args, **kwargs)
+        if not domain.right > domain.left:
             raise ValueError("domain must have right > left")
+        return domain
 
 
 def default_domain(spec: PotentialSpec, L: float = 12.0) -> DomainSpec:
@@ -208,11 +219,10 @@ def apply_variant(spec: PotentialSpec, target: Variant) -> PotentialSpec:
     if form.needs_q and spec.q is None:
         raise UnsupportedTransform(f"{target.name} needs q on the Base spec")
     changes = {name: complex(getattr(spec, name)) * (1 + 1j) for name in form.complexified}
-    return replace(spec, variant=target, **changes)
+    return PotentialSpec(**{**spec._asdict(), "variant": target, **changes})
 
 
-@dataclass(frozen=True)
-class PTSymmetryReport:
+class PTSymmetryReport(NamedTuple):
     """Measured defect of V(2c - x)* = V(x) on a grid symmetric about c."""
 
     max_defect: float

@@ -12,7 +12,7 @@ result's convention note instead of being patched.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core_math import canonical_json, complex_json
 from .errors import UnsupportedVariant
@@ -26,8 +26,7 @@ class RealityFlag(enum.Enum):
     Complex = "complex"
 
 
-@dataclass(frozen=True)
-class RealityConditions:
+class RealityConditions(NamedTuple):
     """Named parameter restrictions under which the variant's published
     spectrum is claimed real; every predicate is evaluated, never assumed."""
 
@@ -36,8 +35,7 @@ class RealityConditions:
     note: str = ""
 
 
-@dataclass
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Indexed energies with reality flag and reality conditions."""
 
     spec: PotentialSpec
@@ -45,7 +43,7 @@ class SpectrumResult:
     reality_flag: RealityFlag
     conditions: RealityConditions | None
     convention_note: str
-    warnings: list = field(default_factory=list)
+    warnings: tuple | list = ()  # () when the form states none
     alt_entries: list | None = None  # second sign candidate where published
 
     def energies(self):

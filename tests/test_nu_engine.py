@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -581,7 +580,7 @@ def _reference_level(spec, n):
         if best_r > nu_engine._F_TOL:
             continue
         e, form, cands, rs = best
-        cands = [replace(c, weight_integrable=not nu_engine.weight_failure(form, c.tau)) for c in cands]
+        cands = [c._replace(weight_integrable=not nu_engine.weight_failure(form, c.tau)) for c in cands]
         found += [(e, cands, c) for c, r in zip(cands, rs) if r <= nu_engine._F_TOL]
     admissible = [t for t in found if t[-1].admissible]
     if not admissible:
