@@ -99,7 +99,7 @@ def _add_shared(p: argparse.ArgumentParser):
     p.add_argument("--variant", choices=[v.value for v in Variant], default="base")
     for coupling in ("A", "A1", "A2", "B", "B1", "B2", "V0", "V1", "V2"):
         p.add_argument(f"--{coupling}", type=float)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--q", type=float)
     p.add_argument("--period", type=float)
     p.add_argument("--hbar", type=float, default=1.0)
@@ -146,7 +146,9 @@ def _build_spec(args) -> PotentialSpec:
             return complex(p1 or 0.0, p2 or 0.0)
         return re_v
 
-    kw = {name: getattr(args, name) for name in ("V0", "V1", "V2", "alpha", "q", "period", "mass", "hbar")}
+    # an unset flag leaves the spec's default: alpha = 1, or pi/period
+    names = ("V0", "V1", "V2", "alpha", "q", "period", "mass", "hbar")
+    kw = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     kw.update(family=family, A=split(args.A, args.A1, args.A2, "A"), B=split(args.B, args.B1, args.B2, "B"))
     try:
         if isinstance(kw["A"], complex) or isinstance(kw["B"], complex):  # given as --A1/--A2 or --B1/--B2

@@ -40,12 +40,15 @@ class _SpecFields(NamedTuple):
     hbar: float = 1.0
 
 
+_ALPHA_SLOT = _SpecFields._fields.index("alpha")
+
+
 class PotentialSpec(_SpecFields):
     """A potential family plus parameter set plus variant tag.
 
     Only the fields relevant to the family are set; the rest stay None.
     Unit convention defaults to 2m = hbar = 1 (mass = 0.5).  A period sets
-    alpha = pi/period.
+    alpha = pi/period; a given alpha must then equal it.
     """
 
     __slots__ = ()
@@ -62,7 +65,11 @@ class PotentialSpec(_SpecFields):
         if spec.period == 0:
             raise ValueError("period must be nonzero")
         if spec.period is not None:
-            spec = super().__new__(cls, *args, **{**kwargs, "alpha": math.pi / spec.period})
+            alpha = math.pi / spec.period
+            if "alpha" not in kwargs and len(args) <= _ALPHA_SLOT:
+                spec = super().__new__(cls, *args, alpha=alpha, **kwargs)
+            elif spec.alpha != alpha:
+                raise ValueError(f"alpha = {spec.alpha} is not pi/period = {alpha} for period = {spec.period}")
         if spec.alpha == 0:
             raise ValueError("alpha must be nonzero")
         if spec.q is not None and spec.q == 0:
@@ -117,7 +124,7 @@ class PotentialSpec(_SpecFields):
             family=Family(d["family"]),
             variant=Variant(d["variant"]),
             **{name: dec(p.get(name)) for name in _COUPLINGS},
-            alpha=p["alpha"] if p.get("period") is None else 1.0,
+            alpha=p["alpha"],
             q=p.get("q"),
             period=p.get("period"),
             mass=d["constants"]["mass"],

@@ -497,6 +497,29 @@ class TestDeterminismAndRoundTrip:
         assert json.loads(out2)["spec"] == spec_dict
         assert json.loads(out2)["entries"] == json.loads(out)["entries"]
 
+    def test_period_sets_alpha(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "--family", "trig-scarf", "--A", "-2", "--period", "3", "--n-max", "1")
+        assert code == 0
+        d = json.loads(out)
+        assert (d["spec"]["params"]["alpha"], d["spec"]["params"]["period"]) == (math.pi / 3.0, 3.0)
+        ka2 = (math.pi / 3.0) ** 2
+        assert [e["re"] for e in d["entries"]] == pytest.approx([ka2 * (n + 0.5 + math.sqrt(0.25 + 2 / ka2)) ** 2 for n in (0, 1)])
+
+    def test_spec_json_alpha_must_be_pi_over_period(self, capsys, tmp_path):
+        argv = ["spectrum", "--family", "trig-scarf", "--A", "-2", "--period", "3", "--n-max", "1"]
+        _, out, _ = run(capsys, *argv)
+        spec_dict = json.loads(out)["spec"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_dict))
+        assert run(capsys, "spectrum", "--spec-json", str(path), "--n-max", "1") == (0, out, "")
+        spec_dict["params"]["alpha"] = 5.0
+        path.write_text(json.dumps(spec_dict))
+        assert run(capsys, "spectrum", "--spec-json", str(path)) == (
+            1,
+            "",
+            "error: alpha = 5.0 is not pi/period = 1.0471975511965976 for period = 3.0\n",
+        )
+
     def test_out_file_written_atomically(self, capsys, tmp_path):
         dest = tmp_path / "res.json"
         code, _, _ = run(capsys, "spectrum", "--family", "trig-scarf", "--A", "-2", "--out", str(dest))

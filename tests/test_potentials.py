@@ -277,6 +277,21 @@ class TestDomainsAndSerialization:
         spec = mk(Family.TrigScarf, A=1.0, period=2.0)
         assert abs(spec.alpha - math.pi / 2) < 1e-15
 
+    def test_constructor_refuses_an_alpha_that_is_not_pi_over_period(self):
+        with pytest.raises(ValueError, match=r"^alpha = 2.0 is not pi/period = 1.0471975511965976 for period = 3.0$"):
+            mk(Family.TrigScarf, A=-2.0, alpha=2.0, period=3.0)
+        with pytest.raises(ValueError, match="alpha = 1.0 is not pi/period"):  # alpha given in its slot
+            PotentialSpec(Family.TrigScarf, Variant.Base, -2.0, None, None, None, None, 1.0, None, 3.0)
+        assert mk(Family.TrigScarf, A=-2.0, alpha=math.pi / 3.0, period=3.0) == mk(Family.TrigScarf, A=-2.0, period=3.0)
+
+    def test_from_dict_refuses_an_alpha_that_is_not_pi_over_period(self):
+        d = mk(Family.TrigScarf, A=-2.0, period=3.0).to_dict()
+        assert d["params"]["alpha"] == math.pi / 3.0
+        assert PotentialSpec.from_dict(d).to_dict() == d  # the JSON ptspec writes loads as it is
+        d["params"]["alpha"] = 5.0
+        with pytest.raises(ValueError, match=r"^alpha = 5.0 is not pi/period = 1.0471975511965976 for period = 3.0$"):
+            PotentialSpec.from_dict(d)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mk(Family.TrigScarf, A=1.0, alpha=0.0)
