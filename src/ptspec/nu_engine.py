@@ -379,23 +379,33 @@ def _resultant(s, b, c, m, sign):
     return _add(_mul(x, x), _scaled(sign, y))
 
 
-def termination_poly(spec: PotentialSpec, n: int) -> tuple[complex, ...]:
+def _affine_data(spec: PotentialSpec) -> tuple:
+    """What every P_n of spec reads, from the forms at E = 0 and E = 1:
+    sigma's coefficients, those of the radicand at k = 0 as (slope,
+    intercept) pairs in E (sigma_tilde is affine in E), and the slopes of
+    the half gap and of tau_tilde, which do not depend on E."""
+    f0, f1 = build_form(spec, 0.0), build_form(spec, 1.0)
+    r0, r1 = _radicand(f0, 0.0), _radicand(f1, 0.0)
+    b = [(y - x, x) for x, y in zip(r0.coeffs(), r1.coeffs())]
+    return f0.sigma.coeffs(), b, _half_gap(f0).c1, f0.tau_tilde.c1
+
+
+def termination_poly(spec: PotentialSpec, n: int, affine: tuple | None = None) -> tuple[complex, ...]:
     """Coefficients in E, highest first, of P_n(E) = a_k^2 times the product
     of F_n over the four (k, sign) branches: its roots are every energy at
     which level n terminates on some branch.
 
     sigma_tilde is affine in E, so two forms (E = 0 and E = 1) fix the
     radicand, and P_n, the resultant of two quadratics in k, has degree at
-    most 4.  Coefficients at the rounding level of their own terms are set
-    to 0, so P_n keeps its exact degree (2 for Manning-Rosen).  Raises
-    DegenerateTermination when every coefficient is at that level.
+    most 4.  affine is what they give (_affine_data), built here when not
+    given: a spectrum builds it once for all its levels.  Coefficients at
+    the rounding level of their own terms are set to 0, so P_n keeps its
+    exact degree (2 for Manning-Rosen).  Raises DegenerateTermination when
+    every coefficient is at that level.
     """
-    f0, f1 = build_form(spec, 0.0), build_form(spec, 1.0)
-    r0, r1 = _radicand(f0, 0.0), _radicand(f1, 0.0)
-    b = [(y - x, x) for x, y in zip(r0.coeffs(), r1.coeffs())]
-    s = f0.sigma.coeffs()
+    s, b, gap_slope, tau_slope = _affine_data(spec) if affine is None else affine
     m = 2 * n + 1
-    c = m * _half_gap(f0).c1 + n * f0.tau_tilde.c1 + n * (n - 1) * s[2]
+    c = m * gap_slope + n * tau_slope + n * (n - 1) * s[2]
     value = _resultant(s, b, c, m, -1.0)
     scale = _resultant([abs(v) for v in s], [(abs(x), abs(y)) for x, y in b], abs(c), m, 1.0)
     value = [v if abs(v) > _COEFF_TOL * t else 0j for v, t in zip(value, scale)]
@@ -440,9 +450,9 @@ def _polished(spec: PotentialSpec, n: int, dpoly: tuple, e: float):
     return best if best_r <= _F_TOL else None
 
 
-def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
+def solve_level(spec: PotentialSpec, n: int, affine: tuple | None = None) -> tuple[complex, NUTrace]:
     """Energy of level n with its trace, from the real roots of P_n
-    (termination_poly).
+    (termination_poly, which reads affine).
 
     Each real root is polished on the branch where F_n vanishes; every
     branch whose F_n residual is at most _F_TOL there is a candidate, and
@@ -454,7 +464,7 @@ def solve_level(spec: PotentialSpec, n: int) -> tuple[complex, NUTrace]:
     """
     if n < 0:
         raise ValueError("level n must be >= 0")
-    poly = termination_poly(spec, n)
+    poly = termination_poly(spec, n, affine)
     dpoly = tuple((len(poly) - 1 - i) * a for i, a in enumerate(poly[:-1]))
     found, weighed = [], []
     for root in poly_roots(poly):
@@ -481,8 +491,10 @@ class NumericSpectrum(NamedTuple):
 
 def solve_spectrum_numeric(spec: PotentialSpec, n_max: int) -> NumericSpectrum:
     """Energies for n = 0..n_max from the numeric pipeline, each with the
-    trace of its accepted branch."""
-    levels = [solve_level(spec, n) for n in range(n_max + 1)]
+    trace of its accepted branch.  The forms every P_n reads are built
+    once for all levels."""
+    affine = _affine_data(spec) if n_max >= 0 else None
+    levels = [solve_level(spec, n, affine) for n in range(n_max + 1)]
     return NumericSpectrum([(n, e) for n, (e, _) in enumerate(levels)], [t for _, t in levels])
 
 

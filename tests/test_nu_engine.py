@@ -471,7 +471,8 @@ class TestSolveSpectrum:
     @pytest.mark.parametrize("spec, forms", [(trig(), 40), (MR_DEEP, 26)])
     def test_forms_built_per_spectrum(self, monkeypatch, spec, forms):
         # the deterministic count behind the pipeline's wall time: two forms
-        # for P_n and the polishing forms of each real root, n = 0..5
+        # for P_n and the polishing forms of each real root, n = 0..5 solved
+        # one level at a time; a spectrum builds the two P_n forms once
         calls = []
         real = nu_engine.build_form
 
@@ -480,8 +481,13 @@ class TestSolveSpectrum:
             return real(spec, energy)
 
         monkeypatch.setattr(nu_engine, "build_form", counted)
-        solve_spectrum_numeric(spec, 5)
+        levels = [solve_level(spec, n) for n in range(6)]
         assert len(calls) == forms
+        calls.clear()
+        res = solve_spectrum_numeric(spec, 5)
+        assert len(calls) == forms - 2 * 5
+        assert res.entries == [(n, e) for n, (e, _) in enumerate(levels)]
+        assert [nu_engine.trace_to_dict(t) for t in res.traces] == [nu_engine.trace_to_dict(t) for _, t in levels]
 
     def test_trace_records_level_and_branch(self):
         _, trace = solve_level(trig(), 1)
