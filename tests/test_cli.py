@@ -530,8 +530,9 @@ class TestDeterminismAndRoundTrip:
 
 
 def test_spectrum_trace_and_profile_do_not_load_scipy():
-    # spectrum and trace run on the standard library alone; profile adds
-    # NumPy; only verify needs the oracle, and with it scipy.linalg
+    # spectrum and trace run on the standard library alone, without
+    # dataclasses or inspect; profile adds NumPy; only verify needs the
+    # oracle, and with it scipy.linalg
     import subprocess
     import sys
 
@@ -540,19 +541,19 @@ import contextlib, io, sys
 import ptspec.cli
 from ptspec.cli import _PRESETS
 
-def loaded(top):
-    return sorted(m for m in sys.modules if m.split(".")[0] == top)
+def loaded(*tops):
+    return sorted(m for m in sys.modules if m.split(".")[0] in tops)
 
 trig = ["spectrum", "--family", "trig-scarf", "--A", "-2", "--q", "2", "--variant"]
 with contextlib.redirect_stdout(io.StringIO()):
-    assert loaded("numpy") == [], "import ptspec.cli"
+    assert loaded("numpy", "dataclasses", "inspect") == [], "import ptspec.cli"
     for argv in (
         *(["spectrum", "--preset", p] for p in sorted(_PRESETS)),
         *(trig + [v] for v in ("base", "pt", "qpt", "nonpt")),
         ["spectrum", "--preset", "fig7", "--format", "csv"],
     ):
         assert ptspec.cli.main(argv) == 0, argv
-    assert loaded("numpy") == [], "spectrum"
+    assert loaded("numpy", "dataclasses", "inspect") == [], "spectrum"
     for argv in (
         ["trace", "--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1"],
         ["profile", "--preset", "fig1", "--format", "csv"],
@@ -571,12 +572,13 @@ print("ok")
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
     assert "ptspec.spectra" in imported
-    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+    assert [m for m in imported if m.split(".")[0] in ("numpy", "dataclasses", "inspect")] == []
 
 
 def test_trace_does_not_load_numpy():
-    # the NU engine works on tuples of Python complex numbers, so a trace of
-    # each family, of a preset and of a raw form runs without NumPy
+    # the NU engine works on tuples of Python complex numbers and its records
+    # are NamedTuples, so a trace of each family, of a preset and of a raw
+    # form runs without NumPy, dataclasses or inspect
     import subprocess
     import sys
 
@@ -594,7 +596,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         (["trace", "--form-json", {str(form)!r}], 3),
     ):
         assert ptspec.cli.main(argv) == code, argv
-print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")) or "ok")
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "dataclasses", "inspect"))) or "ok")
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -605,4 +607,4 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")) or 
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
     assert "ptspec.nu_engine" in imported
-    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+    assert [m for m in imported if m.split(".")[0] in ("numpy", "dataclasses", "inspect")] == []

@@ -28,7 +28,9 @@ session has loaded counts.
 
 NumPy is imported at module level only by `oracle` and `wavefunctions`;
 the other modules import it inside the functions that take or build
-arrays, so that `spectrum` and `trace` run without it.
+arrays, so that `spectrum` and `trace` run without it.  The same two
+modules alone import `dataclasses`, whose `inspect` NumPy loads anyway;
+the records of the other modules are NamedTuples.
 """
 
 from __future__ import annotations
@@ -273,11 +275,14 @@ def test_the_oracle_loads_only_scipy_linalg():
     assert {s for s in subpackages if s not in ("linalg", "version") and not s.startswith("_")} == set()
 
 
-def _import_sites(top: str) -> list[tuple[str, bool]]:
-    """(file, at module level) of every statement that imports package top."""
+def _import_sites(top: str, sources: dict[str, str] | None = None) -> list[tuple[str, bool]]:
+    """(file, at module level) of every statement of sources (file name ->
+    text; the package's modules by default) that imports package top."""
+    if sources is None:
+        sources = {path.name: path.read_text() for path in MODULES}
     found = []
-    for path in MODULES:
-        tree = ast.parse(path.read_text())
+    for name, source in sources.items():
+        tree = ast.parse(source)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 mods = [a.name for a in node.names]
@@ -286,7 +291,7 @@ def _import_sites(top: str) -> list[tuple[str, bool]]:
             else:
                 continue
             if any(m.split(".")[0] == top for m in mods):
-                found.append((path.name, node in tree.body))
+                found.append((name, node in tree.body))
     return found
 
 
@@ -300,3 +305,19 @@ def test_numpy_is_imported_at_module_level_of_the_array_modules_only():
     # so that a cold `spectrum` or `trace` loads no NumPy
     at_top = {name for name, top in _import_sites("numpy") if top}
     assert at_top == {"oracle.py", "wavefunctions.py"}
+
+
+def test_the_check_finds_a_dataclasses_import():
+    sources = {
+        "a.py": "from dataclasses import dataclass, replace\n",
+        "b.py": "import typing\ndef f():\n    import dataclasses\n    return dataclasses\n",
+        "c.py": "from typing import NamedTuple\nfrom .records import dataclasses\n",
+    }
+    assert _import_sites("dataclasses", sources) == [("a.py", True), ("b.py", False)]
+
+
+def test_dataclasses_is_imported_by_the_array_modules_only():
+    # the records of every other module are NamedTuples: `dataclasses`
+    # brings `inspect`, `ast`, `dis` and `tokenize`, which NumPy loads anyway
+    assert {name for name, _ in _import_sites("dataclasses")} == {"oracle.py", "wavefunctions.py"}
+    assert _import_sites("inspect") == []
