@@ -43,7 +43,7 @@ class SpectrumResult(NamedTuple):
     reality_flag: RealityFlag
     conditions: RealityConditions | None
     convention_note: str
-    warnings: tuple | list = ()  # () when the form states none
+    warnings: tuple | list = ()  # formula-validity warnings
     alt_entries: list | None = None  # second sign candidate where published
 
     def energies(self):
