@@ -25,8 +25,9 @@ projection.  Outputs are deterministic (sorted keys, no timestamps) and
 written atomically.
 
 Dependencies: `spectrum` and `trace` run on the standard library alone and
-load no NumPy; `profile` loads NumPy; `verify` loads NumPy and
-`scipy.linalg`.  Each command imports what it needs when it runs.
+load no NumPy; `profile` loads NumPy; `verify` loads NumPy and SciPy's
+LAPACK extension alone, not the `scipy.linalg` package.  Each command
+imports what it needs when it runs.
 
 Potential-spec JSON schema (accepted by --spec-json and embedded in every
 output under "spec"): {"family": str, "variant": str, "params": {"A"|"B"|
@@ -204,7 +205,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import oracle  # SciPy's linalg: only verify needs it
+    from . import oracle  # SciPy's LAPACK routines: only verify needs them
 
     spec = _build_spec(args)
     domain = _domain(spec, args.L, args.given)

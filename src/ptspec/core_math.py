@@ -179,6 +179,16 @@ class _JacobiFields(NamedTuple):
     n: int
 
 
+def checked_make(cls, fields):
+    """`_make` for a record whose constructor checks its fields: the field
+    count that NamedTuple's own `_make` checks, then the constructor, which
+    `_replace` then runs too, since it calls `_make`."""
+    fields = tuple(fields)
+    if len(fields) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(fields)}")
+    return cls(*fields)
+
+
 class JacobiIndex(_JacobiFields):
     """Index pair (nu1, nu2) and level n of a Jacobi polynomial.
 
@@ -186,7 +196,7 @@ class JacobiIndex(_JacobiFields):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         idx = super().__new__(cls, *args, **kwargs)

@@ -36,15 +36,27 @@ inverse-iteration residual.  Five eigenvalues drawn at random take
 the inverse-iteration check on either grid kind: on a complex grid as a
 witness independent of the recurrence, on a real grid as its whole
 certification.
+
+The oracle calls three LAPACK routines: `dsterf` and `dstebz` for real
+tridiagonals, and `zgtsv` for the banded solves of inverse iteration.  It
+takes them from SciPy's LAPACK extension, `scipy.linalg._flapack`, which
+`_load_flapack` loads from its file alone, so that `scipy.linalg`'s
+`__init__` never runs: it loads `scipy._lib`, and through it `numpy.f2py`,
+which cost a cold `verify` more than its solves.  Each call passes the
+arguments, and makes the checks, of `scipy.linalg.eigvalsh_tridiagonal`
+and `solve_banded`, so every eigenvalue has the bits those functions give.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .core_math import complex_json
 from .errors import QRNotConverged, SingularityError
@@ -61,6 +73,98 @@ _ABERTH_SWEEPS = 200
 # quarter of the size, which keeps them in cache.
 _BLOCK = 1 << 16
 _CERTIFY_BLOCK = _BLOCK >> 2
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_from_file():
+    """`scipy.linalg._flapack`, loaded from its file in the installed
+    `scipy` package, which is found without being imported.  Raises
+    ImportError if there is no such file or it does not load.
+
+    A single-phase extension enters sys.modules as it is created; what was
+    there before is put back, so that a later `import scipy.linalg` loads
+    the module as its own."""
+    scipy = importlib.util.find_spec("scipy")
+    paths = [
+        os.path.join(where, "linalg", "_flapack" + suffix)
+        for where in (scipy.submodule_search_locations if scipy else ())
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no file for {_FLAPACK}")
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    held = sys.modules.get(_FLAPACK)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if held is None:
+            sys.modules.pop(_FLAPACK, None)
+        else:
+            sys.modules[_FLAPACK] = held
+    return module
+
+
+def _load_flapack():
+    """SciPy's LAPACK extension: from its file, or where that fails, from
+    `scipy.linalg`, whose `_flapack` has the same routines.  Only how the
+    module is obtained differs; every caller runs the same code."""
+    try:
+        return _flapack_from_file()
+    except ImportError:
+        from scipy.linalg import _flapack  # runs scipy.linalg's __init__
+
+        return _flapack
+
+
+_flapack = _load_flapack()
+
+
+def _check_info(info: int, routine: str, failure: str) -> None:
+    """SciPy's check of a LAPACK info: ValueError for an illegal argument
+    (negative), LinAlgError for a failure (positive)."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine}: {failure} (LAPACK info={info})")
+
+
+def _sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Every eigenvalue, ascending, of the real symmetric tridiagonal with
+    diagonal d and off-diagonal e, by LAPACK `dsterf`:
+    `eigvalsh_tridiagonal(d, e, lapack_driver="sterf")`, whose check that
+    d and e are finite it keeps."""
+    w, info = _flapack.dsterf(np.asarray_chkfinite(d), np.asarray_chkfinite(e))
+    _check_info(info, "dsterf", "did not converge")
+    return w
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, select: str, lo, hi) -> np.ndarray:
+    """The eigenvalues, ascending, of the real symmetric tridiagonal with
+    diagonal d and off-diagonal e in (lo, hi] (select "v") or with the
+    0-based indices lo to hi (select "i"), by LAPACK `dstebz` bisection:
+    `eigvalsh_tridiagonal(d, e, select, (lo, hi), lapack_driver="stebz")`,
+    which passes 1-based indices and an absolute tolerance of 0."""
+    by_index = select == "i"
+    vl, vu, il, iu = (0.0, 1.0, lo + 1, hi + 1) if by_index else (lo, hi, 1, 1)
+    m, w, _, _, info = _flapack.dstebz(
+        np.asarray_chkfinite(d), np.asarray_chkfinite(e), 2 if by_index else 1, vl, vu, il, iu, 0.0, "E"
+    )
+    _check_info(info, "dstebz", "did not converge")
+    return w[:m]
+
+
+def solve_banded(band: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with T x = b, T the complex tridiagonal whose superdiagonal,
+    diagonal and subdiagonal are the rows of band, by one LAPACK `zgtsv`
+    call: that of `scipy.linalg.solve_banded((1, 1), band, b,
+    overwrite_b=True)`, which copies band and overwrites b.  Raises
+    LinAlgError if T is singular.  The benchmark counts the calls by this
+    name."""
+    *_, x, info = _flapack.zgtsv(band[2, :-1], band[1], band[0, 1:], b, overwrite_b=True)
+    _check_info(info, "zgtsv", "singular matrix")
+    return x
 
 
 class GridHamiltonian(NamedTuple):
@@ -149,7 +253,7 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
         v = rng.random(2 * m * n).view(complex)
         for _ in range(3):
             try:
-                v = solve_banded((1, 1), band[:, : m * n], v, overwrite_b=True, check_finite=False)
+                v = solve_banded(band[:, : m * n], v)
             except np.linalg.LinAlgError:
                 break
         v = v.reshape(m, n)
@@ -295,7 +399,7 @@ def _aberth_start(d: np.ndarray, b: float, tiny: float) -> np.ndarray:
     is d_mu log p + i d_t log p.  A start value that is not finite falls
     back to mu_j + i mean(Im d).
     """
-    mu = eigvalsh_tridiagonal(d.real, np.full(len(d) - 1, b), lapack_driver="sterf")
+    mu = _sterf(d.real, np.full(len(d) - 1, b))
     with np.errstate(all="ignore"):  # a value that is not finite takes the fallback
         g, _ = _recurrence_log_derivative(d.real, b * b, mu, tiny, -1.0 + 1j * d.imag)
         c = -g.imag / g.real
@@ -362,18 +466,18 @@ def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float,
     off = np.full(n - 1, b)
     whole = more >= n or (more > 0 and below >= float(np.max(d)) + 2.0 * abs(b))
     if lowest is None or lowest >= n or below == math.inf or whole:
-        return eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
+        return _sterf(d, off)
     eigs = np.empty(0)
     if below > -math.inf:
-        eigs = eigvalsh_tridiagonal(d, off, select="v", select_range=(-math.inf, below), lapack_driver="stebz")
+        eigs = _stebz(d, off, "v", -math.inf, below)
     if more:
         top = max(lowest, len(eigs) + more)
         if top >= n:
-            return eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
-        above = eigvalsh_tridiagonal(d, off, select="i", select_range=(len(eigs), top - 1), lapack_driver="stebz")
+            return _sterf(d, off)
+        above = _stebz(d, off, "i", len(eigs), top - 1)
         eigs = np.concatenate([eigs, above])
     elif len(eigs) < lowest:
-        eigs = eigvalsh_tridiagonal(d, off, select="i", select_range=(0, lowest - 1), lapack_driver="stebz")
+        eigs = _stebz(d, off, "i", 0, lowest - 1)
     return eigs
 
 

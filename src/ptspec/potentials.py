@@ -16,7 +16,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .core_math import canonical_json, complex_json
+from .core_math import canonical_json, checked_make, complex_json
 from .errors import SingularityError, UnsupportedTransform
 from .families import FAMILIES, Family, Variant, variant_form
 
@@ -52,7 +52,7 @@ class PotentialSpec(_SpecFields):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         spec = super().__new__(cls, *args, **kwargs)
@@ -160,7 +160,7 @@ class DomainSpec(_DomainFields):
     is truncated at right (and, on the full line, at left)."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs):
         domain = super().__new__(cls, *args, **kwargs)

@@ -544,7 +544,8 @@ class TestDeterminismAndRoundTrip:
 def test_spectrum_trace_and_profile_do_not_load_scipy():
     # spectrum and trace run on the standard library alone, without
     # dataclasses or inspect; profile adds NumPy; only verify needs the
-    # oracle, and with it scipy.linalg
+    # oracle, which loads SciPy's LAPACK extension from its file, with no
+    # scipy.linalg package, no scipy._lib and no numpy.f2py
     import subprocess
     import sys
 
@@ -573,6 +574,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert ptspec.cli.main(argv) == 0, argv
     assert loaded("scipy") == [], "trace and profile"
     assert ptspec.cli.main(["verify", "--family", "trig-scarf", "--A", "-2", "--N", "400"]) == 0
+    heavy = ("scipy.linalg", "scipy._lib", "numpy.f2py")
+    assert [m for m in loaded("scipy", "numpy") if ".".join(m.split(".")[:2]) in heavy] == [], "verify"
 print("ok")
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)

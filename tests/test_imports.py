@@ -21,10 +21,12 @@ variants apart is looked up there (a `Base` scope check, and a table that
 names a variant without comparing, are allowed).
 
 SciPy is the largest cost of a cold start.  Only `ptspec.oracle` may
-import it, and from it only `scipy.linalg`, at module level; every other
-module, eigenfunction normalization included, runs without it.  The
-import checks run in fresh interpreters, so that nothing this test
-session has loaded counts.
+load it, and from it only the LAPACK extension `scipy.linalg._flapack`,
+from its file, with no SciPy package's `__init__`; every other module,
+eigenfunction normalization included, runs without it.  No module names
+a SciPy module but the oracle's loader, whose one import statement is the
+fallback for a file that does not load.  The import checks run in fresh
+interpreters, so that nothing this test session has loaded counts.
 
 NumPy is imported at module level only by `oracle` and `wavefunctions`;
 the other modules import it inside the functions that take or build
@@ -35,6 +37,7 @@ arrays, so that `spectrum` and `trace` run without it.  No module imports
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -235,7 +238,7 @@ def test_variant_rules_are_read_from_the_family_table(path):
 _LOADED_SCIPY = """
 import pkgutil, sys
 import ptspec
-names = [m.name for m in pkgutil.iter_modules(ptspec.__path__) if {with_oracle} or m.name != "oracle"]
+names = [m.name for m in pkgutil.iter_modules(ptspec.__path__) if m.name != "oracle"]
 for name in names:
     __import__("ptspec." + name)
 from ptspec import nu_engine, wavefunctions
@@ -249,30 +252,45 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _loaded_scipy(with_oracle: bool) -> tuple[list[str], list[str]]:
-    """The package modules imported, and the SciPy modules loaded, by a
-    fresh interpreter that imports them and normalizes trig A=-2, n=1."""
-    script = _LOADED_SCIPY.format(with_oracle=with_oracle)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+def test_only_the_oracle_loads_scipy():
+    # a fresh interpreter imports every module but the oracle and
+    # normalizes trig A=-2, n=1
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     names, loaded = proc.stdout.split("\n")[:2]
-    return names.split(), loaded.split()
+    assert sorted(names.split()) == sorted(p.stem for p in MODULES if p.stem != "oracle")
+    assert loaded.split() == []
 
 
-def test_only_the_oracle_loads_scipy():
-    names, loaded = _loaded_scipy(with_oracle=False)
-    assert sorted(names) == sorted(p.stem for p in MODULES if p.stem != "oracle")
-    assert loaded == []
+_COLD_VERIFY = """
+import contextlib, io, sys
+import numpy as np
+import ptspec.cli
+from ptspec import oracle
+argvs = (["--family", "trig-scarf", "--A", "-2", "--N", "400"], ["--preset", "fig7", "--N", "200"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [ptspec.cli.main(["verify", *argv]) for argv in argvs]
+print(" ".join(map(str, codes)))
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy"))))
+import scipy.linalg
+d, e = np.linspace(-1.0, 1.0, 60), np.full(59, 0.5)
+want = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+print(oracle._sterf(d, e).tobytes() == want.tobytes(), scipy.linalg._flapack.dsterf is not None)
+"""
 
 
-def test_the_oracle_loads_only_scipy_linalg():
-    # scipy's core (`scipy`, `scipy.version`, private top-level modules) and
-    # `_lib` come with any SciPy import; no other subpackage may load
-    names, loaded = _loaded_scipy(with_oracle=True)
-    assert "oracle" in names
-    assert "scipy.linalg" in loaded
-    subpackages = {m.split(".")[1] for m in loaded if "." in m}
-    assert {s for s in subpackages if s not in ("linalg", "version") and not s.startswith("_")} == set()
+def test_a_cold_verify_loads_no_scipy_linalg():
+    # the oracle loads SciPy's LAPACK extension from its file: no
+    # scipy.linalg package, no scipy._lib (which loads numpy.f2py) and no
+    # numpy.f2py, real and complex.  A later `import scipy.linalg` still
+    # works, gives the oracle's bits and has its `_flapack` as an attribute
+    proc = subprocess.run([sys.executable, "-c", _COLD_VERIFY], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, same = proc.stdout.split("\n")[:3]
+    assert codes == "0 2"
+    heavy = ("scipy.linalg", "scipy._lib", "numpy.f2py")
+    assert [m for m in loaded.split() if ".".join(m.split(".")[:2]) in heavy] == []
+    assert same == "True True"
 
 
 def _import_sites(top: str, sources: dict[str, str] | None = None) -> list[tuple[str, bool]]:
@@ -295,9 +313,49 @@ def _import_sites(top: str, sources: dict[str, str] | None = None) -> list[tuple
     return found
 
 
-def test_scipy_is_imported_at_module_level_of_the_oracle_only():
-    # a deferred import would move the cost into the first timed call
-    assert _import_sites("scipy") == [("oracle.py", True)]
+_SCIPY_NAME = re.compile(r"scipy(\.\w+)*")
+
+
+def scipy_names(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, or "" at module level; module) for each statement
+    of source that imports a SciPy module, and each string that is the
+    dotted name of one, as importlib and __import__ take it."""
+    found = []
+    for node, scopes in _with_scopes(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module] if node.level == 0 else []
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _SCIPY_NAME.fullmatch(node.value):
+            mods = [node.value]
+        else:
+            continue
+        where = getattr(scopes[-1], "name", "<lambda>") if scopes else ""
+        found += [(where, m) for m in mods if m.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_check_finds_a_scipy_name():
+    source = (
+        "import scipy.linalg\n"
+        "def f():\n    from scipy.sparse import csr_matrix\n    return importlib.import_module('scipy.fft')\n"
+        "g = lambda: __import__('scipy')\n"
+        "from .scipy import x\ndoc = 'see scipy.linalg.solve'\n"
+    )
+    assert scipy_names(source) == [("", "scipy.linalg"), ("f", "scipy.sparse"), ("f", "scipy.fft"), ("<lambda>", "scipy")]
+
+
+def test_only_the_oracle_loader_names_scipy():
+    # the loader finds the `scipy` package, which it does not import, and
+    # loads `scipy.linalg._flapack` from its file.  Its fallback, for a file
+    # that does not load, is the one SciPy import statement: a deferred
+    # one, but it runs as the oracle is imported, not in a timed call.  An
+    # import of scipy.linalg, or of any other SciPy package, runs that
+    # package's __init__, 0.2 s cold for scipy.linalg
+    found = {path.name: sorted(scipy_names(path.read_text())) for path in MODULES}
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "oracle.py": [("", "scipy.linalg._flapack"), ("_flapack_from_file", "scipy"), ("_load_flapack", "scipy.linalg")]
+    }
 
 
 def test_numpy_is_imported_at_module_level_of_the_array_modules_only():

@@ -1,11 +1,16 @@
+import importlib.machinery
+import importlib.util
 import json
 import math
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded, svdvals
 from scipy.optimize import linear_sum_assignment
 
@@ -128,10 +133,11 @@ def banded_solves(monkeypatch):
     """The band width, in columns, of each solve_banded call the oracle
     makes: N per eigenvalue checked."""
     widths = []
+    solve = oracle.solve_banded
 
-    def counted(l_and_u, ab, b, **kwargs):
-        widths.append(ab.shape[1])
-        return solve_banded(l_and_u, ab, b, **kwargs)
+    def counted(band, b):
+        widths.append(band.shape[1])
+        return solve(band, b)
 
     monkeypatch.setattr(oracle, "solve_banded", counted)
     return widths
@@ -509,14 +515,19 @@ _THRESHOLD_GRIDS = {
 
 @pytest.fixture
 def lapack_drivers(monkeypatch):
-    """The LAPACK driver of each eigvalsh_tridiagonal call the oracle makes."""
+    """The LAPACK driver of each real tridiagonal solve the oracle makes."""
     drivers = []
+    lapack = oracle._flapack
 
-    def counted(*args, **kwargs):
-        drivers.append(kwargs.get("lapack_driver"))
-        return eigvalsh_tridiagonal(*args, **kwargs)
+    def counted(name):
+        def call(*args):
+            drivers.append(name[1:])
+            return getattr(lapack, name)(*args)
 
-    monkeypatch.setattr(oracle, "eigvalsh_tridiagonal", counted)
+        return call
+
+    routines = SimpleNamespace(dsterf=counted("dsterf"), dstebz=counted("dstebz"), zgtsv=lapack.zgtsv)
+    monkeypatch.setattr(oracle, "_flapack", routines)
     return drivers
 
 
@@ -1107,3 +1118,87 @@ class TestConvergenceStudy:
             vals[L] = [lv.extrapolated.real for lv in rep.levels]
         for a, b in zip(vals[12.0], vals[16.0]):
             assert abs(a - b) <= 1e-4 * abs(b)
+
+
+# the grid of a cold trig A = -2 verify, and fig7, a complex grid whose real
+# part the Aberth start solves by dsterf, at verify's default L
+def _lapack_grid(name):
+    if name == "trig":
+        spec, N = PotentialSpec(family=Family.TrigScarf, A=-2.0), 3000
+    else:
+        spec, N = PotentialSpec(**_PRESETS["fig7"][0]), 800
+    return discretize(spec, default_domain(spec, L=12.0), N)
+
+
+@pytest.fixture(params=["file", "missing", "unloadable"])
+def lapack_route(request, monkeypatch, tmp_path):
+    """The oracle's LAPACK module as it loads from its file, or as the
+    fallback gives it where the file is not found or does not load."""
+    if request.param != "file":
+        if request.param == "unloadable":
+            (tmp_path / "linalg").mkdir()
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(b"not an extension")
+        held = dict(sys.modules)
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.util, "find_spec", lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+            with pytest.raises(ImportError):
+                oracle._flapack_from_file()
+            module = oracle._load_flapack()
+        assert module is scipy.linalg._flapack and sys.modules == held
+        monkeypatch.setattr(oracle, "_flapack", module)
+    return request.param
+
+
+class TestLapackRoutes:
+    """The oracle's LAPACK calls give the bits of the scipy.linalg functions
+    whose calls they repeat, by either route to the module."""
+
+    @pytest.mark.parametrize("name", ["trig", "fig7"])
+    def test_tridiagonal_eigenvalues_keep_their_bits(self, lapack_route, name):
+        H = _lapack_grid(name)
+        d, b = H.diagonal.real, H.offdiagonal
+        off = np.full(H.N - 1, b)
+        whole = eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
+        assert _same_bits(oracle._real_eigenvalues(d, b, None, -math.inf), whole)
+        below = 0.5 * (whole[39] + whole[40])
+        by_value = eigvalsh_tridiagonal(d, off, select="v", select_range=(-math.inf, below), lapack_driver="stebz")
+        assert len(by_value) == 40
+        assert _same_bits(oracle._real_eigenvalues(d, b, 6, below), by_value)
+        by_index = eigvalsh_tridiagonal(d, off, select="i", select_range=(40, 59), lapack_driver="stebz")
+        assert _same_bits(oracle._real_eigenvalues(d, b, 6, below, more=20)[40:], by_index)
+
+    @pytest.mark.parametrize("name", ["trig", "fig7"])
+    def test_a_certify_block_keeps_its_bits(self, lapack_route, name, monkeypatch):
+        # fig7 hands every bound over, so the five witnesses make the block
+        H = _lapack_grid(name)
+        if H.is_real:
+            eigs, bounds = oracle._real_eigenvalues(H.diagonal.real, H.offdiagonal, None, -math.inf), None
+        else:
+            eigs, bounds = oracle._aberth(H.diagonal, H.offdiagonal)
+        solve, widths = oracle.solve_banded, []
+
+        def both(band, b):
+            want = solve_banded((1, 1), band, b.copy(), overwrite_b=True, check_finite=False)
+            got = solve(band, b)
+            assert _same_bits(got, want)
+            widths.append(band.shape[1])
+            return got
+
+        monkeypatch.setattr(oracle, "solve_banded", both)
+        oracle._certify(H, eigs.astype(complex), bounds)
+        assert widths == [5 * H.N] * 3
+
+    def test_a_singular_solve_raises_linalg_error(self):
+        band = np.zeros((3, 4), dtype=complex)
+        band[1] = [1.0, 2.0, 0.0, 3.0]
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            oracle.solve_banded(band, np.ones(4, dtype=complex))
+
+    def test_a_diagonal_that_is_not_finite_is_refused(self):
+        # the check_finite=True of eigvalsh_tridiagonal
+        d, e = np.array([1.0, math.nan, 2.0]), np.ones(2)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            oracle._sterf(d, e)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            oracle._stebz(d, e, "i", 0, 1)

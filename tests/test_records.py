@@ -213,6 +213,16 @@ def test_replace_and_make_run_the_checks(cls, changes, why):
         cls._make({**valid._asdict(), **changes}.values())
 
 
+@pytest.mark.parametrize("cls", [PotentialSpec, DomainSpec, JacobiIndex], ids=lambda cls: cls.__name__)
+def test_make_refuses_a_wrong_field_count(cls):
+    # as NamedTuple's own _make does; the constructor would fill a missing
+    # trailing field with its default
+    fields = tuple(_VALID[cls])
+    for wrong in (fields[:-1], (*fields, fields[-1])):
+        with pytest.raises(TypeError, match=f"Expected {len(fields)} arguments, got {len(wrong)}"):
+            cls._make(wrong)
+
+
 @pytest.mark.parametrize(
     "changes, why",
     [
