@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -221,13 +222,16 @@ def cmd_verify(args) -> int:
         if abs(e_f - lam) > bound:
             failures.append({"n": n, "abs_err": abs(e_f - lam), "bound": bound})
     matched = match.to_dict()
+    conjugation = conj.to_dict()
+    if math.isfinite(study.reach):  # the report covers a window of a complex grid
+        conjugation["below"] = study.reach
     payload = {
         "spec": spec.to_dict(),
         "domain": {"left": domain.left, "right": domain.right, "kind": domain.kind.value},
         "N": args.N,
         "threshold": matched["threshold"],
         "match": matched,
-        "conjugation": conj.to_dict(),
+        "conjugation": conjugation,
         "convergence": study.to_dict(),
         "failures": failures,
     }

@@ -6,30 +6,39 @@ Richardson study on two grids, the match of each list of levels and the
 conjugation report, the last two by one greedy nearest-unused matcher.
 
 Every grid is solved on its tridiagonal, with no N x N matrix and no size
-cap, in O(N) memory.  A real symmetric grid is solved only for the
-eigenvalues `verify_levels` reads: the convergence study asks each coarse
-grid for its lowest levels, and the finest grid for every eigenvalue below
-the continuum threshold or, on a form with no threshold, for the window
-that covers the energies it matches.  Those come from Sturm-sequence
-bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK
-`dstebz`), k eigenvalues in O(N k).  `verify` solves no real grid whole;
-where a caller asks for every eigenvalue, LAPACK `dsterf` gives all N in
-O(N^2).
-A complex symmetric grid is always solved whole, by the Ehrlich-Aberth
-iteration of Bini, Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27
-(2005) 153-175).  It starts from the first-order eigenvalues of the grid
-in its imaginary part: the eigenvalues mu_j of the real part, from
-`dsterf`, each moved by i v_j^T diag(Im d) v_j, which one more pass of the
-recurrence below gives with no eigenvector.  A sweep takes its Newton
-ratios from the three-term recurrence, N Python steps over all roots at
-once, until fewer than N/8 roots are left; then from odd-even cyclic
-reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627-656),
-log2 N steps, which makes the slow tail of nearly multiple roots cheap.
+cap, in O(N) memory, and only for the eigenvalues `verify_levels` reads: the
+convergence study asks each coarse grid for its lowest levels, and the
+finest grid for every eigenvalue below the continuum threshold or, on a form
+with no threshold, for the window that covers the energies it matches.  A
+Sturm count at the window's top energy sizes the window before anything is
+solved, and a window of more than N/16 eigenvalues, on either grid kind, is
+solved whole instead (`_window_size`).
+A real symmetric grid's window comes from Sturm-sequence bisection (Barth,
+Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK `dstebz`), k
+eigenvalues in O(N k); a whole one from LAPACK `dsterf`, all N in O(N^2).
+A complex symmetric grid is solved by the Ehrlich-Aberth iteration of Bini,
+Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27 (2005) 153-175).  It
+starts from the first-order eigenvalues of the grid in its imaginary part:
+the eigenvalues mu_j of the real part, each moved by i v_j^T diag(Im d)
+v_j, which one more pass of the recurrence below gives with no eigenvector.
+A window starts from the lowest mu_j alone, from `dstebz`, and its Aberth
+correction sums over its own roots; a count by the argument principle
+(Delves & Lyness, Math. Comp. 21 (1967) 543-560) around a rectangle that
+the field of values bounds then proves that the roots left of its right
+side R are every eigenvalue there, and R lies above all that the study
+reads of the grid.  Where no count proves a window, nor one of twice its
+starts, the grid is solved whole, from all N mu_j, from `dsterf`.  A sweep
+takes its Newton ratios from the three-term recurrence, N Python steps over
+all roots at once, until fewer than N/8 roots are left; then from odd-even
+cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
+627-656), log2 N steps, which makes the slow tail of nearly multiple roots
+and a window's sweeps cheap.
 The recurrence checks no pivot in its rows: an exactly zero one shows as a
-sum that is not finite, and only those z run again, with the pivot patched.
+sum that is not finite, and only those z run again, with the pivot patched,
+from the last state kept before it.
 Complex symmetric tridiagonal eigenproblems lack the guarantees of the
-Hermitian case, so every eigenvalue of a complex grid is certified: by a
-trace bound on its best residual, N |p/p'| + |step| from the sweep that
+Hermitian case, so every eigenvalue a complex grid returns is certified: by
+a trace bound on its best residual, N |p/p'| + |step| from the sweep that
 moved it last, so that certifying runs no sweep, or where that bound
 fails, is not a number, or that sweep met an exactly zero pivot, by an
 inverse-iteration residual.  Five eigenvalues drawn at random take
@@ -73,6 +82,16 @@ _ABERTH_SWEEPS = 200
 # quarter of the size, which keeps them in cache.
 _BLOCK = 1 << 16
 _CERTIFY_BLOCK = _BLOCK >> 2
+# A window of k eigenvalues is solved only while k <= N / _WINDOW_SHARE, for
+# both grid kinds.  Bisection costs some 17 `dsterf`s per eigenvalue, so a
+# real window costs less than a whole solve below about N/16; a complex
+# window takes 2k + 8 Aberth starts and a count, which cost less than a
+# whole solve below about N/8 starts.
+_WINDOW_SHARE = 16
+# Gauss-Legendre nodes per panel of a window's argument-principle count, and
+# how far that count may be from the number of window roots it proves.
+_PANEL_NODES = 16
+_COUNT_TOL = 1e-6
 _FLAPACK = "scipy.linalg._flapack"
 
 
@@ -264,21 +283,19 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
     return worst
 
 
-def _recurrence_sum(d: np.ndarray, b2: float, z: np.ndarray, tiny: float | None, w: np.ndarray) -> np.ndarray:
-    """The sum over the rows of u_k = r_k'/r_k, one step per row over all
-    of z, in place.  With `tiny` given, an exactly zero pivot becomes tiny;
-    with None, it divides as it is.
+def _recurrence_rows(
+    d: np.ndarray, w: np.ndarray, b2: float, z: np.ndarray, r: np.ndarray, u: np.ndarray, total: np.ndarray, tiny
+) -> None:
+    """Rows d, w of the recurrence, after the row that left r, u and total,
+    one step per row over all of z, in place on r, u and total.  With
+    `tiny` given, an exactly zero pivot becomes tiny; with None, it divides
+    as it is.
 
     t u goes to a buffer of its own: NumPy's complex multiply of a single
     element written over one of its operands does not round as its array
     loop does, and a rerun is often on one z."""
-    r = d[0] - z
-    if tiny is not None:
-        r[r == 0] = tiny
-    u = w[0] / r
-    total = u.copy()
     t, tu = np.empty_like(r), np.empty_like(u)
-    for dk, wk in zip(d[1:], w[1:]):
+    for dk, wk in zip(d, w):
         np.divide(b2, r, out=t)
         np.subtract(dk, t, out=r)
         np.subtract(r, z, out=r)
@@ -288,7 +305,6 @@ def _recurrence_sum(d: np.ndarray, b2: float, z: np.ndarray, tiny: float | None,
         np.add(tu, wk, out=tu)
         np.divide(tu, r, out=u)
         total += u
-    return total
 
 
 def _recurrence_log_derivative(
@@ -306,19 +322,63 @@ def _recurrence_log_derivative(
 
     The rows run with no check of their pivots.  Each divides by the pivot
     it forms, so an exactly zero pivot makes that z's sum inf or NaN, which
-    no later row makes finite.  The z whose sum is not finite, those and
-    any whose sum overflowed, are the mask, and the same loop runs again on
-    them alone with each exactly zero pivot made `tiny`, so that b2 = 0
-    gives no 0/0.  That is the sum a check in every row gives, to the bit;
-    a NaN `tiny` makes it NaN at each z that met one.
+    no later row makes finite.  Every isqrt(N) rows the state (r_k, u_k,
+    sum) of each z whose sum is still finite is kept: none of its pivots
+    was zero up to there.  The z whose sum is not finite, those and any
+    whose sum overflowed, are the mask, and each runs again from its last
+    kept state (`_recurrence_resume`) with each exactly zero pivot made
+    `tiny`, so that b2 = 0 gives no 0/0.  That is the sum a check in every
+    row gives, to the bit; a NaN `tiny` makes it NaN at each z that met one.
     """
-    w = np.full(len(d), -1.0) if w is None else w
+    n = len(d)
+    w = np.full(n, -1.0) if w is None else w
+    every = math.isqrt(n)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot is found by its sum
-        total = _recurrence_sum(d, b2, z, None, w)
+        r = d[0] - z
+        u = w[0] / r
+        total = u.copy()
+        kept_row = np.full(len(z), -1)
+        kept = (r.copy(), u.copy(), total.copy())
+        for row in range(0, n - 1, every):  # the last row run
+            fine = np.isfinite(total)
+            kept_row[fine] = row
+            for held, now in zip(kept, (r, u, total)):
+                held[fine] = now[fine]
+            _recurrence_rows(d[row + 1 : row + 1 + every], w[row + 1 : row + 1 + every], b2, z, r, u, total, None)
     hit = ~np.isfinite(total)
     if hit.any():
-        total[hit] = _recurrence_sum(d, b2, z[hit], tiny, w)
+        total[hit] = _recurrence_resume(d, b2, z[hit], tiny, w, every, kept_row[hit], *(a[hit] for a in kept))
     return total, hit
+
+
+def _recurrence_resume(
+    d: np.ndarray, b2: float, z: np.ndarray, tiny: float, w: np.ndarray, every: int,
+    row: np.ndarray, r: np.ndarray, u: np.ndarray, total: np.ndarray,
+) -> np.ndarray:
+    """The guarded sum at each z, resumed after its kept row, `row`, from
+    its kept state r, u and total (from row 0 where `row` is -1).  Rows run
+    once over all of z: each z joins at its own kept row, a multiple of
+    `every`.  Returns the sums in the order of z."""
+    fresh = row < 0
+    if fresh.any():
+        r0 = d[0] - z[fresh]
+        r0[r0 == 0] = tiny
+        r[fresh], u[fresh] = r0, w[0] / r0
+        total[fresh], row[fresh] = u[fresh], 0
+    order = np.argsort(row, kind="stable")
+    at = int(row[order[0]])
+    joined = order[row[order] == at]
+    zs, rs, us, ts = z[joined], r[joined], u[joined], total[joined]
+    while at < len(d) - 1:
+        _recurrence_rows(d[at + 1 : at + 1 + every], w[at + 1 : at + 1 + every], b2, zs, rs, us, ts, tiny)
+        at += every
+        joining = order[row[order] == at]
+        if len(joining):
+            joined = np.concatenate([joined, joining])
+            zs, rs, us, ts = (np.concatenate([a, b[joining]]) for a, b in ((zs, z), (rs, r), (us, u), (ts, total)))
+    out = np.empty_like(total)
+    out[joined] = ts
+    return out
 
 
 def _reduction_log_derivative(
@@ -387,19 +447,28 @@ def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> tupl
     return 1.0 / g, hit
 
 
-def _aberth_start(d: np.ndarray, b: float, tiny: float) -> np.ndarray:
-    """First-order eigenvalues mu_j + i c_j of T = T_0 + i diag(Im d), T_0
-    the real part of the tridiagonal with diagonal d and off-diagonal b.
+def _norm(d: np.ndarray, b: float) -> float:
+    """max|d| + 2|b|, the ||T||_max of `_certify`'s contract, for the
+    tridiagonal with diagonal d and constant off-diagonal b: the scale of
+    an Aberth solve's ulps."""
+    return float(np.max(np.abs(d))) + 2.0 * abs(b)
 
-    mu_j comes from `dsterf` on T_0, and c_j = v_j^T diag(Im d) v_j, v_j its
-    eigenvector, is -(d_t log p)/(d_mu log p) at t = 0 for p(mu, t) =
-    det(T_0 + t diag(Im d) - mu).  Both derivatives come from one recurrence
-    pass over all mu, with no eigenvector: T_0 and mu are real, so the
-    recurrence along w = -1 + i Im d keeps the parts of w apart, and its sum
-    is d_mu log p + i d_t log p.  A start value that is not finite falls
-    back to mu_j + i mean(Im d).
+
+def _aberth_start(d: np.ndarray, b: float, tiny: float, count: int | None = None) -> np.ndarray:
+    """First-order eigenvalues mu_j + i c_j of T = T_0 + i diag(Im d), T_0
+    the real part of the tridiagonal with diagonal d and off-diagonal b:
+    all N, or with `count`, those of the lowest `count` mu_j.
+
+    mu_j comes from `dsterf` on T_0, or for the lowest `count` from `dstebz`
+    by index, and c_j = v_j^T diag(Im d) v_j, v_j its eigenvector, is
+    -(d_t log p)/(d_mu log p) at t = 0 for p(mu, t) = det(T_0 + t diag(Im d)
+    - mu).  Both derivatives come from one recurrence pass over all mu, with
+    no eigenvector: T_0 and mu are real, so the recurrence along w = -1 +
+    i Im d keeps the parts of w apart, and its sum is d_mu log p + i d_t log
+    p.  A start value that is not finite falls back to mu_j + i mean(Im d).
     """
-    mu = _sterf(d.real, np.full(len(d) - 1, b))
+    off = np.full(len(d) - 1, b)
+    mu = _sterf(d.real, off) if count is None else _stebz(d.real, off, "i", 0, count - 1)
     with np.errstate(all="ignore"):  # a value that is not finite takes the fallback
         g, _ = _recurrence_log_derivative(d.real, b * b, mu, tiny, -1.0 + 1j * d.imag)
         c = -g.imag / g.real
@@ -407,15 +476,18 @@ def _aberth_start(d: np.ndarray, b: float, tiny: float) -> np.ndarray:
     return mu + 1j * c
 
 
-def _aberth(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues of the tridiagonal with diagonal d and constant
+def _aberth(d: np.ndarray, b: float, lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the tridiagonal with diagonal d and constant
     off-diagonal b, by Ehrlich-Aberth iteration, each with a trace bound on
-    its least singular value sigma_min(T - lambda).
+    its least singular value sigma_min(T - lambda): all N, from the
+    first-order eigenvalues of T in its imaginary part (`_aberth_start`), or
+    one root from each start of `lam`, which it overwrites.
 
-    Starts from the first-order eigenvalues of T in its imaginary part
-    (`_aberth_start`).  A sweep updates every unconverged approximation at
-    once; one stops when its step is at most a few ulps of ||H||.  Raises
-    QRNotConverged if any is left after _ABERTH_SWEEPS sweeps.
+    A sweep updates every unconverged approximation at once; one stops when
+    its step is at most a few ulps of ||H||.  The Aberth correction sums
+    over the roots being found, so a window of starts finds a window of
+    roots.  Raises QRNotConverged if any is left after _ABERTH_SWEEPS
+    sweeps.
 
     Each bound comes from the root's last sweep, which moved it from z to
     lambda = z - step: sigma_min(T - lambda) <= sigma_min(T - z) + |step|
@@ -425,11 +497,11 @@ def _aberth(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     pivot, gets NaN.
     """
     n = len(d)
-    ulp = np.finfo(float).eps * (float(np.max(np.abs(d))) + 2.0 * abs(b))
-    lam = _aberth_start(d, b, ulp)
-    bound = np.empty(n)
-    active = np.arange(n)
-    rows = max(1, _BLOCK // n)
+    ulp = np.finfo(float).eps * _norm(d, b)
+    lam = _aberth_start(d, b, ulp) if lam is None else lam
+    bound = np.empty(len(lam))
+    active = np.arange(len(lam))
+    rows = max(1, _BLOCK // len(lam))
     for _ in range(_ABERTH_SWEEPS):
         z = lam[active]
         step, hit = _newton_ratios(d, b * b, z, ulp)
@@ -446,7 +518,45 @@ def _aberth(d: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
         active = active[~(size <= 4.0 * ulp)]
         if not len(active):
             return lam, bound
-    raise QRNotConverged(f"Ehrlich-Aberth: {len(active)} of {n} eigenvalues unconverged after {_ABERTH_SWEEPS} sweeps")
+    raise QRNotConverged(
+        f"Ehrlich-Aberth: {len(active)} of {len(lam)} eigenvalues unconverged after {_ABERTH_SWEEPS} sweeps"
+    )
+
+
+def _sturm_count(d: np.ndarray, b: float, x: float) -> int:
+    """How many eigenvalues of the real symmetric tridiagonal with diagonal
+    d and constant off-diagonal b lie at or below x: the pivots r_k = (d_k -
+    x) - b^2/r_{k-1} of T - x that are not positive (Sylvester's law of
+    inertia), each smaller in size than pivmin taken as -pivmin, as
+    LAPACK's `dstebz` counts.  N Python steps on floats."""
+    b2 = b * b
+    pivmin = sys.float_info.min * max(1.0, b2)
+    count, r = 0, math.inf
+    for a in (d - x).tolist():
+        r = a - b2 / r
+        if r < pivmin:
+            count += 1
+            if r > -pivmin:
+                r = -pivmin
+    return count
+
+
+def _window_size(d: np.ndarray, b: float, lowest: int | None, below: float, more: int) -> tuple[int, bool]:
+    """(k, whole) for a window of the real symmetric tridiagonal with
+    diagonal d and constant off-diagonal b: k the eigenvalues it holds,
+    every one up to `below`, the `more` above those, and at least the
+    lowest `lowest`, from a Sturm count at `below` before anything is
+    solved; whole where the grid is better solved whole, as no window was
+    asked (lowest None or below +inf) or k > N / _WINDOW_SHARE.
+
+    It is one rule for both grid kinds: a real grid bisects the k, a
+    complex grid takes the k of its real part as the core of its Aberth
+    starts."""
+    n = len(d)
+    if lowest is None or below == math.inf:
+        return n, True
+    k = max(lowest, (_sturm_count(d, b, below) if below > -math.inf else 0) + more)
+    return k, k * _WINDOW_SHARE > n
 
 
 def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float, more: int = 0) -> np.ndarray:
@@ -455,57 +565,211 @@ def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float,
     up to `below` and the `more` above those, and at least the lowest
     `lowest` in all.
 
-    All N come from `dsterf`, also where the window reaches N; where that
-    is known beforehand (`more` alone reaches N, or `below` is past the
-    Gershgorin bound max(d) + 2|b| of the spectrum), with no bisection.  A
-    window comes from `dstebz` bisection: first by value up to `below`,
-    then by index, for the `more` above those or, if that gave fewer than
-    `lowest`, for the lowest `lowest`.
+    All N come from `dsterf`, and so does a window that `_window_size`
+    finds too wide, cut to its size, with no bisection.  A window comes
+    from `dstebz` bisection: first by value up to `below`, then by index,
+    for the `more` above those or, if that gave fewer than `lowest`, for
+    the lowest `lowest`.
     """
-    n = len(d)
-    off = np.full(n - 1, b)
-    whole = more >= n or (more > 0 and below >= float(np.max(d)) + 2.0 * abs(b))
-    if lowest is None or lowest >= n or below == math.inf or whole:
-        return _sterf(d, off)
+    off = np.full(len(d) - 1, b)
+    size, whole = _window_size(d, b, lowest, below, more)
+    if whole:
+        return _sterf(d, off)[:size]
     eigs = np.empty(0)
     if below > -math.inf:
         eigs = _stebz(d, off, "v", -math.inf, below)
     if more:
-        top = max(lowest, len(eigs) + more)
-        if top >= n:
-            return _sterf(d, off)
-        above = _stebz(d, off, "i", len(eigs), top - 1)
+        above = _stebz(d, off, "i", len(eigs), max(lowest, len(eigs) + more) - 1)
         eigs = np.concatenate([eigs, above])
     elif len(eigs) < lowest:
         eigs = _stebz(d, off, "i", 0, lowest - 1)
     return eigs
 
 
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of m-point Gauss-Legendre quadrature on [-1, 1]:
+    Newton's method on P_m, by its three-term recurrence, from the nodes'
+    asymptotic guesses cos(pi (j + 3/4) / (m + 1/2))."""
+    x = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(8):  # quadratic from these guesses: 8 steps reach rounding
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(_PANEL_NODES)
+
+
+def _segment_distance(a: np.ndarray, e: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each segment [a_i, e_i] of the complex plane to the
+    nearest of points."""
+    ab = (e - a)[:, None]
+    t = np.clip(((points - a[:, None]) * ab.conj()).real / np.abs(ab) ** 2, 0.0, 1.0)
+    return np.min(np.abs(points - (a[:, None] + t * ab)), axis=1)
+
+
+def _argument_count(
+    d: np.ndarray, b: float, roots: np.ndarray, left: float, right: float, height: float, tiny: float
+) -> complex:
+    """(1/2 pi i) times the integral of p'/p, p(z) = det(T - z), around the
+    rectangle [left, right] x [-height, height]: the number of eigenvalues
+    of T inside it, by the argument principle (Delves & Lyness, Math. Comp.
+    21 (1967) 543-560), as a complex number that is an integer up to the
+    quadrature's error.
+
+    Each side is one panel of _PANEL_NODES-point Gauss-Legendre quadrature
+    to begin with, and a panel is halved until its length is at most its
+    distance to the nearest of `roots`.  p'/p comes from the recurrence at
+    every node in one pass.  NaN where 60 halvings do not get there: one of
+    `roots` lies on the contour."""
+    corners = np.array([complex(left, -height), complex(right, -height), complex(right, height), complex(left, height)])
+    a, e = corners, np.roll(corners, -1)
+    for _ in range(60):
+        with np.errstate(invalid="ignore"):  # a panel halved to a point has a NaN distance: never fine
+            fine = np.abs(e - a) <= _segment_distance(a, e, roots)
+        if fine.all():
+            break
+        mid = (a[~fine] + e[~fine]) / 2
+        a, e = np.concatenate([a[fine], a[~fine], mid]), np.concatenate([e[fine], mid, e[~fine]])
+    else:
+        return complex(math.nan, math.nan)
+    half = (e - a)[:, None] / 2
+    nodes = (a[:, None] + half) + half * _GL_NODES
+    g, _ = _recurrence_log_derivative(d, b * b, nodes.ravel(), tiny)
+    return complex(np.sum(g.reshape(nodes.shape) * _GL_WEIGHTS * half)) / (2j * math.pi)
+
+
+def _reach(roots: np.ndarray, lowest: int, below: float, more: int, energies) -> float | None:
+    """R, the right side of a complex window's count: in the widest gap
+    between the real parts of `roots` above all that a caller reads of the
+    window, or None where no gap is above that.
+
+    A caller reads every root up to `below`, the `more` above those, and at
+    least the lowest `lowest`.  For each finite entry e of `energies`, K of
+    them, it reads e's greedy match: with D_e the distance from e to its
+    K-th nearest root, R > Re e + D_e puts every eigenvalue beyond R
+    farther from e than D_e.  Fewer than K entries come before e, so one of
+    its K nearest roots is unused and no farther than D_e, and e takes a
+    root below R, as it would from the whole spectrum (`_covering_window`'s
+    argument in the complex plane).
+    """
+    x = np.sort(roots.real)
+    top = max(lowest, int(np.sum(x <= below)) + more)
+    if max(top, len(energies), 2) > len(x):
+        return None
+    need = max(below, x[top - 1] if top else -math.inf)
+    for e in energies:
+        e = complex(e)
+        if np.isfinite(e):
+            dist = np.sort(np.abs(roots - e))
+            need = max(need, e.real + dist[len(energies) - 1])
+    low = np.maximum(x[:-1], need)
+    gap = np.where(x[1:] > need, x[1:] - low, -math.inf)
+    i = int(np.argmax(gap))
+    return float(low[i] + gap[i] / 2) if gap[i] > 0 else None
+
+
+def _aberth_window(
+    d: np.ndarray, b: float, m: int, lowest: int, below: float, more: int, energies
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The roots of a window of m Aberth starts that lie left of its reach
+    R (`_reach`), their trace bounds and R, where a count by the argument
+    principle proves that they are every eigenvalue with real part below R;
+    None where it does not, or the window did not converge.
+
+    T = T_0 + i diag(Im d) has its field of values in Re z >= lambda_min(T_0)
+    and |Im z| <= max |Im d|, so every eigenvalue with real part below R lies
+    in any rectangle [L, R] x [-Y, Y] beyond those bounds.  With W = R -
+    lambda_min(T_0), the count takes L = lambda_min(T_0) - W and Y = max
+    |Im d| + W.  The window is proved where that count is within
+    _COUNT_TOL of the number of roots left of R.
+    """
+    ulp = np.finfo(float).eps * _norm(d, b)
+    start = _aberth_start(d, b, ulp, m)
+    floor = start[0].real
+    try:
+        lam, bound = _aberth(d, b, start)
+    except QRNotConverged:
+        return None
+    reach = _reach(lam, lowest, below, more, energies)
+    if reach is None:
+        return None
+    width = reach - floor
+    count = _argument_count(d, b, lam, floor - width, reach, float(np.max(np.abs(d.imag))) + width, ulp)
+    inside = lam.real < reach
+    if not abs(count - np.count_nonzero(inside)) <= _COUNT_TOL:
+        return None
+    return lam[inside], bound[inside], reach
+
+
+def _complex_eigenvalues(
+    d: np.ndarray, b: float, lowest: int | None, below: float, more: int, energies
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(eigenvalues, trace bounds, R) of the complex tridiagonal with
+    diagonal d and constant off-diagonal b: every eigenvalue with real part
+    below R, a window that holds what `_window_size` asks of its real part
+    and covers the greedy match of `energies` (`_aberth_window`), or all N
+    with R = +inf.
+
+    The window takes 2k + 8 starts for the k of its real part; where its
+    count refuses it, twice as many; where that is refused too, or k is too
+    wide, the grid is solved whole."""
+    n = len(d)
+    size, whole = _window_size(d.real, b, lowest, below, more)
+    for m in () if whole else (2 * size + 8, 4 * size + 16):
+        window = _aberth_window(d, b, min(m, n), lowest, below, more, energies)
+        if window is not None:
+            return window
+    lam, bound = _aberth(d, b)
+    return lam, bound, math.inf
+
+
 def eigen_complex_dense(
-    H: GridHamiltonian, certify: bool = True, lowest: int | None = None, below: float = -math.inf, more: int = 0
+    H: GridHamiltonian,
+    certify: bool = True,
+    lowest: int | None = None,
+    below: float = -math.inf,
+    more: int = 0,
+    energies=(),
+    reach: list | None = None,
 ) -> np.ndarray:
     """Eigenvalues sorted by real part, from the tridiagonal alone.
 
     No dense matrix is built; the name is kept because the benchmark's
-    tracer wraps the oracle's eigensolve by it.  A complex grid returns all
-    N, from Ehrlich-Aberth iteration, which makes no BLAS call, so its bits
-    do not depend on the BLAS thread count.  A real symmetric grid returns
-    all N if `lowest` is None or `below` is +inf, from LAPACK `dsterf`: the
-    bits the dense symmetric solver gives, since `dsyevd` runs the `dsytrd`
+    tracer wraps the oracle's eigensolve by it.  With `lowest` None or
+    `below` +inf, either grid returns all N.  Otherwise it returns a window:
+    every eigenvalue up to `below`, the `more` above those, and at least the
+    lowest `lowest`, or all N where that window is too wide
+    (`_window_size`).
+
+    A real symmetric grid takes all N from LAPACK `dsterf`: the bits the
+    dense symmetric solver gives, since `dsyevd` runs the `dsytrd`
     reduction, which leaves a tridiagonal matrix as it is, then the same
-    `dsterf`.  Otherwise it returns a window by `dstebz` bisection, in O(N)
-    per eigenvalue: every eigenvalue up to `below`, the `more` above those,
-    and at least the lowest `lowest` (`_real_eigenvalues`).  certify=True
-    checks the residual contract (`_certify`): on a complex grid every
-    eigenvalue, by its trace bound or by inverse iteration, on a real grid
-    five random ones, by inverse iteration.
+    `dsterf`.  Its window comes from `dstebz` bisection, in O(N) per
+    eigenvalue (`_real_eigenvalues`).  A complex grid takes them from
+    Ehrlich-Aberth iteration, which makes no BLAS call, so its bits do not
+    depend on the BLAS thread count.  Its window also covers the greedy
+    match of each entry of `energies`, and holds every eigenvalue with
+    real part below a bound R that a count by the argument principle
+    proves; where no count proves one, the grid is solved whole
+    (`_complex_eigenvalues`).  Given a list `reach`, a complex grid appends
+    R to it, +inf where it returned all N.
+
+    certify=True checks the residual contract (`_certify`): on a complex
+    grid every eigenvalue returned, by its trace bound or by inverse
+    iteration, on a real grid five random ones, by inverse iteration.
     """
     trace_bound = None
     try:
         if H.is_real:
             eigs = _real_eigenvalues(H.diagonal.real, H.offdiagonal, lowest, below, more).astype(complex)
         else:
-            eigs, trace_bound = _aberth(H.diagonal, H.offdiagonal)
+            eigs, trace_bound, bound = _complex_eigenvalues(H.diagonal, H.offdiagonal, lowest, below, more, energies)
+            if reach is not None:
+                reach.append(bound)
     except np.linalg.LinAlgError as err:
         raise QRNotConverged(str(err)) from err
     order = np.argsort(eigs.real)
@@ -645,7 +909,9 @@ def _covering_window(energies) -> tuple[float, int]:
     |Re e - lam| above M >= Re e.  Fewer than K entries come before any one,
     so one of those K is unused and no farther from it than any eigenvalue
     beyond, and on a tie it has the lower index.  The pairs and unmatched
-    formula levels are those of the whole spectrum.
+    formula levels are those of the whole spectrum.  A complex spectrum
+    needs the energies themselves: its window proves the same cover from
+    each entry's distance to its K-th nearest root (`_reach`).
     """
     reals = [complex(e).real for e in energies]
     return max((r for r in reals if math.isfinite(r)), default=-math.inf), len(reals)
@@ -666,9 +932,12 @@ class ConvergenceReport(NamedTuple):
     # certified, sorted by real part: every eigenvalue below the continuum
     # threshold, and at least the lowest n_levels.  A form with no threshold
     # gives the window that covers the energies passed to the study, or all
-    # N if none were; a complex grid gives all N
+    # N if none were.  A complex grid's window holds every eigenvalue with
+    # real part below `reach`, a bound its count proves; it takes all N
+    # where no count proves one
     eigs_finest: np.ndarray
     finest_is_real: bool
+    reach: float  # +inf where eigs_finest is all N, and on a real grid
 
     def to_dict(self) -> dict:
         return {
@@ -698,7 +967,7 @@ def convergence_study(
     observed order over the three finest is
     p = log(|e_-3 - e_-2| / |e_-2 - e_-1|) / log(h_-2 / h_-1), about 2 for
     the central difference on a converging level; it assumes the grids
-    shrink h by one ratio, h_-3 / h_-2 = h_-2 / h_-1.  A real grid is
+    shrink h by one ratio, h_-3 / h_-2 = h_-2 / h_-1.  Either grid kind is
     solved only for what the study reads: a coarse grid for its lowest
     n_levels, the finest for every eigenvalue below the continuum threshold
     and at least its lowest n_levels.  With no threshold, the finest grid
@@ -715,15 +984,17 @@ def convergence_study(
         # two equal grids make the Richardson denominator h1^2 - h2^2 zero
         raise ValueError(f"N_list repeats a grid size: {N_list}")
     thr = continuum_threshold(spec)
-    finest, more = thr, 0
+    finest, more, entries = thr, 0, ()
     if energies is not None and thr == math.inf:
         finest, more = _covering_window(energies)
+        entries = energies
     all_eigs = []
     hs = []
+    reach = []
     for N in N_list:
         H = discretize(spec, domain, N)
-        below, extra = (finest, more) if N == N_list[-1] else (-math.inf, 0)
-        all_eigs.append(eigen_complex_dense(H, certify=N == N_list[-1], lowest=n_levels, below=below, more=extra))
+        window = dict(below=finest, more=more, energies=entries, reach=reach) if N == N_list[-1] else {}
+        all_eigs.append(eigen_complex_dense(H, certify=N == N_list[-1], lowest=n_levels, **window))
         hs.append(H.h)
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]
     track = min(n_levels, *counts) if min(counts) > 0 else min(n_levels, len(all_eigs[0]))
@@ -757,6 +1028,7 @@ def convergence_study(
         levels=tuple(levels),
         eigs_finest=all_eigs[-1],
         finest_is_real=H.is_real,
+        reach=reach[-1] if reach else math.inf,
     )
 
 
@@ -767,7 +1039,9 @@ def verify_levels(spec: PotentialSpec, domain: DomainSpec, N: int, *entry_lists,
     The study solves the finest grid for the window that covers every
     list's energies, so each list's `match_levels` against it is its match
     against the whole spectrum.  A real grid's N eigenvalues are each their
-    own mirror, so its conjugation report needs no solve.
+    own mirror, so its conjugation report needs no solve.  A complex grid's
+    report covers the eigenvalues the study returned: every one with real
+    part below `study.reach`, all N where that is +inf.
     """
     energies = [e for entries in entry_lists for _, e in entries]
     study = convergence_study(spec, domain, [max(N // 2, 50), N], n_levels=n_levels, energies=energies)

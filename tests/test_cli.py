@@ -372,6 +372,38 @@ class TestVerifyCommand:
             assert abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= tol
 
 
+    @pytest.mark.parametrize("preset", ["fig5", "fig7"])
+    def test_complex_window_matches_as_the_whole_grid(self, capsys, monkeypatch, preset):
+        # fig5 has no continuum threshold, fig7 one at -1.  verify solves each
+        # complex grid for a window that its count proves; a verify that
+        # solves every grid whole makes the same (n, formula) pairs, tracked
+        # levels and unmatched formula levels, with eigenvalues within 1e-10
+        argv = ("verify", "--preset", preset, "--N", "800", "--n-max", "3")
+        _, out, _ = run(capsys, *argv)
+        got = json.loads(out)
+        assert got["conjugation"]["below"] > got["convergence"]["levels"][-1]["finest"]["re"]
+        solve = oracle.eigen_complex_dense
+        monkeypatch.setattr(oracle, "eigen_complex_dense", lambda H, certify=True, **_: solve(H, certify))
+        _, out, _ = run(capsys, *argv)
+        whole = json.loads(out)
+        conj = whole["conjugation"]
+        assert "below" not in conj and conj["real_count"] + 2 * conj["pair_count"] + conj["unpaired"] == 800
+
+        def close(a, b):
+            a, b = complex(a["re"], a["im"]), complex(b["re"], b["im"])
+            return abs(a - b) <= 1e-10 * max(abs(b), 1.0)
+
+        pairs, ref = got["match"]["pairs"], whole["match"]["pairs"]
+        assert pairs and [(p["n"], p["formula"]) for p in pairs] == [(p["n"], p["formula"]) for p in ref]
+        assert all(close(p["oracle"], q["oracle"]) for p, q in zip(pairs, ref))
+        assert got["match"]["unmatched_formula"] == whole["match"]["unmatched_formula"]
+        levels, ref = got["convergence"]["levels"], whole["convergence"]["levels"]
+        assert len(levels) == len(ref) > 0
+        for lv, rf in zip(levels, ref):
+            assert close(lv["finest"], rf["finest"]) and close(lv["extrapolated"], rf["extrapolated"])
+            assert lv["flagged"] == rf["flagged"]
+
+
 # the verify-real benchmark forms: argv, L of default_domain (None where
 # the form's one finite cell fixes the domain)
 _REAL_VERIFY = {

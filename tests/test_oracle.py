@@ -442,15 +442,17 @@ class TestTraceCertification:
 
     def test_a_certified_solve_evaluates_nothing_after_the_last_sweep(self, aberth_calls):
         # the bounds come with the sweeps: certifying adds no evaluation,
-        # to a solve or to the study that certifies its finest grid
+        # to a solve or to the study that certifies its finest grid.  The
+        # study asks each grid for a window, as these solves do
         spec, L = _VARIANT_GRIDS["mr-nonpt"]
         dom = default_domain(spec, L=L)
+        windows = [dict(lowest=6), dict(lowest=6, below=continuum_threshold(spec))]
         solves = []
-        for N in (200, 400):
-            eigen_complex_dense(discretize(spec, dom, N), certify=False)
+        for N, window in zip((200, 400), windows):
+            eigen_complex_dense(discretize(spec, dom, N), certify=False, **window)
             solves.append(list(aberth_calls))
             aberth_calls.clear()
-        eigen_complex_dense(discretize(spec, dom, 400))
+        eigen_complex_dense(discretize(spec, dom, 400), **windows[1])
         assert aberth_calls == solves[1]
         aberth_calls.clear()
         convergence_study(spec, dom, [200, 400])
@@ -559,7 +561,8 @@ class TestRealWindow:
     def test_window_on_random_tridiagonals(self, n, seed, b, where, lowest):
         # dsterf itself can miss an eigenvalue of these by more than
         # 8 eps ||H||_max, so the values are held to the exact spectrum,
-        # bracketed by long-double Sturm counts, and the count to dsterf's
+        # bracketed by long-double Sturm counts, and the count to dsterf's.
+        # Every window that fits in N is bisected here, however wide
         d = np.random.default_rng(seed).uniform(-50.0, 50.0, n)
         H = GridHamiltonian(
             domain=DomainSpec(DomainKind.FiniteInterval, 0.0, float(n + 1)),
@@ -569,7 +572,9 @@ class TestRealWindow:
         full = eigvalsh_tridiagonal(d, np.full(n - 1, b), lapack_driver="sterf")
         # a threshold within rounding of an eigenvalue may fall on either side
         assume(np.min(np.abs(full - below)) > 2.0 * tol)
-        win = eigen_complex_dense(H, certify=False, lowest=lowest, below=below).real
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_WINDOW_SHARE", 1)
+            win = eigen_complex_dense(H, certify=False, lowest=lowest, below=below).real
         k = int(np.sum(full < below))
         assert int(np.sum(win < below)) == k and len(win) == max(lowest, k)
         i = np.arange(len(win))
@@ -609,14 +614,15 @@ class TestRealWindow:
             ("--family", "trig-scarf", "--A", "-2", "--N", "1000"),
             (
                 "--family", "hyperbolic-scarf", "--variant", "pt",
-                "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1", "--L", "6", "--N", "600",
+                "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1", "--L", "6", "--N", "1000",
             ),
         ],
         ids=["trig-base", "hyperbolic-pt"],
     )
     def test_no_threshold_verify_makes_no_full_solve(self, lapack_drivers, capsys, argv):
         # forms with no continuum threshold: the finest grid takes the window
-        # that covers the closed-form levels, not dsterf's whole spectrum
+        # that covers the closed-form levels, not dsterf's whole spectrum.
+        # The hyperbolic window holds about 50 eigenvalues, under N / 16 here
         assert main(["verify", *argv]) in (0, 2)
         assert json.loads(capsys.readouterr().out)["match"]["pairs"]
         assert lapack_drivers and set(lapack_drivers) == {"stebz"}
@@ -638,18 +644,15 @@ class TestRealWindow:
         assert np.all(_sturm_count(d, b, win + tol) >= i + 1)
 
     def test_window_reaching_n_is_the_whole_spectrum(self, lapack_drivers):
-        # a window known to reach N beforehand takes no bisection
+        # the Sturm count at `below` finds each of these windows reaching N
+        # before anything is solved, so none takes a bisection
         spec = PotentialSpec(family=Family.TrigScarf, A=-2.0)
         H = discretize(spec, default_domain(spec, L=12.0), 60)
         full = eigen_complex_dense(H, certify=False)
-        for below, more, calls in [
-            (full[1].real, 59, ["stebz", "sterf"]),
-            (full[1].real, 60, ["sterf"]),
-            (full[-1].real * 1.5, 1, ["sterf"]),
-        ]:
+        for below, more in [(full[1].real, 59), (full[1].real, 60), (full[-1].real * 1.5, 1)]:
             lapack_drivers.clear()
             np.testing.assert_array_equal(eigen_complex_dense(H, certify=False, lowest=6, below=below, more=more), full)
-            assert lapack_drivers == calls
+            assert lapack_drivers == ["sterf"]
 
     def test_certification_takes_a_window_of_any_size(self):
         # it samples five of the returned eigenvalues: here all three, or none
@@ -657,6 +660,140 @@ class TestRealWindow:
         H = discretize(spec, default_domain(spec, L=L), 1000)
         assert len(eigen_complex_dense(H, lowest=0, below=continuum_threshold(spec))) == 3
         assert len(eigen_complex_dense(H, lowest=0, below=-1e9)) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(50, 400),
+        seed=st.integers(0, 2**32 - 1),
+        b=st.floats(-10.0, 10.0),
+        where=st.floats(-1.2, 1.2),
+    )
+    def test_sturm_count_is_the_count_below_x(self, n, seed, b, where):
+        d = np.random.default_rng(seed).uniform(-50.0, 50.0, n)
+        x, tol = 50.0 * where, 8.0 * np.finfo(float).eps * (50.0 + 2.0 * abs(b))
+        full = eigvalsh_tridiagonal(d, np.full(n - 1, b), lapack_driver="sterf")
+        assume(np.min(np.abs(full - x)) > 2.0 * tol)
+        assert oracle._sturm_count(d, b, x) == int(np.sum(full <= x)) == int(_sturm_count(d, b, [x])[0])
+
+    def test_one_rule_picks_window_or_whole(self, monkeypatch):
+        # k eigenvalues are a window while k <= N / 16, on either grid kind
+        spec, L = _THRESHOLD_GRIDS["mr-deep"]
+        H = discretize(spec, default_domain(spec, L=L), 1600)
+        d, b = H.diagonal.real, H.offdiagonal
+        below = continuum_threshold(spec)
+        assert oracle._window_size(d, b, None, below, 0) == (1600, True)
+        assert oracle._window_size(d, b, 6, math.inf, 0) == (1600, True)
+        assert oracle._window_size(d, b, 6, below, 0) == (6, False)
+        assert oracle._window_size(d, b, 0, below, 97) == (100, False)
+        assert oracle._window_size(d, b, 0, below, 98) == (101, True)
+        # a complex grid whose window is too wide tries no window
+        monkeypatch.setattr(oracle, "_aberth_window", lambda *args: pytest.fail("a window was tried"))
+        C = _variant_grid("mr-nonpt", 400)
+        assert len(eigen_complex_dense(C, certify=False, lowest=26)) == 400
+
+    def test_a_window_wider_than_n_over_16_is_solved_whole(self, lapack_drivers, capsys):
+        # hyperbolic PT at N = 600: its window holds 49 eigenvalues, more than
+        # N / 16, and bisecting them would cost more than dsterf.  The Sturm
+        # count says so before anything is solved, so the finest grid takes
+        # dsterf alone, cut to the window; the coarse grid bisects its lowest 6
+        argv = [
+            "verify", "--family", "hyperbolic-scarf", "--variant", "pt",
+            "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1", "--L", "6", "--N", "600",
+        ]
+        assert main(argv) in (0, 2)
+        match = json.loads(capsys.readouterr().out)["match"]
+        assert lapack_drivers == ["stebz", "sterf"]
+        assert len(match["pairs"]) + len(match["unmatched_oracle"]) == 49
+
+
+class TestComplexWindow:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(100, 300),
+        seed=st.integers(0, 2**32 - 1),
+        b=st.floats(0.5, 10.0),
+        lowest=st.integers(0, 6),
+        where=st.one_of(st.none(), st.floats(-1.0, 0.0)),
+        entries=st.integers(0, 4),
+    )
+    def test_a_window_is_the_whole_spectrum_left_of_its_reach(self, n, seed, b, lowest, where, entries):
+        # either the window holds each eigenvalue of the whole solve with
+        # real part below its reach R, to 1e-10, and the greedy match of the
+        # entries is the whole spectrum's, or the solve fell back to whole
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(-50.0, 50.0, n) + 1j * rng.uniform(-5.0, 5.0, n)
+        H = GridHamiltonian(
+            domain=DomainSpec(DomainKind.FiniteInterval, 0.0, float(n + 1)), N=n, h=1.0, diagonal=d, offdiagonal=b
+        )
+        try:
+            whole = eigen_complex_dense(H, certify=False)
+        except QRNotConverged:
+            assume(False)
+        energies = list(rng.uniform(-60.0, 0.0, entries) + 1j * rng.uniform(-8.0, 8.0, entries))
+        below, more = oracle._covering_window(energies) if energies else (-math.inf, 0)
+        below = below if where is None else max(below, 50.0 * where)
+        reach = []
+        win = eigen_complex_dense(
+            H, certify=False, lowest=lowest, below=below, more=more, energies=energies, reach=reach
+        )
+        [R] = reach
+        if R == math.inf:
+            assert _same_bits(win, whole)
+            return
+        left = whole[whole.real < R]
+        assert len(win) == len(left) >= lowest and R > below and np.all(win.real < R)
+        rows, cols = linear_sum_assignment(np.abs(win[:, None] - left[None, :]))
+        assert np.max(np.abs(win[rows] - left[cols]) / np.maximum(np.abs(left[cols]), 1.0), initial=0.0) < 1e-10
+        entries = list(enumerate(energies))
+        got, want = match_levels(entries, win, math.inf), match_levels(entries, whole, math.inf)
+        assert [p[0] for p in got.pairs] == [p[0] for p in want.pairs]
+        assert got.unmatched_formula == want.unmatched_formula
+        for (_, _, lam, _), (_, _, ref, _) in zip(got.pairs, want.pairs):
+            assert abs(lam - ref) < 1e-10 * max(abs(ref), 1.0)
+
+    @pytest.mark.parametrize("name", ["mr-pt", "mr-nonpt", "trig-nonpt"])
+    def test_default_arguments_return_every_eigenvalue(self, name):
+        # the benchmark's references are solved whole by the default call
+        H = _variant_grid(name, 400)
+        reach = []
+        assert len(eigen_complex_dense(H, certify=False, reach=reach)) == 400 and reach == [math.inf]
+
+    def test_the_count_refuses_the_fig3_window(self):
+        # fig3 at N = 800: the 20 starts converge to 18 roots left of R, but
+        # 22 eigenvalues lie there; the 40 starts miss some too, so the grid
+        # is solved whole
+        spec = PotentialSpec(**_PRESETS["fig3"][0])
+        H = discretize(spec, default_domain(spec, L=12.0), 800)
+        d, b, thr = H.diagonal, H.offdiagonal, continuum_threshold(spec)
+        ulp = _diagonal_ulp(d, b)
+        start = oracle._aberth_start(d, b, ulp, 20)
+        floor = start[0].real
+        lam, _ = oracle._aberth(d, b, start)
+        R = oracle._reach(lam, 6, thr, 0, ())
+        count = oracle._argument_count(d, b, lam, 2.0 * floor - R, R, np.max(np.abs(d.imag)) + R - floor, ulp)
+        assert abs(count - 22) < 1e-6 and np.sum(lam.real < R) == 18
+        assert oracle._aberth_window(d, b, 20, 6, thr, 0, ()) is None
+        reach = []
+        assert len(eigen_complex_dense(H, certify=False, lowest=6, below=thr, reach=reach)) == 800
+        assert reach == [math.inf]
+
+    def test_a_contour_through_an_eigenvalue_is_refused(self):
+        # the right side through an eigenvalue that is not among the roots:
+        # the count is no integer.  Through one of the roots: the halving
+        # never ends, and the count is NaN
+        H = _variant_grid("mr-nonpt", 200)
+        d, b, ulp = H.diagonal, H.offdiagonal, _diagonal_ulp(H.diagonal, H.offdiagonal)
+        eigs = eigen_complex_dense(H, certify=False)
+        lam, R = eigs[5], eigs[5].real
+        args = (R - 2.0 * (R - eigs[0].real), R, np.max(np.abs(d.imag)) + 1.0, ulp)
+        count = oracle._argument_count(d, b, eigs[:5], *args[:1], R, *args[2:])
+        assert not abs(count - round(count.real)) <= oracle._COUNT_TOL
+        assert oracle._argument_count(d, b, eigs[:6], *args[:1], R, *args[2:]) != oracle._argument_count(
+            d, b, eigs[:6], *args[:1], R, *args[2:]
+        )  # NaN
+        # moved off it, into the gap, the same contour counts the five
+        R = 0.5 * (eigs[4].real + lam.real)
+        assert abs(oracle._argument_count(d, b, eigs[:6], args[0], R, *args[2:]) - 5) < oracle._COUNT_TOL
 
 
 def _log_derivatives(d, b2, z, tiny):
@@ -849,6 +986,49 @@ class TestReferenceLoops:
             want = _reference_recurrence(d, 1.0, z.copy(), tiny)
             assert np.isnan(_reference_recurrence(d, 1.0, z[:1].copy(), math.nan)[0])
         assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [50, 400, 401])
+    @pytest.mark.parametrize("at", ["first", "before", "on", "after", "last"])
+    def test_a_rerun_from_its_checkpoint_is_the_full_rerun_bit_for_bit(self, n, at, monkeypatch):
+        # the shifted Laplacian 2 + 0.5i, its diagonal lowered by 1 in row 0
+        # and in row K: at z = 0.5i each pivot is exactly 1 up to row K,
+        # whose pivot is exactly 0, and at z = 1 + 0.5i row 0's is.  Row K
+        # falls before, on and after a kept state, every isqrt(N) rows
+        every = math.isqrt(n)
+        K = {"first": 1, "before": every - 1, "on": every, "after": every + 1, "last": n - 1}[at]
+        d = np.full(n, 2.0 + 0.5j)
+        d[[0, K]] -= 1.0
+        rng = np.random.default_rng(n)
+        z = np.concatenate([[0.5j, 1.0 + 0.5j], rng.standard_normal(6) + 1j * rng.standard_normal(6)])
+        rows = []
+        run_rows = oracle._recurrence_rows
+
+        def counted(dk, wk, b2, zk, r, u, total, tiny):
+            rows.append((len(zk), len(dk), tiny is None))
+            return run_rows(dk, wk, b2, zk, r, u, total, tiny)
+
+        monkeypatch.setattr(oracle, "_recurrence_rows", counted)
+        for tiny in (1e-13, math.nan):
+            rows.clear()
+            with np.errstate(invalid="ignore"):
+                got, hit = oracle._recurrence_log_derivative(d, 1.0, z.copy(), tiny)
+                want = _reference_recurrence(d, 1.0, z.copy(), tiny)
+            assert hit.tolist() == [True, True] + [False] * 6
+            assert _same_bits(got, want)
+            # the full rerun of the two from row 0, by the same rows
+            r = d[0] - z[:2]
+            r[r == 0] = tiny
+            with np.errstate(invalid="ignore"):
+                u = -1.0 / r
+                total = u.copy()
+                run_rows(d[1:], np.full(n - 1, -1.0), 1.0, z[:2], r, u, total, tiny)
+            assert _same_bits(got[:2], total)
+            # the rerun ran each of its rows once: from row 0 for z = 1 + 0.5i,
+            # joined by z = 0.5i at its last kept row before K
+            kept = (K - 1) // every * every
+            rerun = [(m, rows_run) for m, rows_run, unguarded in rows if not unguarded]
+            assert sum(rows_run for _, rows_run in rerun) == n - 1
+            assert sum(rows_run for m, rows_run in rerun if m == 2) == n - 1 - kept
 
     @pytest.mark.parametrize("n", [50, 51, 400])
     def test_recurrence_along_w_is_the_guarded_loop_bit_for_bit(self, n):
@@ -1155,7 +1335,8 @@ class TestLapackRoutes:
     whose calls they repeat, by either route to the module."""
 
     @pytest.mark.parametrize("name", ["trig", "fig7"])
-    def test_tridiagonal_eigenvalues_keep_their_bits(self, lapack_route, name):
+    def test_tridiagonal_eigenvalues_keep_their_bits(self, lapack_route, name, monkeypatch):
+        monkeypatch.setattr(oracle, "_WINDOW_SHARE", 1)  # bisect the windows, to compare their bits
         H = _lapack_grid(name)
         d, b = H.diagonal.real, H.offdiagonal
         off = np.full(H.N - 1, b)
