@@ -589,7 +589,9 @@ def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float,
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of m-point Gauss-Legendre quadrature on [-1, 1]:
     Newton's method on P_m, by its three-term recurrence, from the nodes'
-    asymptotic guesses cos(pi (j + 3/4) / (m + 1/2))."""
+    asymptotic guesses cos(pi (j + 3/4) / (m + 1/2)).  NumPy's `leggauss`
+    would solve an eigenproblem by LAPACK, whose bits may follow the BLAS
+    thread count, where this loop makes no BLAS call."""
     x = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
     for _ in range(8):  # quadratic from these guesses: 8 steps reach rounding
         p0, p1 = np.ones_like(x), x
@@ -598,9 +600,6 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
         dp = m * (x * p1 - p0) / (x * x - 1.0)
         x = x - p1 / dp
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(_PANEL_NODES)
 
 
 def _segment_distance(a: np.ndarray, e: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -636,10 +635,11 @@ def _argument_count(
         a, e = np.concatenate([a[fine], a[~fine], mid]), np.concatenate([e[fine], mid, e[~fine]])
     else:
         return complex(math.nan, math.nan)
+    t, weights = _gauss_legendre(_PANEL_NODES)
     half = (e - a)[:, None] / 2
-    nodes = (a[:, None] + half) + half * _GL_NODES
+    nodes = (a[:, None] + half) + half * t
     g, _ = _recurrence_log_derivative(d, b * b, nodes.ravel(), tiny)
-    return complex(np.sum(g.reshape(nodes.shape) * _GL_WEIGHTS * half)) / (2j * math.pi)
+    return complex(np.sum(g.reshape(nodes.shape) * weights * half)) / (2j * math.pi)
 
 
 def _reach(roots: np.ndarray, lowest: int, below: float, more: int, energies) -> float | None:

@@ -751,6 +751,12 @@ class TestComplexWindow:
         for (_, _, lam, _), (_, _, ref, _) in zip(got.pairs, want.pairs):
             assert abs(lam - ref) < 1e-10 * max(abs(ref), 1.0)
 
+    def test_quadrature_nodes_are_gauss_legendre(self):
+        x, w = oracle._gauss_legendre(oracle._PANEL_NODES)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(oracle._PANEL_NODES)
+        order = np.argsort(x)
+        assert np.max(np.abs(x[order] - ref_x)) < 1e-15 and np.max(np.abs(w[order] - ref_w)) < 1e-15
+
     @pytest.mark.parametrize("name", ["mr-pt", "mr-nonpt", "trig-nonpt"])
     def test_default_arguments_return_every_eigenvalue(self, name):
         # the benchmark's references are solved whole by the default call
