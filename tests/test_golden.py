@@ -6,7 +6,8 @@ every family/variant pair, `trace` runs of each family (for Manning-Rosen,
 levels past the deep well's last bound state too), a NoAdmissibleBranch
 exit and the `--form-json` fixture, and `verify` runs
 over real-symmetric grids (trig Scarf, hyperbolic PT at q = 1, the deep
-Manning-Rosen well) and a complex one (the fig7 non-PT Manning-Rosen).
+Manning-Rosen well) and complex ones (the fig7 non-PT Manning-Rosen, and
+the fig5 PT Manning-Rosen, a form with no continuum threshold).
 Each case stores its stdout bytes (`<name>.out`) and its exit code
 (`exit_codes.json`).
 `test_family_facts` pins the quantization domain, the wall and the continuum
@@ -89,6 +90,7 @@ CASES = {
     "verify_hyp_pt_q1": ["verify", *_HYP_PT, "--q", "1", "--L", "6", "--N", "300"],
     "verify_mr_deep": ["verify", *_MR_DEEP, "--L", "16", "--N", "400"],
     "verify_fig7": ["verify", "--preset", "fig7", "--N", "400"],
+    "verify_fig5": ["verify", "--preset", "fig5", "--N", "400"],
 }
 
 
