@@ -17,17 +17,21 @@ A real symmetric grid's window comes from Sturm-sequence bisection (Barth,
 Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK `dstebz`), k
 eigenvalues in O(N k); a whole one from LAPACK `dsterf`, all N in O(N^2).
 A complex symmetric grid is solved by the Ehrlich-Aberth iteration of Bini,
-Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27 (2005) 153-175).  It
-starts from the first-order eigenvalues of the grid in its imaginary part:
-the eigenvalues mu_j of the real part, each moved by i v_j^T diag(Im d)
-v_j, which one more pass of the recurrence below gives with no eigenvector.
-A window starts from the lowest mu_j alone, from `dstebz`, and its Aberth
-correction sums over its own roots; a count by the argument principle
-(Delves & Lyness, Math. Comp. 21 (1967) 543-560) around a rectangle that
-the field of values bounds then proves that the roots left of its right
-side R are every eigenvalue there, and R lies above all that the study
-reads of the grid.  Where no count proves a window, nor one of twice its
-starts, the grid is solved whole, from all N mu_j, from `dsterf`.  A sweep
+Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27 (2005) 153-175).  The
+convergence study solves its grids from coarse to fine, and each complex
+grid after the first starts from the roots that the grid before it
+converged, each within O(h^2) of its root here.  Where there are too few
+of those, or they give no window that a count proves, a grid starts from
+its first-order eigenvalues in its imaginary part: the eigenvalues mu_j of
+the real part, each moved by i v_j^T diag(Im d) v_j, which one more pass
+of the recurrence below gives with no eigenvector.  A window starts from
+the lowest mu_j alone, from `dstebz`, and its Aberth correction sums over
+its own roots; a count by the argument principle (Delves & Lyness, Math.
+Comp. 21 (1967) 543-560) around a rectangle that the field of values
+bounds then proves that the roots left of its right side R are every
+eigenvalue there, and R lies above all that the study reads of the grid.
+Where no count proves a window, nor one of twice its starts, the grid is
+solved whole, from all N mu_j, from `dsterf`.  A sweep
 takes its Newton ratios from the three-term recurrence, N Python steps over
 all roots at once, until fewer than N/8 roots are left; then from odd-even
 cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
@@ -58,6 +62,7 @@ and `solve_banded`, so every eigenvalue has the bits those functions give.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -76,6 +81,11 @@ _RESIDUAL_BOUND = 1e-8
 # Ehrlich-Aberth sweeps before a complex grid is refused; the grids of the
 # tests and the benchmark take 1 to 37.
 _ABERTH_SWEEPS = 200
+# Sweeps before a window started from a coarser grid's roots gives way to
+# first-order starts.  Started within O(h^2) of their roots, the windows of
+# the benchmark's grids, the presets' and 60 random non-PT forms (N = 300 to
+# 1600) took 4 to 21.
+_WARM_SWEEPS = 32
 # Complex numbers per block of the Aberth sweeps and of certification, so
 # that memory stays O(N) however many eigenvalues a sweep or a check takes.
 # Certification carries several such arrays per block, so its blocks are a
@@ -476,7 +486,9 @@ def _aberth_start(d: np.ndarray, b: float, tiny: float, count: int | None = None
     return mu + 1j * c
 
 
-def _aberth(d: np.ndarray, b: float, lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _aberth(
+    d: np.ndarray, b: float, lam: np.ndarray | None = None, sweeps: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of the tridiagonal with diagonal d and constant
     off-diagonal b, by Ehrlich-Aberth iteration, each with a trace bound on
     its least singular value sigma_min(T - lambda): all N, from the
@@ -486,8 +498,8 @@ def _aberth(d: np.ndarray, b: float, lam: np.ndarray | None = None) -> tuple[np.
     A sweep updates every unconverged approximation at once; one stops when
     its step is at most a few ulps of ||H||.  The Aberth correction sums
     over the roots being found, so a window of starts finds a window of
-    roots.  Raises QRNotConverged if any is left after _ABERTH_SWEEPS
-    sweeps.
+    roots.  Raises QRNotConverged if any is left after `sweeps` sweeps,
+    _ABERTH_SWEEPS if None.
 
     Each bound comes from the root's last sweep, which moved it from z to
     lambda = z - step: sigma_min(T - lambda) <= sigma_min(T - z) + |step|
@@ -502,7 +514,8 @@ def _aberth(d: np.ndarray, b: float, lam: np.ndarray | None = None) -> tuple[np.
     bound = np.empty(len(lam))
     active = np.arange(len(lam))
     rows = max(1, _BLOCK // len(lam))
-    for _ in range(_ABERTH_SWEEPS):
+    sweeps = _ABERTH_SWEEPS if sweeps is None else sweeps
+    for _ in range(sweeps):
         z = lam[active]
         step, hit = _newton_ratios(d, b * b, z, ulp)
         trace = n * np.abs(step)
@@ -519,7 +532,7 @@ def _aberth(d: np.ndarray, b: float, lam: np.ndarray | None = None) -> tuple[np.
         if not len(active):
             return lam, bound
     raise QRNotConverged(
-        f"Ehrlich-Aberth: {len(active)} of {len(lam)} eigenvalues unconverged after {_ABERTH_SWEEPS} sweeps"
+        f"Ehrlich-Aberth: {len(active)} of {len(lam)} eigenvalues unconverged after {sweeps} sweeps"
     )
 
 
@@ -586,12 +599,15 @@ def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float,
     return eigs
 
 
+@functools.cache
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of m-point Gauss-Legendre quadrature on [-1, 1]:
     Newton's method on P_m, by its three-term recurrence, from the nodes'
     asymptotic guesses cos(pi (j + 3/4) / (m + 1/2)).  NumPy's `leggauss`
     would solve an eigenproblem by LAPACK, whose bits may follow the BLAS
-    thread count, where this loop makes no BLAS call."""
+    thread count, where this loop makes no BLAS call.  Computed on the
+    first call for each m, not at import, and shared by every later one,
+    so the arrays are read-only."""
     x = np.cos(math.pi * (np.arange(m) + 0.75) / (m + 0.5))
     for _ in range(8):  # quadratic from these guesses: 8 steps reach rounding
         p0, p1 = np.ones_like(x), x
@@ -599,7 +615,9 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
             p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
         dp = m * (x * p1 - p0) / (x * x - 1.0)
         x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _segment_distance(a: np.ndarray, e: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -673,12 +691,21 @@ def _reach(roots: np.ndarray, lowest: int, below: float, more: int, energies) ->
 
 
 def _aberth_window(
-    d: np.ndarray, b: float, m: int, lowest: int, below: float, more: int, energies
+    d: np.ndarray, b: float, m: int, lowest: int, below: float, more: int, energies, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The roots of a window of m Aberth starts that lie left of its reach
-    R (`_reach`), their trace bounds and R, where a count by the argument
-    principle proves that they are every eigenvalue with real part below R;
-    None where it does not, or the window did not converge.
+    """(roots, trace bounds, R) of a window of m Aberth starts: all m
+    roots, converged, and R, its reach (`_reach`), where a count by the
+    argument principle proves that the roots left of R are every eigenvalue
+    with real part below R; None where it does not, or the window did not
+    converge.
+
+    The starts are the first-order values of the lowest m eigenvalues of
+    Re T (`_aberth_start`), or `start`, m values that it overwrites: the
+    roots of a coarser grid of the same form, each within O(h^2) of its
+    root here.  Those get _WARM_SWEEPS sweeps to converge, and none where
+    one of them lies outside the field of values below, as the roots of a
+    PT Manning-Rosen grid at its poles can, where its levels do not
+    converge with h.
 
     T = T_0 + i diag(Im d) has its field of values in Re z >= lambda_min(T_0)
     and |Im z| <= max |Im d|, so every eigenvalue with real part below R lies
@@ -688,43 +715,56 @@ def _aberth_window(
     _COUNT_TOL of the number of roots left of R.
     """
     ulp = np.finfo(float).eps * _norm(d, b)
-    start = _aberth_start(d, b, ulp, m)
-    floor = start[0].real
+    height = float(np.max(np.abs(d.imag)))
+    if start is None:
+        start = _aberth_start(d, b, ulp, m)
+        floor, sweeps = start[0].real, None
+    else:
+        floor, sweeps = _stebz(d.real, np.full(len(d) - 1, b), "i", 0, 0)[0], _WARM_SWEEPS
+        if np.any(start.real < floor) or np.any(np.abs(start.imag) > height):
+            return None  # outside the field of values: no root here is near
     try:
-        lam, bound = _aberth(d, b, start)
+        lam, bound = _aberth(d, b, start, sweeps)
     except QRNotConverged:
         return None
     reach = _reach(lam, lowest, below, more, energies)
     if reach is None:
         return None
     width = reach - floor
-    count = _argument_count(d, b, lam, floor - width, reach, float(np.max(np.abs(d.imag))) + width, ulp)
-    inside = lam.real < reach
-    if not abs(count - np.count_nonzero(inside)) <= _COUNT_TOL:
+    count = _argument_count(d, b, lam, floor - width, reach, height + width, ulp)
+    if not abs(count - np.count_nonzero(lam.real < reach)) <= _COUNT_TOL:
         return None
-    return lam[inside], bound[inside], reach
+    return lam, bound, reach
 
 
 def _complex_eigenvalues(
-    d: np.ndarray, b: float, lowest: int | None, below: float, more: int, energies
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(eigenvalues, trace bounds, R) of the complex tridiagonal with
+    d: np.ndarray, b: float, lowest: int | None, below: float, more: int, energies, starts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(eigenvalues, trace bounds, R, roots) of the complex tridiagonal with
     diagonal d and constant off-diagonal b: every eigenvalue with real part
     below R, a window that holds what `_window_size` asks of its real part
     and covers the greedy match of `energies` (`_aberth_window`), or all N
-    with R = +inf.
+    with R = +inf; and every root the solve converged, the window's m or
+    all N, to start a finer grid of the same form.
 
-    The window takes 2k + 8 starts for the k of its real part; where its
-    count refuses it, twice as many; where that is refused too, or k is too
-    wide, the grid is solved whole."""
+    The window takes 2k + 8 starts for the k of its real part: the lowest
+    2k + 8 of `starts` by real part, where there are that many, then the
+    first-order ones; where its count refuses those, twice as many; where
+    that is refused too, or k is too wide, the grid is solved whole."""
     n = len(d)
     size, whole = _window_size(d.real, b, lowest, below, more)
-    for m in () if whole else (2 * size + 8, 4 * size + 16):
-        window = _aberth_window(d, b, min(m, n), lowest, below, more, energies)
+    m = min(2 * size + 8, n)
+    tries = [] if whole else [(m, None), (min(4 * size + 16, n), None)]
+    if tries and starts is not None and len(starts) >= m:
+        tries.insert(0, (m, starts[np.argsort(starts.real, kind="stable")[:m]]))
+    for m, start in tries:
+        window = _aberth_window(d, b, m, lowest, below, more, energies, start)
         if window is not None:
-            return window
+            lam, bound, reach = window
+            inside = lam.real < reach
+            return lam[inside], bound[inside], reach, lam
     lam, bound = _aberth(d, b)
-    return lam, bound, math.inf
+    return lam, bound, math.inf, lam
 
 
 def eigen_complex_dense(
@@ -735,6 +775,8 @@ def eigen_complex_dense(
     more: int = 0,
     energies=(),
     reach: list | None = None,
+    roots: list | None = None,
+    starts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eigenvalues sorted by real part, from the tridiagonal alone.
 
@@ -756,7 +798,10 @@ def eigen_complex_dense(
     real part below a bound R that a count by the argument principle
     proves; where no count proves one, the grid is solved whole
     (`_complex_eigenvalues`).  Given a list `reach`, a complex grid appends
-    R to it, +inf where it returned all N.
+    R to it, +inf where it returned all N.  Given a list `roots`, it
+    appends every root its solve converged, the window's or all N; passed
+    back as `starts` to a finer grid of the same form, they start that
+    grid's window in place of the first-order values.
 
     certify=True checks the residual contract (`_certify`): on a complex
     grid every eigenvalue returned, by its trace bound or by inverse
@@ -767,9 +812,13 @@ def eigen_complex_dense(
         if H.is_real:
             eigs = _real_eigenvalues(H.diagonal.real, H.offdiagonal, lowest, below, more).astype(complex)
         else:
-            eigs, trace_bound, bound = _complex_eigenvalues(H.diagonal, H.offdiagonal, lowest, below, more, energies)
+            eigs, trace_bound, bound, converged = _complex_eigenvalues(
+                H.diagonal, H.offdiagonal, lowest, below, more, energies, starts
+            )
             if reach is not None:
                 reach.append(bound)
+            if roots is not None:
+                roots.append(converged)
     except np.linalg.LinAlgError as err:
         raise QRNotConverged(str(err)) from err
     order = np.argsort(eigs.real)
@@ -975,7 +1024,9 @@ def convergence_study(
     (`_covering_window`), and at least its lowest n_levels; with
     `energies` None, whole.  The finest grid's eigenvalues are
     residual-certified and returned with the report, so a caller needs no
-    second solve of that grid.
+    second solve of that grid.  The grids are solved from coarse to fine,
+    and each complex grid passes every root it converged to the next one's
+    solve, as the starts of that grid's window.
     """
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 2:
@@ -990,11 +1041,16 @@ def convergence_study(
         entries = energies
     all_eigs = []
     hs = []
-    reach = []
+    reach, roots = [], []
     for N in N_list:
         H = discretize(spec, domain, N)
-        window = dict(below=finest, more=more, energies=entries, reach=reach) if N == N_list[-1] else {}
-        all_eigs.append(eigen_complex_dense(H, certify=N == N_list[-1], lowest=n_levels, **window))
+        window = dict(below=finest, more=more, energies=entries) if N == N_list[-1] else {}
+        starts = roots[-1] if roots else None
+        all_eigs.append(
+            eigen_complex_dense(
+                H, certify=N == N_list[-1], lowest=n_levels, reach=reach, roots=roots, starts=starts, **window
+            )
+        )
         hs.append(H.h)
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]
     track = min(n_levels, *counts) if min(counts) > 0 else min(n_levels, len(all_eigs[0]))

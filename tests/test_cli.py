@@ -372,12 +372,15 @@ class TestVerifyCommand:
             assert abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= tol
 
 
-    @pytest.mark.parametrize("preset", ["fig5", "fig7"])
+    @pytest.mark.parametrize("preset", ["fig3", "fig5", "fig7"])
     def test_complex_window_matches_as_the_whole_grid(self, capsys, monkeypatch, preset):
-        # fig5 has no continuum threshold, fig7 one at -1.  verify solves each
-        # complex grid for a window that its count proves; a verify that
-        # solves every grid whole makes the same (n, formula) pairs, tracked
-        # levels and unmatched formula levels, with eigenvalues within 1e-10
+        # fig5 has no continuum threshold, fig7 one at -1, fig3 one at 25.
+        # verify solves each complex grid for a window that its count proves;
+        # a verify that solves every grid whole makes the same (n, formula)
+        # pairs, tracked levels and unmatched formula levels, with
+        # eigenvalues within 1e-10.  fig3's first-order starts miss its low
+        # eigenvalues, so its coarse grid is solved whole, and its finest
+        # window proved from the coarse grid's roots
         argv = ("verify", "--preset", preset, "--N", "800", "--n-max", "3")
         _, out, _ = run(capsys, *argv)
         got = json.loads(out)
@@ -406,6 +409,28 @@ class TestVerifyCommand:
 
 # the verify-real benchmark forms: argv, L of default_domain (None where
 # the form's one finite cell fixes the domain)
+    @pytest.mark.parametrize("preset, grids", [("fig7", [200]), ("fig5", [200, 400])])
+    def test_the_finest_window_starts_from_the_coarse_roots(self, capsys, monkeypatch, preset, grids):
+        # fig7's finest window takes 20 starts, the coarse window's 20 roots,
+        # so only the coarse grid takes first-order starts.  fig5's finest
+        # window takes more starts than the coarse grid has roots, so it
+        # takes first-order ones too
+        grid_sizes = []
+        start = oracle._aberth_start
+        monkeypatch.setattr(oracle, "_aberth_start", lambda d, *args: grid_sizes.append(len(d)) or start(d, *args))
+        run(capsys, "verify", "--preset", preset, "--N", "400")
+        assert grid_sizes == grids
+
+    def test_a_verify_does_not_depend_on_the_one_before(self, capsys):
+        # the coarse roots travel as arguments, so no solve starts from a
+        # previous call's grid
+        fig7 = ("verify", "--preset", "fig7", "--N", "400")
+        trig = ("verify", "--family", "trig-scarf", "--variant", "nonpt", "--A1", "0", "--A2", "3", "--q", "2")
+        first = run(capsys, *fig7)
+        run(capsys, *trig, "--N", "400")
+        assert run(capsys, *fig7) == first
+
+
 _REAL_VERIFY = {
     "trig-scarf": (("--family", "trig-scarf", "--A", "-2"), None),
     "hyp-blind-spot": (("--family", "hyperbolic-scarf", "--V0", "0", "--V1", "4", "--V2", "-3", "--q", "1"), 14.0),

@@ -2,6 +2,7 @@ import importlib.machinery
 import importlib.util
 import json
 import math
+import subprocess
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -443,16 +444,18 @@ class TestTraceCertification:
     def test_a_certified_solve_evaluates_nothing_after_the_last_sweep(self, aberth_calls):
         # the bounds come with the sweeps: certifying adds no evaluation,
         # to a solve or to the study that certifies its finest grid.  The
-        # study asks each grid for a window, as these solves do
+        # study asks each grid for a window, as these solves do, and starts
+        # the finest from the coarse grid's roots
         spec, L = _VARIANT_GRIDS["mr-nonpt"]
         dom = default_domain(spec, L=L)
-        windows = [dict(lowest=6), dict(lowest=6, below=continuum_threshold(spec))]
+        roots = []
+        windows = [dict(lowest=6, roots=roots), dict(lowest=6, below=continuum_threshold(spec))]
         solves = []
         for N, window in zip((200, 400), windows):
-            eigen_complex_dense(discretize(spec, dom, N), certify=False, **window)
+            eigen_complex_dense(discretize(spec, dom, N), certify=False, starts=roots[-1] if roots else None, **window)
             solves.append(list(aberth_calls))
             aberth_calls.clear()
-        eigen_complex_dense(discretize(spec, dom, 400), **windows[1])
+        eigen_complex_dense(discretize(spec, dom, 400), starts=roots[-1], **windows[1])
         assert aberth_calls == solves[1]
         aberth_calls.clear()
         convergence_study(spec, dom, [200, 400])
@@ -759,6 +762,15 @@ class TestComplexWindow:
         order = np.argsort(x)
         assert np.max(np.abs(x[order] - ref_x)) < 1e-15 and np.max(np.abs(w[order] - ref_w)) < 1e-15
 
+    def test_quadrature_nodes_are_computed_once_on_first_use(self):
+        # not at import, as a real verify never counts; later counts share
+        # the first call's arrays, which none of them can write
+        code = "from ptspec import oracle; print(oracle._gauss_legendre.cache_info().currsize)"
+        fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+        assert fresh.stdout == "0\n"
+        first, again = oracle._gauss_legendre(oracle._PANEL_NODES), oracle._gauss_legendre(oracle._PANEL_NODES)
+        assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
+
     @pytest.mark.parametrize("name", ["mr-pt", "mr-nonpt", "trig-nonpt"])
     def test_default_arguments_return_every_eigenvalue(self, name):
         # the benchmark's references are solved whole by the default call
@@ -802,6 +814,104 @@ class TestComplexWindow:
         # moved off it, into the gap, the same contour counts the five
         R = 0.5 * (eigs[4].real + lam.real)
         assert abs(oracle._argument_count(d, b, eigs[:6], args[0], R, *args[2:]) - 5) < oracle._COUNT_TOL
+
+
+# complex grids whose finest window takes the coarse window's roots as its
+# starts, on verify's default domain (L = 12)
+_CONTINUED = {"fig7": (PotentialSpec(**_PRESETS["fig7"][0]), 12.0), "trig-nonpt": _VARIANT_GRIDS["trig-nonpt"]}
+
+
+def _coarse_roots(name, N):
+    """Every root the coarse grid of a verify at N converges: the 20 of
+    its window, not only those left of its reach."""
+    spec, L = _CONTINUED[name]
+    roots = []
+    eigen_complex_dense(discretize(spec, default_domain(spec, L=L), N // 2), certify=False, lowest=6, roots=roots)
+    [converged] = roots
+    assert len(converged) == 2 * 6 + 8
+    return converged
+
+
+class TestGridContinuation:
+    @pytest.mark.parametrize("N", [400, 800])
+    @pytest.mark.parametrize("name", sorted(_CONTINUED))
+    def test_a_window_from_coarse_roots_is_the_first_order_one(self, monkeypatch, name, N):
+        # the finest window started from the coarse grid's roots is proved
+        # with as many roots left of its reach as the one started from
+        # first-order values, each within 4 ulps of ||H||, and takes no
+        # first-order start
+        spec, L = _CONTINUED[name]
+        H = discretize(spec, default_domain(spec, L=L), N)
+        window = dict(certify=False, lowest=6, below=continuum_threshold(spec))
+        cold_reach, warm_reach = [], []
+        cold = eigen_complex_dense(H, reach=cold_reach, **window)
+        starts = _coarse_roots(name, N)
+        monkeypatch.setattr(oracle, "_aberth_start", lambda *args: pytest.fail("a first-order start was taken"))
+        warm = eigen_complex_dense(H, reach=warm_reach, starts=starts, **window)
+        assert math.isfinite(cold_reach[0]) and math.isfinite(warm_reach[0])
+        assert len(warm) == len(cold) >= 6
+        rows, cols = linear_sum_assignment(np.abs(warm[:, None] - cold[None, :]))
+        assert np.max(np.abs(warm[rows] - cold[cols])) <= 4.0 * _diagonal_ulp(H.diagonal, H.offdiagonal)
+
+    @pytest.mark.parametrize("name, other", [("fig7", "trig-nonpt"), ("trig-nonpt", "fig7")])
+    def test_roots_of_another_form_fall_back_to_first_order_starts(self, monkeypatch, name, other):
+        # the other form's roots give no window that the count proves, so
+        # the grid takes the 20 first-order starts, and the bits it returns
+        # with no starts
+        spec, L = _CONTINUED[name]
+        H = discretize(spec, default_domain(spec, L=L), 400)
+        window = dict(certify=False, lowest=6, below=continuum_threshold(spec))
+        cold = eigen_complex_dense(H, **window)
+        starts = _coarse_roots(other, 400)
+        taken = []
+        start = oracle._aberth_start
+        monkeypatch.setattr(oracle, "_aberth_start", lambda *args: taken.append(args[3]) or start(*args))
+        assert _same_bits(eigen_complex_dense(H, starts=starts, **window), cold)
+        assert taken == [20]
+
+    def test_a_window_unconverged_from_coarse_roots_falls_back(self, monkeypatch):
+        # with one sweep the coarse roots do not converge, so the grid takes
+        # the 20 first-order starts, and the bits it returns with no starts
+        spec, L = _CONTINUED["fig7"]
+        H = discretize(spec, default_domain(spec, L=L), 400)
+        window = dict(certify=False, lowest=6, below=continuum_threshold(spec))
+        cold = eigen_complex_dense(H, **window)
+        starts = _coarse_roots("fig7", 400)
+        monkeypatch.setattr(oracle, "_WARM_SWEEPS", 1)
+        taken = []
+        start = oracle._aberth_start
+        monkeypatch.setattr(oracle, "_aberth_start", lambda *args: taken.append(args[3]) or start(*args))
+        assert _same_bits(eigen_complex_dense(H, starts=starts, **window), cold)
+        assert taken == [20]
+
+    def test_roots_outside_the_field_of_values_are_not_swept(self, monkeypatch):
+        # PT Manning-Rosen at N = 300: the 40 roots of its coarse window
+        # reach below lambda_min(Re T) of the finest grid, as its levels at
+        # the poles move as 1/h^2.  No eigenvalue lies there, so the window
+        # takes first-order starts without sweeping those roots
+        spec, L = _VARIANT_GRIDS["mr-pt"]
+        dom = default_domain(spec, L=L)
+        roots = []
+        eigen_complex_dense(discretize(spec, dom, 150), certify=False, lowest=6, roots=roots)
+        H = discretize(spec, dom, 300)
+        energies = closed_form_spectrum(spec, 3).energies()
+        below, more = oracle._covering_window(energies)
+        window = dict(certify=False, lowest=6, below=below, more=more, energies=energies)
+        cold = eigen_complex_dense(H, **window)
+        lowest = eigvalsh_tridiagonal(H.diagonal.real, np.full(H.N - 1, H.offdiagonal), select="i", select_range=(0, 0))
+        assert len(roots[0]) == 40 and np.min(roots[0].real) < lowest[0]
+        sweeps = []
+        aberth = oracle._aberth
+        monkeypatch.setattr(oracle, "_aberth", lambda d, b, *args: sweeps.append(args) or aberth(d, b, *args))
+        assert _same_bits(eigen_complex_dense(H, starts=roots[0], **window), cold)
+        assert [len(lam) for lam, _ in sweeps] == [40]  # the first-order window alone
+
+    @pytest.mark.parametrize("name", sorted(_PRESETS))
+    def test_no_preset_grid_has_a_zero_off_diagonal(self, name):
+        # b = -kappa / h^2, and kappa = hbar^2 / 2m > 0, so no grid that
+        # discretize builds meets `_aberth_start`'s inexact b = 0 start
+        spec = PotentialSpec(**_PRESETS[name][0])
+        assert discretize(spec, default_domain(spec, L=_PRESETS[name][1]), 50).offdiagonal < 0
 
 
 def _log_derivatives(d, b2, z, tiny):
