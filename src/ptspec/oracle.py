@@ -81,11 +81,6 @@ _RESIDUAL_BOUND = 1e-8
 # Ehrlich-Aberth sweeps before a complex grid is refused; the grids of the
 # tests and the benchmark take 1 to 37.
 _ABERTH_SWEEPS = 200
-# Sweeps before a window started from a coarser grid's roots gives way to
-# first-order starts.  Started within O(h^2) of their roots, the windows of
-# the benchmark's grids, the presets' and 60 random non-PT forms (N = 300 to
-# 1600) took 4 to 21.
-_WARM_SWEEPS = 32
 # Complex numbers per block of the Aberth sweeps and of certification, so
 # that memory stays O(N) however many eigenvalues a sweep or a check takes.
 # Certification carries several such arrays per block, so its blocks are a
@@ -486,9 +481,7 @@ def _aberth_start(d: np.ndarray, b: float, tiny: float, count: int | None = None
     return mu + 1j * c
 
 
-def _aberth(
-    d: np.ndarray, b: float, lam: np.ndarray | None = None, sweeps: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _aberth(d: np.ndarray, b: float, lam: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues of the tridiagonal with diagonal d and constant
     off-diagonal b, by Ehrlich-Aberth iteration, each with a trace bound on
     its least singular value sigma_min(T - lambda): all N, from the
@@ -498,8 +491,8 @@ def _aberth(
     A sweep updates every unconverged approximation at once; one stops when
     its step is at most a few ulps of ||H||.  The Aberth correction sums
     over the roots being found, so a window of starts finds a window of
-    roots.  Raises QRNotConverged if any is left after `sweeps` sweeps,
-    _ABERTH_SWEEPS if None.
+    roots.  Raises QRNotConverged if any is left after _ABERTH_SWEEPS
+    sweeps.
 
     Each bound comes from the root's last sweep, which moved it from z to
     lambda = z - step: sigma_min(T - lambda) <= sigma_min(T - z) + |step|
@@ -514,8 +507,7 @@ def _aberth(
     bound = np.empty(len(lam))
     active = np.arange(len(lam))
     rows = max(1, _BLOCK // len(lam))
-    sweeps = _ABERTH_SWEEPS if sweeps is None else sweeps
-    for _ in range(sweeps):
+    for _ in range(_ABERTH_SWEEPS):
         z = lam[active]
         step, hit = _newton_ratios(d, b * b, z, ulp)
         trace = n * np.abs(step)
@@ -532,7 +524,7 @@ def _aberth(
         if not len(active):
             return lam, bound
     raise QRNotConverged(
-        f"Ehrlich-Aberth: {len(active)} of {len(lam)} eigenvalues unconverged after {sweeps} sweeps"
+        f"Ehrlich-Aberth: {len(active)} of {len(lam)} eigenvalues unconverged after {_ABERTH_SWEEPS} sweeps"
     )
 
 
@@ -702,10 +694,9 @@ def _aberth_window(
     The starts are the first-order values of the lowest m eigenvalues of
     Re T (`_aberth_start`), or `start`, m values that it overwrites: the
     roots of a coarser grid of the same form, each within O(h^2) of its
-    root here.  Those get _WARM_SWEEPS sweeps to converge, and none where
-    one of them lies outside the field of values below, as the roots of a
-    PT Manning-Rosen grid at its poles can, where its levels do not
-    converge with h.
+    root here.  Those are not swept where one of them lies outside the
+    field of values below, as the roots of a PT Manning-Rosen grid at its
+    poles can, where its levels do not converge with h.
 
     T = T_0 + i diag(Im d) has its field of values in Re z >= lambda_min(T_0)
     and |Im z| <= max |Im d|, so every eigenvalue with real part below R lies
@@ -718,13 +709,13 @@ def _aberth_window(
     height = float(np.max(np.abs(d.imag)))
     if start is None:
         start = _aberth_start(d, b, ulp, m)
-        floor, sweeps = start[0].real, None
+        floor = start[0].real
     else:
-        floor, sweeps = _stebz(d.real, np.full(len(d) - 1, b), "i", 0, 0)[0], _WARM_SWEEPS
+        floor = _stebz(d.real, np.full(len(d) - 1, b), "i", 0, 0)[0]
         if np.any(start.real < floor) or np.any(np.abs(start.imag) > height):
             return None  # outside the field of values: no root here is near
     try:
-        lam, bound = _aberth(d, b, start, sweeps)
+        lam, bound = _aberth(d, b, start)
     except QRNotConverged:
         return None
     reach = _reach(lam, lowest, below, more, energies)

@@ -870,19 +870,32 @@ class TestGridContinuation:
         assert taken == [20]
 
     def test_a_window_unconverged_from_coarse_roots_falls_back(self, monkeypatch):
-        # with one sweep the coarse roots do not converge, so the grid takes
-        # the 20 first-order starts, and the bits it returns with no starts
+        # two coinciding starts make the Aberth correction singular: its NaN
+        # reaches every root and the window does not converge, so the grid
+        # takes the 20 first-order starts, and the bits it returns with no
+        # starts
         spec, L = _CONTINUED["fig7"]
         H = discretize(spec, default_domain(spec, L=L), 400)
         window = dict(certify=False, lowest=6, below=continuum_threshold(spec))
         cold = eigen_complex_dense(H, **window)
         starts = _coarse_roots("fig7", 400)
-        monkeypatch.setattr(oracle, "_WARM_SWEEPS", 1)
-        taken = []
-        start = oracle._aberth_start
+        low = np.argsort(starts.real)
+        starts[low[1]] = starts[low[0]]
+        taken, failed = [], []
+        start, aberth = oracle._aberth_start, oracle._aberth
         monkeypatch.setattr(oracle, "_aberth_start", lambda *args: taken.append(args[3]) or start(*args))
-        assert _same_bits(eigen_complex_dense(H, starts=starts, **window), cold)
-        assert taken == [20]
+
+        def counted(*args):
+            try:
+                return aberth(*args)
+            except QRNotConverged:
+                failed.append(len(args[2]))
+                raise
+
+        monkeypatch.setattr(oracle, "_aberth", counted)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert _same_bits(eigen_complex_dense(H, starts=starts, **window), cold)
+        assert failed == [20] and taken == [20]
 
     def test_roots_outside_the_field_of_values_are_not_swept(self, monkeypatch):
         # PT Manning-Rosen at N = 300: the 40 roots of its coarse window
@@ -904,7 +917,7 @@ class TestGridContinuation:
         aberth = oracle._aberth
         monkeypatch.setattr(oracle, "_aberth", lambda d, b, *args: sweeps.append(args) or aberth(d, b, *args))
         assert _same_bits(eigen_complex_dense(H, starts=roots[0], **window), cold)
-        assert [len(lam) for lam, _ in sweeps] == [40]  # the first-order window alone
+        assert [len(lam) for lam, in sweeps] == [40]  # the first-order window alone
 
     @pytest.mark.parametrize("name", sorted(_PRESETS))
     def test_no_preset_grid_has_a_zero_off_diagonal(self, name):
