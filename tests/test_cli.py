@@ -406,9 +406,6 @@ class TestVerifyCommand:
             assert close(lv["finest"], rf["finest"]) and close(lv["extrapolated"], rf["extrapolated"])
             assert lv["flagged"] == rf["flagged"]
 
-
-# the verify-real benchmark forms: argv, L of default_domain (None where
-# the form's one finite cell fixes the domain)
     @pytest.mark.parametrize("preset, grids", [("fig7", [200]), ("fig5", [200, 400])])
     def test_the_finest_window_starts_from_the_coarse_roots(self, capsys, monkeypatch, preset, grids):
         # fig7's finest window takes 20 starts, the coarse window's 20 roots,
@@ -431,6 +428,8 @@ class TestVerifyCommand:
         assert run(capsys, *fig7) == first
 
 
+# the verify-real benchmark forms: argv, L of default_domain (None where
+# the form's one finite cell fixes the domain)
 _REAL_VERIFY = {
     "trig-scarf": (("--family", "trig-scarf", "--A", "-2"), None),
     "hyp-blind-spot": (("--family", "hyperbolic-scarf", "--V0", "0", "--V1", "4", "--V2", "-3", "--q", "1"), 14.0),
