@@ -39,6 +39,7 @@ output under "spec"): {"family": str, "variant": str, "params": {"A"|"B"|
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -326,6 +327,7 @@ def _refuse_replaced(args) -> None:
             raise _UsageError(f"{flag} is not read beside {source}")
 
 
+@functools.cache  # built once per process; parse_args leaves it as it was
 def make_parser() -> _Parser:
     parser = _Parser(
         prog="ptspec", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False

@@ -39,7 +39,7 @@ cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
 and a window's sweeps cheap.
 The recurrence checks no pivot in its rows: an exactly zero one shows as a
 sum that is not finite, and only those z run again, with the pivot patched,
-from the last state kept before it.
+from row 0.
 Complex symmetric tridiagonal eigenproblems lack the guarantees of the
 Hermitian case, so every eigenvalue a complex grid returns is certified: by
 a trace bound on its best residual, N |p/p'| + |step| from the sweep that
@@ -78,6 +78,8 @@ from .families import variant_form
 from .potentials import DomainSpec, PotentialSpec, evaluate
 
 _RESIDUAL_BOUND = 1e-8
+# Seed of the random eigenvalues and starts of `_certify`'s banded check.
+_CERTIFY_SEED = 7
 # Ehrlich-Aberth sweeps before a complex grid is refused; the grids of the
 # tests and the benchmark take 1 to 37.
 _ABERTH_SWEEPS = 200
@@ -234,7 +236,7 @@ def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltoni
     return GridHamiltonian(domain=domain, N=N, h=h, diagonal=diag, offdiagonal=-kappa / h**2)
 
 
-def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | None, seed: int = 7) -> float:
+def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | None) -> float:
     """Residual check against the contract bound relative to ||H||_max:
     every eigenvalue of a complex grid, five random ones of a real grid.
 
@@ -256,7 +258,7 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
     worst bound or residual taken; raises QRNotConverged if a banded
     residual exceeds the contract, or is not a number.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CERTIFY_SEED)
     n = H.N
     idx = rng.choice(len(eigs), size=min(5, len(eigs)), replace=False)
     bound = _RESIDUAL_BOUND * (float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal))
@@ -288,19 +290,21 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
     return worst
 
 
-def _recurrence_rows(
-    d: np.ndarray, w: np.ndarray, b2: float, z: np.ndarray, r: np.ndarray, u: np.ndarray, total: np.ndarray, tiny
-) -> None:
-    """Rows d, w of the recurrence, after the row that left r, u and total,
-    one step per row over all of z, in place on r, u and total.  With
-    `tiny` given, an exactly zero pivot becomes tiny; with None, it divides
-    as it is.
+def _recurrence_sum(d: np.ndarray, w: np.ndarray, b2: float, z: np.ndarray, tiny) -> np.ndarray:
+    """The sum over all rows d, w of the recurrence at each z, one step per
+    row over all of z.  With `tiny` given, an exactly zero pivot becomes
+    tiny; with None, it divides as it is.
 
     t u goes to a buffer of its own: NumPy's complex multiply of a single
     element written over one of its operands does not round as its array
     loop does, and a rerun is often on one z."""
+    r = d[0] - z
+    if tiny is not None:
+        r[r == 0] = tiny
+    u = w[0] / r
+    total = u.copy()
     t, tu = np.empty_like(r), np.empty_like(u)
-    for dk, wk in zip(d, w):
+    for dk, wk in zip(d[1:], w[1:]):
         np.divide(b2, r, out=t)
         np.subtract(dk, t, out=r)
         np.subtract(r, z, out=r)
@@ -310,6 +314,7 @@ def _recurrence_rows(
         np.add(tu, wk, out=tu)
         np.divide(tu, r, out=u)
         total += u
+    return total
 
 
 def _recurrence_log_derivative(
@@ -327,63 +332,19 @@ def _recurrence_log_derivative(
 
     The rows run with no check of their pivots.  Each divides by the pivot
     it forms, so an exactly zero pivot makes that z's sum inf or NaN, which
-    no later row makes finite.  Every isqrt(N) rows the state (r_k, u_k,
-    sum) of each z whose sum is still finite is kept: none of its pivots
-    was zero up to there.  The z whose sum is not finite, those and any
-    whose sum overflowed, are the mask, and each runs again from its last
-    kept state (`_recurrence_resume`) with each exactly zero pivot made
-    `tiny`, so that b2 = 0 gives no 0/0.  That is the sum a check in every
-    row gives, to the bit; a NaN `tiny` makes it NaN at each z that met one.
+    no later row makes finite.  The z whose sum is not finite, those and
+    any whose sum overflowed, are the mask, and each runs again from row 0
+    with each exactly zero pivot made `tiny`, so that b2 = 0 gives no 0/0.
+    That is the sum a check in every row gives, to the bit; a NaN `tiny`
+    makes it NaN at each z that met one.
     """
-    n = len(d)
-    w = np.full(n, -1.0) if w is None else w
-    every = math.isqrt(n)
+    w = np.full(len(d), -1.0) if w is None else w
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot is found by its sum
-        r = d[0] - z
-        u = w[0] / r
-        total = u.copy()
-        kept_row = np.full(len(z), -1)
-        kept = (r.copy(), u.copy(), total.copy())
-        for row in range(0, n - 1, every):  # the last row run
-            fine = np.isfinite(total)
-            kept_row[fine] = row
-            for held, now in zip(kept, (r, u, total)):
-                held[fine] = now[fine]
-            _recurrence_rows(d[row + 1 : row + 1 + every], w[row + 1 : row + 1 + every], b2, z, r, u, total, None)
+        total = _recurrence_sum(d, w, b2, z, None)
     hit = ~np.isfinite(total)
     if hit.any():
-        total[hit] = _recurrence_resume(d, b2, z[hit], tiny, w, every, kept_row[hit], *(a[hit] for a in kept))
+        total[hit] = _recurrence_sum(d, w, b2, z[hit], tiny)
     return total, hit
-
-
-def _recurrence_resume(
-    d: np.ndarray, b2: float, z: np.ndarray, tiny: float, w: np.ndarray, every: int,
-    row: np.ndarray, r: np.ndarray, u: np.ndarray, total: np.ndarray,
-) -> np.ndarray:
-    """The guarded sum at each z, resumed after its kept row, `row`, from
-    its kept state r, u and total (from row 0 where `row` is -1).  Rows run
-    once over all of z: each z joins at its own kept row, a multiple of
-    `every`.  Returns the sums in the order of z."""
-    fresh = row < 0
-    if fresh.any():
-        r0 = d[0] - z[fresh]
-        r0[r0 == 0] = tiny
-        r[fresh], u[fresh] = r0, w[0] / r0
-        total[fresh], row[fresh] = u[fresh], 0
-    order = np.argsort(row, kind="stable")
-    at = int(row[order[0]])
-    joined = order[row[order] == at]
-    zs, rs, us, ts = z[joined], r[joined], u[joined], total[joined]
-    while at < len(d) - 1:
-        _recurrence_rows(d[at + 1 : at + 1 + every], w[at + 1 : at + 1 + every], b2, zs, rs, us, ts, tiny)
-        at += every
-        joining = order[row[order] == at]
-        if len(joining):
-            joined = np.concatenate([joined, joining])
-            zs, rs, us, ts = (np.concatenate([a, b[joining]]) for a, b in ((zs, z), (rs, r), (us, u), (ts, total)))
-    out = np.empty_like(total)
-    out[joined] = ts
-    return out
 
 
 def _reduction_log_derivative(

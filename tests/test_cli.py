@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ptspec import oracle, spectra
-from ptspec.cli import main
+from ptspec.cli import main, make_parser
 from ptspec.potentials import PotentialSpec, default_domain
 
 
@@ -551,6 +551,18 @@ class TestDeterminismAndRoundTrip:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    def test_the_parser_is_built_once(self):
+        assert make_parser() is make_parser()
+
+    def test_a_usage_error_leaves_the_next_verify_as_it_was(self, capsys):
+        # the parser outlives each call, so a parse that failed half way
+        # must leave nothing behind for the next one
+        argv = ("verify", "--family", "trig-scarf", "--A", "-2", "--N", "200", "--n-max", "3")
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert run(capsys, "verify", "--family", "trig-scarf", "--A", "-2", "--N", "x", "--n", "1")[0] == 1
+        assert run(capsys, *argv) == first
 
     def test_spec_roundtrip(self, capsys, tmp_path):
         code, out, _ = run(

@@ -370,9 +370,9 @@ def handed_over(monkeypatch):
     calls = []
     certify = oracle._certify
 
-    def recorded(H, eigs, trace_bound, seed=7):
+    def recorded(H, eigs, trace_bound):
         calls.append((eigs.copy(), None if trace_bound is None else trace_bound.copy()))
-        return certify(H, eigs, trace_bound, seed)
+        return certify(H, eigs, trace_bound)
 
     monkeypatch.setattr(oracle, "_certify", recorded)
     return calls
@@ -1119,47 +1119,41 @@ class TestReferenceLoops:
         assert _same_bits(got, want)
 
     @pytest.mark.parametrize("n", [50, 400, 401])
-    @pytest.mark.parametrize("at", ["first", "before", "on", "after", "last"])
-    def test_a_rerun_from_its_checkpoint_is_the_full_rerun_bit_for_bit(self, n, at, monkeypatch):
+    @pytest.mark.parametrize("at", ["first", "early", "middle", "late", "last"])
+    def test_a_rerun_from_row_0_is_the_guarded_loop_bit_for_bit(self, n, at, monkeypatch):
         # the shifted Laplacian 2 + 0.5i, its diagonal lowered by 1 in row 0
         # and in row K: at z = 0.5i each pivot is exactly 1 up to row K,
-        # whose pivot is exactly 0, and at z = 1 + 0.5i row 0's is.  Row K
-        # falls before, on and after a kept state, every isqrt(N) rows
-        every = math.isqrt(n)
-        K = {"first": 1, "before": every - 1, "on": every, "after": every + 1, "last": n - 1}[at]
+        # whose pivot is exactly 0, and at z = 1 + 0.5i row 0's is
+        K = {"first": 1, "early": n // 8, "middle": n // 2, "late": n - 2, "last": n - 1}[at]
         d = np.full(n, 2.0 + 0.5j)
         d[[0, K]] -= 1.0
         rng = np.random.default_rng(n)
         z = np.concatenate([[0.5j, 1.0 + 0.5j], rng.standard_normal(6) + 1j * rng.standard_normal(6)])
-        rows = []
-        run_rows = oracle._recurrence_rows
+        calls = []
+        run_sum = oracle._recurrence_sum
 
-        def counted(dk, wk, b2, zk, r, u, total, tiny):
-            rows.append((len(zk), len(dk), tiny is None))
-            return run_rows(dk, wk, b2, zk, r, u, total, tiny)
+        def counted(dk, wk, b2, zk, tiny):
+            calls.append((zk.copy(), tiny))
+            return run_sum(dk, wk, b2, zk, tiny)
 
-        monkeypatch.setattr(oracle, "_recurrence_rows", counted)
+        monkeypatch.setattr(oracle, "_recurrence_sum", counted)
         for tiny in (1e-13, math.nan):
-            rows.clear()
+            calls.clear()
             with np.errstate(invalid="ignore"):
                 got, hit = oracle._recurrence_log_derivative(d, 1.0, z.copy(), tiny)
                 want = _reference_recurrence(d, 1.0, z.copy(), tiny)
             assert hit.tolist() == [True, True] + [False] * 6
             assert _same_bits(got, want)
-            # the full rerun of the two from row 0, by the same rows
-            r = d[0] - z[:2]
-            r[r == 0] = tiny
+            # the full rerun of the two from row 0, by the same loop
             with np.errstate(invalid="ignore"):
-                u = -1.0 / r
-                total = u.copy()
-                run_rows(d[1:], np.full(n - 1, -1.0), 1.0, z[:2], r, u, total, tiny)
+                total = run_sum(d, np.full(n, -1.0), 1.0, z[:2].copy(), tiny)
             assert _same_bits(got[:2], total)
-            # the rerun ran each of its rows once: from row 0 for z = 1 + 0.5i,
-            # joined by z = 0.5i at its last kept row before K
-            kept = (K - 1) // every * every
-            rerun = [(m, rows_run) for m, rows_run, unguarded in rows if not unguarded]
-            assert sum(rows_run for _, rows_run in rerun) == n - 1
-            assert sum(rows_run for m, rows_run in rerun if m == 2) == n - 1 - kept
+            # one pass over all z with no check, then one with the patch
+            # over exactly the two that met a zero pivot
+            assert len(calls) == 2
+            (first, first_tiny), (rerun, rerun_tiny) = calls
+            assert _same_bits(first, z) and first_tiny is None
+            assert _same_bits(rerun, z[:2]) and rerun_tiny is tiny
 
     @pytest.mark.parametrize("n", [50, 51, 400])
     def test_recurrence_along_w_is_the_guarded_loop_bit_for_bit(self, n):
