@@ -13,16 +13,26 @@ with no threshold, for the window that covers the energies it matches.  A
 Sturm count at the window's top energy sizes the window before anything is
 solved, and a window of more than N/16 eigenvalues, on either grid kind, is
 solved whole instead (`_window_size`).
-A real symmetric grid's window comes from Sturm-sequence bisection (Barth,
-Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK `dstebz`), k
-eigenvalues in O(N k); a whole one from LAPACK `dsterf`, all N in O(N^2).
+The convergence study solves its grids from coarse to fine, and each grid
+after the first starts from what the grid before it solved, each value
+within O(h^2) of its own here.  It sizes a real finest window first and
+asks the coarser grids for as many eigenvalues.
+A real symmetric grid's window is refined from those by Rayleigh-quotient
+iteration (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4),
+each step one batched LAPACK `dgtsv` solve, and accepted only where the
+residuals prove it: for symmetric T an eigenvalue lies within ||Tv - sigma
+v|| of sigma, and where those brackets are disjoint and one Sturm count at
+the top of the highest counts them all, they hold the lowest k.  Otherwise,
+and on the first grid, the window comes from Sturm-sequence bisection
+(Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK
+`dstebz`), k eigenvalues in O(N k); a whole one from LAPACK `dsterf`, all
+N in O(N^2).
 A complex symmetric grid is solved by the Ehrlich-Aberth iteration of Bini,
-Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27 (2005) 153-175).  The
-convergence study solves its grids from coarse to fine, and each complex
-grid after the first starts from the roots that the grid before it
-converged, each within O(h^2) of its root here.  Where there are too few
-of those, or they give no window that a count proves, a grid starts from
-its first-order eigenvalues in its imaginary part: the eigenvalues mu_j of
+Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27 (2005) 153-175), each
+grid after the first from the roots the grid before it converged.  Where
+there are too few of those, or they give no window that a count proves, a
+grid starts from its first-order eigenvalues in its imaginary part: the
+eigenvalues mu_j of
 the real part, each moved by i v_j^T diag(Im d) v_j, which one more pass
 of the recurrence below gives with no eigenvector.  A window starts from
 the lowest mu_j alone, from `dstebz`, and its Aberth correction sums over
@@ -46,18 +56,23 @@ a trace bound on its best residual, N |p/p'| + |step| from the sweep that
 moved it last, so that certifying runs no sweep, or where that bound
 fails, is not a number, or that sweep met an exactly zero pivot, by an
 inverse-iteration residual.  Five eigenvalues drawn at random take
-the inverse-iteration check on either grid kind: on a complex grid as a
-witness independent of the recurrence, on a real grid as its whole
-certification.
+the inverse-iteration check: on a complex grid as a witness independent of
+the recurrence, on a bisected or whole real grid as its whole
+certification.  Each eigenvalue of a warm real window is certified by its
+own residual, and draws no witness.
 
-The oracle calls three LAPACK routines: `dsterf` and `dstebz` for real
-tridiagonals, and `zgtsv` for the banded solves of inverse iteration.  It
+The oracle calls four LAPACK routines: `dsterf` and `dstebz` for real
+tridiagonals, `dgtsv` for the shifted solves of Rayleigh-quotient
+iteration, and `zgtsv` for the banded solves of inverse iteration.  It
 takes them from SciPy's LAPACK extension, `scipy.linalg._flapack`, which
 `_load_flapack` loads from its file alone, so that `scipy.linalg`'s
 `__init__` never runs: it loads `scipy._lib`, and through it `numpy.f2py`,
-which cost a cold `verify` more than its solves.  Each call passes the
-arguments, and makes the checks, of `scipy.linalg.eigvalsh_tridiagonal`
-and `solve_banded`, so every eigenvalue has the bits those functions give.
+which cost a cold `verify` more than its solves.  Each call of `dsterf`,
+`dstebz` and `zgtsv` passes the arguments, and makes the checks, of
+`scipy.linalg.eigvalsh_tridiagonal` and `solve_banded`, so each eigenvalue
+they give has the bits those functions give.  A warm real window's
+Rayleigh quotients are not bisection's bits, but lie within an ulp of
+||T|| of them.
 """
 
 from __future__ import annotations
@@ -99,6 +114,18 @@ _WINDOW_SHARE = 16
 # how far that count may be from the number of window roots it proves.
 _PANEL_NODES = 16
 _COUNT_TOL = 1e-6
+# A warm real window's Rayleigh-quotient iteration: an eigenvalue has
+# converged when its residual ||Tv - sigma v|| is at most _RAYLEIGH_ULPS
+# sqrt(N) ulps of ||T||.  That is four times the floor at which rounding
+# leaves the residual of a computed eigenvector, which grows as sqrt(N):
+# about 1.5 ulps at N = 2000 and 6 at N = 16000 on the trig grid, where a
+# fixed few ulps, the tolerance of `dstebz`, would refuse every window of a
+# large grid.  The eigenvalue's own error is of the order of the residual
+# squared over the gap, far below an ulp.  A window with any left after
+# _RAYLEIGH_STEPS iterations is refused; the grids of the tests and the
+# benchmark take 2 or 3.
+_RAYLEIGH_ULPS = 0.25
+_RAYLEIGH_STEPS = 6
 _FLAPACK = "scipy.linalg._flapack"
 
 
@@ -181,6 +208,21 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: str, lo, hi) -> np.ndarray:
     return w[:m]
 
 
+def _shifted_solve(d: np.ndarray, b: float, shifts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The rows x_j of (T - shifts_j) x_j = rhs_j, T the real symmetric
+    tridiagonal with diagonal d and constant off-diagonal b, by one LAPACK
+    `dgtsv` call: the shifted copies of T sit uncoupled down the diagonal
+    of one band, as in `_certify`.  It overwrites rhs where that is an
+    array of its own.  Raises LinAlgError if one of them is singular."""
+    m, n = rhs.shape
+    off = np.full(m * n - 1, b)
+    off[n - 1 :: n] = 0.0
+    diag = (d - shifts[:, None]).ravel()
+    *_, x, info = _flapack.dgtsv(off, diag, off, rhs.reshape(-1, 1), overwrite_d=True, overwrite_b=True)
+    _check_info(info, "dgtsv", "singular matrix")
+    return x.reshape(m, n)
+
+
 def solve_banded(band: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with T x = b, T the complex tridiagonal whose superdiagonal,
     diagonal and subdiagonal are the rows of band, by one LAPACK `zgtsv`
@@ -211,10 +253,17 @@ class GridHamiltonian(NamedTuple):
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """H v, for one vector or for each row of a stack of them."""
-        out = self.diagonal * v
-        out[..., :-1] += self.offdiagonal * v[..., 1:]
-        out[..., 1:] += self.offdiagonal * v[..., :-1]
-        return out
+        return _tridiagonal_product(self.diagonal, self.offdiagonal, v)
+
+
+def _tridiagonal_product(diag: np.ndarray, b: float, v: np.ndarray) -> np.ndarray:
+    """T v for one vector or for each row of a stack of them, T the
+    tridiagonal with diagonal `diag`, one for all rows or one per row, and
+    constant off-diagonal b."""
+    out = diag * v
+    out[..., :-1] += b * v[..., 1:]
+    out[..., 1:] += b * v[..., :-1]
+    return out
 
 
 def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltonian:
@@ -238,32 +287,39 @@ def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltoni
 
 def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | None) -> float:
     """Residual check against the contract bound relative to ||H||_max:
-    every eigenvalue of a complex grid, five random ones of a real grid.
+    every eigenvalue of a complex grid and of a warm real window, five
+    random ones of a bisected or whole real grid.
 
     On a complex grid each eigenvalue comes with a trace bound on its best
-    residual; a real grid passes None.  With G = (T - z)^-1, sigma_min(T -
-    z) = 1/||G||_2 <= 1/max_r |G_rr| <= N/|tr G| = N |p(z)/p'(z)| (Parlett &
-    Dhillon, Linear Algebra Appl. 267 (1997) 247-279), so the Newton ratios
-    of one recurrence sweep over all N bound the best residual of each z.
-    `_aberth` takes them from each root's last sweep, so no sweep runs here.
+    residual.  With G = (T - z)^-1, sigma_min(T - z) = 1/||G||_2 <= 1/max_r
+    |G_rr| <= N/|tr G| = N |p(z)/p'(z)| (Parlett & Dhillon, Linear Algebra
+    Appl. 267 (1997) 247-279), so the Newton ratios of one recurrence sweep
+    over all N bound the best residual of each z.  `_aberth` takes them
+    from each root's last sweep, so no sweep runs here.  A warm real window
+    (`_rayleigh_window`) passes the residual ||Tv - sigma v|| of each
+    eigenvalue's unit Rayleigh-quotient vector, a certificate in itself; a
+    real grid solved by `dstebz` or `dsterf` passes None.
 
     The banded check is inverse iteration.  A block of shifts takes one
     banded solve per step: the shifted copies of H sit uncoupled down the
     diagonal of one band.  Three steps run from a seeded random start
     without renormalizing, and ||Hv - lambda v||/||v|| is taken once, on the
-    last v.  It runs on five seeded random eigenvalues of either grid, a
-    witness independent of the recurrence, and on every eigenvalue of a
-    complex grid whose trace bound is over the contract or not a number; an
-    evaluation that met an exactly zero pivot gives NaN.  Returns the
-    worst bound or residual taken; raises QRNotConverged if a banded
-    residual exceeds the contract, or is not a number.
+    last v.  It runs on five seeded random eigenvalues, a witness
+    independent of the recurrence on a complex grid and the whole
+    certification of a real grid that passes None, and on every eigenvalue
+    whose bound is over the contract or not a number; an evaluation that
+    met an exactly zero pivot gives NaN.  A warm real window draws no
+    witness.  Returns the worst bound or residual taken; raises
+    QRNotConverged if a banded residual exceeds the contract, or is not a
+    number.
     """
     rng = np.random.default_rng(_CERTIFY_SEED)
     n = H.N
-    idx = rng.choice(len(eigs), size=min(5, len(eigs)), replace=False)
+    witnesses = 0 if H.is_real and trace_bound is not None else min(5, len(eigs))
+    idx = rng.choice(len(eigs), size=witnesses, replace=False)
     bound = _RESIDUAL_BOUND * (float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal))
     worst = 0.0
-    if not H.is_real:
+    if trace_bound is not None:
         held = trace_bound <= bound  # a NaN bound routes its eigenvalue to the banded check
         worst = float(np.max(trace_bound[held], initial=0.0))
         idx = np.concatenate([idx, np.setdiff1d(np.flatnonzero(~held), idx)])
@@ -507,49 +563,126 @@ def _sturm_count(d: np.ndarray, b: float, x: float) -> int:
     return count
 
 
-def _window_size(d: np.ndarray, b: float, lowest: int | None, below: float, more: int) -> tuple[int, bool]:
-    """(k, whole) for a window of the real symmetric tridiagonal with
+def _window_size(d: np.ndarray, b: float, lowest: int | None, below: float, more: int) -> tuple[int, int, bool]:
+    """(j, k, whole) for a window of the real symmetric tridiagonal with
     diagonal d and constant off-diagonal b: k the eigenvalues it holds,
     every one up to `below`, the `more` above those, and at least the
-    lowest `lowest`, from a Sturm count at `below` before anything is
-    solved; whole where the grid is better solved whole, as no window was
-    asked (lowest None or below +inf) or k > N / _WINDOW_SHARE.
+    lowest `lowest`, from j, a Sturm count at `below` (0 at -inf), before
+    anything is solved; whole where the grid is better solved whole, as no
+    window was asked (lowest None or below +inf: then j = k = N) or k > N /
+    _WINDOW_SHARE.
 
-    It is one rule for both grid kinds: a real grid bisects the k, a
+    It is one rule for both grid kinds: a real grid solves the k, a
     complex grid takes the k of its real part as the core of its Aberth
     starts."""
     n = len(d)
     if lowest is None or below == math.inf:
-        return n, True
-    k = max(lowest, (_sturm_count(d, b, below) if below > -math.inf else 0) + more)
-    return k, k * _WINDOW_SHARE > n
+        return n, n, True
+    count = _sturm_count(d, b, below) if below > -math.inf else 0
+    k = max(lowest, count + more)
+    return count, k, k * _WINDOW_SHARE > n
 
 
-def _real_eigenvalues(d: np.ndarray, b: float, lowest: int | None, below: float, more: int = 0) -> np.ndarray:
-    """Ascending eigenvalues of the real tridiagonal with diagonal d and
-    constant off-diagonal b: all of them if lowest is None, else every one
-    up to `below` and the `more` above those, and at least the lowest
-    `lowest` in all.
+def _rayleigh_window(d: np.ndarray, b: float, starts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(eigenvalues, residuals) of the lowest k eigenvalues of the real
+    symmetric tridiagonal with diagonal d and constant off-diagonal b,
+    refined from the lowest k of `starts` by Rayleigh-quotient iteration,
+    or None where they do not prove that window.
+
+    The starts are the eigenvalues of a coarser grid of the same form, each
+    within O(h^2) of its eigenvalue here, and from such a shift the
+    iteration converges cubically (Parlett, The Symmetric Eigenvalue
+    Problem, SIAM 1998, ch. 4).  Each step solves (T - sigma) x = v for a
+    block of at most _CERTIFY_BLOCK // N shifts at once (`_shifted_solve`)
+    and takes the unit vector v of x.  The first, from v = 1 + i/N, is one
+    step of inverse iteration at the starts: that vector is mostly the
+    lowest eigenvectors, and a quotient taken after one solve can move a
+    higher start to a neighbour's eigenvalue.  Each later step moves sigma
+    by v^T (T - sigma) v, to the Rayleigh quotient, and the residual
+    ||(T - sigma) v|| of the moved sigma stops an eigenvalue's iteration
+    once it is at most _RAYLEIGH_ULPS sqrt(N) ulps of ||T||.
+
+    For symmetric T an eigenvalue lies within each residual of its sigma.
+    With a margin of N ulps of ||T|| for rounding, the window is proved
+    where these brackets are disjoint, so that each holds its own
+    eigenvalue, and a Sturm count at the top of the highest is k, so that
+    they are the lowest k.  None where that fails, where fewer than k
+    starts are given, where a sigma is not converged after _RAYLEIGH_STEPS
+    quotients, or where a solve is singular or not finite.
+    """
+    n = len(d)
+    if len(starts) < k:
+        return None
+    ulp = np.finfo(float).eps * _norm(d, b)
+    tol = _RAYLEIGH_ULPS * math.sqrt(n) * ulp
+    sigma = np.sort(starts.real)[:k]
+    resid = np.empty(k)
+    first = 1.0 + np.arange(n) / n
+    per = max(1, _CERTIFY_BLOCK // n)
+    with np.errstate(all="ignore"):  # an iterate that is not finite refuses the window
+        for start in range(0, k, per):
+            rows = np.arange(start, min(start + per, k))
+            v = np.tile(first, (len(rows), 1))
+            for i in range(_RAYLEIGH_STEPS + 1):
+                try:
+                    x = _shifted_solve(d, b, sigma[rows], v)
+                except np.linalg.LinAlgError:
+                    return None
+                v = x / np.linalg.norm(x, axis=1)[:, None]
+                if not i:
+                    continue  # inverse iteration at the starts, before any quotient moves them
+                w = _tridiagonal_product(d - sigma[rows, None], b, v)
+                move = np.sum(v * w, axis=1)
+                sigma[rows] += move
+                resid[rows] = np.linalg.norm(w - move[:, None] * v, axis=1)
+                if not np.all(np.isfinite(resid[rows])):
+                    return None
+                left = ~(resid[rows] <= tol)
+                rows, v = rows[left], v[left]
+                if not len(rows):
+                    break
+            else:
+                return None
+    order = np.argsort(sigma)
+    sigma, resid = sigma[order], resid[order]
+    low, high = sigma - resid - n * ulp, sigma + resid + n * ulp
+    if not (np.all(low[1:] > high[:-1]) and _sturm_count(d, b, np.max(high, initial=-math.inf)) == k):
+        return None
+    return sigma, resid
+
+
+def _real_eigenvalues(
+    d: np.ndarray, b: float, lowest: int | None, below: float, more: int = 0, starts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(eigenvalues, residuals) of the real tridiagonal with diagonal d and
+    constant off-diagonal b, the eigenvalues ascending: all of them if
+    lowest is None, else every one up to `below` and the `more` above
+    those, and at least the lowest `lowest` in all.
 
     All N come from `dsterf`, and so does a window that `_window_size`
-    finds too wide, cut to its size, with no bisection.  A window comes
-    from `dstebz` bisection: first by value up to `below`, then by index,
-    for the `more` above those or, if that gave fewer than `lowest`, for
-    the lowest `lowest`.
+    finds too wide, cut to its size, with no bisection.  Given `starts`, a
+    window is refined from them by Rayleigh-quotient iteration, and where
+    that proves it, each eigenvalue comes with its residual
+    (`_rayleigh_window`).  Otherwise the residuals are None and the window
+    comes from `dstebz` bisection: by index for the lowest `lowest` where
+    the Sturm count of `_window_size` finds fewer up to `below` and no
+    `more` are asked; else by value up to `below`, then by index for the
+    `more` above those.
     """
     off = np.full(len(d) - 1, b)
-    size, whole = _window_size(d, b, lowest, below, more)
+    count, size, whole = _window_size(d, b, lowest, below, more)
     if whole:
-        return _sterf(d, off)[:size]
-    eigs = np.empty(0)
-    if below > -math.inf:
-        eigs = _stebz(d, off, "v", -math.inf, below)
+        return _sterf(d, off)[:size], None
+    window = None if starts is None else _rayleigh_window(d, b, starts, size)
+    if window is not None:
+        return window
+    if count < lowest and not more:
+        return _stebz(d, off, "i", 0, lowest - 1), None
+    eigs = _stebz(d, off, "v", -math.inf, below) if below > -math.inf else np.empty(0)
     if more:
         above = _stebz(d, off, "i", len(eigs), max(lowest, len(eigs) + more) - 1)
         eigs = np.concatenate([eigs, above])
-    elif len(eigs) < lowest:
-        eigs = _stebz(d, off, "i", 0, lowest - 1)
-    return eigs
+    return eigs, None
 
 
 @functools.cache
@@ -704,7 +837,7 @@ def _complex_eigenvalues(
     first-order ones; where its count refuses those, twice as many; where
     that is refused too, or k is too wide, the grid is solved whole."""
     n = len(d)
-    size, whole = _window_size(d.real, b, lowest, below, more)
+    _, size, whole = _window_size(d.real, b, lowest, below, more)
     m = min(2 * size + 8, n)
     tries = [] if whole else [(m, None), (min(4 * size + 16, n), None)]
     if tries and starts is not None and len(starts) >= m:
@@ -742,41 +875,46 @@ def eigen_complex_dense(
     A real symmetric grid takes all N from LAPACK `dsterf`: the bits the
     dense symmetric solver gives, since `dsyevd` runs the `dsytrd`
     reduction, which leaves a tridiagonal matrix as it is, then the same
-    `dsterf`.  Its window comes from `dstebz` bisection, in O(N) per
-    eigenvalue (`_real_eigenvalues`).  A complex grid takes them from
-    Ehrlich-Aberth iteration, which makes no BLAS call, so its bits do not
-    depend on the BLAS thread count.  Its window also covers the greedy
-    match of each entry of `energies`, and holds every eigenvalue with
-    real part below a bound R that a count by the argument principle
-    proves; where no count proves one, the grid is solved whole
-    (`_complex_eigenvalues`).  Given a list `reach`, a complex grid appends
-    R to it, +inf where it returned all N.  Given a list `roots`, it
-    appends every root its solve converged, the window's or all N; passed
-    back as `starts` to a finer grid of the same form, they start that
-    grid's window in place of the first-order values.
+    `dsterf`.  Given `starts`, its window is refined from them by
+    Rayleigh-quotient iteration and kept where the residuals and one Sturm
+    count prove it (`_rayleigh_window`); otherwise it comes from `dstebz`
+    bisection, in O(N) per eigenvalue (`_real_eigenvalues`).  A complex
+    grid takes them from Ehrlich-Aberth iteration.  Neither makes a BLAS
+    call, so the bits do not depend on the BLAS thread count.  A complex
+    window also covers the greedy match of each entry of `energies`, and
+    holds every eigenvalue with real part below a bound R that a count by
+    the argument principle proves; where no count proves one, the grid is
+    solved whole (`_complex_eigenvalues`).  Given a list `reach`, a
+    complex grid appends R to it, +inf where it returned all N.  Given a
+    list `roots`, either grid appends what its solve converged: a complex
+    grid every root, the window's or all N, a real grid the eigenvalues it
+    returns.  Passed back as `starts` to a finer grid of the same form,
+    they start that grid's window: in place of the first-order values on a
+    complex grid, of bisection on a real one.
 
-    certify=True checks the residual contract (`_certify`): on a complex
-    grid every eigenvalue returned, by its trace bound or by inverse
-    iteration, on a real grid five random ones, by inverse iteration.
+    certify=True checks the residual contract (`_certify`): every
+    eigenvalue returned by a complex grid, by its trace bound or by inverse
+    iteration, and by a warm real window, by its own residual; five random
+    ones of a bisected or whole real grid, by inverse iteration.
     """
-    trace_bound = None
     try:
         if H.is_real:
-            eigs = _real_eigenvalues(H.diagonal.real, H.offdiagonal, lowest, below, more).astype(complex)
+            eigs, bounds = _real_eigenvalues(H.diagonal.real, H.offdiagonal, lowest, below, more, starts)
+            eigs = converged = eigs.astype(complex)
         else:
-            eigs, trace_bound, bound, converged = _complex_eigenvalues(
+            eigs, bounds, bound, converged = _complex_eigenvalues(
                 H.diagonal, H.offdiagonal, lowest, below, more, energies, starts
             )
             if reach is not None:
                 reach.append(bound)
-            if roots is not None:
-                roots.append(converged)
+        if roots is not None:
+            roots.append(converged)
     except np.linalg.LinAlgError as err:
         raise QRNotConverged(str(err)) from err
     order = np.argsort(eigs.real)
     eigs = eigs[order]
     if certify:
-        _certify(H, eigs, None if trace_bound is None else trace_bound[order])
+        _certify(H, eigs, None if bounds is None else bounds[order])
     return eigs
 
 
@@ -977,8 +1115,12 @@ def convergence_study(
     `energies` None, whole.  The finest grid's eigenvalues are
     residual-certified and returned with the report, so a caller needs no
     second solve of that grid.  The grids are solved from coarse to fine,
-    and each complex grid passes every root it converged to the next one's
-    solve, as the starts of that grid's window.
+    and each passes what it solved to the next one's solve, as the starts
+    of that grid's window: a complex grid every root it converged, a real
+    grid its eigenvalues.  Where the finest grid is real and takes a
+    window, a Sturm count sizes that window, k eigenvalues, before any
+    grid is solved, and each coarser grid is asked for its lowest k, at
+    least n_levels, so that the finest has a start for each.
     """
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 2:
@@ -991,18 +1133,19 @@ def convergence_study(
     if energies is not None and thr == math.inf:
         finest, more = _covering_window(energies)
         entries = energies
+    grids = [discretize(spec, domain, N) for N in N_list]
+    coarse = n_levels
+    if grids[-1].is_real:
+        _, k, whole = _window_size(grids[-1].diagonal.real, grids[-1].offdiagonal, n_levels, finest, more)
+        coarse = n_levels if whole else k
     all_eigs = []
     hs = []
     reach, roots = [], []
-    for N in N_list:
-        H = discretize(spec, domain, N)
-        window = dict(below=finest, more=more, energies=entries) if N == N_list[-1] else {}
+    for H in grids:
+        last = H is grids[-1]
+        window = dict(lowest=n_levels, below=finest, more=more, energies=entries) if last else dict(lowest=coarse)
         starts = roots[-1] if roots else None
-        all_eigs.append(
-            eigen_complex_dense(
-                H, certify=N == N_list[-1], lowest=n_levels, reach=reach, roots=roots, starts=starts, **window
-            )
-        )
+        all_eigs.append(eigen_complex_dense(H, certify=last, reach=reach, roots=roots, starts=starts, **window))
         hs.append(H.h)
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]
     track = min(n_levels, *counts) if min(counts) > 0 else min(n_levels, len(all_eigs[0]))

@@ -109,9 +109,9 @@ def test_cli_output_is_golden(name):
 
 
 def test_verify_bytes_do_not_depend_on_blas_threads():
-    # neither the complex oracle nor the dstebz bisection of a real grid
-    # makes a BLAS call, so a second BLAS thread must not move the last bits
-    # of a level
+    # neither the complex oracle, the dstebz bisection of a real grid nor
+    # the Rayleigh-quotient steps of a warm real window make a BLAS call,
+    # so a second BLAS thread must not move the last bits of a level
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     for name in ("verify_fig7", "verify_mr_deep", "verify_trig", "verify_hyp_pt_q1"):

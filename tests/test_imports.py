@@ -26,7 +26,9 @@ from its file, with no SciPy package's `__init__`; every other module,
 eigenfunction normalization included, runs without it.  No module names
 a SciPy module but the oracle's loader, whose one import statement is the
 fallback for a file that does not load.  The import checks run in fresh
-interpreters, so that nothing this test session has loaded counts.
+interpreters, so that nothing this test session has loaded counts.  The
+LAPACK routines the oracle takes from that extension are exactly those its
+module docstring and the README name.
 
 NumPy is imported at module level only by `oracle` and `wavefunctions`;
 the other modules import it inside the functions that take or build
@@ -343,6 +345,41 @@ def test_the_check_finds_a_scipy_name():
         "from .scipy import x\ndoc = 'see scipy.linalg.solve'\n"
     )
     assert scipy_names(source) == [("", "scipy.linalg"), ("f", "scipy.sparse"), ("f", "scipy.fft"), ("<lambda>", "scipy")]
+
+
+def lapack_calls(source: str) -> set[str]:
+    """The routines that source takes from a module it names `_flapack`,
+    alone or as an attribute: `_flapack.dgtsv` or `oracle._flapack.dgtsv`."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and "_flapack" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+    }
+
+
+def lapack_names(text: str, routines) -> set[str]:
+    """The words of text in backticks that are among routines."""
+    return set(re.findall(r"`(\w+)`", text)) & set(routines)
+
+
+def test_the_check_finds_each_lapack_routine():
+    source = "x = _flapack.dgtsv(a)\ny = oracle._flapack.zgtsv\nz = np.linalg.norm(v)\nw = lapack.dsterf\n"
+    assert lapack_calls(source) == {"dgtsv", "zgtsv"}
+    text = "It calls `dgtsv`, `zgtsv` and `norm`, but not dstebz."
+    assert lapack_names(text, {"dgtsv", "zgtsv", "dstebz", "dsterf"}) == {"dgtsv", "zgtsv"}
+
+
+def test_the_oracle_names_the_lapack_routines_it_calls():
+    # the routines the oracle takes from SciPy's LAPACK extension are those
+    # that its module docstring and the README name, no more and no fewer
+    from ptspec import oracle
+
+    source = (PACKAGE / "oracle.py").read_text()
+    routines = [name for name in dir(oracle._flapack) if not name.startswith("_")]
+    called = lapack_calls(source)
+    assert called == {"dsterf", "dstebz", "dgtsv", "zgtsv"}
+    assert lapack_names(ast.get_docstring(ast.parse(source)), routines) == called
+    assert lapack_names((ROOT / "README.md").read_text(), routines) == called
 
 
 def test_only_the_oracle_loader_names_scipy():

@@ -520,20 +520,38 @@ _THRESHOLD_GRIDS = {
 
 @pytest.fixture
 def lapack_drivers(monkeypatch):
-    """The LAPACK driver of each real tridiagonal solve the oracle makes."""
+    """The LAPACK driver of each real tridiagonal solve the oracle makes:
+    "sterf", "stebz", or "gtsv" for a batch of Rayleigh-quotient steps."""
     drivers = []
     lapack = oracle._flapack
 
     def counted(name):
-        def call(*args):
+        def call(*args, **kwargs):
             drivers.append(name[1:])
-            return getattr(lapack, name)(*args)
+            return getattr(lapack, name)(*args, **kwargs)
 
         return call
 
-    routines = SimpleNamespace(dsterf=counted("dsterf"), dstebz=counted("dstebz"), zgtsv=lapack.zgtsv)
+    routines = SimpleNamespace(
+        dsterf=counted("dsterf"), dstebz=counted("dstebz"), dgtsv=counted("dgtsv"), zgtsv=lapack.zgtsv
+    )
     monkeypatch.setattr(oracle, "_flapack", routines)
     return drivers
+
+
+@pytest.fixture
+def stebz_calls(monkeypatch):
+    """(select, lo, hi) of each `dstebz` bisection the oracle makes: "v"
+    with the energies (lo, hi], or "i" with the 0-based indices lo to hi."""
+    calls = []
+    stebz = oracle._stebz
+
+    def counted(d, e, select, lo, hi):
+        calls.append((select, lo, hi))
+        return stebz(d, e, select, lo, hi)
+
+    monkeypatch.setattr(oracle, "_stebz", counted)
+    return calls
 
 
 class TestRealWindow:
@@ -605,30 +623,41 @@ class TestRealWindow:
             assert abs(got.extrapolated - want.extrapolated) <= 5.0 / 3.0 * tol
             assert got.flagged == want.flagged
 
-    def test_finite_threshold_verify_makes_no_full_solve(self, lapack_drivers, capsys):
+    def test_finite_threshold_verify_makes_no_full_solve(self, lapack_drivers, stebz_calls, capsys):
+        # 3 levels lie below the threshold, so the finest window is the
+        # lowest 6: the coarse grid bisects those by index, and the finest
+        # grid refines them by Rayleigh-quotient steps, with no bisection
         argv = ["verify", "--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1", "--L", "16", "--N", "1000"]
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().out)["match"]["pairs"]
-        assert lapack_drivers and set(lapack_drivers) == {"stebz"}
+        assert lapack_drivers[0] == "stebz" and set(lapack_drivers[1:]) == {"gtsv"}
+        assert stebz_calls == [("i", 0, 5)]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, coarse",
         [
-            ("--family", "trig-scarf", "--A", "-2", "--N", "1000"),
+            (("--family", "trig-scarf", "--A", "-2", "--N", "1000"), [("i", 0, 21)]),
             (
-                "--family", "hyperbolic-scarf", "--variant", "pt",
-                "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1", "--L", "6", "--N", "1000",
+                (
+                    "--family", "hyperbolic-scarf", "--variant", "pt",
+                    "--V0", "1", "--V1", "1", "--V2", "1", "--q", "1", "--L", "6", "--N", "1000",
+                ),
+                [],
             ),
         ],
         ids=["trig-base", "hyperbolic-pt"],
     )
-    def test_no_threshold_verify_makes_no_full_solve(self, lapack_drivers, capsys, argv):
+    def test_no_threshold_verify_makes_no_full_solve(self, lapack_drivers, stebz_calls, capsys, argv, coarse):
         # forms with no continuum threshold: the finest grid takes the window
-        # that covers the closed-form levels, not dsterf's whole spectrum.
-        # The hyperbolic window holds about 50 eigenvalues, under N / 16 here
+        # that covers the closed-form levels, not dsterf's whole spectrum,
+        # by Rayleigh-quotient steps from the coarse grid's eigenvalues.  The
+        # coarse grid is asked for that window: trig's 22 it bisects; the
+        # hyperbolic window holds 49, under N / 16 of the finest grid but
+        # over it at N / 2, so the coarse grid takes dsterf, cut to 49
         assert main(["verify", *argv]) in (0, 2)
         assert json.loads(capsys.readouterr().out)["match"]["pairs"]
-        assert lapack_drivers and set(lapack_drivers) == {"stebz"}
+        assert lapack_drivers[0] == ("stebz" if coarse else "sterf") and set(lapack_drivers[1:]) == {"gtsv"}
+        assert stebz_calls == coarse
 
     def test_covering_window_on_the_trig_grid(self):
         # every eigenvalue up to the top closed-form level, the K above
@@ -684,11 +713,12 @@ class TestRealWindow:
         H = discretize(spec, default_domain(spec, L=L), 1600)
         d, b = H.diagonal.real, H.offdiagonal
         below = continuum_threshold(spec)
-        assert oracle._window_size(d, b, None, below, 0) == (1600, True)
-        assert oracle._window_size(d, b, 6, math.inf, 0) == (1600, True)
-        assert oracle._window_size(d, b, 6, below, 0) == (6, False)
-        assert oracle._window_size(d, b, 0, below, 97) == (100, False)
-        assert oracle._window_size(d, b, 0, below, 98) == (101, True)
+        assert oracle._window_size(d, b, None, below, 0) == (1600, 1600, True)
+        assert oracle._window_size(d, b, 6, math.inf, 0) == (1600, 1600, True)
+        assert oracle._window_size(d, b, 6, below, 0) == (3, 6, False)
+        assert oracle._window_size(d, b, 6, -math.inf, 0) == (0, 6, False)
+        assert oracle._window_size(d, b, 0, below, 97) == (3, 100, False)
+        assert oracle._window_size(d, b, 0, below, 98) == (3, 101, True)
         # a complex grid whose window is too wide tries no window
         monkeypatch.setattr(oracle, "_aberth_window", lambda *args: pytest.fail("a window was tried"))
         C = _variant_grid("mr-nonpt", 400)
@@ -707,6 +737,184 @@ class TestRealWindow:
         match = json.loads(capsys.readouterr().out)["match"]
         assert lapack_drivers == ["stebz", "sterf"]
         assert len(match["pairs"]) + len(match["unmatched_oracle"]) == 49
+
+    @pytest.mark.parametrize("name, count", [("mr-deep", 3), ("hyp-blind-spot", 1)])
+    def test_a_window_of_the_lowest_levels_takes_one_bisection(self, name, count, lapack_drivers, stebz_calls):
+        # fewer levels lie below the threshold than the 6 asked for, so the
+        # Sturm count that sizes the window sends it straight to the index
+        # call: no bisection by value is thrown away, and the bits are the
+        # index call's.  With `more`, the value call stays, and the index
+        # call starts above its levels
+        spec, L = _THRESHOLD_GRIDS[name]
+        H = discretize(spec, default_domain(spec, L=L), 2000)
+        d, b, thr = H.diagonal.real, H.offdiagonal, continuum_threshold(spec)
+        assert oracle._window_size(d, b, 6, thr, 0)[0] == count
+        eigs, resid = oracle._real_eigenvalues(d, b, 6, thr)
+        assert stebz_calls == [("i", 0, 5)] and lapack_drivers == ["stebz"] and resid is None
+        assert _same_bits(eigs, eigvalsh_tridiagonal(d, np.full(H.N - 1, b), select="i", select_range=(0, 5)))
+        stebz_calls.clear()
+        oracle._real_eigenvalues(d, b, 6, thr, more=4)
+        assert stebz_calls == [("v", -math.inf, thr), ("i", count, max(6, count + 4) - 1)]
+
+
+# the real presets and the specs of the verify-real benchmark, whose finest
+# grids continue from the coarse grid's eigenvalues: spec, L of
+# default_domain
+_REAL_STUDIES = {
+    **{name: (PotentialSpec(**_PRESETS[name][0]), _PRESETS[name][1]) for name in ("fig1", "fig2", "fig4")},
+    "trig": (PotentialSpec(family=Family.TrigScarf, A=-2.0), 12.0),
+    "fig2-pt": (PotentialSpec(**_HYP_PT, q=1.0), 12.0),
+    "hyp-blind-spot": _THRESHOLD_GRIDS["hyp-blind-spot"],
+    "mr-deep": _THRESHOLD_GRIDS["mr-deep"],
+}
+
+
+def _finest_window(name, N):
+    """The finest grid of a verify at N, the window its study asks of it,
+    that window's size k, and the lowest k eigenvalues of the coarse grid."""
+    spec, L = _REAL_STUDIES[name]
+    dom = default_domain(spec, L=L)
+    H = discretize(spec, dom, N)
+    below, more = continuum_threshold(spec), 0
+    if below == math.inf:
+        below, more = oracle._covering_window(closed_form_spectrum(spec, 10).energies())
+    _, k, whole = oracle._window_size(H.diagonal.real, H.offdiagonal, 6, below, more)
+    assert H.is_real and not whole
+    starts = eigen_complex_dense(discretize(spec, dom, N // 2), certify=False, lowest=k)
+    return H, dict(lowest=6, below=below, more=more), k, starts
+
+
+class TestRealContinuation:
+    @pytest.mark.parametrize("name", sorted(_REAL_STUDIES))
+    def test_a_warm_window_on_the_real_grids_is_the_bisected_one(self, name):
+        # the finest window of a verify at N = 2000, refined from the coarse
+        # grid's eigenvalues: proved, each within an ulp of ||T|| of dstebz's
+        # by index and, by long-double Sturm counts, of the exact one, and
+        # every residual under the contract
+        H, _, k, starts = _finest_window(name, 2000)
+        d, b = H.diagonal.real, H.offdiagonal
+        window = oracle._rayleigh_window(d, b, starts, k)
+        assert window is not None
+        eigs, resid = window
+        ulp = np.finfo(float).eps * _norm_max(H)
+        ref = eigvalsh_tridiagonal(d, np.full(H.N - 1, b), select="i", select_range=(0, k - 1))
+        assert np.max(np.abs(eigs - ref)) <= ulp
+        i = np.arange(k)
+        assert np.all(_sturm_count(d, b, eigs - ulp) <= i) and np.all(_sturm_count(d, b, eigs + ulp) >= i + 1)
+        assert np.all(resid <= oracle._RESIDUAL_BOUND * _norm_max(H))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(50, 400),
+        seed=st.integers(0, 2**32 - 1),
+        b=st.floats(-10.0, 10.0).filter(lambda b: abs(b) >= 0.5),
+        k=st.integers(1, 8),
+        off=st.floats(-0.3, 0.3),
+    )
+    def test_a_warm_window_on_random_tridiagonals(self, n, seed, b, k, off):
+        # each start moved off its eigenvalue by `off` of its nearest gap.  A
+        # proved window holds the lowest k, each within an ulp of ||T|| of
+        # the exact eigenvalue by long-double Sturm counts, and is what a
+        # certified solve returns; dstebz's own values are up to 1.4 such
+        # ulps off on these, so they are held to 2.  A refused window leaves
+        # the bisection's bits
+        d = np.random.default_rng(seed).uniform(-50.0, 50.0, n)
+        H = GridHamiltonian(
+            domain=DomainSpec(DomainKind.FiniteInterval, 0.0, float(n + 1)),
+            N=n, h=1.0, diagonal=d.astype(complex), offdiagonal=b,
+        )
+        full = eigvalsh_tridiagonal(d, np.full(n - 1, b), lapack_driver="sterf")
+        gap = np.minimum(np.diff(full, prepend=-np.inf), np.diff(full, append=np.inf))[:k]
+        starts = (full[:k] + off * gap).astype(complex)
+        ref = eigvalsh_tridiagonal(d, np.full(n - 1, b), select="i", select_range=(0, k - 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_WINDOW_SHARE", 1)
+            got = eigen_complex_dense(H, lowest=k, starts=starts.copy())
+        window = oracle._rayleigh_window(d, b, starts, k)
+        if window is None:
+            assert _same_bits(got.real, ref)
+            return
+        eigs, resid = window
+        assert _same_bits(got.real, eigs)
+        ulp = np.finfo(float).eps * _norm_max(H)
+        i = np.arange(k)
+        assert np.all(_sturm_count(d, b, eigs - ulp) <= i) and np.all(_sturm_count(d, b, eigs + ulp) >= i + 1)
+        assert np.max(np.abs(eigs - ref)) <= 2.0 * ulp
+        assert np.all(resid <= oracle._RAYLEIGH_ULPS * math.sqrt(n) * ulp)
+
+    @pytest.mark.parametrize("fault", ["coinciding", "too-few"])
+    def test_a_refused_window_is_the_bisected_one(self, fault, lapack_drivers, stebz_calls):
+        # two coinciding starts converge to one eigenvalue, whose brackets
+        # overlap; k - 1 starts cannot make a window of k.  Either way the
+        # grid bisects as it does with no starts, to the bit
+        H, window, k, starts = _finest_window("trig", 1000)
+        if fault == "coinciding":
+            starts[1] = starts[0]
+        else:
+            starts = starts[: k - 1]
+        assert oracle._rayleigh_window(H.diagonal.real, H.offdiagonal, starts, k) is None
+        stebz_calls.clear()
+        cold = eigen_complex_dense(H, certify=False, **window)
+        bisections = list(stebz_calls)
+        stebz_calls.clear()
+        lapack_drivers.clear()
+        assert _same_bits(eigen_complex_dense(H, certify=False, starts=starts, **window), cold)
+        assert stebz_calls == bisections and len(bisections) == 2
+        assert ("gtsv" in lapack_drivers) == (fault == "coinciding")
+
+    @pytest.mark.parametrize(
+        "name, N, coarse",
+        [("trig", 2000, None), ("mr-deep", 2000, 6), ("hyp-pt-whole", 600, 6), ("mr-nonpt", 800, 6)],
+    )
+    def test_the_coarse_grid_is_asked_for_the_finest_window(self, monkeypatch, name, N, coarse):
+        # a verify asks the coarse grid for the k of the finest real window,
+        # sized first, and hands the finest grid those k as starts.  Where
+        # the finest grid is solved whole, or is complex, the coarse grid is
+        # asked for its lowest 6 as before
+        if name == "hyp-pt-whole":
+            spec, L = PotentialSpec(**_HYP_PT, q=1.0), 6.0
+        elif name == "mr-nonpt":
+            spec, L = _VARIANT_GRIDS[name]
+        else:
+            spec, L = _REAL_STUDIES[name]
+        dom = default_domain(spec, L=L)
+        entries = closed_form_spectrum(spec, 10).entries
+        if coarse is None:
+            H, _, coarse, _ = _finest_window(name, N)
+        calls = []
+        solve = oracle.eigen_complex_dense
+
+        def recorded(H, certify=True, lowest=None, starts=None, **window):
+            calls.append((H.N, lowest, None if starts is None else len(starts)))
+            return solve(H, certify, lowest=lowest, starts=starts, **window)
+
+        monkeypatch.setattr(oracle, "eigen_complex_dense", recorded)
+        oracle.verify_levels(spec, dom, N, entries)
+        handed = 2 * coarse + 8 if name == "mr-nonpt" else coarse
+        assert calls == [(N // 2, coarse, None), (N, 6, handed)]
+
+    def test_the_blocks_do_not_move_a_bit(self, monkeypatch):
+        # each shift's steps are its own: one per block gives the bits of
+        # as many as fit
+        H, _, k, starts = _finest_window("fig2", 2000)
+        d, b = H.diagonal.real, H.offdiagonal
+        assert oracle._CERTIFY_BLOCK // H.N < k
+        many = oracle._rayleigh_window(d, b, starts, k)
+        monkeypatch.setattr(oracle, "_CERTIFY_BLOCK", H.N)
+        one = oracle._rayleigh_window(d, b, starts, k)
+        assert _same_bits(many[0], one[0]) and _same_bits(many[1], one[1])
+
+    def test_a_warm_window_draws_no_witness(self, banded_solves, handed_over):
+        # the finest grid hands over the residual of each eigenvalue, each
+        # a certificate, so no banded check runs
+        spec, L = _THRESHOLD_GRIDS["mr-deep"]
+        convergence_study(spec, default_domain(spec, L=L), [1000, 2000])
+        [(eigs, bounds)] = handed_over
+        H = discretize(spec, default_domain(spec, L=L), 2000)
+        ulp = np.finfo(float).eps * _norm_max(H)
+        assert len(eigs) == len(bounds) == 6
+        assert np.all(bounds <= oracle._RAYLEIGH_ULPS * math.sqrt(H.N) * ulp)
+        assert banded_solves == []
 
 
 class TestComplexWindow:
@@ -1466,20 +1674,20 @@ class TestLapackRoutes:
         d, b = H.diagonal.real, H.offdiagonal
         off = np.full(H.N - 1, b)
         whole = eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
-        assert _same_bits(oracle._real_eigenvalues(d, b, None, -math.inf), whole)
+        assert _same_bits(oracle._real_eigenvalues(d, b, None, -math.inf)[0], whole)
         below = 0.5 * (whole[39] + whole[40])
         by_value = eigvalsh_tridiagonal(d, off, select="v", select_range=(-math.inf, below), lapack_driver="stebz")
         assert len(by_value) == 40
-        assert _same_bits(oracle._real_eigenvalues(d, b, 6, below), by_value)
+        assert _same_bits(oracle._real_eigenvalues(d, b, 6, below)[0], by_value)
         by_index = eigvalsh_tridiagonal(d, off, select="i", select_range=(40, 59), lapack_driver="stebz")
-        assert _same_bits(oracle._real_eigenvalues(d, b, 6, below, more=20)[40:], by_index)
+        assert _same_bits(oracle._real_eigenvalues(d, b, 6, below, more=20)[0][40:], by_index)
 
     @pytest.mark.parametrize("name", ["trig", "fig7"])
     def test_a_certify_block_keeps_its_bits(self, lapack_route, name, monkeypatch):
         # fig7 hands every bound over, so the five witnesses make the block
         H = _lapack_grid(name)
         if H.is_real:
-            eigs, bounds = oracle._real_eigenvalues(H.diagonal.real, H.offdiagonal, None, -math.inf), None
+            eigs, bounds = oracle._real_eigenvalues(H.diagonal.real, H.offdiagonal, None, -math.inf)
         else:
             eigs, bounds = oracle._aberth(H.diagonal, H.offdiagonal)
         solve, widths = oracle.solve_banded, []
