@@ -284,13 +284,15 @@ print(oracle._sterf(d, e).tobytes() == want.tobytes(), scipy.linalg._flapack.dst
 def test_a_cold_verify_loads_no_scipy_linalg():
     # the oracle loads SciPy's LAPACK extension from its file: no
     # scipy.linalg package, no scipy._lib (which loads numpy.f2py) and no
-    # numpy.f2py, real and complex.  A later `import scipy.linalg` still
-    # works, gives the oracle's bits and has its `_flapack` as an attribute
+    # numpy.f2py, real and complex.  Nor numpy.ma, which np.unique loads,
+    # 11 ms cold, where every residual bound holds.  A later `import
+    # scipy.linalg` still works, gives the oracle's bits and has its
+    # `_flapack` as an attribute
     proc = subprocess.run([sys.executable, "-c", _COLD_VERIFY], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, loaded, same = proc.stdout.split("\n")[:3]
     assert codes == "0 2"
-    heavy = ("scipy.linalg", "scipy._lib", "numpy.f2py")
+    heavy = ("scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.ma")
     assert [m for m in loaded.split() if ".".join(m.split(".")[:2]) in heavy] == []
     assert same == "True True"
 

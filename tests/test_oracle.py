@@ -769,9 +769,10 @@ _REAL_STUDIES = {
 }
 
 
-def _finest_window(name, N):
+def _finest_window(name, N, extra=0):
     """The finest grid of a verify at N, the window its study asks of it,
-    that window's size k, and the lowest k eigenvalues of the coarse grid."""
+    that window's size k, and the lowest k + extra eigenvalues of the
+    coarse grid."""
     spec, L = _REAL_STUDIES[name]
     dom = default_domain(spec, L=L)
     H = discretize(spec, dom, N)
@@ -780,7 +781,7 @@ def _finest_window(name, N):
         below, more = oracle._covering_window(closed_form_spectrum(spec, 10).energies())
     _, k, whole = oracle._window_size(H.diagonal.real, H.offdiagonal, 6, below, more)
     assert H.is_real and not whole
-    starts = eigen_complex_dense(discretize(spec, dom, N // 2), certify=False, lowest=k)
+    starts = eigen_complex_dense(discretize(spec, dom, N // 2), certify=False, lowest=k + extra)
     return H, dict(lowest=6, below=below, more=more), k, starts
 
 
@@ -842,16 +843,17 @@ class TestRealContinuation:
         assert np.max(np.abs(eigs - ref)) <= 2.0 * ulp
         assert np.all(resid <= oracle._RAYLEIGH_ULPS * math.sqrt(n) * ulp)
 
-    @pytest.mark.parametrize("fault", ["coinciding", "too-few"])
+    @pytest.mark.parametrize("fault", ["coinciding", "too-few", "above-the-lowest"])
     def test_a_refused_window_is_the_bisected_one(self, fault, lapack_drivers, stebz_calls):
         # two coinciding starts converge to one eigenvalue, whose brackets
-        # overlap; k - 1 starts cannot make a window of k.  Either way the
-        # grid bisects as it does with no starts, to the bit
-        H, window, k, starts = _finest_window("trig", 1000)
+        # overlap; k - 1 starts cannot make a window of k; the k above the
+        # lowest converge to k disjoint brackets, but the Sturm count at
+        # their top is k + 1.  Each way the grid bisects as it does with no
+        # starts, to the bit
+        H, window, k, starts = _finest_window("trig", 1000, extra=1)
         if fault == "coinciding":
             starts[1] = starts[0]
-        else:
-            starts = starts[: k - 1]
+        starts = starts[1:] if fault == "above-the-lowest" else starts[: k - (fault == "too-few")]
         assert oracle._rayleigh_window(H.diagonal.real, H.offdiagonal, starts, k) is None
         stebz_calls.clear()
         cold = eigen_complex_dense(H, certify=False, **window)
@@ -860,7 +862,7 @@ class TestRealContinuation:
         lapack_drivers.clear()
         assert _same_bits(eigen_complex_dense(H, certify=False, starts=starts, **window), cold)
         assert stebz_calls == bisections and len(bisections) == 2
-        assert ("gtsv" in lapack_drivers) == (fault == "coinciding")
+        assert ("gtsv" in lapack_drivers) == (fault != "too-few")
 
     @pytest.mark.parametrize(
         "name, N, coarse",
