@@ -304,14 +304,13 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
     banded solve per step: the shifted copies of H sit uncoupled down the
     diagonal of one band.  Three steps run from a seeded random start
     without renormalizing, and ||Hv - lambda v||/||v|| is taken once, on the
-    last v.  It runs on five seeded random eigenvalues, a witness
-    independent of the recurrence on a complex grid and the whole
-    certification of a real grid that passes None, and on every eigenvalue
-    whose bound is over the contract or not a number; an evaluation that
-    met an exactly zero pivot gives NaN.  A warm real window draws no
-    witness.  Returns the worst bound or residual taken; raises
-    QRNotConverged if a banded residual exceeds the contract, or is not a
-    number.
+    last v.  It runs on five seeded random eigenvalues, but of a warm real
+    window, as a witness independent of the recurrence on a complex grid
+    and as the whole certification of a real grid that passes None; and on
+    every eigenvalue whose bound is over the contract or not a number, as
+    an evaluation that met an exactly zero pivot gives.  Returns the worst
+    bound or residual taken; raises QRNotConverged if a banded residual
+    exceeds the contract, or is not a number.
     """
     rng = np.random.default_rng(_CERTIFY_SEED)
     n = H.N
@@ -1138,18 +1137,17 @@ def convergence_study(
         finest, more = _covering_window(energies)
         entries = energies
     grids = [discretize(spec, domain, N) for N in N_list]
-    coarse = n_levels
-    if grids[-1].is_real:
-        _, k, whole = _window_size(grids[-1].diagonal.real, grids[-1].offdiagonal, n_levels, finest, more)
+    fine, coarse = grids[-1], n_levels
+    if fine.is_real:  # a start on each coarse grid for each eigenvalue of the finest window
+        _, k, whole = _window_size(fine.diagonal.real, fine.offdiagonal, n_levels, finest, more)
         coarse = n_levels if whole else k
     all_eigs = []
     hs = []
     reach, roots = [], []
     for H in grids:
-        last = H is grids[-1]
-        window = dict(lowest=n_levels, below=finest, more=more, energies=entries) if last else dict(lowest=coarse)
+        window = dict(lowest=n_levels, below=finest, more=more, energies=entries) if H is fine else dict(lowest=coarse)
         starts = roots[-1] if roots else None
-        all_eigs.append(eigen_complex_dense(H, certify=last, reach=reach, roots=roots, starts=starts, **window))
+        all_eigs.append(eigen_complex_dense(H, certify=H is fine, reach=reach, roots=roots, starts=starts, **window))
         hs.append(H.h)
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]
     track = min(n_levels, *counts) if min(counts) > 0 else min(n_levels, len(all_eigs[0]))
@@ -1182,7 +1180,7 @@ def convergence_study(
         h_list=tuple(hs),
         levels=tuple(levels),
         eigs_finest=all_eigs[-1],
-        finest_is_real=H.is_real,
+        finest_is_real=fine.is_real,
         reach=reach[-1] if reach else math.inf,
     )
 
