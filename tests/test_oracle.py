@@ -882,7 +882,7 @@ class TestRealContinuation:
         dom = default_domain(spec, L=L)
         entries = closed_form_spectrum(spec, 10).entries
         if coarse is None:
-            H, _, coarse, _ = _finest_window(name, N)
+            _, _, coarse, _ = _finest_window(name, N)
         calls = []
         solve = oracle.eigen_complex_dense
 
