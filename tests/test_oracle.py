@@ -864,6 +864,20 @@ class TestRealContinuation:
         assert stebz_calls == bisections and len(bisections) == 2
         assert ("gtsv" in lapack_drivers) == (fault != "too-few")
 
+    def test_a_singular_step_refuses_the_window(self, lapack_drivers):
+        # with b = 0 a start on a diagonal entry makes T - sigma singular;
+        # dgtsv says so, and the grid bisects as it does with no starts
+        d = np.arange(1.0, 101.0)
+        H = GridHamiltonian(
+            domain=DomainSpec(DomainKind.FiniteInterval, 0.0, 101.0), N=100, h=1.0, diagonal=d.astype(complex), offdiagonal=0.0
+        )
+        starts = d[:3].astype(complex)
+        assert oracle._rayleigh_window(d, 0.0, starts, 3) is None
+        lapack_drivers.clear()
+        warm = eigen_complex_dense(H, certify=False, lowest=3, starts=starts)
+        assert lapack_drivers == ["gtsv", "stebz"]
+        assert _same_bits(warm, eigen_complex_dense(H, certify=False, lowest=3))
+
     @pytest.mark.parametrize(
         "name, N, coarse",
         [("trig", 2000, None), ("mr-deep", 2000, 6), ("hyp-pt-whole", 600, 6), ("mr-nonpt", 800, 6)],
