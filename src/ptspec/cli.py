@@ -207,6 +207,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.tol >= 0.0:  # a negative or NaN tol would act as 0
+        raise _UsageError("--tol must be >= 0")
     from . import oracle  # SciPy's LAPACK routines: only verify needs them
 
     spec = _build_spec(args)

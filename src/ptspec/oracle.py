@@ -40,8 +40,8 @@ its own roots; a count by the argument principle (Delves & Lyness, Math.
 Comp. 21 (1967) 543-560) around a rectangle that the field of values
 bounds then proves that the roots left of its right side R are every
 eigenvalue there, and R lies above all that the study reads of the grid.
-Where no count proves a window, nor one of twice its starts, the grid is
-solved whole, from all N mu_j, from `dsterf`.  A sweep
+Where no count proves a window, the grid is solved whole, from all N
+mu_j, from `dsterf`.  A sweep
 takes its Newton ratios from the three-term recurrence, N Python steps over
 all roots at once, until fewer than N/8 roots are left; then from odd-even
 cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
@@ -55,15 +55,16 @@ Hermitian case, so every eigenvalue a complex grid returns is certified: by
 a trace bound on its best residual, N |p/p'| + |step| from the sweep that
 moved it last, so that certifying runs no sweep, or where that bound
 fails, is not a number, or that sweep met an exactly zero pivot, by an
-inverse-iteration residual.  Five eigenvalues drawn at random take
-the inverse-iteration check: on a complex grid as a witness independent of
-the recurrence, on a bisected or whole real grid as its whole
-certification.  Each eigenvalue of a warm real window is certified by its
-own residual, and draws no witness.
+inverse-iteration residual.  The lowest five by real part take the
+inverse-iteration check: on a complex grid as witnesses independent of the
+recurrence, on a bisected or whole real grid as its whole certification.
+Each eigenvalue of a warm real window is certified by its own residual, and
+takes no witness.  No check draws a random number.
 
 The oracle calls four LAPACK routines: `dsterf` and `dstebz` for real
-tridiagonals, `dgtsv` for the shifted solves of Rayleigh-quotient
-iteration, and `zgtsv` for the banded solves of inverse iteration.  It
+tridiagonals, and for the shifted solves of one block band `dgtsv` where
+its diagonal is real, as in Rayleigh-quotient iteration, and `zgtsv` where
+it is complex, as in the inverse iteration of the residual check.  It
 takes them from SciPy's LAPACK extension, `scipy.linalg._flapack`, which
 `_load_flapack` loads from its file alone, so that `scipy.linalg`'s
 `__init__` never runs: it loads `scipy._lib`, and through it `numpy.f2py`,
@@ -93,15 +94,14 @@ from .families import variant_form
 from .potentials import DomainSpec, PotentialSpec, evaluate
 
 _RESIDUAL_BOUND = 1e-8
-# Seed of the random eigenvalues and starts of `_certify`'s banded check.
-_CERTIFY_SEED = 7
 # Ehrlich-Aberth sweeps before a complex grid is refused; the grids of the
 # tests and the benchmark take 1 to 37.
 _ABERTH_SWEEPS = 200
-# Complex numbers per block of the Aberth sweeps and of certification, so
-# that memory stays O(N) however many eigenvalues a sweep or a check takes.
-# Certification carries several such arrays per block, so its blocks are a
-# quarter of the size, which keeps them in cache.
+# Complex numbers per block of the Aberth sweeps and of the block-band
+# solves (`_shifted_solve`), so that memory stays O(N) however many
+# eigenvalues a sweep, a Rayleigh window or the residual check takes.  Both
+# callers of the block band carry several such arrays per block, so its
+# blocks are a quarter of the size, which keeps them in cache.
 _BLOCK = 1 << 16
 _CERTIFY_BLOCK = _BLOCK >> 2
 # A window of k eigenvalues is solved only while k <= N / _WINDOW_SHARE, for
@@ -209,30 +209,28 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: str, lo, hi) -> np.ndarray:
 
 
 def _shifted_solve(d: np.ndarray, b: float, shifts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The rows x_j of (T - shifts_j) x_j = rhs_j, T the real symmetric
-    tridiagonal with diagonal d and constant off-diagonal b, by one LAPACK
-    `dgtsv` call: the shifted copies of T sit uncoupled down the diagonal
-    of one band, as in `_certify`.  It overwrites rhs where that is an
-    array of its own.  Raises LinAlgError if one of them is singular."""
+    """The rows x_j of (T - shifts_j) x_j = rhs_j, T the tridiagonal with
+    diagonal d and constant off-diagonal b, by one LAPACK call: the shifted
+    copies of T sit uncoupled down the diagonal of one band, which `dgtsv`
+    solves where that diagonal is real and `zgtsv` where it is complex.
+    That `zgtsv` call is the one of `scipy.linalg.solve_banded((1, 1), band,
+    rhs, overwrite_b=True)` on the band.  It overwrites rhs where that is an
+    array of its own, of the band's type.  Raises LinAlgError if one of them
+    is singular."""
     m, n = rhs.shape
     off = np.full(m * n - 1, b)
     off[n - 1 :: n] = 0.0
     diag = (d - shifts[:, None]).ravel()
-    *_, x, info = _flapack.dgtsv(off, diag, off, rhs.reshape(-1, 1), overwrite_d=True, overwrite_b=True)
-    _check_info(info, "dgtsv", "singular matrix")
+    gtsv, name = (_flapack.zgtsv, "zgtsv") if np.iscomplexobj(diag) else (_flapack.dgtsv, "dgtsv")
+    *_, x, info = gtsv(off, diag, off, rhs.reshape(-1, 1), overwrite_d=True, overwrite_b=True)
+    _check_info(info, name, "singular matrix")
     return x.reshape(m, n)
 
 
-def solve_banded(band: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with T x = b, T the complex tridiagonal whose superdiagonal,
-    diagonal and subdiagonal are the rows of band, by one LAPACK `zgtsv`
-    call: that of `scipy.linalg.solve_banded((1, 1), band, b,
-    overwrite_b=True)`, which copies band and overwrites b.  Raises
-    LinAlgError if T is singular.  The benchmark counts the calls by this
-    name."""
-    *_, x, info = _flapack.zgtsv(band[2, :-1], band[1], band[0, 1:], b, overwrite_b=True)
-    _check_info(info, "zgtsv", "singular matrix")
-    return x
+# The block-band solve by the name `_certify` calls, which the benchmark
+# counts as the residual check's solves; `_rayleigh_window` calls
+# `_shifted_solve` itself.
+solve_banded = _shifted_solve
 
 
 class GridHamiltonian(NamedTuple):
@@ -286,9 +284,9 @@ def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltoni
 
 
 def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | None) -> float:
-    """Residual check against the contract bound relative to ||H||_max:
-    every eigenvalue of a complex grid and of a warm real window, five
-    random ones of a bisected or whole real grid.
+    """Residual check of eigs, sorted by real part, against the contract
+    bound relative to ||H||_max: every eigenvalue of a complex grid and of a
+    warm real window, the lowest five of a bisected or whole real grid.
 
     On a complex grid each eigenvalue comes with a trace bound on its best
     residual.  With G = (T - z)^-1, sigma_min(T - z) = 1/||G||_2 <= 1/max_r
@@ -301,48 +299,37 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
     real grid solved by `dstebz` or `dsterf` passes None.
 
     The banded check is inverse iteration.  A block of shifts takes one
-    banded solve per step: the shifted copies of H sit uncoupled down the
-    diagonal of one band.  Three steps run from a seeded random start
-    without renormalizing, and ||Hv - lambda v||/||v|| is taken once, on the
-    last v.  It runs on five seeded random eigenvalues, but of a warm real
-    window, as a witness independent of the recurrence on a complex grid
-    and as the whole certification of a real grid that passes None; and on
-    every eigenvalue whose bound is over the contract or not a number, as
-    an evaluation that met an exactly zero pivot gives.  Returns the worst
+    block-band solve per step (`solve_banded`).  Three steps run from the
+    fixed start v_j = 1 + j/N, as in `_rayleigh_window`, without
+    renormalizing, and ||Hv - lambda v||/||v|| is taken once, on the last
+    v.  It runs on the lowest five eigenvalues, but of a warm real window,
+    as witnesses independent of the recurrence on a complex grid and as the
+    whole certification of a real grid that passes None; and on every
+    eigenvalue whose bound is over the contract or not a number, as an
+    evaluation that met an exactly zero pivot gives.  Returns the worst
     bound or residual taken; raises QRNotConverged if a banded residual
     exceeds the contract, or is not a number.
     """
-    rng = np.random.default_rng(_CERTIFY_SEED)
     n = H.N
-    witnesses = 0 if H.is_real and trace_bound is not None else min(5, len(eigs))
-    idx = rng.choice(len(eigs), size=witnesses, replace=False)
-    bound = _RESIDUAL_BOUND * (float(np.max(np.abs(H.diagonal))) + 2.0 * abs(H.offdiagonal))
+    bound = _RESIDUAL_BOUND * _norm(H.diagonal, H.offdiagonal)
+    check = np.arange(len(eigs)) < (0 if H.is_real and trace_bound is not None else 5)
     worst = 0.0
     if trace_bound is not None:
         held = trace_bound <= bound  # a NaN bound routes its eigenvalue to the banded check
         worst = float(np.max(trace_bound[held], initial=0.0))
-        # the failed bounds that are not witnesses, ascending: np.setdiff1d's
-        # np.unique would import numpy.ma, 11 ms and 0.5 MB, on first use
-        extra = ~held
-        extra[idx] = False
-        idx = np.concatenate([idx, np.flatnonzero(extra)])
-    per = max(1, min(len(idx), _CERTIFY_BLOCK // n))
-    band = np.empty((3, per * n), dtype=complex)
-    band[0] = band[2] = H.offdiagonal
-    band[0, ::n] = band[2, n - 1 :: n] = 0.0
+        check |= ~held
+    idx = np.flatnonzero(check)
+    per = max(1, _CERTIFY_BLOCK // n)
     for start in range(0, len(idx), per):
-        lam = eigs[idx[start : start + per], None]
-        m = len(lam)
+        lam = eigs[idx[start : start + per]]
         shift = lam + 1e-10 * (1.0 + np.abs(lam)) * (1 + 1j)
-        band[1, : m * n] = (H.diagonal - shift).ravel()
-        v = rng.random(2 * m * n).view(complex)
+        v = np.tile(1.0 + np.arange(n) / n + 0j, (len(lam), 1))
         for _ in range(3):
             try:
-                v = solve_banded(band[:, : m * n], v)
+                v = solve_banded(H.diagonal, H.offdiagonal, shift, v)
             except np.linalg.LinAlgError:
                 break
-        v = v.reshape(m, n)
-        resid = float(np.max(np.linalg.norm(H.matvec(v) - lam * v, axis=1) / np.linalg.norm(v, axis=1)))
+        resid = float(np.max(np.linalg.norm(H.matvec(v) - lam[:, None] * v, axis=1) / np.linalg.norm(v, axis=1)))
         if not resid <= bound:
             raise QRNotConverged(f"residual certification failed: {resid:.3g} > {bound:.3g}")
         worst = max(worst, resid)
@@ -597,7 +584,7 @@ def _rayleigh_window(d: np.ndarray, b: float, starts: np.ndarray, k: int) -> tup
     iteration converges cubically (Parlett, The Symmetric Eigenvalue
     Problem, SIAM 1998, ch. 4).  Each step solves (T - sigma) x = v for a
     block of at most _CERTIFY_BLOCK // N shifts at once (`_shifted_solve`)
-    and takes the unit vector v of x.  The first, from v = 1 + i/N, is one
+    and takes the unit vector v of x.  The first, from v_j = 1 + j/N, is one
     step of inverse iteration at the starts: that vector is mostly the
     lowest eigenvectors, and a quotient taken after one solve can move a
     higher start to a neighbour's eigenvalue.  Each later step moves sigma
@@ -835,15 +822,15 @@ def _complex_eigenvalues(
 
     The window takes 2k + 8 starts for the k of its real part: the lowest
     2k + 8 of `starts` by real part, where there are that many, then the
-    first-order ones; where its count refuses those, twice as many; where
-    that is refused too, or k is too wide, the grid is solved whole."""
+    first-order ones; where its count refuses those too, or k is too wide,
+    the grid is solved whole."""
     n = len(d)
     _, size, whole = _window_size(d.real, b, lowest, below, more)
     m = min(2 * size + 8, n)
-    tries = [] if whole else [(m, None), (min(4 * size + 16, n), None)]
+    tries = [] if whole else [None]
     if tries and starts is not None and len(starts) >= m:
-        tries.insert(0, (m, starts[np.argsort(starts.real, kind="stable")[:m]]))
-    for m, start in tries:
+        tries.insert(0, starts[np.argsort(starts.real, kind="stable")[:m]])
+    for start in tries:
         window = _aberth_window(d, b, m, lowest, below, more, energies, start)
         if window is not None:
             lam, bound, reach = window
@@ -895,8 +882,8 @@ def eigen_complex_dense(
 
     certify=True checks the residual contract (`_certify`): every
     eigenvalue returned by a complex grid, by its trace bound or by inverse
-    iteration, and by a warm real window, by its own residual; five random
-    ones of a bisected or whole real grid, by inverse iteration.
+    iteration, and by a warm real window, by its own residual; the lowest
+    five of a bisected or whole real grid, by inverse iteration.
     """
     try:
         if H.is_real:

@@ -545,6 +545,13 @@ def test_profile_of_no_points_is_refused(capsys):
     assert (code, out, err) == (1, "", "usage error: --N must be >= 1\n")
 
 
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "nan"])
+def test_a_negative_or_nan_tol_is_refused(capsys, tol):
+    # both once acted as --tol 0 and exited 0
+    code, out, err = run(capsys, "verify", "--family", "trig-scarf", "--A", "-2", "--N", "200", "--tol", tol)
+    assert (code, out, err) == (1, "", "usage error: --tol must be >= 0\n")
+
+
 class TestDeterminismAndRoundTrip:
     def test_identical_bytes(self, capsys):
         argv = ["spectrum", "--family", "trig-scarf", "--A", "-2", "--n-max", "4"]

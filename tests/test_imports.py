@@ -33,7 +33,9 @@ module docstring and the README name.
 NumPy is imported at module level only by `oracle` and `wavefunctions`;
 the other modules import it inside the functions that take or build
 arrays, so that `spectrum` and `trace` run without it.  No module imports
-`dataclasses`: every record is a NamedTuple.
+`dataclasses`: every record is a NamedTuple.  No module draws random
+numbers, so that no result depends on a seed, and a cold `verify` loads no
+`numpy.random`.
 """
 
 from __future__ import annotations
@@ -285,14 +287,15 @@ def test_a_cold_verify_loads_no_scipy_linalg():
     # the oracle loads SciPy's LAPACK extension from its file: no
     # scipy.linalg package, no scipy._lib (which loads numpy.f2py) and no
     # numpy.f2py, real and complex.  Nor numpy.ma, which np.unique loads,
-    # 11 ms cold, where every residual bound holds.  A later `import
-    # scipy.linalg` still works, gives the oracle's bits and has its
-    # `_flapack` as an attribute
+    # 11 ms cold, where every residual bound holds.  Nor numpy.random,
+    # some 20 ms cold: the residual check starts from a fixed vector.  A
+    # later `import scipy.linalg` still works, gives the oracle's bits and
+    # has its `_flapack` as an attribute
     proc = subprocess.run([sys.executable, "-c", _COLD_VERIFY], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     codes, loaded, same = proc.stdout.split("\n")[:3]
     assert codes == "0 2"
-    heavy = ("scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.ma")
+    heavy = ("scipy.linalg", "scipy._lib", "numpy.f2py", "numpy.ma", "numpy.random")
     assert [m for m in loaded.split() if ".".join(m.split(".")[:2]) in heavy] == []
     assert same == "True True"
 
@@ -419,3 +422,53 @@ def test_no_module_imports_dataclasses():
     sources = {path.name: path.read_text() for path in MODULES + SCRIPTS}
     assert _import_sites("dataclasses", sources) == []
     assert _import_sites("inspect", sources) == []
+
+
+_RANDOM = {"random", "numpy.random"}
+
+
+def random_draws(source: str) -> list[int]:
+    """Lines of source that import the `random` or `numpy.random` module,
+    read the attribute `random` of NumPy (`np.random`, `numpy.random`) or
+    name `default_rng`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name in _RANDOM or a.name.startswith("numpy.random.") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = node.level == 0 and (
+                module.split(".")[0] == "random"
+                or module.startswith("numpy.random")
+                or (module == "numpy" and any(a.name == "random" for a in node.names))
+            )
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "default_rng" or (node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy"))
+        else:
+            hit = isinstance(node, ast.Name) and node.id == "default_rng"
+        if hit:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_the_check_finds_a_random_draw():
+    source = (
+        "import random\n"
+        "import numpy as np\n"
+        "rng = np.random.default_rng(7)\n"
+        "from numpy.random import default_rng\n"
+        "from numpy import random as npr\n"
+        "x = numpy.random.rand(3)\n"
+        "y = gen.default_rng\n"
+        "from . import random\n"
+        "z = self.random\n"
+        "doc = 'np.random.default_rng'\n"
+    )
+    assert random_draws(source) == [1, 3, 4, 5, 6, 7]
+
+
+def test_no_module_draws_random_numbers():
+    # every deterministic fact of the package follows from its inputs, with
+    # no seed or generator in hidden state
+    found = {path.name: random_draws(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

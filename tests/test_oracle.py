@@ -136,9 +136,9 @@ def banded_solves(monkeypatch):
     widths = []
     solve = oracle.solve_banded
 
-    def counted(band, b):
-        widths.append(band.shape[1])
-        return solve(band, b)
+    def counted(d, b, shifts, rhs):
+        widths.append(len(shifts) * len(d))
+        return solve(d, b, shifts, rhs)
 
     monkeypatch.setattr(oracle, "solve_banded", counted)
     return widths
@@ -230,14 +230,23 @@ class TestEigenSolver:
         eigs = eigen_complex_dense(H, certify=False)
         trace_bounds = TestTraceCertification()._trace_bounds
         oracle._certify(H, eigs, trace_bounds(H, eigs))
-        # an eigenvalue a five-element sample with the certification seed
-        # would not draw, moved 100 times the residual bound off
-        sampled = np.random.default_rng(7).choice(H.N, size=5, replace=False)
-        i = min(set(range(H.N)) - set(sampled.tolist()))
-        bound = oracle._RESIDUAL_BOUND * (np.max(np.abs(H.diagonal)) + 2.0 * abs(H.offdiagonal))
-        eigs[i] += 100.0 * bound
+        # the lowest eigenvalue that is not one of the five witnesses, moved
+        # 100 times the residual bound off
+        eigs[5] += 100.0 * oracle._RESIDUAL_BOUND * _norm_max(H)
         with pytest.raises(QRNotConverged, match="residual certification"):
             oracle._certify(H, eigs, trace_bounds(H, eigs))
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_a_whole_real_grid_refuses_a_wrong_lowest_eigenvalue(self, i):
+        # a real grid solved by dsterf hands over no bound, so its lowest
+        # five are its whole certification, n = 0 among them
+        H = _variant_grid("hyp-pt-q1", 800)
+        eigs = eigen_complex_dense(H, certify=False)
+        assert len(eigs) == H.N
+        oracle._certify(H, eigs, None)
+        eigs[i] += 100.0 * oracle._RESIDUAL_BOUND * _norm_max(H)
+        with pytest.raises(QRNotConverged, match="residual certification"):
+            oracle._certify(H, eigs, None)
 
     def test_complex_solve_allocates_no_dense_matrix(self):
         # a dense N=6000 complex matrix alone is 576 MB
@@ -428,7 +437,7 @@ class TestTraceCertification:
     def test_a_zero_pivot_in_the_last_sweep_takes_the_banded_check(self, banded_solves, handed_over):
         # the shifted discrete Laplacian: the last sweeps of 1 + 0.5i and
         # 3 + 0.5i meet an exactly zero pivot, such as (1 - lambda) - 1/r_0
-        # in row 1, so these two join the five witnesses
+        # in row 1, so these two join the five witnesses, the lowest five
         n = 200
         H = GridHamiltonian(
             domain=DomainSpec(DomainKind.FiniteInterval, 0.0, n + 1.0),
@@ -438,8 +447,8 @@ class TestTraceCertification:
         [(eigs, bounds)] = handed_over
         fallback = np.flatnonzero(np.isnan(bounds))
         assert eigs[fallback].tolist() == [1 + 0.5j, 3 + 0.5j]
-        witnesses = np.random.default_rng(7).choice(n, size=5, replace=False)
-        assert banded_solves == [len(np.union1d(witnesses, fallback)) * n] * 3
+        assert not np.isin(fallback, np.arange(5)).any()
+        assert banded_solves == [(5 + len(fallback)) * n] * 3
 
     def test_a_certified_solve_evaluates_nothing_after_the_last_sweep(self, aberth_calls):
         # the bounds come with the sweeps: certifying adds no evaluation,
@@ -461,15 +470,17 @@ class TestTraceCertification:
         convergence_study(spec, dom, [200, 400])
         assert aberth_calls == solves[0] + solves[1]
 
-    def test_five_witnesses_take_the_banded_check_when_every_bound_holds(self, banded_solves):
-        H = _variant_grid("mr-nonpt", 800)
-        eigen_complex_dense(H)
-        assert banded_solves == [5 * H.N] * 3
-        # a real grid certifies five random eigenvalues, as it always has
-        banded_solves.clear()
-        H = _variant_grid("hyp-pt-q1", 800)
-        eigen_complex_dense(H)
-        assert banded_solves == [5 * H.N] * 3
+    @pytest.mark.parametrize("name", ["mr-nonpt", "hyp-pt-q1"])
+    def test_five_witnesses_take_the_banded_check_when_every_bound_holds(self, name, monkeypatch):
+        # a complex grid whose every bound holds, and a whole real grid,
+        # which hands over none: each checks its lowest five, no others,
+        # in one block of three steps
+        shifts = []
+        solve = oracle.solve_banded
+        monkeypatch.setattr(oracle, "solve_banded", lambda d, b, s, v: shifts.append(s.copy()) or solve(d, b, s, v))
+        lowest = eigen_complex_dense(_variant_grid(name, 800))[:5]
+        want = lowest + 1e-10 * (1.0 + np.abs(lowest)) * (1 + 1j)
+        assert len(shifts) == 3 and all(_same_bits(s, want) for s in shifts)
 
     def test_zero_pivots_go_to_the_banded_check(self, banded_solves):
         # with b = 0 each eigenvalue d_k meets the zero pivot of row k, so
@@ -1002,10 +1013,10 @@ class TestComplexWindow:
         reach = []
         assert len(eigen_complex_dense(H, certify=False, reach=reach)) == 400 and reach == [math.inf]
 
-    def test_the_count_refuses_the_fig3_window(self):
+    def test_the_count_refuses_the_fig3_window(self, monkeypatch):
         # fig3 at N = 800: the 20 starts converge to 18 roots left of R, but
-        # 22 eigenvalues lie there; the 40 starts miss some too, so the grid
-        # is solved whole
+        # 22 eigenvalues lie there, so the grid is solved whole, with no
+        # second window
         spec = PotentialSpec(**_PRESETS["fig3"][0])
         H = discretize(spec, default_domain(spec, L=12.0), 800)
         d, b, thr = H.diagonal, H.offdiagonal, continuum_threshold(spec)
@@ -1017,9 +1028,11 @@ class TestComplexWindow:
         count = oracle._argument_count(d, b, lam, 2.0 * floor - R, R, np.max(np.abs(d.imag)) + R - floor, ulp)
         assert abs(count - 22) < 1e-6 and np.sum(lam.real < R) == 18
         assert oracle._aberth_window(d, b, 20, 6, thr, 0, ()) is None
+        windows, window = [], oracle._aberth_window
+        monkeypatch.setattr(oracle, "_aberth_window", lambda d, b, m, *args: windows.append(m) or window(d, b, m, *args))
         reach = []
         assert len(eigen_complex_dense(H, certify=False, lowest=6, below=thr, reach=reach)) == 800
-        assert reach == [math.inf]
+        assert reach == [math.inf] and windows == [20]
 
     def test_a_contour_through_an_eigenvalue_is_refused(self):
         # the right side through an eigenvalue that is not among the roots:
@@ -1122,10 +1135,12 @@ class TestGridContinuation:
         assert failed == [20] and taken == [20]
 
     def test_roots_outside_the_field_of_values_are_not_swept(self, monkeypatch):
-        # PT Manning-Rosen at N = 300: the 40 roots of its coarse window
-        # reach below lambda_min(Re T) of the finest grid, as its levels at
-        # the poles move as 1/h^2.  No eigenvalue lies there, so the window
-        # takes first-order starts without sweeping those roots
+        # PT Manning-Rosen at N = 300: its coarse grid's count refuses the
+        # window, so that grid hands over all 150 roots, and the lowest 40,
+        # the starts of the finest window, reach below lambda_min(Re T) of
+        # the finest grid, as its levels at the poles move as 1/h^2.  No
+        # eigenvalue lies there, so the window takes first-order starts
+        # without sweeping those roots
         spec, L = _VARIANT_GRIDS["mr-pt"]
         dom = default_domain(spec, L=L)
         roots = []
@@ -1136,7 +1151,7 @@ class TestGridContinuation:
         window = dict(certify=False, lowest=6, below=below, more=more, energies=energies)
         cold = eigen_complex_dense(H, **window)
         lowest = eigvalsh_tridiagonal(H.diagonal.real, np.full(H.N - 1, H.offdiagonal), select="i", select_range=(0, 0))
-        assert len(roots[0]) == 40 and np.min(roots[0].real) < lowest[0]
+        assert len(roots[0]) == 150 and np.min(roots[0].real) < lowest[0]
         sweeps = []
         aberth = oracle._aberth
         monkeypatch.setattr(oracle, "_aberth", lambda d, b, *args: sweeps.append(args) or aberth(d, b, *args))
@@ -1700,30 +1715,41 @@ class TestLapackRoutes:
 
     @pytest.mark.parametrize("name", ["trig", "fig7"])
     def test_a_certify_block_keeps_its_bits(self, lapack_route, name, monkeypatch):
-        # fig7 hands every bound over, so the five witnesses make the block
+        # fig7 hands every bound over, so the five witnesses make the block:
+        # its shifted copies of H, uncoupled down one band, solved as
+        # scipy's solve_banded solves that band
         H = _lapack_grid(name)
         if H.is_real:
             eigs, bounds = oracle._real_eigenvalues(H.diagonal.real, H.offdiagonal, None, -math.inf)
         else:
             eigs, bounds = oracle._aberth(H.diagonal, H.offdiagonal)
+            order = np.argsort(eigs.real)
+            eigs, bounds = eigs[order], bounds[order]
         solve, widths = oracle.solve_banded, []
 
-        def both(band, b):
-            want = solve_banded((1, 1), band, b.copy(), overwrite_b=True, check_finite=False)
-            got = solve(band, b)
-            assert _same_bits(got, want)
-            widths.append(band.shape[1])
+        def both(d, b, shifts, rhs):
+            m, n = rhs.shape
+            band = np.zeros((3, m * n), dtype=complex)
+            band[0, 1:] = band[2, :-1] = b
+            band[0, n::n] = band[2, n - 1 :: n] = 0.0
+            band[1] = (d - shifts[:, None]).ravel()
+            want = solve_banded((1, 1), band, rhs.ravel(), overwrite_b=True, check_finite=False)
+            got = solve(d, b, shifts, rhs)
+            assert _same_bits(got.ravel(), want)
+            widths.append(m * n)
             return got
 
         monkeypatch.setattr(oracle, "solve_banded", both)
         oracle._certify(H, eigs.astype(complex), bounds)
         assert widths == [5 * H.N] * 3
 
-    def test_a_singular_solve_raises_linalg_error(self):
-        band = np.zeros((3, 4), dtype=complex)
-        band[1] = [1.0, 2.0, 0.0, 3.0]
-        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-            oracle.solve_banded(band, np.ones(4, dtype=complex))
+    @pytest.mark.parametrize("d", [np.array([1.0, 2.0, 0.0, 3.0]), np.array([1.0, 2.0j, 0.0, 3.0])], ids=["dgtsv", "zgtsv"])
+    def test_a_singular_solve_raises_linalg_error(self, d):
+        # b = 0 leaves T diagonal, and its zero makes it singular.  A real
+        # band goes to dgtsv, a complex one to zgtsv
+        routine = "zgtsv" if np.iscomplexobj(d) else "dgtsv"
+        with pytest.raises(np.linalg.LinAlgError, match=f"{routine}: singular matrix"):
+            oracle.solve_banded(d, 0.0, np.zeros(1), np.ones((1, 4), dtype=d.dtype))
 
     def test_a_diagonal_that_is_not_finite_is_refused(self):
         # the check_finite=True of eigvalsh_tridiagonal
