@@ -10,23 +10,24 @@ cap, in O(N) memory, and only for the eigenvalues `verify_levels` reads: the
 convergence study asks each coarse grid for its lowest levels, and the
 finest grid for every eigenvalue below the continuum threshold or, on a form
 with no threshold, for the window that covers the energies it matches.  A
-Sturm count at the window's top energy sizes the window before anything is
-solved, and a window of more than N/16 eigenvalues, on either grid kind, is
-solved whole instead (`_window_size`).
+`Window` records what a caller reads of one grid.  One Sturm count at the
+window's top energy sizes it before anything is solved, and a window of
+more than N/16 eigenvalues, on either grid kind, is solved whole instead
+(`_size_window`).  Each solve route returns a `GridSolve`.
 The convergence study solves its grids from coarse to fine, and each grid
-after the first starts from what the grid before it solved, each value
-within O(h^2) of its own here.  It sizes a real finest window first and
-asks the coarser grids for as many eigenvalues.
+after the first starts from the roots the grid before it solved, each value
+within O(h^2) of its own here.  It sizes the finest window once, first, and
+on a real grid asks the coarser grids for as many eigenvalues.
 A real symmetric grid's window is refined from those by Rayleigh-quotient
 iteration (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4),
 each step one batched LAPACK `dgtsv` solve, and accepted only where the
 residuals prove it: for symmetric T an eigenvalue lies within ||Tv - sigma
 v|| of sigma, and where those brackets are disjoint and one Sturm count at
 the top of the highest counts them all, they hold the lowest k.  Otherwise,
-and on the first grid, the window comes from Sturm-sequence bisection
-(Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK
-`dstebz`), k eigenvalues in O(N k); a whole one from LAPACK `dsterf`, all
-N in O(N^2).
+and on the first grid, the window comes from one Sturm-sequence bisection
+by index (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386-393; LAPACK
+`dstebz`), its k eigenvalues in O(N k); a whole one from LAPACK `dsterf`,
+all N in O(N^2).
 A complex symmetric grid is solved by the Ehrlich-Aberth iteration of Bini,
 Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27 (2005) 153-175), each
 grid after the first from the roots the grid before it converged.  Where
@@ -193,17 +194,16 @@ def _sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return w
 
 
-def _stebz(d: np.ndarray, e: np.ndarray, select: str, lo, hi) -> np.ndarray:
-    """The eigenvalues, ascending, of the real symmetric tridiagonal with
-    diagonal d and off-diagonal e in (lo, hi] (select "v") or with the
-    0-based indices lo to hi (select "i"), by LAPACK `dstebz` bisection:
-    `eigvalsh_tridiagonal(d, e, select, (lo, hi), lapack_driver="stebz")`,
-    which passes 1-based indices and an absolute tolerance of 0."""
-    by_index = select == "i"
-    vl, vu, il, iu = (0.0, 1.0, lo + 1, hi + 1) if by_index else (lo, hi, 1, 1)
-    m, w, _, _, info = _flapack.dstebz(
-        np.asarray_chkfinite(d), np.asarray_chkfinite(e), 2 if by_index else 1, vl, vu, il, iu, 0.0, "E"
-    )
+def _stebz(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """The lowest k eigenvalues, ascending, of the real symmetric
+    tridiagonal with diagonal d and off-diagonal e, by LAPACK `dstebz`
+    bisection: `eigvalsh_tridiagonal(d, e, select="i", select_range=(0, k -
+    1), lapack_driver="stebz")`, which passes the 1-based indices 1 to k and
+    an absolute tolerance of 0.  No call for k = 0, where that function
+    refuses the range."""
+    if not k:
+        return np.empty(0)
+    m, w, _, _, info = _flapack.dstebz(np.asarray_chkfinite(d), np.asarray_chkfinite(e), 2, 0.0, 1.0, 1, k, 0.0, "E")
     _check_info(info, "dstebz", "did not converge")
     return w[:m]
 
@@ -283,7 +283,7 @@ def discretize(spec: PotentialSpec, domain: DomainSpec, N: int) -> GridHamiltoni
     return GridHamiltonian(domain=domain, N=N, h=h, diagonal=diag, offdiagonal=-kappa / h**2)
 
 
-def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | None) -> float:
+def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | None) -> None:
     """Residual check of eigs, sorted by real part, against the contract
     bound relative to ||H||_max: every eigenvalue of a complex grid and of a
     warm real window, the lowest five of a bisected or whole real grid.
@@ -306,18 +306,15 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
     as witnesses independent of the recurrence on a complex grid and as the
     whole certification of a real grid that passes None; and on every
     eigenvalue whose bound is over the contract or not a number, as an
-    evaluation that met an exactly zero pivot gives.  Returns the worst
-    bound or residual taken; raises QRNotConverged if a banded residual
-    exceeds the contract, or is not a number.
+    evaluation that met an exactly zero pivot gives.  Raises
+    QRNotConverged if a banded residual exceeds the contract, or is not a
+    number.
     """
     n = H.N
     bound = _RESIDUAL_BOUND * _norm(H.diagonal, H.offdiagonal)
     check = np.arange(len(eigs)) < (0 if H.is_real and trace_bound is not None else 5)
-    worst = 0.0
     if trace_bound is not None:
-        held = trace_bound <= bound  # a NaN bound routes its eigenvalue to the banded check
-        worst = float(np.max(trace_bound[held], initial=0.0))
-        check |= ~held
+        check |= ~(trace_bound <= bound)  # a NaN bound routes its eigenvalue to the banded check
     idx = np.flatnonzero(check)
     per = max(1, _CERTIFY_BLOCK // n)
     for start in range(0, len(idx), per):
@@ -332,8 +329,6 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
         resid = float(np.max(np.linalg.norm(H.matvec(v) - lam[:, None] * v, axis=1) / np.linalg.norm(v, axis=1)))
         if not resid <= bound:
             raise QRNotConverged(f"residual certification failed: {resid:.3g} > {bound:.3g}")
-        worst = max(worst, resid)
-    return worst
 
 
 def _recurrence_sum(d: np.ndarray, w: np.ndarray, b2: float, z: np.ndarray, tiny) -> np.ndarray:
@@ -480,7 +475,7 @@ def _aberth_start(d: np.ndarray, b: float, tiny: float, count: int | None = None
     p.  A start value that is not finite falls back to mu_j + i mean(Im d).
     """
     off = np.full(len(d) - 1, b)
-    mu = _sterf(d.real, off) if count is None else _stebz(d.real, off, "i", 0, count - 1)
+    mu = _sterf(d.real, off) if count is None else _stebz(d.real, off, count)
     with np.errstate(all="ignore"):  # a value that is not finite takes the fallback
         g, _ = _recurrence_log_derivative(d.real, b * b, mu, tiny, -1.0 + 1j * d.imag)
         c = -g.imag / g.real
@@ -553,24 +548,54 @@ def _sturm_count(d: np.ndarray, b: float, x: float) -> int:
     return count
 
 
-def _window_size(d: np.ndarray, b: float, lowest: int | None, below: float, more: int) -> tuple[int, int, bool]:
-    """(j, k, whole) for a window of the real symmetric tridiagonal with
-    diagonal d and constant off-diagonal b: k the eigenvalues it holds,
-    every one up to `below`, the `more` above those, and at least the
-    lowest `lowest`, from j, a Sturm count at `below` (0 at -inf), before
-    anything is solved; whole where the grid is better solved whole, as no
-    window was asked (lowest None or below +inf: then j = k = N) or k > N /
-    _WINDOW_SHARE.
+class Window(NamedTuple):
+    """What a caller reads of one grid: every eigenvalue up to `below`, the
+    `more` above those, at least the lowest `lowest`, and on a complex grid
+    the greedy match of each entry of `energies` (`_reach`); with k, the
+    eigenvalues of the grid's real part that this takes, and whether the
+    grid is solved whole instead.  Built by `_size_window`."""
+
+    lowest: int | None
+    below: float
+    more: int
+    energies: tuple
+    k: int
+    whole: bool
+
+
+class GridSolve(NamedTuple):
+    """One grid's solve: its eigenvalues, a bound on each one's residual
+    (the trace bounds of a complex grid, the residuals of a warm real
+    window, None from `dstebz` or `dsterf`), R, the real part below which
+    they are every eigenvalue (+inf where they are all N, and on a real
+    grid), and every root the solve converged, to start a finer grid of the
+    same form."""
+
+    eigs: np.ndarray
+    bounds: np.ndarray | None
+    reach: float
+    roots: np.ndarray
+
+
+def _size_window(
+    d: np.ndarray, b: float, lowest: int | None = None, below: float = -math.inf, more: int = 0, energies=()
+) -> Window:
+    """The window of the real symmetric tridiagonal with diagonal d and
+    constant off-diagonal b that holds every eigenvalue up to `below`, the
+    `more` above those, and at least the lowest `lowest`: k of them, from
+    one Sturm count at `below` (none at -inf), before anything is solved.
+    It is whole where the grid is better solved whole: where no window was
+    asked (lowest None or below +inf: then k = N), or k > N / _WINDOW_SHARE.
 
     It is one rule for both grid kinds: a real grid solves the k, a
     complex grid takes the k of its real part as the core of its Aberth
-    starts."""
+    starts, and keeps `energies` to cover their greedy match."""
     n = len(d)
     if lowest is None or below == math.inf:
-        return n, n, True
+        return Window(lowest, below, more, tuple(energies), n, True)
     count = _sturm_count(d, b, below) if below > -math.inf else 0
     k = max(lowest, count + more)
-    return count, k, k * _WINDOW_SHARE > n
+    return Window(lowest, below, more, tuple(energies), k, k * _WINDOW_SHARE > n)
 
 
 def _rayleigh_window(d: np.ndarray, b: float, starts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -639,38 +664,25 @@ def _rayleigh_window(d: np.ndarray, b: float, starts: np.ndarray, k: int) -> tup
     return sigma, resid
 
 
-def _real_eigenvalues(
-    d: np.ndarray, b: float, lowest: int | None, below: float, more: int = 0, starts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(eigenvalues, residuals) of the real tridiagonal with diagonal d and
-    constant off-diagonal b, the eigenvalues ascending: all of them if
-    lowest is None, else every one up to `below` and the `more` above
-    those, and at least the lowest `lowest` in all.
+def _real_eigenvalues(d: np.ndarray, b: float, window: Window, starts: np.ndarray | None = None) -> GridSolve:
+    """The `GridSolve` of a window of the real tridiagonal with diagonal d
+    (its real part) and constant off-diagonal b: its lowest k eigenvalues,
+    ascending, all N where no window was asked.
 
-    All N come from `dsterf`, and so does a window that `_window_size`
-    finds too wide, cut to its size, with no bisection.  Given `starts`, a
-    window is refined from them by Rayleigh-quotient iteration, and where
-    that proves it, each eigenvalue comes with its residual
-    (`_rayleigh_window`).  Otherwise the residuals are None and the window
-    comes from `dstebz` bisection: by index for the lowest `lowest` where
-    the Sturm count of `_window_size` finds fewer up to `below` and no
-    `more` are asked; else by value up to `below`, then by index for the
-    `more` above those.
-    """
+    A whole window comes from `dsterf`, cut to its k, with no bisection.
+    Given `starts`, a window is refined from them by Rayleigh-quotient
+    iteration, and where that proves it, each eigenvalue comes with its
+    residual (`_rayleigh_window`).  Otherwise the bounds are None and the
+    window comes from one `dstebz` bisection by index, of the lowest k.
+    The roots are the eigenvalues."""
+    d = d.real
     off = np.full(len(d) - 1, b)
-    count, size, whole = _window_size(d, b, lowest, below, more)
-    if whole:
-        return _sterf(d, off)[:size], None
-    window = None if starts is None else _rayleigh_window(d, b, starts, size)
-    if window is not None:
-        return window
-    if count < lowest and not more:
-        return _stebz(d, off, "i", 0, lowest - 1), None
-    eigs = _stebz(d, off, "v", -math.inf, below) if below > -math.inf else np.empty(0)
-    if more:
-        above = _stebz(d, off, "i", len(eigs), max(lowest, len(eigs) + more) - 1)
-        eigs = np.concatenate([eigs, above])
-    return eigs, None
+    if window.whole:
+        eigs, bounds = _sterf(d, off)[: window.k], None
+    else:
+        proved = None if starts is None else _rayleigh_window(d, b, starts, window.k)
+        eigs, bounds = (_stebz(d, off, window.k), None) if proved is None else proved
+    return GridSolve(eigs, bounds, math.inf, eigs)
 
 
 @functools.cache
@@ -734,7 +746,7 @@ def _argument_count(
     return complex(np.sum(g.reshape(nodes.shape) * weights * half)) / (2j * math.pi)
 
 
-def _reach(roots: np.ndarray, lowest: int, below: float, more: int, energies) -> float | None:
+def _reach(roots: np.ndarray, window: Window) -> float | None:
     """R, the right side of a complex window's count: in the widest gap
     between the real parts of `roots` above all that a caller reads of the
     window, or None where no gap is above that.
@@ -749,10 +761,11 @@ def _reach(roots: np.ndarray, lowest: int, below: float, more: int, energies) ->
     argument in the complex plane).
     """
     x = np.sort(roots.real)
-    top = max(lowest, int(np.sum(x <= below)) + more)
+    energies = window.energies
+    top = max(window.lowest, int(np.sum(x <= window.below)) + window.more)
     if max(top, len(energies), 2) > len(x):
         return None
-    need = max(below, x[top - 1] if top else -math.inf)
+    need = max(window.below, x[top - 1] if top else -math.inf)
     for e in energies:
         e = complex(e)
         if np.isfinite(e):
@@ -765,13 +778,13 @@ def _reach(roots: np.ndarray, lowest: int, below: float, more: int, energies) ->
 
 
 def _aberth_window(
-    d: np.ndarray, b: float, m: int, lowest: int, below: float, more: int, energies, start: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(roots, trace bounds, R) of a window of m Aberth starts: all m
-    roots, converged, and R, its reach (`_reach`), where a count by the
-    argument principle proves that the roots left of R are every eigenvalue
-    with real part below R; None where it does not, or the window did not
-    converge.
+    d: np.ndarray, b: float, m: int, window: Window, start: np.ndarray | None = None
+) -> GridSolve | None:
+    """The `GridSolve` of a window of m Aberth starts: its roots left of R,
+    their trace bounds, R, its reach (`_reach`), and all m roots,
+    converged, where a count by the argument principle proves that the
+    roots left of R are every eigenvalue with real part below R; None where
+    it does not, or the window did not converge.
 
     The starts are the first-order values of the lowest m eigenvalues of
     Re T (`_aberth_start`), or `start`, m values that it overwrites: the
@@ -793,116 +806,100 @@ def _aberth_window(
         start = _aberth_start(d, b, ulp, m)
         floor = start[0].real
     else:
-        floor = _stebz(d.real, np.full(len(d) - 1, b), "i", 0, 0)[0]
+        floor = _stebz(d.real, np.full(len(d) - 1, b), 1)[0]
         if np.any(start.real < floor) or np.any(np.abs(start.imag) > height):
             return None  # outside the field of values: no root here is near
     try:
         lam, bound = _aberth(d, b, start)
     except QRNotConverged:
         return None
-    reach = _reach(lam, lowest, below, more, energies)
+    reach = _reach(lam, window)
     if reach is None:
         return None
     width = reach - floor
     count = _argument_count(d, b, lam, floor - width, reach, height + width, ulp)
-    if not abs(count - np.count_nonzero(lam.real < reach)) <= _COUNT_TOL:
+    inside = lam.real < reach
+    if not abs(count - np.count_nonzero(inside)) <= _COUNT_TOL:
         return None
-    return lam, bound, reach
+    return GridSolve(lam[inside], bound[inside], reach, lam)
 
 
-def _complex_eigenvalues(
-    d: np.ndarray, b: float, lowest: int | None, below: float, more: int, energies, starts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """(eigenvalues, trace bounds, R, roots) of the complex tridiagonal with
-    diagonal d and constant off-diagonal b: every eigenvalue with real part
-    below R, a window that holds what `_window_size` asks of its real part
-    and covers the greedy match of `energies` (`_aberth_window`), or all N
-    with R = +inf; and every root the solve converged, the window's m or
-    all N, to start a finer grid of the same form.
+def _complex_eigenvalues(d: np.ndarray, b: float, window: Window, starts: np.ndarray | None = None) -> GridSolve:
+    """The `GridSolve` of the complex tridiagonal with diagonal d and
+    constant off-diagonal b: every eigenvalue with real part below R, a
+    window that holds what `window` asks of its real part and covers the
+    greedy match of its energies (`_aberth_window`), or all N with R =
+    +inf.  Its roots are every one the solve converged, the window's m or
+    all N.
 
     The window takes 2k + 8 starts for the k of its real part: the lowest
     2k + 8 of `starts` by real part, where there are that many, then the
-    first-order ones; where its count refuses those too, or k is too wide,
-    the grid is solved whole."""
-    n = len(d)
-    _, size, whole = _window_size(d.real, b, lowest, below, more)
-    m = min(2 * size + 8, n)
-    tries = [] if whole else [None]
+    first-order ones; where its count refuses those too, or the window is
+    whole, the grid is solved whole."""
+    m = min(2 * window.k + 8, len(d))
+    tries = [] if window.whole else [None]
     if tries and starts is not None and len(starts) >= m:
         tries.insert(0, starts[np.argsort(starts.real, kind="stable")[:m]])
     for start in tries:
-        window = _aberth_window(d, b, m, lowest, below, more, energies, start)
-        if window is not None:
-            lam, bound, reach = window
-            inside = lam.real < reach
-            return lam[inside], bound[inside], reach, lam
+        solve = _aberth_window(d, b, m, window, start)
+        if solve is not None:
+            return solve
     lam, bound = _aberth(d, b)
-    return lam, bound, math.inf, lam
+    return GridSolve(lam, bound, math.inf, lam)
 
 
 def eigen_complex_dense(
     H: GridHamiltonian,
     certify: bool = True,
-    lowest: int | None = None,
-    below: float = -math.inf,
-    more: int = 0,
-    energies=(),
-    reach: list | None = None,
-    roots: list | None = None,
+    window: Window | None = None,
     starts: np.ndarray | None = None,
+    solves: list | None = None,
 ) -> np.ndarray:
-    """Eigenvalues sorted by real part, from the tridiagonal alone.
+    """Eigenvalues sorted by real part, from the tridiagonal alone: the
+    `window` (`_size_window`) of the grid, or with None, all N.
 
-    No dense matrix is built; the name is kept because the benchmark's
-    tracer wraps the oracle's eigensolve by it.  With `lowest` None or
-    `below` +inf, either grid returns all N.  Otherwise it returns a window:
-    every eigenvalue up to `below`, the `more` above those, and at least the
-    lowest `lowest`, or all N where that window is too wide
-    (`_window_size`).
+    No dense matrix is built.  The name, the grid as the first argument,
+    `certify` as the second and the array returned are those the
+    benchmark's tracer and reference maker read: the tracer wraps the
+    oracle's eigensolve by this name, sizes it by H.N and counts what it
+    returns, and the reference maker iterates the array.
 
     A real symmetric grid takes all N from LAPACK `dsterf`: the bits the
     dense symmetric solver gives, since `dsyevd` runs the `dsytrd`
     reduction, which leaves a tridiagonal matrix as it is, then the same
     `dsterf`.  Given `starts`, its window is refined from them by
     Rayleigh-quotient iteration and kept where the residuals and one Sturm
-    count prove it (`_rayleigh_window`); otherwise it comes from `dstebz`
-    bisection, in O(N) per eigenvalue (`_real_eigenvalues`).  A complex
-    grid takes them from Ehrlich-Aberth iteration.  Neither makes a BLAS
-    call, so the bits do not depend on the BLAS thread count.  A complex
-    window also covers the greedy match of each entry of `energies`, and
-    holds every eigenvalue with real part below a bound R that a count by
-    the argument principle proves; where no count proves one, the grid is
-    solved whole (`_complex_eigenvalues`).  Given a list `reach`, a
-    complex grid appends R to it, +inf where it returned all N.  Given a
-    list `roots`, either grid appends what its solve converged: a complex
-    grid every root, the window's or all N, a real grid the eigenvalues it
-    returns.  Passed back as `starts` to a finer grid of the same form,
-    they start that grid's window: in place of the first-order values on a
-    complex grid, of bisection on a real one.
+    count prove it (`_rayleigh_window`); otherwise it comes from one
+    `dstebz` bisection, in O(N) per eigenvalue (`_real_eigenvalues`).  A
+    complex grid takes them from Ehrlich-Aberth iteration.  Neither makes a
+    BLAS call, so the bits do not depend on the BLAS thread count.  A
+    complex window also covers the greedy match of each of the window's
+    energies, and holds every eigenvalue with real part below a bound R
+    that a count by the argument principle proves; where no count proves
+    one, the grid is solved whole (`_complex_eigenvalues`).  Given a list
+    `solves`, the grid appends its `GridSolve` to it, whose roots, passed
+    back as `starts` to a finer grid of the same form, start that grid's
+    window: in place of the first-order values on a complex grid, of
+    bisection on a real one.
 
     certify=True checks the residual contract (`_certify`): every
     eigenvalue returned by a complex grid, by its trace bound or by inverse
     iteration, and by a warm real window, by its own residual; the lowest
     five of a bisected or whole real grid, by inverse iteration.
     """
+    if window is None:
+        window = _size_window(H.diagonal.real, H.offdiagonal)
+    route = _real_eigenvalues if H.is_real else _complex_eigenvalues
     try:
-        if H.is_real:
-            eigs, bounds = _real_eigenvalues(H.diagonal.real, H.offdiagonal, lowest, below, more, starts)
-            eigs = converged = eigs.astype(complex)
-        else:
-            eigs, bounds, bound, converged = _complex_eigenvalues(
-                H.diagonal, H.offdiagonal, lowest, below, more, energies, starts
-            )
-            if reach is not None:
-                reach.append(bound)
-        if roots is not None:
-            roots.append(converged)
+        solve = route(H.diagonal, H.offdiagonal, window, starts)
     except np.linalg.LinAlgError as err:
         raise QRNotConverged(str(err)) from err
-    order = np.argsort(eigs.real)
-    eigs = eigs[order]
+    if solves is not None:
+        solves.append(solve)
+    order = np.argsort(solve.eigs.real)
+    eigs = solve.eigs.astype(complex)[order]
     if certify:
-        _certify(H, eigs, None if bounds is None else bounds[order])
+        _certify(H, eigs, None if solve.bounds is None else solve.bounds[order])
     return eigs
 
 
@@ -1103,12 +1100,14 @@ def convergence_study(
     `energies` None, whole.  The finest grid's eigenvalues are
     residual-certified and returned with the report, so a caller needs no
     second solve of that grid.  The grids are solved from coarse to fine,
-    and each passes what it solved to the next one's solve, as the starts
-    of that grid's window: a complex grid every root it converged, a real
-    grid its eigenvalues.  Where the finest grid is real and takes a
-    window, a Sturm count sizes that window, k eigenvalues, before any
-    grid is solved, and each coarser grid is asked for its lowest k, at
-    least n_levels, so that the finest has a start for each.
+    and each passes the roots of its `GridSolve` to the next one's solve,
+    as the starts of that grid's window: a complex grid every root it
+    converged, a real grid its eigenvalues.  One Sturm count sizes the
+    finest window, k eigenvalues, before any grid is solved, and the finest
+    solve takes that `Window`.  Where the finest grid is real and not
+    solved whole, each coarser grid is asked for its lowest k, at least
+    n_levels, so that the finest has a start for each.  The report's reach
+    is the finest solve's.
     """
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 2:
@@ -1122,17 +1121,17 @@ def convergence_study(
         finest, more = _covering_window(energies)
         entries = energies
     grids = [discretize(spec, domain, N) for N in N_list]
-    fine, coarse = grids[-1], n_levels
-    if fine.is_real:  # a start on each coarse grid for each eigenvalue of the finest window
-        _, k, whole = _window_size(fine.diagonal.real, fine.offdiagonal, n_levels, finest, more)
-        coarse = n_levels if whole else k
+    fine = grids[-1]
+    fine_window = _size_window(fine.diagonal.real, fine.offdiagonal, n_levels, finest, more, entries)
+    # a start on each coarse grid for each eigenvalue of a real finest window
+    coarse = fine_window.k if fine.is_real and not fine_window.whole else n_levels
     all_eigs = []
     hs = []
-    reach, roots = [], []
+    solves = []
     for H in grids:
-        window = dict(lowest=n_levels, below=finest, more=more, energies=entries) if H is fine else dict(lowest=coarse)
-        starts = roots[-1] if roots else None
-        all_eigs.append(eigen_complex_dense(H, certify=H is fine, reach=reach, roots=roots, starts=starts, **window))
+        window = fine_window if H is fine else _size_window(H.diagonal.real, H.offdiagonal, coarse)
+        starts = solves[-1].roots if solves else None
+        all_eigs.append(eigen_complex_dense(H, certify=H is fine, window=window, starts=starts, solves=solves))
         hs.append(H.h)
     counts = [int(np.sum(e.real < thr)) if math.isfinite(thr) else len(e) for e in all_eigs]
     track = min(n_levels, *counts) if min(counts) > 0 else min(n_levels, len(all_eigs[0]))
@@ -1166,7 +1165,7 @@ def convergence_study(
         levels=tuple(levels),
         eigs_finest=all_eigs[-1],
         finest_is_real=fine.is_real,
-        reach=reach[-1] if reach else math.inf,
+        reach=solves[-1].reach,
     )
 
 

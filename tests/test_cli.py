@@ -386,7 +386,11 @@ class TestVerifyCommand:
         got = json.loads(out)
         assert got["conjugation"]["below"] > got["convergence"]["levels"][-1]["finest"]["re"]
         solve = oracle.eigen_complex_dense
-        monkeypatch.setattr(oracle, "eigen_complex_dense", lambda H, certify=True, **_: solve(H, certify))
+        monkeypatch.setattr(
+            oracle,
+            "eigen_complex_dense",
+            lambda H, certify=True, window=None, starts=None, solves=None: solve(H, certify, solves=solves),
+        )
         _, out, _ = run(capsys, *argv)
         whole = json.loads(out)
         conj = whole["conjugation"]

@@ -129,6 +129,13 @@ def _variant_grid(name, N):
     return discretize(spec, default_domain(spec, L=L), N)
 
 
+def _window(H, lowest=None, below=-math.inf, more=0, energies=()):
+    """The window of grid H that holds every eigenvalue up to `below`, the
+    `more` above those and at least the lowest `lowest`, sized as the
+    oracle sizes it."""
+    return oracle._size_window(H.diagonal.real, H.offdiagonal, lowest, below, more, energies)
+
+
 @pytest.fixture
 def banded_solves(monkeypatch):
     """The band width, in columns, of each solve_banded call the oracle
@@ -457,14 +464,15 @@ class TestTraceCertification:
         # the finest from the coarse grid's roots
         spec, L = _VARIANT_GRIDS["mr-nonpt"]
         dom = default_domain(spec, L=L)
-        roots = []
-        windows = [dict(lowest=6, roots=roots), dict(lowest=6, below=continuum_threshold(spec))]
-        solves = []
-        for N, window in zip((200, 400), windows):
-            eigen_complex_dense(discretize(spec, dom, N), certify=False, starts=roots[-1] if roots else None, **window)
+        coarse, fine = discretize(spec, dom, 200), discretize(spec, dom, 400)
+        windows = [_window(coarse, 6), _window(fine, 6, continuum_threshold(spec))]
+        grid_solves, solves = [], []
+        for H, window in zip((coarse, fine), windows):
+            starts = grid_solves[0].roots if grid_solves else None
+            eigen_complex_dense(H, certify=False, window=window, starts=starts, solves=grid_solves)
             solves.append(list(aberth_calls))
             aberth_calls.clear()
-        eigen_complex_dense(discretize(spec, dom, 400), starts=roots[-1], **windows[1])
+        eigen_complex_dense(fine, window=windows[1], starts=grid_solves[0].roots)
         assert aberth_calls == solves[1]
         aberth_calls.clear()
         convergence_study(spec, dom, [200, 400])
@@ -552,14 +560,13 @@ def lapack_drivers(monkeypatch):
 
 @pytest.fixture
 def stebz_calls(monkeypatch):
-    """(select, lo, hi) of each `dstebz` bisection the oracle makes: "v"
-    with the energies (lo, hi], or "i" with the 0-based indices lo to hi."""
+    """k of each `dstebz` bisection the oracle makes, of the lowest k."""
     calls = []
     stebz = oracle._stebz
 
-    def counted(d, e, select, lo, hi):
-        calls.append((select, lo, hi))
-        return stebz(d, e, select, lo, hi)
+    def counted(d, e, k):
+        calls.append(k)
+        return stebz(d, e, k)
 
     monkeypatch.setattr(oracle, "_stebz", counted)
     return calls
@@ -576,7 +583,7 @@ class TestRealWindow:
         H = discretize(spec, default_domain(spec, L=L), N)
         below = continuum_threshold(spec)
         full = eigen_complex_dense(H, certify=False)
-        win = eigen_complex_dense(H, certify=False, lowest=lowest, below=below)
+        win = eigen_complex_dense(H, certify=False, window=_window(H, lowest, below))
         k = int(np.sum(full.real < below))
         assert int(np.sum(win.real < below)) == k and len(win) == max(lowest, k)
         assert np.all(win.imag == 0.0)
@@ -606,7 +613,7 @@ class TestRealWindow:
         assume(np.min(np.abs(full - below)) > 2.0 * tol)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_WINDOW_SHARE", 1)
-            win = eigen_complex_dense(H, certify=False, lowest=lowest, below=below).real
+            win = eigen_complex_dense(H, certify=False, window=_window(H, lowest, below)).real
         k = int(np.sum(full < below))
         assert int(np.sum(win < below)) == k and len(win) == max(lowest, k)
         i = np.arange(len(win))
@@ -623,7 +630,10 @@ class TestRealWindow:
         dom = default_domain(spec, L=L)
         rep = convergence_study(spec, dom, [1000, 2000])
         # the reference study solves every grid whole
-        monkeypatch.setattr(oracle, "eigen_complex_dense", lambda H, certify=True, **_: eigen_complex_dense(H, certify))
+        def whole(H, certify=True, window=None, starts=None, solves=None):
+            return eigen_complex_dense(H, certify, solves=solves)
+
+        monkeypatch.setattr(oracle, "eigen_complex_dense", whole)
         ref = oracle.convergence_study(spec, dom, [1000, 2000])
         assert len(rep.levels) == len(ref.levels)
         if name == "mr-marginal":
@@ -642,12 +652,12 @@ class TestRealWindow:
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().out)["match"]["pairs"]
         assert lapack_drivers[0] == "stebz" and set(lapack_drivers[1:]) == {"gtsv"}
-        assert stebz_calls == [("i", 0, 5)]
+        assert stebz_calls == [6]
 
     @pytest.mark.parametrize(
         "argv, coarse",
         [
-            (("--family", "trig-scarf", "--A", "-2", "--N", "1000"), [("i", 0, 21)]),
+            (("--family", "trig-scarf", "--A", "-2", "--N", "1000"), [22]),
             (
                 (
                     "--family", "hyperbolic-scarf", "--variant", "pt",
@@ -679,7 +689,7 @@ class TestRealWindow:
         d, b = H.diagonal.real, H.offdiagonal
         top, more = oracle._covering_window(closed_form_spectrum(spec, 3).energies())
         assert more == 4
-        win = eigen_complex_dense(H, lowest=6, below=top, more=more).real
+        win = eigen_complex_dense(H, window=_window(H, 6, top, more)).real
         assert len(win) == max(6, int(_sturm_count(d, b, [top])[0]) + more) < H.N
         tol = 8.0 * np.finfo(float).eps * _norm_max(H)
         i = np.arange(len(win))
@@ -694,15 +704,16 @@ class TestRealWindow:
         full = eigen_complex_dense(H, certify=False)
         for below, more in [(full[1].real, 59), (full[1].real, 60), (full[-1].real * 1.5, 1)]:
             lapack_drivers.clear()
-            np.testing.assert_array_equal(eigen_complex_dense(H, certify=False, lowest=6, below=below, more=more), full)
+            win = eigen_complex_dense(H, certify=False, window=_window(H, 6, below, more))
+            np.testing.assert_array_equal(win, full)
             assert lapack_drivers == ["sterf"]
 
     def test_certification_takes_a_window_of_any_size(self):
         # it samples five of the returned eigenvalues: here all three, or none
         spec, L = _THRESHOLD_GRIDS["mr-deep"]
         H = discretize(spec, default_domain(spec, L=L), 1000)
-        assert len(eigen_complex_dense(H, lowest=0, below=continuum_threshold(spec))) == 3
-        assert len(eigen_complex_dense(H, lowest=0, below=-1e9)) == 0
+        assert len(eigen_complex_dense(H, window=_window(H, 0, continuum_threshold(spec)))) == 3
+        assert len(eigen_complex_dense(H, window=_window(H, 0, -1e9))) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -722,18 +733,24 @@ class TestRealWindow:
         # k eigenvalues are a window while k <= N / 16, on either grid kind
         spec, L = _THRESHOLD_GRIDS["mr-deep"]
         H = discretize(spec, default_domain(spec, L=L), 1600)
-        d, b = H.diagonal.real, H.offdiagonal
         below = continuum_threshold(spec)
-        assert oracle._window_size(d, b, None, below, 0) == (1600, 1600, True)
-        assert oracle._window_size(d, b, 6, math.inf, 0) == (1600, 1600, True)
-        assert oracle._window_size(d, b, 6, below, 0) == (3, 6, False)
-        assert oracle._window_size(d, b, 6, -math.inf, 0) == (0, 6, False)
-        assert oracle._window_size(d, b, 0, below, 97) == (3, 100, False)
-        assert oracle._window_size(d, b, 0, below, 98) == (3, 101, True)
+        # (lowest, below, more): (k, whole)
+        sizes = {
+            (None, below, 0): (1600, True),
+            (6, math.inf, 0): (1600, True),
+            (6, below, 0): (6, False),
+            (6, -math.inf, 0): (6, False),
+            (0, below, 0): (3, False),
+            (0, below, 97): (100, False),
+            (0, below, 98): (101, True),
+        }
+        for size, want in sizes.items():
+            window = _window(H, *size)
+            assert (window.k, window.whole) == want and window[:3] == size
         # a complex grid whose window is too wide tries no window
         monkeypatch.setattr(oracle, "_aberth_window", lambda *args: pytest.fail("a window was tried"))
         C = _variant_grid("mr-nonpt", 400)
-        assert len(eigen_complex_dense(C, certify=False, lowest=26)) == 400
+        assert len(eigen_complex_dense(C, certify=False, window=_window(C, 26))) == 400
 
     def test_a_window_wider_than_n_over_16_is_solved_whole(self, lapack_drivers, capsys):
         # hyperbolic PT at N = 600: its window holds 49 eigenvalues, more than
@@ -751,21 +768,24 @@ class TestRealWindow:
 
     @pytest.mark.parametrize("name, count", [("mr-deep", 3), ("hyp-blind-spot", 1)])
     def test_a_window_of_the_lowest_levels_takes_one_bisection(self, name, count, lapack_drivers, stebz_calls):
-        # fewer levels lie below the threshold than the 6 asked for, so the
-        # Sturm count that sizes the window sends it straight to the index
-        # call: no bisection by value is thrown away, and the bits are the
-        # index call's.  With `more`, the value call stays, and the index
-        # call starts above its levels
+        # the Sturm count that sizes the window gives its k, so a window with
+        # no starts takes one bisection by index, of the lowest k, with the
+        # bits of that call: here fewer levels lie below the threshold than
+        # the 6 asked for, and with `more` the k reaches above those levels
         spec, L = _THRESHOLD_GRIDS[name]
         H = discretize(spec, default_domain(spec, L=L), 2000)
         d, b, thr = H.diagonal.real, H.offdiagonal, continuum_threshold(spec)
-        assert oracle._window_size(d, b, 6, thr, 0)[0] == count
-        eigs, resid = oracle._real_eigenvalues(d, b, 6, thr)
-        assert stebz_calls == [("i", 0, 5)] and lapack_drivers == ["stebz"] and resid is None
-        assert _same_bits(eigs, eigvalsh_tridiagonal(d, np.full(H.N - 1, b), select="i", select_range=(0, 5)))
-        stebz_calls.clear()
-        oracle._real_eigenvalues(d, b, 6, thr, more=4)
-        assert stebz_calls == [("v", -math.inf, thr), ("i", count, max(6, count + 4) - 1)]
+        off = np.full(H.N - 1, b)
+        assert _window(H, 0, thr).k == count
+        for window in (_window(H, 6, thr), _window(H, 6, thr, 4)):
+            assert window.k == max(6, count + window.more)
+            stebz_calls.clear()
+            lapack_drivers.clear()
+            eigs, resid, reach, roots = oracle._real_eigenvalues(d, b, window)
+            assert stebz_calls == [window.k] and lapack_drivers == ["stebz"] and resid is None
+            assert reach == math.inf and roots is eigs
+            ref = eigvalsh_tridiagonal(d, off, select="i", select_range=(0, window.k - 1), lapack_driver="stebz")
+            assert _same_bits(eigs, ref)
 
 
 # the real presets and the specs of the verify-real benchmark, whose finest
@@ -790,10 +810,11 @@ def _finest_window(name, N, extra=0):
     below, more = continuum_threshold(spec), 0
     if below == math.inf:
         below, more = oracle._covering_window(closed_form_spectrum(spec, 10).energies())
-    _, k, whole = oracle._window_size(H.diagonal.real, H.offdiagonal, 6, below, more)
-    assert H.is_real and not whole
-    starts = eigen_complex_dense(discretize(spec, dom, N // 2), certify=False, lowest=k + extra)
-    return H, dict(lowest=6, below=below, more=more), k, starts
+    window = _window(H, 6, below, more)
+    assert H.is_real and not window.whole
+    coarse = discretize(spec, dom, N // 2)
+    starts = eigen_complex_dense(coarse, certify=False, window=_window(coarse, window.k + extra))
+    return H, window, window.k, starts
 
 
 class TestRealContinuation:
@@ -841,7 +862,7 @@ class TestRealContinuation:
         ref = eigvalsh_tridiagonal(d, np.full(n - 1, b), select="i", select_range=(0, k - 1))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_WINDOW_SHARE", 1)
-            got = eigen_complex_dense(H, lowest=k, starts=starts.copy())
+            got = eigen_complex_dense(H, window=_window(H, k), starts=starts.copy())
         window = oracle._rayleigh_window(d, b, starts, k)
         if window is None:
             assert _same_bits(got.real, ref)
@@ -860,19 +881,22 @@ class TestRealContinuation:
         # overlap; k - 1 starts cannot make a window of k; the k above the
         # lowest converge to k disjoint brackets, but the Sturm count at
         # their top is k + 1.  Each way the grid bisects as it does with no
-        # starts, to the bit
+        # starts, to the bit: one bisection by index of the lowest k
         H, window, k, starts = _finest_window("trig", 1000, extra=1)
         if fault == "coinciding":
             starts[1] = starts[0]
         starts = starts[1:] if fault == "above-the-lowest" else starts[: k - (fault == "too-few")]
         assert oracle._rayleigh_window(H.diagonal.real, H.offdiagonal, starts, k) is None
         stebz_calls.clear()
-        cold = eigen_complex_dense(H, certify=False, **window)
-        bisections = list(stebz_calls)
+        cold = eigen_complex_dense(H, certify=False, window=window)
+        assert stebz_calls == [k]
+        off = np.full(H.N - 1, H.offdiagonal)
+        ref = eigvalsh_tridiagonal(H.diagonal.real, off, select="i", select_range=(0, k - 1), lapack_driver="stebz")
+        assert _same_bits(cold.real, ref)
         stebz_calls.clear()
         lapack_drivers.clear()
-        assert _same_bits(eigen_complex_dense(H, certify=False, starts=starts, **window), cold)
-        assert stebz_calls == bisections and len(bisections) == 2
+        assert _same_bits(eigen_complex_dense(H, certify=False, window=window, starts=starts), cold)
+        assert stebz_calls == [k]
         assert ("gtsv" in lapack_drivers) == (fault != "too-few")
 
     def test_a_singular_step_refuses_the_window(self, lapack_drivers):
@@ -885,9 +909,9 @@ class TestRealContinuation:
         starts = d[:3].astype(complex)
         assert oracle._rayleigh_window(d, 0.0, starts, 3) is None
         lapack_drivers.clear()
-        warm = eigen_complex_dense(H, certify=False, lowest=3, starts=starts)
+        warm = eigen_complex_dense(H, certify=False, window=_window(H, 3), starts=starts)
         assert lapack_drivers == ["gtsv", "stebz"]
-        assert _same_bits(warm, eigen_complex_dense(H, certify=False, lowest=3))
+        assert _same_bits(warm, eigen_complex_dense(H, certify=False, window=_window(H, 3)))
 
     @pytest.mark.parametrize(
         "name, N, coarse",
@@ -911,9 +935,9 @@ class TestRealContinuation:
         calls = []
         solve = oracle.eigen_complex_dense
 
-        def recorded(H, certify=True, lowest=None, starts=None, **window):
-            calls.append((H.N, lowest, None if starts is None else len(starts)))
-            return solve(H, certify, lowest=lowest, starts=starts, **window)
+        def recorded(H, certify=True, window=None, starts=None, solves=None):
+            calls.append((H.N, window.lowest, None if starts is None else len(starts)))
+            return solve(H, certify, window, starts, solves)
 
         monkeypatch.setattr(oracle, "eigen_complex_dense", recorded)
         oracle.verify_levels(spec, dom, N, entries)
@@ -942,6 +966,28 @@ class TestRealContinuation:
         assert len(eigs) == len(bounds) == 6
         assert np.all(bounds <= oracle._RAYLEIGH_ULPS * math.sqrt(H.N) * ulp)
         assert banded_solves == []
+
+    @pytest.mark.parametrize(
+        "argv, counts",
+        [
+            (("--family", "trig-scarf", "--A", "-2", "--N", "3000"), 2),
+            (("--family", "manning-rosen", "--A", "-40", "--B", "2", "--q", "1", "--L", "16", "--N", "2000"), 2),
+            (("--preset", "fig7", "--N", "800"), 1),
+        ],
+        ids=["trig", "mr-deep", "fig7"],
+    )
+    def test_one_sturm_count_sizes_each_finest_window(self, monkeypatch, capsys, argv, counts):
+        # a warm real verify counts twice, once to size the finest window and
+        # once in the Rayleigh proof; the coarser grid is asked for that
+        # window's k with no count of its own.  A complex verify counts once,
+        # to size the window of its real part
+        calls = []
+        count = oracle._sturm_count
+        monkeypatch.setattr(oracle, "_sturm_count", lambda d, b, x: calls.append(len(d)) or count(d, b, x))
+        assert main(["verify", *argv]) in (0, 2)
+        assert json.loads(capsys.readouterr().out)["match"]["pairs"]
+        N = int(argv[argv.index("--N") + 1])
+        assert calls == [N] * counts
 
 
 class TestComplexWindow:
@@ -972,11 +1018,9 @@ class TestComplexWindow:
         energies = list(rng.uniform(-60.0, -45.0, entries) + 1j * rng.uniform(-8.0, 8.0, entries))
         below, more = oracle._covering_window(energies) if energies else (-math.inf, 0)
         below = below if where is None else max(below, 50.0 * where)
-        reach = []
-        win = eigen_complex_dense(
-            H, certify=False, lowest=lowest, below=below, more=more, energies=energies, reach=reach
-        )
-        [R] = reach
+        solves = []
+        win = eigen_complex_dense(H, certify=False, window=_window(H, lowest, below, more, energies), solves=solves)
+        [(_, _, R, _)] = solves
         if R == math.inf:
             assert _same_bits(win, whole)
             return
@@ -1010,8 +1054,9 @@ class TestComplexWindow:
     def test_default_arguments_return_every_eigenvalue(self, name):
         # the benchmark's references are solved whole by the default call
         H = _variant_grid(name, 400)
-        reach = []
-        assert len(eigen_complex_dense(H, certify=False, reach=reach)) == 400 and reach == [math.inf]
+        solves = []
+        assert len(eigen_complex_dense(H, certify=False, solves=solves)) == 400
+        assert [s.reach for s in solves] == [math.inf] and _same_bits(solves[0].roots, solves[0].eigs)
 
     def test_the_count_refuses_the_fig3_window(self, monkeypatch):
         # fig3 at N = 800: the 20 starts converge to 18 roots left of R, but
@@ -1024,15 +1069,15 @@ class TestComplexWindow:
         start = oracle._aberth_start(d, b, ulp, 20)
         floor = start[0].real
         lam, _ = oracle._aberth(d, b, start)
-        R = oracle._reach(lam, 6, thr, 0, ())
+        R = oracle._reach(lam, _window(H, 6, thr))
         count = oracle._argument_count(d, b, lam, 2.0 * floor - R, R, np.max(np.abs(d.imag)) + R - floor, ulp)
         assert abs(count - 22) < 1e-6 and np.sum(lam.real < R) == 18
-        assert oracle._aberth_window(d, b, 20, 6, thr, 0, ()) is None
+        assert oracle._aberth_window(d, b, 20, _window(H, 6, thr)) is None
         windows, window = [], oracle._aberth_window
         monkeypatch.setattr(oracle, "_aberth_window", lambda d, b, m, *args: windows.append(m) or window(d, b, m, *args))
-        reach = []
-        assert len(eigen_complex_dense(H, certify=False, lowest=6, below=thr, reach=reach)) == 800
-        assert reach == [math.inf] and windows == [20]
+        solves = []
+        assert len(eigen_complex_dense(H, certify=False, window=_window(H, 6, thr), solves=solves)) == 800
+        assert [s.reach for s in solves] == [math.inf] and windows == [20]
 
     def test_a_contour_through_an_eigenvalue_is_refused(self):
         # the right side through an eigenvalue that is not among the roots:
@@ -1062,9 +1107,9 @@ def _coarse_roots(name, N):
     """Every root the coarse grid of a verify at N converges: the 20 of
     its window, not only those left of its reach."""
     spec, L = _CONTINUED[name]
-    roots = []
-    eigen_complex_dense(discretize(spec, default_domain(spec, L=L), N // 2), certify=False, lowest=6, roots=roots)
-    [converged] = roots
+    H, solves = discretize(spec, default_domain(spec, L=L), N // 2), []
+    eigen_complex_dense(H, certify=False, window=_window(H, 6), solves=solves)
+    [(_, _, _, converged)] = solves
     assert len(converged) == 2 * 6 + 8
     return converged
 
@@ -1079,13 +1124,13 @@ class TestGridContinuation:
         # first-order start
         spec, L = _CONTINUED[name]
         H = discretize(spec, default_domain(spec, L=L), N)
-        window = dict(certify=False, lowest=6, below=continuum_threshold(spec))
-        cold_reach, warm_reach = [], []
-        cold = eigen_complex_dense(H, reach=cold_reach, **window)
+        window = dict(certify=False, window=_window(H, 6, continuum_threshold(spec)))
+        cold_solves, warm_solves = [], []
+        cold = eigen_complex_dense(H, solves=cold_solves, **window)
         starts = _coarse_roots(name, N)
         monkeypatch.setattr(oracle, "_aberth_start", lambda *args: pytest.fail("a first-order start was taken"))
-        warm = eigen_complex_dense(H, reach=warm_reach, starts=starts, **window)
-        assert math.isfinite(cold_reach[0]) and math.isfinite(warm_reach[0])
+        warm = eigen_complex_dense(H, solves=warm_solves, starts=starts, **window)
+        assert math.isfinite(cold_solves[0].reach) and math.isfinite(warm_solves[0].reach)
         assert len(warm) == len(cold) >= 6
         rows, cols = linear_sum_assignment(np.abs(warm[:, None] - cold[None, :]))
         assert np.max(np.abs(warm[rows] - cold[cols])) <= 4.0 * _diagonal_ulp(H.diagonal, H.offdiagonal)
@@ -1097,7 +1142,7 @@ class TestGridContinuation:
         # with no starts
         spec, L = _CONTINUED[name]
         H = discretize(spec, default_domain(spec, L=L), 400)
-        window = dict(certify=False, lowest=6, below=continuum_threshold(spec))
+        window = dict(certify=False, window=_window(H, 6, continuum_threshold(spec)))
         cold = eigen_complex_dense(H, **window)
         starts = _coarse_roots(other, 400)
         taken = []
@@ -1113,7 +1158,7 @@ class TestGridContinuation:
         # starts
         spec, L = _CONTINUED["fig7"]
         H = discretize(spec, default_domain(spec, L=L), 400)
-        window = dict(certify=False, lowest=6, below=continuum_threshold(spec))
+        window = dict(certify=False, window=_window(H, 6, continuum_threshold(spec)))
         cold = eigen_complex_dense(H, **window)
         starts = _coarse_roots("fig7", 400)
         low = np.argsort(starts.real)
@@ -1143,12 +1188,13 @@ class TestGridContinuation:
         # without sweeping those roots
         spec, L = _VARIANT_GRIDS["mr-pt"]
         dom = default_domain(spec, L=L)
-        roots = []
-        eigen_complex_dense(discretize(spec, dom, 150), certify=False, lowest=6, roots=roots)
+        coarse, solves = discretize(spec, dom, 150), []
+        eigen_complex_dense(coarse, certify=False, window=_window(coarse, 6), solves=solves)
+        roots = [s.roots for s in solves]
         H = discretize(spec, dom, 300)
         energies = closed_form_spectrum(spec, 3).energies()
         below, more = oracle._covering_window(energies)
-        window = dict(certify=False, lowest=6, below=below, more=more, energies=energies)
+        window = dict(certify=False, window=_window(H, 6, below, more, energies))
         cold = eigen_complex_dense(H, **window)
         lowest = eigvalsh_tridiagonal(H.diagonal.real, np.full(H.N - 1, H.offdiagonal), select="i", select_range=(0, 0))
         assert len(roots[0]) == 150 and np.min(roots[0].real) < lowest[0]
@@ -1705,13 +1751,13 @@ class TestLapackRoutes:
         d, b = H.diagonal.real, H.offdiagonal
         off = np.full(H.N - 1, b)
         whole = eigvalsh_tridiagonal(d, off, lapack_driver="sterf")
-        assert _same_bits(oracle._real_eigenvalues(d, b, None, -math.inf)[0], whole)
+        assert _same_bits(oracle._real_eigenvalues(d, b, _window(H)).eigs, whole)
         below = 0.5 * (whole[39] + whole[40])
-        by_value = eigvalsh_tridiagonal(d, off, select="v", select_range=(-math.inf, below), lapack_driver="stebz")
-        assert len(by_value) == 40
-        assert _same_bits(oracle._real_eigenvalues(d, b, 6, below)[0], by_value)
-        by_index = eigvalsh_tridiagonal(d, off, select="i", select_range=(40, 59), lapack_driver="stebz")
-        assert _same_bits(oracle._real_eigenvalues(d, b, 6, below, more=20)[0][40:], by_index)
+        for more, k in [(0, 40), (20, 60)]:
+            window = _window(H, 6, below, more)
+            assert window.k == k and not window.whole
+            by_index = eigvalsh_tridiagonal(d, off, select="i", select_range=(0, k - 1), lapack_driver="stebz")
+            assert _same_bits(oracle._real_eigenvalues(d, b, window).eigs, by_index)
 
     @pytest.mark.parametrize("name", ["trig", "fig7"])
     def test_a_certify_block_keeps_its_bits(self, lapack_route, name, monkeypatch):
@@ -1720,7 +1766,7 @@ class TestLapackRoutes:
         # scipy's solve_banded solves that band
         H = _lapack_grid(name)
         if H.is_real:
-            eigs, bounds = oracle._real_eigenvalues(H.diagonal.real, H.offdiagonal, None, -math.inf)
+            eigs, bounds, _, _ = oracle._real_eigenvalues(H.diagonal, H.offdiagonal, _window(H))
         else:
             eigs, bounds = oracle._aberth(H.diagonal, H.offdiagonal)
             order = np.argsort(eigs.real)
@@ -1757,4 +1803,4 @@ class TestLapackRoutes:
         with pytest.raises(ValueError, match="infs or NaNs"):
             oracle._sterf(d, e)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            oracle._stebz(d, e, "i", 0, 1)
+            oracle._stebz(d, e, 2)
