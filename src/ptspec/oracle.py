@@ -42,15 +42,14 @@ Comp. 21 (1967) 543-560) around a rectangle that the field of values
 bounds then proves that the roots left of its right side R are every
 eigenvalue there, and R lies above all that the study reads of the grid.
 Where no count proves a window, the grid is solved whole, from all N
-mu_j, from `dsterf`.  A sweep
-takes its Newton ratios from the three-term recurrence, N Python steps over
-all roots at once, until fewer than N/8 roots are left; then from odd-even
-cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
-627-656), log2 N steps, which makes the slow tail of nearly multiple roots
-and a window's sweeps cheap.
-The recurrence checks no pivot in its rows: an exactly zero one shows as a
-sum that is not finite, and only those z run again, with the pivot patched,
-from row 0.
+mu_j, from `dsterf`.  Every p'/p, of a sweep's Newton ratios, of a start
+and of a count, comes from one rule (`_log_derivative`): N/8 values or more
+from the three-term recurrence, N Python steps over all of them at once;
+fewer from odd-even cyclic reduction (Buzbee, Golub & Nielson, SIAM J.
+Numer. Anal. 7 (1970) 627-656), log2 N steps, which makes a window's starts
+and sweeps and the slow tail of nearly multiple roots cheap.  Neither
+kernel checks a pivot: an exactly zero one shows as a sum that is not
+finite, and only those values run again, with the pivot patched.
 Complex symmetric tridiagonal eigenproblems lack the guarantees of the
 Hermitian case, so every eigenvalue a complex grid returns is certified: by
 a trace bound on its best residual, N |p/p'| + |step| from the sweep that
@@ -336,9 +335,12 @@ def _recurrence_sum(d: np.ndarray, w: np.ndarray, b2: float, z: np.ndarray, tiny
     row over all of z.  With `tiny` given, an exactly zero pivot becomes
     tiny; with None, it divides as it is.
 
-    t u goes to a buffer of its own: NumPy's complex multiply of a single
-    element written over one of its operands does not round as its array
-    loop does, and a rerun is often on one z."""
+    The LU pivots of T - z are r_k = (d_k - z) - b2/r_{k-1}, so p'/p is the
+    sum of u_k = r_k'/r_k, with r_k' = w_k + (b2/r_{k-1}) u_{k-1}: w = -1 is
+    the z-derivative of d_k - z, and another w the derivative of log p
+    along diag(w).  t u goes to a buffer of its own: NumPy's complex
+    multiply of a single element written over one of its operands does not
+    round as its array loop does, and a rerun is often on one z."""
     r = d[0] - z
     if tiny is not None:
         r[r == 0] = tiny
@@ -358,99 +360,94 @@ def _recurrence_sum(d: np.ndarray, w: np.ndarray, b2: float, z: np.ndarray, tiny
     return total
 
 
-def _recurrence_log_derivative(
-    d: np.ndarray, b2: float, z: np.ndarray, tiny: float, w: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """p'(z)/p(z) at each z, for p(z) = det(T - z) and T the tridiagonal
-    with diagonal d and squared off-diagonal b2, by the three-term
-    recurrence, and the mask of the z that met an exactly zero pivot.
-
-    The LU pivots of T - z are r_k = (d_k - z) - b2/r_{k-1}, so p'/p is the
-    sum of u_k = r_k'/r_k, with r_k' = -1 + (b2/r_{k-1}) u_{k-1}.  Given w,
-    the -1, the z-derivative of d_k - z, becomes w_k, and the sum is the
-    derivative of log p along diag(w) instead.  One step per row, each over
-    all of z.  b2 is real where d and z are.
-
-    The rows run with no check of their pivots.  Each divides by the pivot
-    it forms, so an exactly zero pivot makes that z's sum inf or NaN, which
-    no later row makes finite.  The z whose sum is not finite, those and
-    any whose sum overflowed, are the mask, and each runs again from row 0
-    with each exactly zero pivot made `tiny`, so that b2 = 0 gives no 0/0.
-    That is the sum a check in every row gives, to the bit; a NaN `tiny`
-    makes it NaN at each z that met one.
-    """
-    w = np.full(len(d), -1.0) if w is None else w
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot is found by its sum
-        total = _recurrence_sum(d, w, b2, z, None)
-    hit = ~np.isfinite(total)
-    if hit.any():
-        total[hit] = _recurrence_sum(d, w, b2, z[hit], tiny)
-    return total, hit
-
-
-def _reduction_log_derivative(
-    d: np.ndarray, b2: float, z: np.ndarray, tiny: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """p'(z)/p(z) as `_recurrence_log_derivative`, by odd-even cyclic
-    reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
-    627-656): log2 N steps, each over all rows and all of z.  Returns the
-    sum and the mask of the z that met an exactly zero pivot.
+def _reduction_sum(d: np.ndarray, w: np.ndarray, b2: float, z: np.ndarray, tiny) -> np.ndarray:
+    """The sum of `_recurrence_sum` by odd-even cyclic reduction (Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627-656): log2 N steps,
+    each over all rows and all of z, with `tiny` as there.
 
     A step eliminates the odd rows of T - z.  Their pivots a are factors of
     p, so a'/a joins the sum; the even rows keep a tridiagonal Schur
-    complement, with diagonal a_e - c_l/a_l - c_r/a_r and squared
-    off-diagonal c_l c_r / a^2.  Each value carries its z-derivative.  An
-    exactly zero pivot becomes `tiny`, as in the recurrence, but as soon as
-    it is formed: a row that survives the step goes on into the next one.
-    """
+    complement, with diagonal a_e - c_l/a - c_r/a and squared off-diagonal
+    (c_l/a)(c_r/a), c_l and c_r the squared couplings of the odd row between
+    them.  Diagonals carry their derivative along diag(w), couplings and
+    quotients its negative.  An eliminated row takes one reciprocal s = 1/a,
+    and every quotient by a is a product with it: a'/a = a' s, t = c s, and
+    -t' = t (a' s) - c' s.  The first step's couplings are b2, with no
+    derivative, so an eliminated row's right quotient is its left one.  A
+    pivot is a row's diagonal as it is eliminated, or as the last row left:
+    the diagonal of a row a step keeps is not checked."""
     a = d - z[:, None]
-    zero = a == 0
-    hit = zero.any(axis=1)
-    a[zero] = tiny
-    da = np.full(a.shape, -1.0 + 0j)
-    c = np.full((len(z), len(d) - 1), b2, dtype=complex)
-    dc = np.zeros_like(c)
-    total = np.zeros(len(z), dtype=complex)
-    while a.shape[1] > 1:
-        m = a.shape[1]
-        ao, dao = a[:, 1::2], da[:, 1::2]
-        total += np.sum(dao / ao, axis=1)
-        tl = c[:, ::2] / ao
-        dtl = (dc[:, ::2] - tl * dao) / ao
-        r = (m - 1) // 2  # eliminated rows with a right neighbour
-        tr = c[:, 1::2] / ao[:, :r]
-        dtr = (dc[:, 1::2] - tr * dao[:, :r]) / ao[:, :r]
-        a, da = a[:, ::2].copy(), da[:, ::2].copy()
-        a[:, : m // 2] -= tl
-        da[:, : m // 2] -= dtl
+    da = np.broadcast_to(w, a.shape)
+    c = nc = None  # the couplings and their negated derivatives
+    total = 0.0
+    while (m := a.shape[1]) > 1:
+        r = (m - 1) // 2  # eliminated rows with a right neighbour: all where m is odd
+        pivots = a[:, 1::2]
+        if tiny is not None:
+            pivots[pivots == 0] = tiny
+        s = 1.0 / pivots
+        q = da[:, 1::2] * s
+        total = total + np.sum(q, axis=1)
+        if c is None:
+            tl = b2 * s
+            el = tl * q
+            tr, er = tl[:, :r], el[:, :r]
+            c, nc = tr * tr, 2.0 * (tr * er)
+        else:
+            tl, tr = c[:, ::2] * s, c[:, 1::2] * s[:, :r]
+            el, er = tl * q + nc[:, ::2] * s, tr * q[:, :r] + nc[:, 1::2] * s[:, :r]
+            c, nc = tl[:, :r] * tr, el[:, :r] * tr + tl[:, :r] * er
+        if m % 2:
+            a, da = a[:, ::2].astype(tl.dtype), da[:, ::2].astype(el.dtype)
+            a[:, :r] -= tl
+            da[:, :r] += el
+        else:
+            a, da = a[:, ::2] - tl, da[:, ::2] + el
         a[:, 1 : r + 1] -= tr
-        da[:, 1 : r + 1] -= dtr
-        zero = a == 0
-        hit |= zero.any(axis=1)
-        a[zero] = tiny
-        c = tl[:, :r] * tr
-        dc = dtl[:, :r] * tr + tl[:, :r] * dtr
-    return total + da[:, 0] / a[:, 0], hit
+        da[:, 1 : r + 1] += er
+    if tiny is not None:
+        a[a == 0] = tiny
+    return total + da[:, 0] / a[:, 0]
+
+
+def _checked_sum(kernel, d: np.ndarray, w: np.ndarray, b2: float, z: np.ndarray, tiny) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of `kernel`, `_recurrence_sum` or `_reduction_sum`, at each
+    z with each exactly zero pivot made `tiny`, and the mask of the z that
+    met one.
+
+    The kernel runs first with no check.  It divides by each pivot it
+    forms, so an exactly zero one makes that z's sum inf or NaN, which
+    nothing later makes finite.  Only the z whose sum is not finite, those
+    and any that overflowed, the mask, run again with the check, so that
+    b2 = 0 gives no 0/0: the sum a check of every pivot gives, to the bit.
+    A NaN `tiny` makes it NaN at each z that met one."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot is found by its sum
+        total = kernel(d, w, b2, z, None)
+    hit = ~np.isfinite(total)
+    if hit.any():
+        total[hit] = kernel(d, w, b2, z[hit], tiny)
+    return total, hit
+
+
+def _log_derivative(
+    d: np.ndarray, b2: float, z: np.ndarray, tiny: float, w: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """p'(z)/p(z) at each z, for p(z) = det(T - z) and T the tridiagonal
+    with diagonal d and squared off-diagonal b2, or given w the derivative
+    of log p along diag(w), and the mask of `_checked_sum`; b2 is real
+    where d and z are.  The recurrence costs N Python steps however few z
+    there are, the reduction log2 N steps but more arithmetic per row, so
+    fewer than N/8 values take the reduction, in blocks of _BLOCK // N so
+    that memory stays O(_BLOCK)."""
+    w = np.full(len(d), -1.0) if w is None else w
+    kernel, rows = (_recurrence_sum, len(z)) if 8 * len(z) >= len(d) else (_reduction_sum, max(1, _BLOCK // len(d)))
+    blocks = [_checked_sum(kernel, d, w, b2, z[i : i + rows], tiny) for i in range(0, len(z), rows)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _newton_ratios(d: np.ndarray, b2: float, z: np.ndarray, tiny: float) -> tuple[np.ndarray, np.ndarray]:
-    """p(z)/p'(z) at each z, for p(z) = det(T - z) and T the tridiagonal
-    with diagonal d and squared off-diagonal b2, and the mask of the z
-    whose evaluation met an exactly zero pivot (or overflowed, in the
-    recurrence).
-
-    The recurrence costs N Python steps however few z there are; the
-    reduction costs log2 N steps but 3-5 times the arithmetic.  So a sweep
-    with fewer than N/8 roots left takes the reduction, in blocks of
-    _BLOCK // N roots so that memory stays O(_BLOCK).
-    """
-    n = len(d)
-    if 8 * len(z) >= n:
-        g, hit = _recurrence_log_derivative(d, b2, z, tiny)
-    else:
-        rows = max(1, _BLOCK // n)
-        blocks = [_reduction_log_derivative(d, b2, z[i : i + rows], tiny) for i in range(0, len(z), rows)]
-        g, hit = (np.concatenate(parts) for parts in zip(*blocks))
+    """p(z)/p'(z) at each z, and the mask of `_log_derivative`."""
+    g, hit = _log_derivative(d, b2, z, tiny)
     return 1.0 / g, hit
 
 
@@ -469,15 +466,17 @@ def _aberth_start(d: np.ndarray, b: float, tiny: float, count: int | None = None
     mu_j comes from `dsterf` on T_0, or for the lowest `count` from `dstebz`
     by index, and c_j = v_j^T diag(Im d) v_j, v_j its eigenvector, is
     -(d_t log p)/(d_mu log p) at t = 0 for p(mu, t) = det(T_0 + t diag(Im d)
-    - mu).  Both derivatives come from one recurrence pass over all mu, with
-    no eigenvector: T_0 and mu are real, so the recurrence along w = -1 +
-    i Im d keeps the parts of w apart, and its sum is d_mu log p + i d_t log
-    p.  A start value that is not finite falls back to mu_j + i mean(Im d).
+    - mu).  Both derivatives come from one pass over all mu, with no
+    eigenvector: T_0 and mu are real, so p'/p along w = -1 + i Im d
+    (`_log_derivative`) keeps the parts of w apart, and is d_mu log p + i
+    d_t log p: by the reduction for a window's few mu, by the recurrence
+    for all N.  A start value that is not finite falls back to mu_j + i
+    mean(Im d).
     """
     off = np.full(len(d) - 1, b)
     mu = _sterf(d.real, off) if count is None else _stebz(d.real, off, count)
     with np.errstate(all="ignore"):  # a value that is not finite takes the fallback
-        g, _ = _recurrence_log_derivative(d.real, b * b, mu, tiny, -1.0 + 1j * d.imag)
+        g, _ = _log_derivative(d.real, b * b, mu, tiny, -1.0 + 1j * d.imag)
         c = -g.imag / g.real
     c[~np.isfinite(c)] = np.mean(d.imag)
     return mu + 1j * c
@@ -725,9 +724,9 @@ def _argument_count(
 
     Each side is one panel of _PANEL_NODES-point Gauss-Legendre quadrature
     to begin with, and a panel is halved until its length is at most its
-    distance to the nearest of `roots`.  p'/p comes from the recurrence at
-    every node in one pass.  NaN where 60 halvings do not get there: one of
-    `roots` lies on the contour."""
+    distance to the nearest of `roots`.  p'/p comes from one
+    `_log_derivative` pass over every node.  NaN where 60 halvings do not
+    get there: one of `roots` lies on the contour."""
     corners = np.array([complex(left, -height), complex(right, -height), complex(right, height), complex(left, height)])
     a, e = corners, np.roll(corners, -1)
     for _ in range(60):
@@ -742,7 +741,7 @@ def _argument_count(
     t, weights = _gauss_legendre(_PANEL_NODES)
     half = (e - a)[:, None] / 2
     nodes = (a[:, None] + half) + half * t
-    g, _ = _recurrence_log_derivative(d, b * b, nodes.ravel(), tiny)
+    g, _ = _log_derivative(d, b * b, nodes.ravel(), tiny)
     return complex(np.sum(g.reshape(nodes.shape) * weights * half)) / (2j * math.pi)
 
 

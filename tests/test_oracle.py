@@ -287,21 +287,34 @@ class TestEigenSolver:
 @pytest.fixture
 def aberth_calls(monkeypatch):
     """The evaluations one Aberth solve makes: ("sweep", roots) per
-    `_newton_ratios` call, ("recurrence", roots) per full-recurrence sweep
-    and ("start", roots) for the recurrence pass of the start."""
+    `_newton_ratios` call, ("start", values) per `_log_derivative` call
+    along a direction w, which only the start makes, and ("recurrence",
+    values) or ("reduction", values) per kernel pass with no pivot check,
+    each evaluation's first."""
     calls = []
-    ratios, recurrence = oracle._newton_ratios, oracle._recurrence_log_derivative
+    ratios, log_derivative = oracle._newton_ratios, oracle._log_derivative
 
     def counted_ratios(d, b2, z, tiny):
         calls.append(("sweep", len(z)))
         return ratios(d, b2, z, tiny)
 
-    def counted_recurrence(d, b2, z, tiny, w=None):
-        calls.append(("recurrence" if w is None else "start", len(z)))
-        return recurrence(d, b2, z, tiny, w)
+    def counted_log_derivative(d, b2, z, tiny, w=None):
+        if w is not None:
+            calls.append(("start", len(z)))
+        return log_derivative(d, b2, z, tiny, w)
+
+    def counted(kind, kernel):
+        def run(d, w, b2, z, tiny):
+            if tiny is None:
+                calls.append((kind, len(z)))
+            return kernel(d, w, b2, z, tiny)
+
+        return run
 
     monkeypatch.setattr(oracle, "_newton_ratios", counted_ratios)
-    monkeypatch.setattr(oracle, "_recurrence_log_derivative", counted_recurrence)
+    monkeypatch.setattr(oracle, "_log_derivative", counted_log_derivative)
+    for kind in ("recurrence", "reduction"):
+        monkeypatch.setattr(oracle, f"_{kind}_sum", counted(kind, getattr(oracle, f"_{kind}_sum")))
     return calls
 
 
@@ -377,7 +390,8 @@ class TestAberthStart:
         kinds = [kind for kind, _ in aberth_calls]
         assert kinds.count("start") == 1
         assert kinds.count("sweep") <= sweeps
-        assert kinds.count("recurrence") <= full
+        # a sweep's first kernel pass is the entry after it
+        assert sum(kind == "recurrence" for prev, kind in zip(kinds, kinds[1:]) if prev == "sweep") <= full
 
 
 @pytest.fixture
@@ -1212,12 +1226,25 @@ class TestGridContinuation:
         assert discretize(spec, default_domain(spec, L=_PRESETS[name][1]), 50).offdiagonal < 0
 
 
+# the verify-complex benchmark ops at their middle choice, on verify's
+# default domain (L = 12)
+_BENCH_COMPLEX = {
+    "fig5": apply_variant(PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0), Variant.PT),
+    "fig7": apply_variant(PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0), Variant.NonPT),
+    "trig": PotentialSpec(family=Family.TrigScarf, variant=Variant.NonPT, A=3j, q=2.0),
+}
+
+
+def _checked(kernel, d, b2, z, tiny, w=None):
+    """(sum, mask) of one kernel through its pivot check, along w = -1
+    unless given: the recurrence or the reduction whatever the size of z."""
+    return oracle._checked_sum(kernel, d, np.full(len(d), -1.0) if w is None else w, b2, z, tiny)
+
+
 def _log_derivatives(d, b2, z, tiny):
-    """p'/p by both evaluation orders, each on its own copy of z."""
-    return (
-        oracle._recurrence_log_derivative(d, b2, z.copy(), tiny)[0],
-        oracle._reduction_log_derivative(d, b2, z.copy(), tiny)[0],
-    )
+    """p'/p by both kernels, each on its own copy of z."""
+    kernels = (oracle._recurrence_sum, oracle._reduction_sum)
+    return tuple(_checked(kernel, d, b2, z.copy(), tiny)[0] for kernel in kernels)
 
 
 class TestNewtonRatios:
@@ -1255,31 +1282,105 @@ class TestNewtonRatios:
             rec, red = _log_derivatives(d, b * b, z, ulp)
             assert np.max(np.abs(1.0 / rec - 1.0 / red)) < 1000.0 * ulp
 
-    def test_a_nan_tiny_marks_each_zero_pivot(self):
-        # row 0's pivot d_0 - z is zero at z = d_0 alone; later pivots carry
-        # -b2/r_{k-1} as well
+    @pytest.mark.parametrize(
+        "kernel, rows, mask",
+        [
+            # the recurrence's row-0 pivot d_0 - z is zero at z = d_0 alone;
+            # its later pivots carry -b2/r_{k-1} as well
+            ("recurrence", [0, 30], [True, False, False]),
+            # the reduction's first pivots are d_k - z of the odd rows k; an
+            # even row's d_k - z has changed before it is a pivot
+            ("reduction", [31, 30], [True, False, False]),
+        ],
+    )
+    def test_a_nan_tiny_marks_each_zero_pivot(self, kernel, rows, mask):
         rng = np.random.default_rng(5)
         d = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-        z = np.array([d[0], d[30], 0.1 + 0.2j])
+        z = np.append(d[rows], 0.1 + 0.2j)
         with np.errstate(invalid="ignore"):
-            got, hit = oracle._recurrence_log_derivative(d, 0.7 - 0.2j, z, math.nan)
+            got, hit = _checked(getattr(oracle, f"_{kernel}_sum"), d, 0.7 - 0.2j, z, math.nan)
         assert np.isnan(got[0]) and np.all(np.isfinite(got[1:]))
-        assert hit.tolist() == [True, False, False]
+        assert hit.tolist() == mask
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60, reason="no extended long double")
+    @pytest.mark.parametrize("name", sorted(_BENCH_COMPLEX))
+    def test_both_kernels_against_extended_precision(self, name):
+        # p'/p in double by each kernel, against the guarded recurrence in
+        # np.clongdouble on the same d and b2, at N = 400.  Measured: the
+        # reduction's largest relative error is 2.2 (fig5), 3.0 (fig7) and
+        # 3.5 (trig) times the double recurrence's at the roots moved by
+        # 1e-6, where both are near 1e-6 at worst, and 0.01, 19.6 and 15.2
+        # times at 200 seeded points of the spectrum's box, where both stay
+        # below 3e-12
+        spec = _BENCH_COMPLEX[name]
+        H = discretize(spec, default_domain(spec, L=12.0), 400)
+        d, b = H.diagonal, H.offdiagonal
+        ulp = _diagonal_ulp(d, b)
+        eigs = eigen_complex_dense(H, certify=False)
+        rng = np.random.default_rng(0)
+        x, y = eigs.real, eigs.imag
+        box = rng.uniform(x.min(), x.max(), 200) + 1j * rng.uniform(y.min() - 1.0, y.max() + 1.0, 200)
+        for z, factor in ((eigs * (1.0 + 1e-6 * (1 + 1j)), 4.0), (box, 25.0)):
+            exact = _reference_recurrence(d.astype(np.clongdouble), np.clongdouble(b * b), z.astype(np.clongdouble), ulp)
+            rec, red = (np.abs(g - exact) / np.abs(exact) for g in _log_derivatives(d, b * b, z, ulp))
+            assert np.max(red) <= factor * np.max(rec)
 
     def test_a_sweep_picks_the_order_by_its_root_count(self, monkeypatch):
         # fewer than N/8 roots take the reduction, in blocks of _BLOCK // N
         calls = []
 
         def stub(order):
-            return lambda d, b2, z, tiny: calls.append((order, len(z))) or (np.ones(len(z)), np.zeros(len(z), bool))
+            return lambda d, w, b2, z, tiny: calls.append((order, len(z))) or np.ones(len(z), dtype=complex)
 
-        monkeypatch.setattr(oracle, "_recurrence_log_derivative", stub("recurrence"))
-        monkeypatch.setattr(oracle, "_reduction_log_derivative", stub("reduction"))
+        monkeypatch.setattr(oracle, "_recurrence_sum", stub("recurrence"))
+        monkeypatch.setattr(oracle, "_reduction_sum", stub("reduction"))
         monkeypatch.setattr(oracle, "_BLOCK", 4 * 80)
         d, z = np.zeros(80, dtype=complex), np.zeros(10, dtype=complex)
         assert len(oracle._newton_ratios(d, 1.0, z, 1e-13)[0]) == 10
         assert len(oracle._newton_ratios(d, 1.0, z[:9], 1e-13)[0]) == 9
         assert calls == [("recurrence", 10), ("reduction", 4), ("reduction", 4), ("reduction", 1)]
+
+    @pytest.mark.parametrize("name", ["mr-pt", "mr-nonpt", "trig-nonpt"])
+    def test_a_window_start_takes_the_reduction_and_a_whole_one_the_recurrence(self, name, monkeypatch):
+        # the start's pass along w = -1 + i Im d, under the one size rule:
+        # 20 values on a grid of 400 rows are under N/8, all 400 are not
+        calls = []
+
+        def counted(kind, kernel):
+            return lambda d, w, b2, z, tiny: calls.append(kind) or kernel(d, w, b2, z, tiny)
+
+        for kind in ("recurrence", "reduction"):
+            monkeypatch.setattr(oracle, f"_{kind}_sum", counted(kind, getattr(oracle, f"_{kind}_sum")))
+        H = _variant_grid(name, 400)
+        d, b = H.diagonal, H.offdiagonal
+        ulp = _diagonal_ulp(d, b)
+        window = oracle._aberth_start(d, b, ulp, 20)
+        assert set(calls) == {"reduction"}
+        calls.clear()
+        whole = oracle._aberth_start(d, b, ulp)
+        assert set(calls) == {"recurrence"}
+        # both are the first-order values: the lowest 20 agree to rounding
+        assert np.max(np.abs(window - whole[:20])) < 1e-9 * np.max(np.abs(d))
+
+    def test_the_sweeps_and_the_count_evaluate_through_the_dispatcher(self, monkeypatch):
+        # with `_log_derivative` stubbed, no kernel runs: neither calls one
+        # around it
+        calls = []
+
+        def stub(d, b2, z, tiny, w=None):
+            calls.append(len(z))
+            return np.ones(len(z), dtype=complex), np.zeros(len(z), dtype=bool)
+
+        monkeypatch.setattr(oracle, "_log_derivative", stub)
+        for name in ("_recurrence_sum", "_reduction_sum", "_checked_sum"):
+            monkeypatch.setattr(oracle, name, lambda *args: pytest.fail("a kernel was called around the dispatcher"))
+        d, z = np.linspace(1.0, 2.0, 80) + 0.1j, np.zeros(10, dtype=complex)
+        ratios, hit = oracle._newton_ratios(d, 1.0, z, 1e-13)
+        assert np.array_equal(ratios, np.ones(10)) and not hit.any()
+        count = oracle._argument_count(d, -1.0, np.array([1.5 + 0.1j]), 0.0, 4.0, 1.0, 1e-13)
+        # g = 1 integrates to 0 around the closed contour
+        assert abs(count) < 1e-12
+        assert calls[0] == 10 and len(calls) == 2 and calls[1] % oracle._PANEL_NODES == 0
 
 
 def _reference_recurrence(d, b2, z, tiny, w=None):
@@ -1299,31 +1400,41 @@ def _reference_recurrence(d, b2, z, tiny, w=None):
     return total
 
 
-def _reference_reduction(d, b2, z, tiny):
-    """Test-local copy of the odd-even cyclic reduction, its guard inline."""
+def _reference_reduction(d, b2, z, tiny, w=None):
+    """Test-local copy of the odd-even cyclic reduction, its guard inline:
+    each pivot is checked for an exact zero as it is formed, when its row
+    is eliminated and before it divides."""
+    w = np.full(len(d), -1.0) if w is None else w
     a = d - z[:, None]
-    a[a == 0] = tiny
-    da = np.full(a.shape, -1.0 + 0j)
-    c = np.full((len(z), len(d) - 1), b2, dtype=complex)
-    dc = np.zeros_like(c)
-    total = np.zeros(len(z), dtype=complex)
+    da = np.broadcast_to(w, a.shape)
+    c = nc = None
+    total = 0.0
     while a.shape[1] > 1:
         m = a.shape[1]
-        ao, dao = a[:, 1::2], da[:, 1::2]
-        total += np.sum(dao / ao, axis=1)
-        tl = c[:, ::2] / ao
-        dtl = (dc[:, ::2] - tl * dao) / ao
         r = (m - 1) // 2
-        tr = c[:, 1::2] / ao[:, :r]
-        dtr = (dc[:, 1::2] - tr * dao[:, :r]) / ao[:, :r]
-        a, da = a[:, ::2].copy(), da[:, ::2].copy()
-        a[:, : m // 2] -= tl
-        da[:, : m // 2] -= dtl
+        ao = a[:, 1::2]
+        ao[ao == 0] = tiny
+        s = 1.0 / ao
+        q = da[:, 1::2] * s
+        total = total + np.sum(q, axis=1)
+        if c is None:
+            tl = b2 * s
+            el = tl * q
+            tr, er = tl[:, :r], el[:, :r]
+            c, nc = tr * tr, 2.0 * (tr * er)
+        else:
+            tl, tr = c[:, ::2] * s, c[:, 1::2] * s[:, :r]
+            el, er = tl * q + nc[:, ::2] * s, tr * q[:, :r] + nc[:, 1::2] * s[:, :r]
+            c, nc = tl[:, :r] * tr, el[:, :r] * tr + tl[:, :r] * er
+        if m % 2:
+            a, da = a[:, ::2].astype(tl.dtype), da[:, ::2].astype(el.dtype)
+            a[:, :r] -= tl
+            da[:, :r] += el
+        else:
+            a, da = a[:, ::2] - tl, da[:, ::2] + el
         a[:, 1 : r + 1] -= tr
-        da[:, 1 : r + 1] -= dtr
-        a[a == 0] = tiny
-        c = tl[:, :r] * tr
-        dc = dtl[:, :r] * tr + tl[:, :r] * dtr
+        da[:, 1 : r + 1] += er
+    a[a == 0] = tiny
     return total + da[:, 0] / a[:, 0]
 
 
@@ -1365,15 +1476,6 @@ def _same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-# the verify-complex benchmark ops at their middle choice, on verify's
-# default domain (L = 12)
-_BENCH_COMPLEX = {
-    "fig5": apply_variant(PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0), Variant.PT),
-    "fig7": apply_variant(PotentialSpec(family=Family.ManningRosen, A=1.0, B=1.0, q=1.0), Variant.NonPT),
-    "trig": PotentialSpec(family=Family.TrigScarf, variant=Variant.NonPT, A=3j, q=2.0),
-}
-
-
 class TestReferenceLoops:
     @pytest.mark.parametrize("tiny", [1e-13, math.nan])
     @pytest.mark.parametrize("b2", [0.7 - 0.2j, 0.7, 0.0])
@@ -1385,7 +1487,7 @@ class TestReferenceLoops:
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z = np.concatenate([d[[0, 1, n // 2, n - 1]], rng.standard_normal(20) + 1j * rng.standard_normal(20)])
         with np.errstate(invalid="ignore"):
-            got, _ = oracle._recurrence_log_derivative(d, b2, z.copy(), tiny)
+            got, _ = _checked(oracle._recurrence_sum, d, b2, z.copy(), tiny)
             want = _reference_recurrence(d, b2, z.copy(), tiny)
             assert np.isnan(_reference_recurrence(d, b2, z.copy(), math.nan)[0])
         assert _same_bits(got, want)
@@ -1398,7 +1500,7 @@ class TestReferenceLoops:
         d = np.full(n, 2.0 + 0.5j)
         z = np.concatenate([[1.0 + 0.5j], 2.0 + 0.5j - 2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))])
         with np.errstate(invalid="ignore"):
-            got, _ = oracle._recurrence_log_derivative(d, 1.0, z.copy(), tiny)
+            got, _ = _checked(oracle._recurrence_sum, d, 1.0, z.copy(), tiny)
             want = _reference_recurrence(d, 1.0, z.copy(), tiny)
             assert np.isnan(_reference_recurrence(d, 1.0, z[:1].copy(), math.nan)[0])
         assert _same_bits(got, want)
@@ -1425,7 +1527,7 @@ class TestReferenceLoops:
         for tiny in (1e-13, math.nan):
             calls.clear()
             with np.errstate(invalid="ignore"):
-                got, hit = oracle._recurrence_log_derivative(d, 1.0, z.copy(), tiny)
+                got, hit = _checked(oracle._recurrence_sum, d, 1.0, z.copy(), tiny)
                 want = _reference_recurrence(d, 1.0, z.copy(), tiny)
             assert hit.tolist() == [True, True] + [False] * 6
             assert _same_bits(got, want)
@@ -1449,8 +1551,46 @@ class TestReferenceLoops:
         w = -1.0 + 1j * d.imag
         mu = eigvalsh_tridiagonal(d.real, np.full(n - 1, -0.8), lapack_driver="sterf")
         for d_re, b, z in [(d.real, -0.8, mu), (np.full(n, 2.0), -1.0, np.array([1.0, 0.5, 3.0]))]:
-            got, _ = oracle._recurrence_log_derivative(d_re, b * b, z.copy(), 1e-13, w)
+            got, _ = _checked(oracle._recurrence_sum, d_re, b * b, z.copy(), 1e-13, w)
             assert _same_bits(got, _reference_recurrence(d_re, b * b, z.copy(), 1e-13, w))
+
+    @pytest.mark.parametrize("tiny", [1e-13, math.nan])
+    @pytest.mark.parametrize("b2", [0.7 - 0.2j, 0.7, 0.0])
+    @pytest.mark.parametrize("n", [50, 51, 400])
+    def test_reduction_is_the_guarded_loop_bit_for_bit(self, n, b2, tiny, monkeypatch):
+        # an infinite diagonal entry decouples its row: its reciprocal and
+        # every quotient through it are exactly 0.  So with rows K - 1, K + 1
+        # and 1 infinite, rows K and 0 are blocks of their own, whose
+        # diagonals stay d_K - z and d_0 - z, and z = d_K meets a zero pivot
+        # where row K is eliminated: at level 5 for K = 16, and z = d_0 at
+        # the last one.  z = d_3 meets one at level 1 for any b2; the rest
+        # meet none
+        K = 16
+        rng = np.random.default_rng(n + 7)
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        d[[1, K - 1, K + 1]] = math.inf
+        w = -1.0 + 1j * rng.standard_normal(n)
+        z = np.concatenate([d[[3, K, 0]], rng.standard_normal(9) + 1j * rng.standard_normal(9)])
+        calls = []
+        run_sum = oracle._reduction_sum
+
+        def counted(dk, wk, b2k, zk, tinyk):
+            calls.append((zk.copy(), tinyk))
+            return run_sum(dk, wk, b2k, zk, tinyk)
+
+        monkeypatch.setattr(oracle, "_reduction_sum", counted)
+        with np.errstate(invalid="ignore"):
+            got, hit = _checked(oracle._reduction_sum, d, b2, z.copy(), tiny, w)
+            want = _reference_reduction(d, b2, z.copy(), tiny, w)
+            assert np.all(np.isnan(_reference_reduction(d, b2, z[:3].copy(), math.nan, w)))
+        assert hit.tolist() == [True] * 3 + [False] * 9
+        assert _same_bits(got, want)
+        # one pass over all z with no check, then one with the patch over
+        # exactly the three that met a zero pivot
+        assert len(calls) == 2
+        (first, first_tiny), (rerun, rerun_tiny) = calls
+        assert _same_bits(first, z) and first_tiny is None
+        assert _same_bits(rerun, z[:3]) and rerun_tiny is tiny
 
     @pytest.mark.parametrize("N", [400, 401])
     @pytest.mark.parametrize("name", sorted(_VARIANT_GRIDS))
