@@ -387,7 +387,7 @@ def _reduction_sum(d: np.ndarray, w: np.ndarray, b2: float, z: np.ndarray, tiny)
             pivots[pivots == 0] = tiny
         s = 1.0 / pivots
         q = da[:, 1::2] * s
-        total = total + np.sum(q, axis=1)
+        total = total + q.sum(axis=1)
         if c is None:
             tl = b2 * s
             el = tl * q

@@ -1416,7 +1416,7 @@ def _reference_reduction(d, b2, z, tiny, w=None):
         ao[ao == 0] = tiny
         s = 1.0 / ao
         q = da[:, 1::2] * s
-        total = total + np.sum(q, axis=1)
+        total = total + q.sum(axis=1)
         if c is None:
             tl = b2 * s
             el = tl * q
