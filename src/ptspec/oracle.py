@@ -33,14 +33,14 @@ Gemignani & Tisseur (SIAM J. Matrix Anal. Appl. 27 (2005) 153-175), each
 grid after the first from the roots the grid before it converged.  Where
 there are too few of those, or they give no window that a count proves, a
 grid starts from its first-order eigenvalues in its imaginary part: the
-eigenvalues mu_j of
-the real part, each moved by i v_j^T diag(Im d) v_j, which one more pass
-of the recurrence below gives with no eigenvector.  A window starts from
-the lowest mu_j alone, from `dstebz`, and its Aberth correction sums over
-its own roots; a count by the argument principle (Delves & Lyness, Math.
-Comp. 21 (1967) 543-560) around a rectangle that the field of values
-bounds then proves that the roots left of its right side R are every
-eigenvalue there, and R lies above all that the study reads of the grid.
+eigenvalues mu_j of the real part, each moved by i v_j^T diag(Im d) v_j,
+which one more p'/p pass below gives with no eigenvector.  A window
+starts from the lowest mu_j alone, from `dstebz`, and its Aberth
+correction sums over its own roots; a count by the argument principle
+(Delves & Lyness, Math. Comp. 21 (1967) 543-560) around a rectangle that
+the field of values bounds then proves that the roots left of its right
+side R are every eigenvalue there, and R lies above all that the study
+reads of the grid.
 Where no count proves a window, the grid is solved whole, from all N
 mu_j, from `dsterf`.  Every p'/p, of a sweep's Newton ratios, of a start
 and of a count, comes from one rule (`_log_derivative`): N/8 values or more
@@ -57,7 +57,7 @@ moved it last, so that certifying runs no sweep, or where that bound
 fails, is not a number, or that sweep met an exactly zero pivot, by an
 inverse-iteration residual.  The lowest five by real part take the
 inverse-iteration check: on a complex grid as witnesses independent of the
-recurrence, on a bisected or whole real grid as its whole certification.
+p'/p kernels, on a bisected or whole real grid as its whole certification.
 Each eigenvalue of a warm real window is certified by its own residual, and
 takes no witness.  No check draws a random number.
 
@@ -290,20 +290,20 @@ def _certify(H: GridHamiltonian, eigs: np.ndarray, trace_bound: np.ndarray | Non
     On a complex grid each eigenvalue comes with a trace bound on its best
     residual.  With G = (T - z)^-1, sigma_min(T - z) = 1/||G||_2 <= 1/max_r
     |G_rr| <= N/|tr G| = N |p(z)/p'(z)| (Parlett & Dhillon, Linear Algebra
-    Appl. 267 (1997) 247-279), so the Newton ratios of one recurrence sweep
-    over all N bound the best residual of each z.  `_aberth` takes them
-    from each root's last sweep, so no sweep runs here.  A warm real window
-    (`_rayleigh_window`) passes the residual ||Tv - sigma v|| of each
-    eigenvalue's unit Rayleigh-quotient vector, a certificate in itself; a
-    real grid solved by `dstebz` or `dsterf` passes None.
+    Appl. 267 (1997) 247-279), so the Newton ratios of a sweep bound the
+    best residual of each z.  `_aberth` takes them from each root's last
+    sweep, so no sweep runs here.  A warm real window (`_rayleigh_window`)
+    passes the residual ||Tv - sigma v|| of each eigenvalue's unit
+    Rayleigh-quotient vector, a certificate in itself; a real grid solved
+    by `dstebz` or `dsterf` passes None.
 
     The banded check is inverse iteration.  A block of shifts takes one
     block-band solve per step (`solve_banded`).  Three steps run from the
     fixed start v_j = 1 + j/N, as in `_rayleigh_window`, without
     renormalizing, and ||Hv - lambda v||/||v|| is taken once, on the last
     v.  It runs on the lowest five eigenvalues, but of a warm real window,
-    as witnesses independent of the recurrence on a complex grid and as the
-    whole certification of a real grid that passes None; and on every
+    as witnesses independent of the p'/p kernels on a complex grid and as
+    the whole certification of a real grid that passes None; and on every
     eigenvalue whose bound is over the contract or not a number, as an
     evaluation that met an exactly zero pivot gives.  Raises
     QRNotConverged if a banded residual exceeds the contract, or is not a
