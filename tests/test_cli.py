@@ -438,11 +438,11 @@ class TestVerifyCommand:
     [
         # the verify-complex benchmark ops at their middle choice, and the
         # two complex presets
-        ("--family", "manning-rosen", "--variant", "pt", "--A", "1", "--B", "1", "--q", "1", "--N", "800", "--n-max", "3"),
-        ("--family", "manning-rosen", "--variant", "nonpt", "--A", "1", "--B", "1", "--q", "1", "--N", "800", "--n-max", "3"),
-        ("--family", "trig-scarf", "--variant", "nonpt", "--A1", "0", "--A2", "3", "--q", "2", "--N", "800", "--n-max", "3"),
-        ("--preset", "fig5", "--N", "400"),
-        ("--preset", "fig7", "--N", "400"),
+        "--family manning-rosen --variant pt --A 1 --B 1 --q 1 --N 800 --n-max 3",
+        "--family manning-rosen --variant nonpt --A 1 --B 1 --q 1 --N 800 --n-max 3",
+        "--family trig-scarf --variant nonpt --A1 0 --A2 3 --q 2 --N 800 --n-max 3",
+        "--preset fig5 --N 400",
+        "--preset fig7 --N 400",
     ],
 )
 def test_a_complex_verify_raises_no_numpy_warning(capsys, argv):
@@ -450,7 +450,7 @@ def test_a_complex_verify_raises_no_numpy_warning(capsys, argv):
     # only under np.errstate: no NumPy warning may reach stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, "verify", *argv)
+        code, out, err = run(capsys, "verify", *argv.split())
     assert code in (0, 2) and json.loads(out)
     assert "Warning" not in err
 

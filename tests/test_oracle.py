@@ -1321,7 +1321,8 @@ class TestNewtonRatios:
         x, y = eigs.real, eigs.imag
         box = rng.uniform(x.min(), x.max(), 200) + 1j * rng.uniform(y.min() - 1.0, y.max() + 1.0, 200)
         for z, factor in ((eigs * (1.0 + 1e-6 * (1 + 1j)), 4.0), (box, 25.0)):
-            exact = _reference_recurrence(d.astype(np.clongdouble), np.clongdouble(b * b), z.astype(np.clongdouble), ulp)
+            ld = (d.astype(np.clongdouble), np.clongdouble(b * b), z.astype(np.clongdouble))
+            exact = _reference_recurrence(*ld, ulp)
             rec, red = (np.abs(g - exact) / np.abs(exact) for g in _log_derivatives(d, b * b, z, ulp))
             assert np.max(red) <= factor * np.max(rec)
 
@@ -1359,8 +1360,9 @@ class TestNewtonRatios:
         calls.clear()
         whole = oracle._aberth_start(d, b, ulp)
         assert set(calls) == {"recurrence"}
-        # both are the first-order values: the lowest 20 agree to rounding
-        assert np.max(np.abs(window - whole[:20])) < 1e-9 * np.max(np.abs(d))
+        # both are the first-order values: the lowest 20 agree to rounding,
+        # 6 ulps of ||H|| at most on these grids
+        assert np.max(np.abs(window - whole[:20])) <= 64.0 * ulp
 
     def test_the_sweeps_and_the_count_evaluate_through_the_dispatcher(self, monkeypatch):
         # with `_log_derivative` stubbed, no kernel runs: neither calls one
